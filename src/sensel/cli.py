@@ -208,6 +208,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sensel",
@@ -218,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_objective=True):
         p.add_argument("scenario", help="scenario JSON path or bundled name")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=100,
+        p.add_argument("--samples", type=_positive_int, default=100,
                        help="randomization samples for the sdr algorithm")
         if with_objective:
             p.add_argument("--objective", choices=("f1", "f2", "f3"), default="f3")

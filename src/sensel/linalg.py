@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidMatrix, NotPSD, NotPositiveDefinite, SingularBlock
+from .errors import InvalidMatrix, NotPSD, NotPositiveDefinite
 
 # Relative cutoff below which singular values are treated as zero.
 DEFAULT_PINV_TOL = 1e-12
@@ -68,42 +68,6 @@ def pinv(a: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
         return np.zeros((a.shape[1], a.shape[0]))
     inv_s = np.where(s > tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return (vt.T * inv_s) @ u.T
-
-
-def block_diag_pinv(blocks, selected) -> np.ndarray:
-    """Pseudoinverse of a block-diagonal matrix with unselected blocks zeroed.
-
-    Builds diag(g_1 * inv(B_1), ..., g_L * inv(B_L)): each selected block is
-    inverted in place, each unselected block contributes a zero block.  This
-    is exact because zero blocks pseudoinvert to zero.
-
-    Parameters
-    ----------
-    blocks : sequence of ndarray
-        Symmetric blocks; those marked selected must be positive definite.
-    selected : sequence of bool
-        Selection flags, one per block.
-    """
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    selected = list(selected)
-    if len(blocks) != len(selected):
-        raise InvalidMatrix("blocks and selection flags must have equal length")
-    dim = sum(b.shape[0] for b in blocks)
-    out = np.zeros((dim, dim))
-    offset = 0
-    for idx, (block, sel) in enumerate(zip(blocks, selected)):
-        block = _require_symmetric(block, f"block {idx}")
-        n = block.shape[0]
-        if sel:
-            try:
-                np.linalg.cholesky(block)
-            except np.linalg.LinAlgError:
-                raise SingularBlock(
-                    f"selected block {idx} is not positive definite"
-                ) from None
-            out[offset : offset + n, offset : offset + n] = np.linalg.inv(block)
-        offset += n
-    return symmetrize(out)
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -48,19 +48,6 @@ def gain_trace(h_tilde: np.ndarray, r_tilde: np.ndarray) -> float:
     return float(np.trace(h_sel.T @ solved))
 
 
-def gain_det(h_tilde: np.ndarray, r_tilde: np.ndarray) -> float:
-    """Determinant variant of the measure; only defined for a PD gain."""
-    sel = np.diag(np.asarray(r_tilde)) > 0
-    h_sel = np.asarray(h_tilde)[sel]
-    r_sel = np.asarray(r_tilde)[np.ix_(sel, sel)]
-    if not np.any(sel):
-        raise NotPositiveDefinite("empty selection has a zero gain")
-    gain = linalg.symmetrize(h_sel.T @ linalg.solve_spd(r_sel, h_sel))
-    if linalg.min_eigenvalue(gain) <= 0:
-        raise NotPositiveDefinite("information gain is not positive definite")
-    return float(np.linalg.det(gain))
-
-
 def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
     """Weighted per-sensor measures, sensors by steps.
 

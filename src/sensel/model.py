@@ -315,7 +315,11 @@ class LinearConstraint:
         )
 
     def holds(self, gamma_vec: np.ndarray, tol: float = 1e-9) -> bool:
-        lhs = float(self.a @ gamma_vec)
+        return self.compare(float(self.a @ gamma_vec), tol)
+
+    def compare(self, lhs, tol: float = 1e-9):
+        """Whether left-hand value(s) ``a' gamma`` meet the row; elementwise
+        on an array of values."""
         if self.relation == "<=":
             return lhs <= self.b + tol
         if self.relation == ">=":

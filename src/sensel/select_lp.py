@@ -125,40 +125,79 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return LpSolution(x=x, objective=objective, status="optimal", iterations=iterations)
 
 
+def round_batch(
+    scores: np.ndarray, constraints: ConstraintSet, weights
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy schedules for a batch of step-major score arrays, in one pass.
+
+    ``scores`` has shape (B, horizon, num).  Steps are processed from the
+    largest weight to the smallest (ties go to the later step); at each step
+    every candidate takes the count-many highest-scoring sensors that still
+    have budget, spending one budget unit per pick.  Score ties go to the
+    lower sensor index.  Budgets are carried as a (B, num) array; without
+    energy budgets every sensor gets ``horizon`` units, which never bind.
+
+    Returns the (B, horizon, num) 0/1 schedules and a (B,) mask that is
+    false where a step ran out of sensors with budget left or an extra
+    constraint row is violated; a masked-out schedule is meaningless.
+    """
+    scores = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("rounding scores must be finite")
+    batch, horizon, num = scores.shape
+    weights = np.asarray(weights, dtype=float)
+    order = sorted(range(horizon), key=lambda n: (-weights[n], -n))
+    energy = constraints.energy if constraints.energy is not None else [horizon] * num
+    budgets = np.tile(np.asarray(energy, dtype=np.int64), (batch, 1))
+    gammas = np.zeros((batch, horizon, num), dtype=np.int8)
+    feasible = np.ones(batch, dtype=bool)
+    rows = np.arange(batch)
+    for n in order:
+        m = constraints.per_step[n]
+        has_budget = budgets > 0
+        feasible &= np.count_nonzero(has_budget, axis=1) >= m
+        # Scores are finite, so -inf marks exactly the sensors out of reach;
+        # argmax returns the first maximum, the lower index on a tie.
+        key = np.where(has_budget, scores[:, n], -np.inf)
+        for _ in range(m):
+            pick = key.argmax(axis=1)
+            gammas[rows, n, pick] = 1
+            key[rows, pick] = -np.inf
+        budgets -= gammas[:, n]
+    if constraints.extra:
+        a = np.array([row.a for row in constraints.extra])
+        lhs = gammas.reshape(batch, -1) @ a.T
+        for p, row in enumerate(constraints.extra):
+            feasible &= row.compare(lhs[:, p])
+    return gammas, feasible
+
+
 def round_by_scores(scores: np.ndarray, constraints: ConstraintSet, weights) -> SelectionSchedule:
     """Greedy feasible schedule from a sensors-by-steps score matrix.
 
-    Steps are processed from the largest weight to the smallest (ties go
-    to the later step); each step takes the count-many highest-scoring
-    sensors that still have budget, spending one budget unit per pick.
-    Score ties go to the lower sensor index.
+    The single-candidate case of :func:`round_batch`.  Raises
+    RoundingInfeasible when a step runs out of sensors with budget left or
+    the greedy schedule violates an extra constraint row.
     """
     scores = np.asarray(scores, dtype=float)
-    num, horizon = scores.shape
-    weights = np.asarray(weights, dtype=float)
-    order = sorted(range(horizon), key=lambda n: (-weights[n], -n))
-    budgets = None if constraints.energy is None else list(constraints.energy)
-    gamma = np.zeros((num, horizon), dtype=np.int8)
-    for n in order:
-        m = constraints.per_step[n]
-        candidates = [i for i in range(num) if budgets is None or budgets[i] > 0]
-        if len(candidates) < m:
-            raise RoundingInfeasible(
-                f"step {n}: {len(candidates)} sensors with budget left, need {m}"
-            )
-        chosen = sorted(candidates, key=lambda i: (-scores[i, n], i))[:m]
-        gamma[chosen, n] = 1
-        if budgets is not None:
-            for i in chosen:
-                budgets[i] -= 1
-    return SelectionSchedule.build(gamma)
+    gammas, feasible = round_batch(scores.T[None], constraints, weights)
+    if not feasible[0]:
+        raise RoundingInfeasible(
+            "greedy rounding ran out of sensors with budget left or "
+            "violated an extra constraint row"
+        )
+    return SelectionSchedule.build(gammas[0].T)
 
 
 def round_energy(
     lp: LpSolution, scenario: Scenario, problem: LpProblem | None = None,
     noise_seq=None,
 ) -> RoundedSelection:
-    """Round a fractional LP point to a feasible schedule and compute the gap."""
+    """Round a fractional LP point to a feasible schedule and compute the gap.
+
+    Raises RoundingInfeasible when the greedy schedule cannot meet every
+    constraint row.
+    """
     if problem is None:
         problem = build_lp(scenario, noise_seq)
     scores = lp.x.reshape(problem.horizon, problem.num_sensors).T

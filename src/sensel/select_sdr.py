@@ -19,10 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import Infeasible, NotConverged, NotPositiveDefinite, SingularNoise
+from .errors import (
+    Infeasible,
+    NotConverged,
+    NotPositiveDefinite,
+    RoundingInfeasible,
+    SingularNoise,
+)
 from .measure import objective_f1, objective_f2
 from .model import ConstraintSet, Scenario, SelectionSchedule
-from .select_lp import build_lp, round_by_scores, round_energy, solve_lp
+from .select_lp import build_lp, round_batch, round_energy, solve_lp
 from .select_separable import select_topk
 
 
@@ -396,23 +402,48 @@ def _sdp_ipm(c, mats, rels, b, tol, max_iter):
     )
 
 
-def _gain_trace_cache(scenario: Scenario, noise_seq):
-    """Lazily memoized per-step information traces keyed by the chosen set."""
+def _distinct_rows(bits: np.ndarray):
+    """Deduplicate the 0/1 rows of a (B, k) array.
+
+    Each row is packed bit by bit into one fixed-width key and the keys go
+    through ``np.unique``.  Returns the distinct keys (``.tobytes()`` gives
+    a hashable form), the index of each key's first row, and the index of
+    each row's key.
+    """
+    packed = np.ascontiguousarray(np.packbits(bits, axis=1))
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return distinct, first, inverse.reshape(-1)
+
+
+def _f3_values(gammas, scenario: Scenario, noise_seq, gain_memo: dict) -> np.ndarray:
+    """Weighted f3 sum of each (horizon, num) schedule in a batch.
+
+    Each step's gain trace is computed once per distinct selection column
+    and kept in ``gain_memo`` under (step, packed column).  The weighted
+    terms are added step by step in step order, as a scalar sum over the
+    steps would, so the values are exactly those of a per-schedule sum.
+    """
     from .filter import selection_gain
 
-    cache: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def lookup(step: int, column: np.ndarray) -> float:
-        key = (step, tuple(int(i) for i in np.flatnonzero(column)))
-        value = cache.get(key)
-        if value is None:
-            value = float(
-                np.trace(selection_gain(scenario.sensors, noise_seq[step], column, step))
-            )
-            cache[key] = value
-        return value
-
-    return lookup
+    weights = np.asarray(scenario.weights, dtype=float)
+    totals = np.zeros(gammas.shape[0])
+    for n in range(gammas.shape[1]):
+        if weights[n] == 0.0:
+            continue
+        columns = gammas[:, n]
+        distinct, first, inverse = _distinct_rows(columns)
+        gains = np.empty(distinct.shape[0])
+        for k, key in enumerate(distinct):
+            memo_key = (n, key.tobytes())
+            value = gain_memo.get(memo_key)
+            if value is None:
+                gain = selection_gain(scenario.sensors, noise_seq[n], columns[first[k]], n)
+                value = float(np.trace(gain))
+                gain_memo[memo_key] = value
+            gains[k] = value
+        totals = totals + float(weights[n]) * gains[inverse]
+    return totals
 
 
 def randomize_round(
@@ -422,15 +453,29 @@ def randomize_round(
     seed: int,
     objective: str = "f3",
     noise_seq=None,
+    gain_memo: dict | None = None,
 ) -> SdrRounding:
     """Sample schedules from the lifted solution and keep the best one.
 
     Each draw is a zero-mean Gaussian vector with the PSD-projected lifted
     matrix as covariance; its leading entries rank the sensors per step and
-    are rounded greedily to a feasible schedule.  Both the drawn vector and
-    its negation are rounded (the lifting is sign-symmetric), so each draw
-    yields two candidates.  Deterministic for a fixed seed, and the sample
-    stream is nested: a larger count extends a smaller one.
+    are rounded greedily to a schedule.  Both the drawn vector and its
+    negation are rounded (the lifting is sign-symmetric), so each draw
+    yields two candidates, interleaved as (+draw 0, -draw 0, +draw 1, ...).
+
+    The work is batched: all ``s_count`` draws come from one generator
+    call, and all 2S candidates are rounded in one vectorized greedy pass
+    (:func:`select_lp.round_batch`).  Candidates that run out of budgeted
+    sensors or violate an extra constraint row are dropped; when none is
+    left the call raises RoundingInfeasible.  f3 scores each step only on
+    its distinct columns through ``gain_memo``, a dict of gain traces keyed
+    by (step, packed column); pass one memo to every call on the same
+    scenario and noise sequence to share it, or omit it for a fresh one.
+    f1 and f2 are evaluated once per distinct schedule.  The best value
+    wins, ties going to the smallest ``SelectionSchedule.key()``.
+
+    Deterministic for a fixed seed, and the sample stream is nested: a
+    larger count extends the draws of a smaller one.
     """
     if s_count < 1:
         raise ValueError("need at least one randomization sample")
@@ -438,6 +483,8 @@ def randomize_round(
         raise ValueError("objective must be f1, f2, or f3")
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
+    if gain_memo is None:
+        gain_memo = {}
     num = scenario.num_sensors
     horizon = scenario.horizon
     nl = num * horizon
@@ -445,41 +492,35 @@ def randomize_round(
     low = np.linalg.cholesky(cov)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
-    maximize = objective == "f3"
-    gain_of = _gain_trace_cache(scenario, noise_seq)
-    weights = np.asarray(scenario.weights, dtype=float)
+    signed = np.empty((2 * int(s_count), nl))
+    signed[0::2] = rng.standard_normal((int(s_count), cov.shape[0])) @ low[:nl].T
+    signed[1::2] = -signed[0::2]
+    gammas, feasible = round_batch(
+        signed.reshape(-1, horizon, num), scenario.constraints, scenario.weights
+    )
+    if not feasible.any():
+        raise RoundingInfeasible(
+            f"none of the {signed.shape[0]} randomized candidates satisfies every constraint row"
+        )
+    gammas = gammas[feasible]
 
-    def evaluate(schedule: SelectionSchedule) -> float:
-        if objective == "f3":
-            return sum(
-                float(weights[n]) * gain_of(n, schedule.column(n))
-                for n in range(horizon)
-                if weights[n] != 0.0
-            )
-        if objective == "f1":
-            return float(np.trace(objective_f1(schedule, scenario, noise_seq)))
-        return float(np.trace(objective_f2(schedule, scenario, noise_seq)))
-
-    best_schedule = None
-    best_value = -np.inf if maximize else np.inf
-    best_key = None
-    for _ in range(int(s_count)):
-        xi = low @ rng.standard_normal(cov.shape[0])
-        eta = xi[:nl]
-        for signed in (eta, -eta):
-            scores = signed.reshape(horizon, num).T
-            schedule = round_by_scores(scores, scenario.constraints, weights)
-            value = evaluate(schedule)
-            better = value > best_value if maximize else value < best_value
-            if better or (
-                value == best_value
-                and (best_key is None or schedule.key() < best_key)
-            ):
-                best_schedule = schedule
-                best_value = value
-                best_key = schedule.key()
+    if objective == "f3":
+        values = _f3_values(gammas, scenario, noise_seq, gain_memo)
+        best_value = values.max()
+    else:
+        measure = objective_f1 if objective == "f1" else objective_f2
+        _, first, inverse = _distinct_rows(gammas.reshape(gammas.shape[0], -1))
+        traces = np.array([
+            float(np.trace(measure(SelectionSchedule.build(gammas[k].T), scenario, noise_seq)))
+            for k in first
+        ])
+        values = traces[inverse]
+        best_value = values.min()
+    # The step-major bytes of a 0/1 schedule order like its key().
+    tied = np.flatnonzero(values == best_value)
+    best = min(tied, key=lambda k: gammas[k].tobytes())
     return SdrRounding(
-        schedule=best_schedule,
+        schedule=SelectionSchedule.build(gammas[best].T),
         objective=float(best_value),
         objective_kind=objective,
         samples=int(s_count),

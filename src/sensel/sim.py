@@ -127,15 +127,18 @@ def simulate_measurements(
 def _prepare_plan(config: RunConfig, noise_seq):
     """Everything about planning that is identical across Monte Carlo runs.
 
-    For the randomized algorithm this is the relaxation solution; the
-    per-run randomization stays inside the run.  For the deterministic
-    algorithms the schedule itself is fixed here.
+    For the randomized algorithm this is the relaxation solution plus one
+    memo of f3 gain traces, keyed by (step, packed selection column), that
+    the batched randomization of every run reads and fills; the per-run
+    randomization stays inside the run.  For the deterministic algorithms
+    the schedule itself is fixed here.
     """
     scenario = config.scenario
     started = time.perf_counter()
     schedule = None
     gap = None
     sdp_solution = None
+    gain_memo = None
     if config.algorithm == "topk":
         columns = [
             select_topk(scenario, n, noise_seq=noise_seq)
@@ -154,7 +157,8 @@ def _prepare_plan(config: RunConfig, noise_seq):
         schedule, _ = exhaustive_opt(scenario, objective, noise_seq=noise_seq)
     else:  # sdr
         sdp_solution = solve_sdp(build_sdp(build_bqp(scenario, noise_seq)))
-    return schedule, gap, sdp_solution, time.perf_counter() - started
+        gain_memo = {}
+    return schedule, gap, sdp_solution, gain_memo, time.perf_counter() - started
 
 
 def _run_seed(master_seed: int, run: int, stream: int) -> int:
@@ -162,7 +166,9 @@ def _run_seed(master_seed: int, run: int, stream: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _single_run(config: RunConfig, noise_seq, fixed_schedule, sdp_solution, run: int):
+def _single_run(
+    config: RunConfig, noise_seq, fixed_schedule, sdp_solution, gain_memo, run: int
+):
     scenario = config.scenario
     horizon = scenario.horizon
     if fixed_schedule is not None:
@@ -175,6 +181,7 @@ def _single_run(config: RunConfig, noise_seq, fixed_schedule, sdp_solution, run:
             seed=_run_seed(config.seed, run, 0),
             objective=config.objective,
             noise_seq=noise_seq,
+            gain_memo=gain_memo,
         )
         schedule = rounded.schedule
     truth = simulate_truth(scenario, horizon, _run_seed(config.seed, run, 1))
@@ -211,7 +218,9 @@ def run_closed_loop(config: RunConfig) -> RunResult:
     horizon = scenario.horizon
     predictions = open_loop_predictions(scenario.system, scenario.x0, horizon)
     noise_seq = scenario.noise_sequence(predictions)
-    schedule, gap, sdp_solution, solve_seconds = _prepare_plan(config, noise_seq)
+    schedule, gap, sdp_solution, gain_memo, solve_seconds = _prepare_plan(
+        config, noise_seq
+    )
 
     sq_err = np.zeros((config.runs, horizon))
     trace_p = np.zeros((config.runs, horizon))
@@ -224,7 +233,8 @@ def run_closed_loop(config: RunConfig) -> RunResult:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             futures = {
                 pool.submit(
-                    _single_run, config, noise_seq, schedule, sdp_solution, run
+                    _single_run, config, noise_seq, schedule, sdp_solution,
+                    gain_memo, run,
                 ): run
                 for run in range(config.runs)
             }
@@ -232,7 +242,10 @@ def run_closed_loop(config: RunConfig) -> RunResult:
                 store(run, future.result())
     else:
         for run in range(config.runs):
-            store(run, _single_run(config, noise_seq, schedule, sdp_solution, run))
+            store(
+                run,
+                _single_run(config, noise_seq, schedule, sdp_solution, gain_memo, run),
+            )
 
     return RunResult(
         algorithm=config.algorithm,

@@ -1,5 +1,8 @@
 """Shared helpers for building randomized test instances."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -69,3 +72,56 @@ def rand_scenario(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def loop_round_by_scores(scores, constraints, weights) -> np.ndarray:
+    """Reference greedy rounding: the per-candidate Python loop that the
+    batched rounder replaced.  Checks counts and budgets only; returns the
+    sensors-by-steps 0/1 matrix or raises RoundingInfeasible."""
+    from sensel.errors import RoundingInfeasible
+
+    scores = np.asarray(scores, dtype=float)
+    num, horizon = scores.shape
+    weights = np.asarray(weights, dtype=float)
+    order = sorted(range(horizon), key=lambda n: (-weights[n], -n))
+    budgets = None if constraints.energy is None else list(constraints.energy)
+    gamma = np.zeros((num, horizon), dtype=np.int8)
+    for n in order:
+        m = constraints.per_step[n]
+        candidates = [i for i in range(num) if budgets is None or budgets[i] > 0]
+        if len(candidates) < m:
+            raise RoundingInfeasible(f"step {n}: out of budgeted sensors")
+        chosen = sorted(candidates, key=lambda i: (-scores[i, n], i))[:m]
+        gamma[chosen, n] = 1
+        if budgets is not None:
+            for i in chosen:
+                budgets[i] -= 1
+    return gamma
+
+
+def enumerate_feasible(scenario):
+    """Every schedule that meets the scenario's constraint set."""
+    pools = [
+        itertools.combinations(range(scenario.num_sensors), m)
+        for m in scenario.constraints.per_step
+    ]
+    for combo in itertools.product(*pools):
+        gamma = np.zeros((scenario.num_sensors, scenario.horizon), dtype=np.int8)
+        for n, chosen in enumerate(combo):
+            gamma[list(chosen), n] = 1
+        schedule = model.SelectionSchedule.build(gamma)
+        if schedule.satisfies(scenario.constraints):
+            yield schedule
+
+
+def with_random_extra_row(rng, scenario) -> model.Scenario:
+    """The scenario plus one random integer row that a randomly chosen
+    feasible schedule meets, so the Boolean problem stays feasible."""
+    feasible = list(enumerate_feasible(scenario))
+    target = feasible[int(rng.integers(len(feasible)))]
+    a = rng.integers(-2, 3, size=scenario.num_sensors * scenario.horizon).astype(float)
+    relation = str(rng.choice(["<=", ">="]))
+    row = model.LinearConstraint.build(a, relation, float(a @ target.gamma_vec()))
+    cons = scenario.constraints
+    constraints = model.ConstraintSet.build(cons.per_step, energy=cons.energy, extra=[row])
+    return replace(scenario, constraints=constraints)

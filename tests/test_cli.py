@@ -79,6 +79,13 @@ class TestSelect:
         code = main(["select", "nope.json", "--algo", "topk"])
         assert code == 1
 
+    @pytest.mark.parametrize("samples", ["0", "-3", "many"])
+    def test_bad_samples_is_usage_error(self, samples, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "example4", "--algo", "sdr", "--samples", samples])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
     def test_bundled_name_resolves(self, tmp_path):
         out = tmp_path / "sel.json"
         code = main([

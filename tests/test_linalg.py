@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sensel import linalg
-from sensel.errors import InvalidMatrix, NotPSD, NotPositiveDefinite, SingularBlock
+from sensel.errors import InvalidMatrix, NotPSD, NotPositiveDefinite
 
 from conftest import rand_spd
 
@@ -49,46 +49,6 @@ class TestPinv:
     def test_rejects_bad_tol(self):
         with pytest.raises(InvalidMatrix):
             linalg.pinv(np.eye(2), tol=0.0)
-
-
-class TestBlockDiagPinv:
-    def test_unselected_block_zeroed(self):
-        out = linalg.block_diag_pinv(
-            [np.array([[2.0]]), np.array([[4.0]])], [True, False]
-        )
-        np.testing.assert_allclose(out, np.diag([0.5, 0.0]), atol=1e-14)
-
-    def test_direct_inversion(self):
-        out = linalg.block_diag_pinv([np.diag([5.0, 10.0])], [True])
-        np.testing.assert_allclose(out, np.diag([0.2, 0.1]), atol=1e-14)
-
-    def test_all_unselected(self):
-        out = linalg.block_diag_pinv([np.eye(2), np.eye(3)], [False, False])
-        np.testing.assert_allclose(out, np.zeros((5, 5)))
-
-    def test_matches_generic_pinv(self, rng):
-        """Selected-block inversion equals the pseudoinverse of the masked
-        block-diagonal assembly."""
-        for _ in range(25):
-            k = int(rng.integers(1, 5))
-            sizes = [int(rng.integers(1, 4)) for _ in range(k)]
-            blocks = [rand_spd(n, rng) for n in sizes]
-            selected = [bool(rng.integers(0, 2)) for _ in range(k)]
-            dim = sum(sizes)
-            masked = np.zeros((dim, dim))
-            off = 0
-            for block, sel in zip(blocks, selected):
-                n = block.shape[0]
-                if sel:
-                    masked[off : off + n, off : off + n] = block
-                off += n
-            expected = linalg.pinv(masked)
-            out = linalg.block_diag_pinv(blocks, selected)
-            np.testing.assert_allclose(out, expected, atol=1e-10)
-
-    def test_singular_selected_block(self):
-        with pytest.raises(SingularBlock):
-            linalg.block_diag_pinv([np.zeros((2, 2))], [True])
 
 
 class TestSolveSpd:

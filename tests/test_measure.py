@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sensel import linalg, measure
-from sensel.errors import NotPositiveDefinite, SingularBlock
+from sensel.errors import SingularBlock
 from sensel.filter import stack_measurement
 from sensel.model import SelectionSchedule
 
@@ -76,17 +76,6 @@ class TestGainTrace:
         for c in (0.25, 2.0, 10.0):
             scaled = measure.gain_trace(meas.h_tilde, c * meas.r_tilde)
             assert scaled == pytest.approx(base / c, rel=1e-10)
-
-    def test_determinant_variant_requires_pd(self, rng):
-        scenario = rand_scenario(
-            rng, num_sensors=2, horizon=1, state_dim=2, meas_dims=[2, 2]
-        )
-        meas = stack_measurement(scenario.sensors, scenario.noise, [1, 1])
-        value = measure.gain_det(meas.h_tilde, meas.r_tilde)
-        assert value > 0
-        with pytest.raises(NotPositiveDefinite):
-            empty = stack_measurement(scenario.sensors, scenario.noise, [0, 0])
-            measure.gain_det(empty.h_tilde, empty.r_tilde)
 
 
 class TestObjectives:

@@ -13,13 +13,14 @@ from sensel.select_lp import (
     _simplex_max,
     build_lp,
     certify,
+    round_batch,
     round_by_scores,
     round_energy,
     solve_lp,
 )
 from sensel.select_separable import exhaustive_opt
 
-from conftest import rand_scenario
+from conftest import loop_round_by_scores, rand_scenario, with_random_extra_row
 
 
 def measures_scenario(values, per_step, horizon=1, energy=None, weights=None):
@@ -244,6 +245,78 @@ class TestSandwichAndCertificate:
         assert report.lp_objective == pytest.approx(solution.objective)
         payload = report.to_dict()
         assert set(payload) >= {"f_lp", "f_blp_hat", "gap", "feasible"}
+
+
+class TestRoundBatch:
+    def test_rows_match_per_row_rounding_under_ties(self, rng):
+        """Each row of the batch equals the per-candidate loop and
+        round_by_scores on integer scores and weights, where score and step
+        ties are frequent; a row the loop cannot round is masked out."""
+        masked = 0
+        for trial in range(60):
+            num = int(rng.integers(2, 7))
+            horizon = int(rng.integers(1, 5))
+            per_step = [int(rng.integers(1, num + 1)) for _ in range(horizon)]
+            energy = (
+                None if trial % 4 == 0
+                else [int(rng.integers(0, horizon + 1)) for _ in range(num)]
+            )
+            constraints = model.ConstraintSet.build(per_step, energy=energy)
+            weights = rng.integers(0, 3, size=horizon).astype(float)
+            scores = rng.integers(-2, 3, size=(16, horizon, num)).astype(float)
+            gammas, feasible = round_batch(scores, constraints, weights)
+            for b in range(scores.shape[0]):
+                try:
+                    expected = loop_round_by_scores(scores[b].T, constraints, weights)
+                except RoundingInfeasible:
+                    assert not feasible[b]
+                    with pytest.raises(RoundingInfeasible):
+                        round_by_scores(scores[b].T, constraints, weights)
+                    masked += 1
+                    continue
+                assert feasible[b]
+                np.testing.assert_array_equal(gammas[b].T, expected)
+                np.testing.assert_array_equal(
+                    round_by_scores(scores[b].T, constraints, weights).gamma, expected
+                )
+        assert masked > 0
+
+    def test_extra_row_masks_violating_candidates(self):
+        """Only the candidate that meets the extra row survives the mask,
+        and round_by_scores raises on the one that does not."""
+        forbid_first = model.LinearConstraint.build([1.0, 0.0, 0.0], "<=", 0.0)
+        constraints = model.ConstraintSet.build([1], extra=[forbid_first])
+        scores = np.array([[[0.9, 0.5, 0.1]], [[0.1, 0.5, 0.9]]])
+        gammas, feasible = round_batch(scores, constraints, [1.0])
+        np.testing.assert_array_equal(feasible, [False, True])
+        np.testing.assert_array_equal(gammas[1, 0], [0, 0, 1])
+        with pytest.raises(RoundingInfeasible):
+            round_by_scores(scores[0].T, constraints, [1.0])
+
+    def test_lp_route_meets_extra_row_or_raises(self, rng):
+        """Against exhaustive_opt with one random extra row: the rounded LP
+        schedule meets every row and stays at or below the exhaustive
+        optimum, or round_energy raises RoundingInfeasible."""
+        outcomes = {"met": 0, "infeasible": 0}
+        for _ in range(60):
+            num = int(rng.integers(2, 5))
+            horizon = int(rng.integers(1, 3))
+            scenario = with_random_extra_row(rng, rand_scenario(
+                rng, num_sensors=num, horizon=horizon, correlated=False,
+                per_step=[int(rng.integers(1, num)) for _ in range(horizon)],
+            ))
+            _, best = exhaustive_opt(scenario, "f3")
+            problem = build_lp(scenario)
+            try:
+                rounded = round_energy(solve_lp(problem), scenario, problem)
+            except RoundingInfeasible:
+                outcomes["infeasible"] += 1
+                continue
+            outcomes["met"] += 1
+            assert rounded.schedule.satisfies(scenario.constraints)
+            assert certify(rounded, problem).feasible
+            assert rounded.objective <= best + 1e-9 * (1.0 + abs(best))
+        assert outcomes["met"] > 0 and outcomes["infeasible"] > 0
 
 
 class TestSimplexAgainstReference:

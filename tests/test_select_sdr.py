@@ -2,14 +2,12 @@
 the interior-point solver, Gaussian-randomization rounding, and the
 correlation-ignoring baseline."""
 
-import itertools
-
 import numpy as np
 import pytest
 
-from sensel import measure, model
-from sensel.filter import stack_measurement
-from sensel.model import SelectionSchedule
+from sensel import linalg, measure, model
+from sensel.errors import RoundingInfeasible
+from sensel.filter import selection_gain, stack_measurement
 from sensel.select_lp import build_lp
 from sensel.select_sdr import (
     bqp_objective,
@@ -21,9 +19,57 @@ from sensel.select_sdr import (
     select_ignore_dependence,
     solve_sdp,
 )
-from sensel.select_separable import select_topk
+from sensel.select_separable import exhaustive_opt, select_topk
 
-from conftest import rand_scenario
+from conftest import (
+    enumerate_feasible,
+    loop_round_by_scores,
+    rand_scenario,
+    with_random_extra_row,
+)
+
+
+def loop_randomize_round(sdp_solution, scenario, s_count, seed, objective):
+    """Reference: the per-sample loop that the batched randomization
+    replaced (one draw, two greedy roundings and their evaluation at a
+    time).  Returns (gamma, value)."""
+    noise_seq = scenario.noise_sequence()
+    num = scenario.num_sensors
+    horizon = scenario.horizon
+    nl = num * horizon
+    cov = linalg.psd_project(sdp_solution.x, slack=1e-6) + 1e-12 * np.eye(sdp_solution.x.shape[0])
+    low = np.linalg.cholesky(cov)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    weights = np.asarray(scenario.weights, dtype=float)
+
+    def evaluate(schedule):
+        if objective == "f3":
+            return sum(
+                float(weights[n]) * float(np.trace(selection_gain(
+                    scenario.sensors, noise_seq[n], schedule.column(n), n
+                )))
+                for n in range(horizon)
+                if weights[n] != 0.0
+            )
+        fn = measure.objective_f1 if objective == "f1" else measure.objective_f2
+        return float(np.trace(fn(schedule, scenario, noise_seq)))
+
+    maximize = objective == "f3"
+    best_gamma, best_value, best_key = None, -np.inf if maximize else np.inf, None
+    for _ in range(int(s_count)):
+        eta = (low @ rng.standard_normal(cov.shape[0]))[:nl]
+        for signed in (eta, -eta):
+            gamma = loop_round_by_scores(
+                signed.reshape(horizon, num).T, scenario.constraints, weights
+            )
+            schedule = model.SelectionSchedule.build(gamma)
+            value = evaluate(schedule)
+            better = value > best_value if maximize else value < best_value
+            if better or (
+                value == best_value and (best_key is None or schedule.key() < best_key)
+            ):
+                best_gamma, best_value, best_key = gamma, value, schedule.key()
+    return best_gamma, best_value
 
 
 def two_sensor_scalar(rho):
@@ -38,20 +84,6 @@ def two_sensor_scalar(rho):
         system, sensors, noise, model.ConstraintSet.build([1]),
         [1.0], [0.0], [[1.0]],
     )
-
-
-def enumerate_feasible(scenario):
-    pools = [
-        itertools.combinations(range(scenario.num_sensors), m)
-        for m in scenario.constraints.per_step
-    ]
-    for combo in itertools.product(*pools):
-        gamma = np.zeros((scenario.num_sensors, scenario.horizon), dtype=np.int8)
-        for n, chosen in enumerate(combo):
-            gamma[list(chosen), n] = 1
-        schedule = SelectionSchedule.build(gamma)
-        if schedule.satisfies(scenario.constraints):
-            yield schedule
 
 
 class TestBuildBqp:
@@ -296,6 +328,97 @@ class TestRandomizeRound:
             for s in enumerate_feasible(scenario)
         )
         assert rounded.objective >= exhaustive_best - 1e-12
+
+    def test_batched_matches_per_sample_loop(self, rng):
+        """Identical schedules and objectives to the per-sample loop for
+        f1, f2 and f3, on random correlated instances with budgets and
+        zero-weight steps.  Where the loop gave up because one candidate ran
+        out of budgeted sensors, the batch keeps the feasible candidates."""
+        compared = 0
+        for trial in range(12):
+            num = int(rng.integers(3, 6))
+            horizon = int(rng.integers(1, 4))
+            per_step = [int(rng.integers(1, num)) for _ in range(horizon)]
+            energy = [int(rng.integers(1, horizon + 1)) for _ in range(num)]
+            if sum(per_step) >= sum(energy):  # keep budget slack (interior)
+                energy = [horizon] * num
+            weights = rng.uniform(0.1, 1.0, size=horizon)
+            if horizon > 1:
+                weights[int(rng.integers(horizon))] = 0.0
+            scenario = rand_scenario(
+                rng, num_sensors=num, horizon=horizon, correlated=True,
+                per_step=per_step, energy=energy if trial % 3 else None,
+                weights=weights,
+            )
+            solution = solve_sdp(build_sdp(build_bqp(scenario)))
+            for objective in ("f1", "f2", "f3"):
+                try:
+                    gamma, value = loop_randomize_round(
+                        solution, scenario, 15, trial, objective
+                    )
+                except RoundingInfeasible:
+                    try:
+                        rounded = randomize_round(
+                            solution, scenario, 15, seed=trial, objective=objective
+                        )
+                    except RoundingInfeasible:
+                        continue
+                    assert rounded.schedule.satisfies(scenario.constraints)
+                    continue
+                rounded = randomize_round(
+                    solution, scenario, 15, seed=trial, objective=objective
+                )
+                np.testing.assert_array_equal(rounded.schedule.gamma, gamma)
+                assert rounded.objective == value
+                compared += 1
+        assert compared >= 24
+
+    def test_shared_gain_memo_changes_nothing(self, rng):
+        """A memo shared across calls gives the results of fresh memos and
+        holds one gain trace per (step, packed column)."""
+        scenario = rand_scenario(
+            rng, num_sensors=5, horizon=3, correlated=True, per_step=[2, 1, 2],
+        )
+        solution = solve_sdp(build_sdp(build_bqp(scenario)))
+        memo = {}
+        for seed in range(4):
+            shared = randomize_round(solution, scenario, 25, seed=seed, gain_memo=memo)
+            fresh = randomize_round(solution, scenario, 25, seed=seed)
+            np.testing.assert_array_equal(shared.schedule.gamma, fresh.schedule.gamma)
+            assert shared.objective == fresh.objective
+        assert memo
+        assert {step for step, _ in memo} <= {0, 1, 2}
+        assert all(isinstance(key, bytes) for _, key in memo)
+
+    def test_extra_row_met_or_rounding_infeasible(self, rng):
+        """With a random extra row the result meets every row and stays
+        below the exhaustive optimum, or the call raises
+        RoundingInfeasible.  The relaxation is solved without the row:
+        rounding must honour rows whatever matrix it samples from."""
+        outcomes = {"met": 0, "infeasible": 0}
+        for _ in range(6):
+            num = int(rng.integers(3, 6))
+            horizon = int(rng.integers(1, 3))
+            base = rand_scenario(
+                rng, num_sensors=num, horizon=horizon, correlated=True,
+                per_step=[int(rng.integers(1, num)) for _ in range(horizon)],
+            )
+            solution = solve_sdp(build_sdp(build_bqp(base)))
+            for seed in range(8):
+                scenario = with_random_extra_row(rng, base)
+                _, best = exhaustive_opt(scenario, "f3")
+                try:
+                    rounded = randomize_round(solution, scenario, 10, seed=seed)
+                except RoundingInfeasible:
+                    outcomes["infeasible"] += 1
+                    continue
+                outcomes["met"] += 1
+                assert rounded.schedule.satisfies(scenario.constraints)
+                assert rounded.objective <= best + 1e-9 * (1.0 + abs(best))
+                assert rounded.objective == pytest.approx(
+                    measure.objective_f3(rounded.schedule, scenario), rel=1e-12
+                )
+        assert outcomes["met"] > 0 and outcomes["infeasible"] > 0
 
 
 class TestIgnoreDependence:
