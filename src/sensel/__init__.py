@@ -9,6 +9,8 @@ measure           information measures and the selection objectives
 select_separable  analytic top-k selection and the exhaustive oracle
 select_lp         LP relaxation, simplex solver, greedy rounding, certificates
 select_sdr        semidefinite relaxation and Gaussian randomization
+plan              the algorithm registry and the one planner behind the CLI
+                  and the simulator (topk, lp, sdr, exhaustive, ignore-dep)
 sim               Monte Carlo simulation harness
 cli               command-line entry point
 """

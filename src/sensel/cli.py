@@ -24,30 +24,12 @@ from .errors import (
     SenselError,
     TooLarge,
 )
-from .measure import objective_f1, objective_f2, objective_f3
-from .model import Scenario, load_scenario
-from .select_lp import build_lp, certify, round_energy, solve_lp
-from .select_sdr import (
-    build_bqp,
-    build_sdp,
-    randomize_round,
-    select_ignore_dependence,
-    solve_sdp,
-)
-from .select_separable import exhaustive_opt, select_topk
+from .measure import OBJECTIVES, objective_value
+from .model import Scenario, SelectionSchedule, load_scenario
+from .plan import ALGORITHMS, planning_noise, prepare
 from .sim import RunConfig, run_closed_loop, sweep, write_results_csv
-from .filter import open_loop_predictions
-from .model import SelectionSchedule
 
 BUNDLED = tuple(f"example{i}" for i in range(1, 8))
-
-_ALGO_MAP = {
-    "topk": "topk",
-    "lp": "lp_round",
-    "sdr": "sdr",
-    "exhaustive": "exhaustive",
-    "ignore-dep": "ignore_dep",
-}
 
 
 def _resolve_scenario(arg: str) -> Scenario:
@@ -82,96 +64,58 @@ def _schedule_json(schedule: SelectionSchedule) -> list[list[int]]:
     ]
 
 
-def _noise_sequence(scenario: Scenario):
-    predictions = open_loop_predictions(
-        scenario.system, scenario.x0, scenario.horizon
-    )
-    return scenario.noise_sequence(predictions)
-
-
-def _objective_value(schedule, scenario, noise_seq, kind: str) -> float:
-    if kind == "f1":
-        return float(np.trace(objective_f1(schedule, scenario, noise_seq)))
-    if kind == "f2":
-        return float(np.trace(objective_f2(schedule, scenario, noise_seq)))
-    return objective_f3(schedule, scenario, noise_seq)
-
-
 def cmd_select(args) -> int:
     scenario = _resolve_scenario(args.scenario)
-    noise_seq = _noise_sequence(scenario)
-    payload: dict
-    if args.algo == "lp":
-        problem = build_lp(scenario, noise_seq)
-        solution = solve_lp(problem)
-        rounded = round_energy(solution, scenario, problem, noise_seq)
-        report = certify(rounded, problem)
+    plan = prepare(scenario, args.algo, args.objective, planning_noise(scenario))
+    schedule = plan.schedule
+    if plan.certificate is not None:
+        report = plan.certificate
         payload = report.to_dict()
-        payload["schedule"] = _schedule_json(rounded.schedule)
-        schedule = rounded.schedule
         print(
             f"lp: bound={report.lp_objective:.6g} rounded={report.rounded_objective:.6g} "
             f"gap={report.gap:.3g} feasible={report.feasible}"
         )
-    elif args.algo == "sdr":
-        sdp = build_sdp(build_bqp(scenario, noise_seq))
-        sdp_solution = solve_sdp(sdp)
-        rounded = randomize_round(
-            sdp_solution, scenario, args.samples, args.seed,
-            objective=args.objective, noise_seq=noise_seq,
-        )
+    elif schedule is None:  # sdr: draw the schedule for this seed
+        rounded = plan.draw(args.samples, args.seed)
         schedule = rounded.schedule
         payload = {
-            "sdp_objective": sdp_solution.objective,
-            "duality_gap": sdp_solution.gap,
+            "sdp_objective": plan.sdp_solution.objective,
+            "duality_gap": plan.sdp_solution.gap,
             "samples": rounded.samples,
             "best_objective": rounded.objective,
-            "schedule": _schedule_json(schedule),
         }
         print(
             f"sdr: samples={rounded.samples} best {args.objective}="
-            f"{rounded.objective:.6g} (sdp gap {sdp_solution.gap:.2e})"
+            f"{rounded.objective:.6g} (sdp gap {plan.sdp_solution.gap:.2e})"
         )
     else:
-        if args.algo == "topk":
-            columns = [
-                select_topk(scenario, n, noise_seq=noise_seq)
-                for n in range(scenario.horizon)
-            ]
-            schedule = SelectionSchedule.from_columns(columns)
-        elif args.algo == "ignore-dep":
-            schedule = select_ignore_dependence(scenario, noise_seq)
-        else:  # exhaustive
-            kind = {"f1": "f1_trace", "f2": "f2_trace", "f3": "f3"}[args.objective]
-            schedule, _ = exhaustive_opt(scenario, kind, noise_seq=noise_seq)
-        value = _objective_value(schedule, scenario, noise_seq, args.objective)
-        payload = {
-            "algo": args.algo,
-            "objective": args.objective,
-            "value": value,
-            "schedule": _schedule_json(schedule),
-        }
+        value = objective_value(args.objective, schedule, scenario, plan.noise_seq)
+        payload = {"algo": args.algo, "objective": args.objective, "value": value}
         print(f"{args.algo}: {args.objective}={value:.6g}")
+    payload["schedule"] = _schedule_json(schedule)
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.out}")
     return 0
 
 
-def cmd_simulate(args) -> int:
-    scenario = _resolve_scenario(args.scenario)
-    config = RunConfig(
-        scenario=scenario,
-        algorithm=_ALGO_MAP[args.algo],
+def _run_config(args) -> RunConfig:
+    return RunConfig(
+        scenario=_resolve_scenario(args.scenario),
+        algorithm=args.algo,
         runs=args.runs,
         seed=args.seed,
         s_count=args.samples,
         objective=args.objective,
         threads=args.threads,
     )
+
+
+def cmd_simulate(args) -> int:
+    config = _run_config(args)
     result = run_closed_loop(config)
     print(
-        f"{config.algorithm}: runs={config.runs} mean RMSE="
+        f"{result.algorithm}: runs={config.runs} mean RMSE="
         f"{float(result.rmse.mean()):.4g} mean trace(P)="
         f"{float(result.mean_trace_p.mean()):.4g}"
     )
@@ -182,20 +126,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _resolve_scenario(args.scenario)
+    config = _run_config(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise ScenarioError(f"cannot parse sweep values {args.values!r}") from None
-    config = RunConfig(
-        scenario=scenario,
-        algorithm=_ALGO_MAP[args.algo],
-        runs=args.runs,
-        seed=args.seed,
-        s_count=args.samples,
-        objective=args.objective,
-        threads=args.threads,
-    )
     results = sweep(config, args.param, values)
     for result in results:
         print(
@@ -225,52 +160,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_objective=True):
+    def common(name, help_text, func, out_help):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="scenario JSON path or bundled name")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=_positive_int, default=100,
                        help="randomization samples for the sdr algorithm")
-        if with_objective:
-            p.add_argument("--objective", choices=("f1", "f2", "f3"), default="f3")
+        p.add_argument("--objective", choices=OBJECTIVES, default="f3")
+        p.add_argument("--algo", choices=tuple(ALGORITHMS), required=True)
+        p.add_argument("--out", help=out_help)
+        p.set_defaults(func=func)
+        return p
 
-    p_select = sub.add_parser("select", help="plan a selection schedule")
-    common(p_select)
-    p_select.add_argument(
-        "--algo",
-        choices=("topk", "lp", "sdr", "exhaustive", "ignore-dep"),
-        required=True,
-    )
-    p_select.add_argument("--out", help="write schedule/certificate JSON here")
-    p_select.set_defaults(func=cmd_select)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo closed-loop simulation")
-    common(p_sim)
-    p_sim.add_argument(
-        "--algo",
-        choices=("topk", "lp", "sdr", "exhaustive", "ignore-dep"),
-        required=True,
-    )
-    p_sim.add_argument("--runs", type=int, default=1)
-    p_sim.add_argument("--threads", type=int, default=_default_threads())
-    p_sim.add_argument("--out", help="write results CSV here")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="repeat a simulation over a parameter")
-    common(p_sweep)
-    p_sweep.add_argument(
-        "--algo",
-        choices=("topk", "lp", "sdr", "exhaustive", "ignore-dep"),
-        required=True,
-    )
+    common("select", "plan a selection schedule", cmd_select,
+           "write schedule/certificate JSON here")
+    p_sim = common("simulate", "Monte Carlo closed-loop simulation", cmd_simulate,
+                   "write results CSV here")
+    p_sweep = common("sweep", "repeat a simulation over a parameter", cmd_sweep,
+                     "write results CSV here")
     p_sweep.add_argument(
         "--param", required=True,
         help="one of: jammer_power, m_per_step, s_count",
     )
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    p_sweep.add_argument("--runs", type=int, default=1)
-    p_sweep.add_argument("--threads", type=int, default=_default_threads())
-    p_sweep.add_argument("--out", help="write results CSV here")
-    p_sweep.set_defaults(func=cmd_sweep)
+    for p in (p_sim, p_sweep):
+        p.add_argument("--runs", type=_positive_int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=_default_threads())
     return parser
 
 

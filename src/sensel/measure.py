@@ -14,6 +14,8 @@ from .errors import NotPositiveDefinite, SingularBlock
 from .filter import covariance_rollout, selection_gain
 from .model import Scenario, SelectionSchedule
 
+OBJECTIVES = ("f1", "f2", "f3")
+
 
 def sensor_measure(h: np.ndarray, r_block: np.ndarray) -> float:
     """Per-sensor information measure trace(H' R^-1 H); nonnegative."""
@@ -102,3 +104,14 @@ def objective_f3(schedule: SelectionSchedule, scenario: Scenario, noise_seq=None
         )
         total += w * float(np.trace(gain))
     return total
+
+
+def objective_value(kind: str, schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> float:
+    """Scalar value of objective ``kind``: the trace of f1 or f2 (to be
+    minimized) or f3 itself (to be maximized)."""
+    if kind == "f3":
+        return objective_f3(schedule, scenario, noise_seq)
+    if kind not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}")
+    measure = objective_f1 if kind == "f1" else objective_f2
+    return float(np.trace(measure(schedule, scenario, noise_seq)))

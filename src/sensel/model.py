@@ -351,6 +351,22 @@ class ConstraintSet:
     def horizon(self) -> int:
         return len(self.per_step)
 
+    def rows(self, num_sensors: int) -> tuple[LinearConstraint, ...]:
+        """Every row over the step-major selection vector: one count
+        equality per step, one budget inequality per sensor when budgets
+        are present, then the extra rows."""
+        nl = num_sensors * self.horizon
+        rows = []
+        for n, m in enumerate(self.per_step):
+            a = np.zeros(nl)
+            a[n * num_sensors : (n + 1) * num_sensors] = 1.0
+            rows.append(LinearConstraint.build(a, "=", m))
+        for i, budget in enumerate(self.energy or ()):
+            a = np.zeros(nl)
+            a[i::num_sensors] = 1.0
+            rows.append(LinearConstraint.build(a, "<=", budget))
+        return (*rows, *self.extra)
+
     def validate(self, num_sensors: int) -> None:
         for n, m in enumerate(self.per_step):
             if not 0 < m <= num_sensors:

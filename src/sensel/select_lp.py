@@ -90,21 +90,11 @@ def build_lp(scenario: Scenario, noise_seq=None) -> LpProblem:
                 f"step {n} noise is correlated; use the semidefinite route"
             )
     num = scenario.num_sensors
-    horizon = scenario.horizon
-    nl = num * horizon
     c = info_table(scenario, noise_seq).T.reshape(-1)
-    rows: list[LinearConstraint] = []
-    for n, m in enumerate(scenario.constraints.per_step):
-        a = np.zeros(nl)
-        a[n * num : (n + 1) * num] = 1.0
-        rows.append(LinearConstraint.build(a, "=", float(m)))
-    if scenario.constraints.energy is not None:
-        for i, budget in enumerate(scenario.constraints.energy):
-            a = np.zeros(nl)
-            a[i::num] = 1.0
-            rows.append(LinearConstraint.build(a, "<=", float(budget)))
-    rows.extend(scenario.constraints.extra)
-    return LpProblem(c=c, rows=tuple(rows), num_sensors=num, horizon=horizon)
+    return LpProblem(
+        c=c, rows=scenario.constraints.rows(num), num_sensors=num,
+        horizon=scenario.horizon,
+    )
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:

@@ -15,6 +15,7 @@ problems this pipeline produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,10 @@ from .errors import (
     RoundingInfeasible,
     SingularNoise,
 )
-from .measure import objective_f1, objective_f2
+from .measure import OBJECTIVES, objective_value
 from .model import ConstraintSet, Scenario, SelectionSchedule
 from .select_lp import build_lp, round_batch, round_energy, solve_lp
-from .select_separable import select_topk
+from .select_separable import topk_schedule
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,13 @@ class SdpSolution:
     gap: float
     iterations: int
     status: str
+
+    @cached_property
+    def sampling_factor(self) -> np.ndarray:
+        """Cholesky factor of the PSD-projected lifted matrix: the
+        covariance of the randomization draws, computed once per solution."""
+        cov = linalg.psd_project(self.x, slack=1e-6) + 1e-12 * np.eye(self.x.shape[0])
+        return np.linalg.cholesky(cov)
 
 
 @dataclass(frozen=True)
@@ -130,25 +138,6 @@ def bqp_objective(bqp: BqpProblem, schedule: SelectionSchedule) -> float:
     return total
 
 
-def constraint_rows(constraints: ConstraintSet, num: int):
-    """Step-major coefficient rows for counts, budgets, and extra rows."""
-    horizon = constraints.horizon
-    nl = num * horizon
-    rows = []
-    for n, m in enumerate(constraints.per_step):
-        a = np.zeros(nl)
-        a[n * num : (n + 1) * num] = 1.0
-        rows.append((a, "=", float(m)))
-    if constraints.energy is not None:
-        for i, budget in enumerate(constraints.energy):
-            a = np.zeros(nl)
-            a[i::num] = 1.0
-            rows.append((a, "<=", float(budget)))
-    for row in constraints.extra:
-        rows.append((np.asarray(row.a, dtype=float), row.relation, float(row.b)))
-    return rows
-
-
 def build_sdp(bqp: BqpProblem) -> SdpProblem:
     """Lift the Boolean quadratic problem to its PSD relaxation."""
     num = bqp.num_sensors
@@ -164,20 +153,16 @@ def build_sdp(bqp: BqpProblem) -> SdpProblem:
     border = big_b @ np.ones(nl)
     c[:nl, nl] = border
     c[nl, :nl] = border
-    gamma_rows = constraint_rows(bqp.constraints, num)
     # Budgets exhausted exactly by the counts force every budget row tight,
     # which would leave the relaxation without a strict interior; convert
     # them to equalities so the interior-point solver keeps a Slater point.
     cons = bqp.constraints
-    if cons.energy is not None and sum(cons.per_step) == sum(cons.energy):
-        start = horizon
-        gamma_rows = (
-            gamma_rows[:start]
-            + [(a, "=", b) for a, _, b in gamma_rows[start : start + num]]
-            + gamma_rows[start + num :]
-        )
+    tight = cons.energy is not None and sum(cons.per_step) == sum(cons.energy)
+    budget_rows = range(horizon, horizon + num) if tight else range(0)
     rows = tuple(
-        (a, rel, 4.0 * b - float(a.sum())) for a, rel, b in gamma_rows
+        (row.a, "=" if p in budget_rows else row.relation,
+         4.0 * row.b - float(row.a.sum()))
+        for p, row in enumerate(cons.rows(num))
     )
     ones_quad = float(np.ones(nl) @ big_b @ np.ones(nl))
     return SdpProblem(c=c, rows=rows, dim=nl + 1, ones_quad=ones_quad)
@@ -458,8 +443,9 @@ def randomize_round(
     """Sample schedules from the lifted solution and keep the best one.
 
     Each draw is a zero-mean Gaussian vector with the PSD-projected lifted
-    matrix as covariance; its leading entries rank the sensors per step and
-    are rounded greedily to a schedule.  Both the drawn vector and its
+    matrix as covariance (factored once per solution, see
+    ``SdpSolution.sampling_factor``); its leading entries rank the sensors
+    per step and are rounded greedily to a schedule.  Both the drawn vector and its
     negation are rounded (the lifting is sign-symmetric), so each draw
     yields two candidates, interleaved as (+draw 0, -draw 0, +draw 1, ...).
 
@@ -479,8 +465,8 @@ def randomize_round(
     """
     if s_count < 1:
         raise ValueError("need at least one randomization sample")
-    if objective not in ("f1", "f2", "f3"):
-        raise ValueError("objective must be f1, f2, or f3")
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}")
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
     if gain_memo is None:
@@ -488,12 +474,11 @@ def randomize_round(
     num = scenario.num_sensors
     horizon = scenario.horizon
     nl = num * horizon
-    cov = linalg.psd_project(sdp_solution.x, slack=1e-6) + 1e-12 * np.eye(sdp_solution.x.shape[0])
-    low = np.linalg.cholesky(cov)
+    low = sdp_solution.sampling_factor
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
     signed = np.empty((2 * int(s_count), nl))
-    signed[0::2] = rng.standard_normal((int(s_count), cov.shape[0])) @ low[:nl].T
+    signed[0::2] = rng.standard_normal((int(s_count), low.shape[0])) @ low[:nl].T
     signed[1::2] = -signed[0::2]
     gammas, feasible = round_batch(
         signed.reshape(-1, horizon, num), scenario.constraints, scenario.weights
@@ -508,10 +493,9 @@ def randomize_round(
         values = _f3_values(gammas, scenario, noise_seq, gain_memo)
         best_value = values.max()
     else:
-        measure = objective_f1 if objective == "f1" else objective_f2
         _, first, inverse = _distinct_rows(gammas.reshape(gammas.shape[0], -1))
         traces = np.array([
-            float(np.trace(measure(SelectionSchedule.build(gammas[k].T), scenario, noise_seq)))
+            objective_value(objective, SelectionSchedule.build(gammas[k].T), scenario, noise_seq)
             for k in first
         ])
         values = traces[inverse]
@@ -536,11 +520,7 @@ def select_ignore_dependence(scenario: Scenario, noise_seq=None) -> SelectionSch
     stripped = tuple(noise.diagonal_only() for noise in noise_seq)
     cons = scenario.constraints
     if cons.energy is None and not cons.extra:
-        columns = [
-            select_topk(scenario, n, noise_seq=stripped)
-            for n in range(scenario.horizon)
-        ]
-        return SelectionSchedule.from_columns(columns)
+        return topk_schedule(scenario, stripped)
     problem = build_lp(scenario, noise_seq=stripped)
     solution = solve_lp(problem)
     rounded = round_energy(solution, scenario, problem=problem, noise_seq=stripped)

@@ -18,12 +18,10 @@ import numpy as np
 from . import linalg
 from .errors import Infeasible, NotSeparableNoise, TooLarge
 from .filter import selection_gain
-from .measure import sensor_measure
+from .measure import OBJECTIVES, sensor_measure
 from .model import Scenario, SelectionSchedule
 
 EXHAUSTIVE_CAP = 10_000_000
-
-OBJECTIVES = ("f1_trace", "f2_trace", "f3")
 
 
 def per_sensor_measures(scenario: Scenario, step: int, noise_seq=None) -> np.ndarray:
@@ -61,6 +59,13 @@ def select_topk(scenario: Scenario, step: int, noise_seq=None) -> np.ndarray:
     return column
 
 
+def topk_schedule(scenario: Scenario, noise_seq=None) -> SelectionSchedule:
+    """The top-k column of every step (per-step counts only)."""
+    return SelectionSchedule.from_columns(
+        [select_topk(scenario, n, noise_seq=noise_seq) for n in range(scenario.horizon)]
+    )
+
+
 def _schedule_count(scenario: Scenario) -> int:
     return math.prod(
         math.comb(scenario.num_sensors, m) for m in scenario.constraints.per_step
@@ -69,13 +74,14 @@ def _schedule_count(scenario: Scenario) -> int:
 
 def exhaustive_opt(
     scenario: Scenario,
-    objective: str = "f1_trace",
+    objective: str = "f1",
     cap: int = EXHAUSTIVE_CAP,
     noise_seq=None,
 ) -> tuple[SelectionSchedule, float]:
     """Best feasible schedule by brute-force enumeration.
 
-    Minimizes the trace objectives, maximizes the information objective.
+    Minimizes the trace objectives f1 and f2, maximizes the information
+    objective f3.
     Ties resolve to the schedule whose step-major 0/1 vector is
     lexicographically smallest.  Energy budgets prune partial schedules;
     extra linear constraints are checked on complete ones.
@@ -122,9 +128,9 @@ def exhaustive_opt(
 
     def recurse(step, budgets, columns, p, trace_acc, f3_acc):
         if step == horizon:
-            if objective == "f1_trace":
+            if objective == "f1":
                 consider(columns, float(np.trace(p)))
-            elif objective == "f2_trace":
+            elif objective == "f2":
                 consider(columns, trace_acc / horizon)
             else:
                 consider(columns, f3_acc)

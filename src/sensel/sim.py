@@ -11,7 +11,6 @@ aggregation order-independent.
 from __future__ import annotations
 
 import csv
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -19,21 +18,10 @@ import numpy as np
 
 from . import linalg
 from .errors import ScenarioError
-from .filter import (
-    FilterState,
-    StackedMeasurement,
-    open_loop_predictions,
-    predict,
-    stack_measurement,
-    update_gif,
-)
+from .filter import FilterState, StackedMeasurement, predict, stack_measurement, update_gif
 from .measure import objective_f3
 from .model import ConstraintSet, Scenario, SelectionSchedule, apply_jammer
-from .select_lp import build_lp, round_energy, solve_lp
-from .select_sdr import build_bqp, build_sdp, randomize_round, select_ignore_dependence, solve_sdp
-from .select_separable import exhaustive_opt, select_topk
-
-ALGORITHMS = ("topk", "lp_round", "sdr", "ignore_dep", "exhaustive")
+from .plan import ALGORITHMS, Plan, planning_noise, prepare
 
 SWEEP_PARAMS = ("jammer_power", "m_per_step", "s_count")
 
@@ -50,14 +38,17 @@ class RunConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ScenarioError(f"algorithm must be one of {ALGORITHMS}")
+            raise ScenarioError(f"algorithm must be one of {tuple(ALGORITHMS)}")
         if self.runs < 1:
             raise ScenarioError("need at least one Monte Carlo run")
+        if self.s_count < 1:
+            raise ScenarioError("need at least one randomization sample")
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Aggregates across runs; all per-step arrays have horizon length."""
+    """Aggregates across runs; all per-step arrays have horizon length.
+    ``algorithm`` is the algorithm's results-CSV label."""
 
     algorithm: str
     seed: int
@@ -124,66 +115,16 @@ def simulate_measurements(
     return out
 
 
-def _prepare_plan(config: RunConfig, noise_seq):
-    """Everything about planning that is identical across Monte Carlo runs.
-
-    For the randomized algorithm this is the relaxation solution plus one
-    memo of f3 gain traces, keyed by (step, packed selection column), that
-    the batched randomization of every run reads and fills; the per-run
-    randomization stays inside the run.  For the deterministic algorithms
-    the schedule itself is fixed here.
-    """
-    scenario = config.scenario
-    started = time.perf_counter()
-    schedule = None
-    gap = None
-    sdp_solution = None
-    gain_memo = None
-    if config.algorithm == "topk":
-        columns = [
-            select_topk(scenario, n, noise_seq=noise_seq)
-            for n in range(scenario.horizon)
-        ]
-        schedule = SelectionSchedule.from_columns(columns)
-    elif config.algorithm == "lp_round":
-        problem = build_lp(scenario, noise_seq)
-        rounded = round_energy(solve_lp(problem), scenario, problem, noise_seq)
-        schedule = rounded.schedule
-        gap = rounded.gap
-    elif config.algorithm == "ignore_dep":
-        schedule = select_ignore_dependence(scenario, noise_seq)
-    elif config.algorithm == "exhaustive":
-        objective = {"f1": "f1_trace", "f2": "f2_trace", "f3": "f3"}[config.objective]
-        schedule, _ = exhaustive_opt(scenario, objective, noise_seq=noise_seq)
-    else:  # sdr
-        sdp_solution = solve_sdp(build_sdp(build_bqp(scenario, noise_seq)))
-        gain_memo = {}
-    return schedule, gap, sdp_solution, gain_memo, time.perf_counter() - started
-
-
 def _run_seed(master_seed: int, run: int, stream: int) -> int:
     seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(run), int(stream)))
     return int(seq.generate_state(1)[0])
 
 
-def _single_run(
-    config: RunConfig, noise_seq, fixed_schedule, sdp_solution, gain_memo, run: int
-):
+def _single_run(config: RunConfig, plan: Plan, run: int):
     scenario = config.scenario
     horizon = scenario.horizon
-    if fixed_schedule is not None:
-        schedule = fixed_schedule
-    else:
-        rounded = randomize_round(
-            sdp_solution,
-            scenario,
-            config.s_count,
-            seed=_run_seed(config.seed, run, 0),
-            objective=config.objective,
-            noise_seq=noise_seq,
-            gain_memo=gain_memo,
-        )
-        schedule = rounded.schedule
+    noise_seq = plan.noise_seq
+    schedule = plan.schedule_for(config.s_count, _run_seed(config.seed, run, 0))
     truth = simulate_truth(scenario, horizon, _run_seed(config.seed, run, 1))
     measurements = simulate_measurements(
         truth, scenario, schedule, _run_seed(config.seed, run, 2), noise_seq
@@ -216,11 +157,7 @@ def run_closed_loop(config: RunConfig) -> RunResult:
     """
     scenario = config.scenario
     horizon = scenario.horizon
-    predictions = open_loop_predictions(scenario.system, scenario.x0, horizon)
-    noise_seq = scenario.noise_sequence(predictions)
-    schedule, gap, sdp_solution, gain_memo, solve_seconds = _prepare_plan(
-        config, noise_seq
-    )
+    plan = prepare(scenario, config.algorithm, config.objective, planning_noise(scenario))
 
     sq_err = np.zeros((config.runs, horizon))
     trace_p = np.zeros((config.runs, horizon))
@@ -232,23 +169,17 @@ def run_closed_loop(config: RunConfig) -> RunResult:
     if config.threads > 1 and config.runs > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             futures = {
-                pool.submit(
-                    _single_run, config, noise_seq, schedule, sdp_solution,
-                    gain_memo, run,
-                ): run
+                pool.submit(_single_run, config, plan, run): run
                 for run in range(config.runs)
             }
             for future, run in futures.items():
                 store(run, future.result())
     else:
         for run in range(config.runs):
-            store(
-                run,
-                _single_run(config, noise_seq, schedule, sdp_solution, gain_memo, run),
-            )
+            store(run, _single_run(config, plan, run))
 
     return RunResult(
-        algorithm=config.algorithm,
+        algorithm=plan.label,
         seed=config.seed,
         runs=config.runs,
         rmse=np.sqrt(sq_err.mean(axis=0)),
@@ -256,13 +187,15 @@ def run_closed_loop(config: RunConfig) -> RunResult:
         f1_trace=float(f_vals[:, 0].mean()),
         f2_trace=float(f_vals[:, 1].mean()),
         f3=float(f_vals[:, 2].mean()),
-        gap=gap,
-        solve_seconds=solve_seconds,
+        gap=plan.gap,
+        solve_seconds=plan.seconds,
     )
 
 
 def sweep(config: RunConfig, parameter: str, values) -> list[RunResult]:
-    """One closed-loop result per parameter value, sharing the base seed."""
+    """One closed-loop result per parameter value, sharing the base seed.
+
+    Every value is checked before the first simulation runs."""
     values = list(values)
     if not values:
         raise ScenarioError("sweep needs at least one value")
@@ -270,15 +203,16 @@ def sweep(config: RunConfig, parameter: str, values) -> list[RunResult]:
         raise ScenarioError(
             f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMS}"
         )
-    results = []
-    for value in values:
-        run_config = _apply_sweep_value(config, parameter, value)
-        result = run_closed_loop(run_config)
-        results.append(replace(result, param_value=float(value)))
-    return results
+    configs = [_apply_sweep_value(config, parameter, value) for value in values]
+    return [
+        replace(run_closed_loop(run_config), param_value=float(value))
+        for run_config, value in zip(configs, values)
+    ]
 
 
 def _apply_sweep_value(config: RunConfig, parameter: str, value) -> RunConfig:
+    if parameter != "jammer_power" and not float(value).is_integer():
+        raise ScenarioError(f"{parameter} takes whole numbers, got {value!r}")
     if parameter == "s_count":
         return replace(config, s_count=int(value))
     scenario = config.scenario

@@ -190,8 +190,8 @@ def test_c2_topk_optimality():
         if not _stepwise_regular(scenario):
             non_regular += 1
             continue
-        _, f1_min = exhaustive_opt(scenario, "f1_trace")
-        _, f2_min = exhaustive_opt(scenario, "f2_trace")
+        _, f1_min = exhaustive_opt(scenario, "f1")
+        _, f2_min = exhaustive_opt(scenario, "f2")
         columns = [select_topk(scenario, n) for n in range(scenario.horizon)]
         schedule = SelectionSchedule.from_columns(columns)
         mine_f1 = float(np.trace(measure.objective_f1(schedule, scenario)))
@@ -398,7 +398,7 @@ def test_c8_rmse_study():
                   s_count=2000)
     )
     blind = run_closed_loop(
-        RunConfig(scenario=scenario, algorithm="ignore_dep", runs=200, seed=88)
+        RunConfig(scenario=scenario, algorithm="ignore-dep", runs=200, seed=88)
     )
     elapsed = time.perf_counter() - started
     aware_mean = float(aware.rmse.mean())

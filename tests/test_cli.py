@@ -1,12 +1,14 @@
 """CLI contract tests: exit codes, output files, determinism."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from sensel import model
-from sensel.cli import main
+from sensel import model, sim
+from sensel.cli import build_parser, main
+from sensel.plan import ALGORITHMS
 
 
 @pytest.fixture
@@ -79,12 +81,20 @@ class TestSelect:
         code = main(["select", "nope.json", "--algo", "topk"])
         assert code == 1
 
-    @pytest.mark.parametrize("samples", ["0", "-3", "many"])
-    def test_bad_samples_is_usage_error(self, samples, capsys):
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param("select", "--samples", "0", id="0"),
+        pytest.param("select", "--samples", "-3", id="-3"),
+        pytest.param("select", "--samples", "many", id="many"),
+        pytest.param("simulate", "--runs", "0", id="runs-0"),
+        pytest.param("sweep", "--runs", "-3", id="sweep-runs--3"),
+        pytest.param("simulate", "--threads", "0", id="threads-0"),
+        pytest.param("sweep", "--threads", "-3", id="sweep-threads--3"),
+    ])
+    def test_bad_samples_is_usage_error(self, command, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["select", "example4", "--algo", "sdr", "--samples", samples])
+            main([command, "example4", "--algo", "sdr", flag, value])
         assert exc.value.code == 2
-        assert "--samples" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     def test_bundled_name_resolves(self, tmp_path):
         out = tmp_path / "sel.json"
@@ -94,6 +104,42 @@ class TestSelect:
         assert code == 0
         payload = json.loads(out.read_text())
         assert len(payload["schedule"][0]) == 10
+
+
+class TestOnePlanner:
+    def test_algo_choices_are_the_registry(self):
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert set(commands.choices) == {"select", "simulate", "sweep"}
+        for command in commands.choices.values():
+            algo = next(a for a in command._actions if a.dest == "algo")
+            assert tuple(algo.choices) == tuple(ALGORITHMS)
+
+    @pytest.mark.parametrize("algo", ["topk", "lp", "exhaustive", "ignore-dep"])
+    def test_select_schedule_is_the_simulated_one(
+        self, algo, small_scenario_path, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "sel.json"
+        argv = [str(small_scenario_path), "--algo", algo, "--objective", "f1"]
+        assert main(["select", *argv, "--out", str(out)]) == 0
+        simulated = []
+        original = sim.simulate_measurements
+
+        def recording(truth, scenario, schedule, *rest):
+            simulated.append(schedule)
+            return original(truth, scenario, schedule, *rest)
+
+        monkeypatch.setattr(sim, "simulate_measurements", recording)
+        assert main(["simulate", *argv, "--runs", "2", "--threads", "1"]) == 0
+        selected = json.loads(out.read_text())["schedule"]
+        assert len(simulated) == 2
+        for schedule in simulated:
+            assert [
+                np.flatnonzero(schedule.column(n)).tolist()
+                for n in range(schedule.horizon)
+            ] == selected
 
 
 class TestThreadsDefault:
@@ -163,6 +209,24 @@ class TestSweep:
         assert code == 1
         err = capsys.readouterr().err
         assert "jammer_power" in err
+
+    def test_zero_samples_is_scenario_error(self, small_scenario_path, capsys):
+        code = main([
+            "sweep", str(small_scenario_path),
+            "--algo", "topk", "--param", "s_count", "--values", "0",
+        ])
+        assert code == 1
+        assert "randomization sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param", ["m_per_step", "s_count"])
+    def test_fractional_count_is_scenario_error(self, param, small_scenario_path, capsys):
+        code = main([
+            "sweep", str(small_scenario_path),
+            "--algo", "topk", "--param", param, "--values", "1,2.5",
+            "--threads", "1",
+        ])
+        assert code == 1
+        assert "whole numbers" in capsys.readouterr().err
 
     def test_single_value(self, small_scenario_path, tmp_path):
         code = main([

@@ -186,6 +186,25 @@ class TestGenerators:
             assert 5.0 <= block[0, 0] <= 7.0
             assert 10.0 <= block[1, 1] <= 12.0
 
+    def test_bundled_scenarios_regenerate_unchanged(self, tmp_path, capsys):
+        """tools/gen_bundled_scenarios.py reproduces every bundled file."""
+        import importlib.util
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "gen_bundled_scenarios", root / "tools" / "gen_bundled_scenarios.py"
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        tool.main(tmp_path)
+        bundled = root / "src" / "sensel" / "scenarios"
+        names = sorted(p.name for p in bundled.glob("example*.json"))
+        assert names == [f"example{i}.json" for i in range(1, 8)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name
+
 
 class TestJammer:
     def test_zero_power_is_noop(self):

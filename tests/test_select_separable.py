@@ -146,8 +146,8 @@ class TestExhaustive:
                 select_topk(scenario, n) for n in range(scenario.horizon)
             ]
             schedule = model.SelectionSchedule.from_columns(columns)
-            _, f1_min = exhaustive_opt(scenario, "f1_trace")
-            _, f2_min = exhaustive_opt(scenario, "f2_trace")
+            _, f1_min = exhaustive_opt(scenario, "f1")
+            _, f2_min = exhaustive_opt(scenario, "f2")
             mine_f1 = float(np.trace(measure.objective_f1(schedule, scenario)))
             mine_f2 = float(np.trace(measure.objective_f2(schedule, scenario)))
             assert mine_f1 == pytest.approx(f1_min, abs=1e-9)
@@ -175,7 +175,7 @@ class TestExhaustive:
         column = select_topk(scenario, 0)
         schedule = model.SelectionSchedule.from_columns([column])
         mine = float(np.trace(measure.objective_f1(schedule, scenario)))
-        _, best = exhaustive_opt(scenario, "f1_trace")
+        _, best = exhaustive_opt(scenario, "f1")
         assert mine == pytest.approx(best, abs=1e-9)
 
     def test_budgeted_nine_sensor_study(self):
@@ -184,7 +184,7 @@ class TestExhaustive:
         constraint; the relaxation route can only do as well or worse on
         the final covariance it does not directly optimize."""
         scenario = model.load_scenario("src/sensel/scenarios/example2.json")
-        schedule, value = exhaustive_opt(scenario, "f1_trace")
+        schedule, value = exhaustive_opt(scenario, "f1")
         assert schedule.satisfies(scenario.constraints)
         from sensel.select_lp import build_lp, round_energy, solve_lp
 

@@ -144,7 +144,7 @@ class TestClosedLoop:
 
     def test_deterministic_in_config(self):
         scenario = tiny_tracking_scenario(energy=[1, 2, 2])
-        config = RunConfig(scenario=scenario, algorithm="lp_round", runs=4, seed=11)
+        config = RunConfig(scenario=scenario, algorithm="lp", runs=4, seed=11)
         assert results_equal(run_closed_loop(config), run_closed_loop(config))
 
     def test_threaded_matches_sequential(self):
@@ -176,7 +176,7 @@ class TestClosedLoop:
     def test_state_dependent_noise_closed_loop(self):
         scenario = model.load_scenario("src/sensel/scenarios/example7.json")
         config = RunConfig(
-            scenario=scenario, algorithm="ignore_dep", runs=2, seed=8
+            scenario=scenario, algorithm="ignore-dep", runs=2, seed=8
         )
         result = run_closed_loop(config)
         assert result.rmse.shape == (5,)
@@ -205,7 +205,7 @@ class TestConvergenceBand:
 class TestSweep:
     def test_jammer_power_sweep_rows(self):
         scenario = model.load_scenario("src/sensel/scenarios/example4.json")
-        config = RunConfig(scenario=scenario, algorithm="ignore_dep", runs=1, seed=0)
+        config = RunConfig(scenario=scenario, algorithm="ignore-dep", runs=1, seed=0)
         values = [1e5, 3e5, 6e5]
         results = sweep(config, "jammer_power", values)
         assert [r.param_value for r in results] == values

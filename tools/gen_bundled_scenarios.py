@@ -89,14 +89,14 @@ def example6():
 
 def example7():
     """RMSE study configuration (same physics as example 6)."""
-    return with_distance(example5())
+    return example6()
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def main(out: Path = OUT):
+    out.mkdir(parents=True, exist_ok=True)
     for name, build in sorted(globals().items()):
         if name.startswith("example") and callable(build):
-            path = OUT / f"{name}.json"
+            path = out / f"{name}.json"
             model.save_scenario(build(), path)
             print(f"wrote {path}")
 
