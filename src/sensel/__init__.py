@@ -29,6 +29,7 @@ from .errors import (
     SingularBlock,
     SingularNoise,
     TooLarge,
+    UnsupportedConstraints,
 )
 from .model import (
     ConstraintSet,
@@ -72,6 +73,7 @@ __all__ = [
     "SingularBlock",
     "SingularNoise",
     "TooLarge",
+    "UnsupportedConstraints",
     "apply_jammer",
     "distance_noise",
     "gen_grid_scenario",

@@ -23,6 +23,7 @@ from .errors import (
     ScenarioError,
     SenselError,
     TooLarge,
+    UnsupportedConstraints,
 )
 from .measure import OBJECTIVES, objective_value
 from .model import Scenario, SelectionSchedule, load_scenario
@@ -194,7 +195,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (Infeasible, TooLarge, RoundingInfeasible, NotSeparableNoise) as exc:
+    except (
+        Infeasible, TooLarge, RoundingInfeasible, NotSeparableNoise,
+        UnsupportedConstraints,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotConverged as exc:

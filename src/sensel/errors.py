@@ -41,6 +41,10 @@ class Infeasible(SenselError):
     """The constraint set admits no solution."""
 
 
+class UnsupportedConstraints(SenselError):
+    """A selector cannot honour the scenario's energy budgets or extra rows."""
+
+
 class TooLarge(SenselError):
     """The instance exceeds the configured cap for exhaustive enumeration."""
 

@@ -9,6 +9,14 @@ The LP solver is a self-contained bounded-variable primal simplex (dense
 tableau, two phases, Bland's anti-cycling rule).  Problem sizes here stay
 within a few thousand variables and a few hundred rows, where a dense
 tableau is perfectly adequate and fully deterministic.
+
+One pivot touches only what it changes.  The ratio test computes the step
+lengths of every bounding row in one numpy pass and runs its tie-breaking
+comparison over those rows alone.  The elimination (:func:`_pivot`)
+subtracts the pivot row only from the rows where the entering column is
+nonzero; the count and budget rows form an incidence matrix, so on
+selection LPs most entries of that column are zero and most rows are
+skipped.  Every 200 pivots the tableau is rebuilt from the basis columns.
 """
 
 from __future__ import annotations
@@ -224,6 +232,17 @@ def certify(rounded: RoundedSelection, problem: LpProblem) -> Certificate:
 # Bounded-variable primal simplex
 
 
+def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """Pivot the tableau in place on (row, col): scale the pivot row, then
+    eliminate the column from the rows where it is nonzero.  Rows with a
+    zero there are left untouched, which on selection LPs is most rows."""
+    tableau[row] /= tableau[row, col]
+    others = tableau[:, col].copy()
+    others[row] = 0.0
+    nz = np.flatnonzero(others)
+    tableau[nz] -= np.outer(others[nz], tableau[row])
+
+
 def _simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     """Maximize c'x subject to a x (rel) rhs and 0 <= x <= upper.
 
@@ -273,7 +292,7 @@ def _simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     cost2[:n_struct] = -c  # phase 2 minimizes the negated objective
 
     tableau = full.copy()
-    basis = list(range(art_start, art_start + m))
+    basis = np.arange(art_start, art_start + m)
     in_basis = np.zeros(ntot, dtype=bool)
     in_basis[art_start:] = True
     at_upper = np.zeros(ntot, dtype=bool)
@@ -316,22 +335,26 @@ def _simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
                 scores = np.where(at_upper[idx], reduced[idx], -reduced[idx])
                 j = int(idx[int(np.argmax(scores))])
             direction = -1.0 if at_upper[j] else 1.0
-            col = tableau[:, j]
-            rate = direction * col  # xb decreases at this rate per unit step
+            rate = direction * tableau[:, j]  # xb decreases at this rate per unit step
+            # Rows that bound the step: a basic variable falling to 0, or
+            # rising to a finite upper bound.  Step lengths for all of them
+            # in one pass, then the sequential tie-breaking fold over just
+            # those rows (the tolerance chain is not transitive, so a
+            # min/argmin would not pick the same row).
+            ub_basis = ub[basis]
+            down = rate > _TOL
+            up = (rate < -_TOL) & np.isfinite(ub_basis)
+            rows = np.flatnonzero(down | up)
+            room = np.where(down[rows], xb[rows], ub_basis[rows] - xb[rows])
+            steps = room / np.abs(rate[rows])
             # Candidates: (step length, variable index, row or None for a bound flip)
             best_t = ub[j]
             best_var = j
             best_row = None
-            for i in range(m):
-                if rate[i] > _TOL:
-                    t = xb[i] / rate[i]
-                elif rate[i] < -_TOL and np.isfinite(ub[basis[i]]):
-                    t = (ub[basis[i]] - xb[i]) / (-rate[i])
-                else:
-                    continue
-                if t < best_t - _TOL or (t < best_t + _TOL and basis[i] < best_var):
+            for i, t, var in zip(rows.tolist(), steps.tolist(), basis[rows].tolist()):
+                if t < best_t - _TOL or (t < best_t + _TOL and var < best_var):
                     best_t = t
-                    best_var = basis[i]
+                    best_var = var
                     best_row = i
             if not np.isfinite(best_t):
                 raise SenselError("LP is unbounded")
@@ -358,11 +381,7 @@ def _simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
             xb[best_row] = entering_value
             # The ratio test only admits rows with |rate| > _TOL, so the
             # pivot element is safely away from zero.
-            piv = tableau[best_row, j]
-            tableau[best_row] /= piv
-            others = tableau[:, j].copy()
-            others[best_row] = 0.0
-            tableau -= np.outer(others, tableau[best_row])
+            _pivot(tableau, best_row, j)
             reduced -= reduced[j] * tableau[best_row]
             since_refactor += 1
             if since_refactor >= 200:
@@ -394,18 +413,14 @@ def _simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
         entering_value = ub[j] if at_upper[j] else 0.0
         at_upper[j] = False
         xb[i] = entering_value
-        piv = tableau[i, j]
-        tableau[i] /= piv
-        others = tableau[:, j].copy()
-        others[i] = 0.0
-        tableau -= np.outer(others, tableau[i])
+        _pivot(tableau, i, j)
     if drop_rows:
         keep = [i for i in range(m) if i not in drop_rows]
         tableau = tableau[keep]
         xb = xb[keep]
         full = full[keep]
         rhs = rhs[keep]
-        basis = [basis[i] for i in keep]
+        basis = basis[keep]
         m = len(keep)
     # Clean any residue the basis surgery left behind before optimizing.
     refactorize()

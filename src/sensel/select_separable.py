@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .errors import Infeasible, NotSeparableNoise, TooLarge
+from .errors import Infeasible, NotSeparableNoise, TooLarge, UnsupportedConstraints
 from .filter import selection_gain
 from .measure import OBJECTIVES, sensor_measure
 from .model import Scenario, SelectionSchedule
@@ -60,10 +60,20 @@ def select_topk(scenario: Scenario, step: int, noise_seq=None) -> np.ndarray:
 
 
 def topk_schedule(scenario: Scenario, noise_seq=None) -> SelectionSchedule:
-    """The top-k column of every step (per-step counts only)."""
-    return SelectionSchedule.from_columns(
+    """The top-k column of every step.
+
+    Top-k sees only the per-step counts; raises UnsupportedConstraints when
+    the schedule it picks violates an energy budget or an extra row.
+    """
+    schedule = SelectionSchedule.from_columns(
         [select_topk(scenario, n, noise_seq=noise_seq) for n in range(scenario.horizon)]
     )
+    if not schedule.satisfies(scenario.constraints):
+        raise UnsupportedConstraints(
+            "the top-k schedule violates an energy budget or an extra "
+            "constraint row; use the lp route"
+        )
+    return schedule
 
 
 def _schedule_count(scenario: Scenario) -> int:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from sensel import model
+from sensel.errors import Infeasible, SenselError
+from sensel.select_lp import _FEAS_TOL, _TOL
 
 
 def rand_spd(n: int, rng: np.random.Generator, ridge: float = 0.5) -> np.ndarray:
@@ -125,3 +127,201 @@ def with_random_extra_row(rng, scenario) -> model.Scenario:
     cons = scenario.constraints
     constraints = model.ConstraintSet.build(cons.per_step, energy=cons.energy, extra=[row])
     return replace(scenario, constraints=constraints)
+
+
+# The bounded simplex as it stood before its pivots were vectorized (a
+# per-row Python ratio test and a full-tableau outer product per pivot),
+# kept unchanged as the oracle for the current solver's pivot sequence.
+def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
+    """Maximize c'x subject to a x (rel) rhs and 0 <= x <= upper.
+
+    Dense two-phase tableau simplex with variable bounds.  Entering and
+    leaving choices follow Bland's rule, so the method terminates even on
+    degenerate instances.  Returns (x, objective, iterations).
+    """
+    c = np.asarray(c, dtype=float)
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    rhs = np.asarray(rhs, dtype=float).copy()
+    n_struct = c.shape[0]
+    m = a.shape[0]
+    if m == 0:
+        x = np.where(c > 0, np.asarray(upper, dtype=float), 0.0)
+        if not np.all(np.isfinite(x)):
+            raise SenselError("LP is unbounded")
+        return x, float(c @ x), 0
+
+    # Slack column per inequality, then sign-normalize so rhs >= 0, then one
+    # artificial per row; the artificial block is the starting basis.
+    slack_cols = []
+    for p, rel in enumerate(rels):
+        if rel == "<=":
+            col = np.zeros(m)
+            col[p] = 1.0
+            slack_cols.append(col)
+        elif rel == ">=":
+            col = np.zeros(m)
+            col[p] = -1.0
+            slack_cols.append(col)
+        elif rel != "=":
+            raise ValueError(f"unknown relation {rel!r}")
+    n_slack = len(slack_cols)
+    full = np.hstack([a, np.array(slack_cols).T.reshape(m, n_slack)]) if n_slack else a.copy()
+    for p in range(m):
+        if rhs[p] < 0:
+            full[p] *= -1.0
+            rhs[p] *= -1.0
+    art_start = n_struct + n_slack
+    full = np.hstack([full, np.eye(m)])
+    ntot = art_start + m
+
+    ub = np.concatenate([np.asarray(upper, dtype=float), np.full(n_slack + m, np.inf)])
+    cost1 = np.zeros(ntot)
+    cost1[art_start:] = 1.0
+    cost2 = np.zeros(ntot)
+    cost2[:n_struct] = -c  # phase 2 minimizes the negated objective
+
+    tableau = full.copy()
+    basis = list(range(art_start, art_start + m))
+    in_basis = np.zeros(ntot, dtype=bool)
+    in_basis[art_start:] = True
+    at_upper = np.zeros(ntot, dtype=bool)
+    xb = rhs.copy()
+    iterations = 0
+
+    def nonbasic_values():
+        vals = np.where(at_upper, np.where(np.isfinite(ub), ub, 0.0), 0.0)
+        vals[in_basis] = 0.0
+        return vals
+
+    def refactorize():
+        nonlocal tableau, xb
+        b_cols = full[:, basis]
+        tableau = np.linalg.solve(b_cols, full)
+        xb = np.linalg.solve(b_cols, rhs - full @ nonbasic_values())
+
+    def run_phase(cost, banned_from: int | None):
+        nonlocal iterations, tableau, xb
+        since_refactor = 0
+        stalled = 0
+        bland_mode = False
+        reduced = cost - cost[basis] @ tableau
+        while True:
+            if iterations >= max_iter:
+                raise SenselError("simplex exceeded its iteration cap")
+            eligible = ~in_basis & (
+                (~at_upper & (reduced < -_TOL)) | (at_upper & (reduced > _TOL))
+            )
+            if banned_from is not None:
+                eligible[banned_from:] = False
+            idx = np.flatnonzero(eligible)
+            if idx.size == 0:
+                return
+            # Dantzig pricing normally; Bland's smallest-index rule takes
+            # over during degenerate stretches, which rules out cycling.
+            if bland_mode:
+                j = int(idx[0])
+            else:
+                scores = np.where(at_upper[idx], reduced[idx], -reduced[idx])
+                j = int(idx[int(np.argmax(scores))])
+            direction = -1.0 if at_upper[j] else 1.0
+            col = tableau[:, j]
+            rate = direction * col  # xb decreases at this rate per unit step
+            # Candidates: (step length, variable index, row or None for a bound flip)
+            best_t = ub[j]
+            best_var = j
+            best_row = None
+            for i in range(m):
+                if rate[i] > _TOL:
+                    t = xb[i] / rate[i]
+                elif rate[i] < -_TOL and np.isfinite(ub[basis[i]]):
+                    t = (ub[basis[i]] - xb[i]) / (-rate[i])
+                else:
+                    continue
+                if t < best_t - _TOL or (t < best_t + _TOL and basis[i] < best_var):
+                    best_t = t
+                    best_var = basis[i]
+                    best_row = i
+            if not np.isfinite(best_t):
+                raise SenselError("LP is unbounded")
+            t = max(best_t, 0.0)
+            if t <= 1e-12:
+                stalled += 1
+                if stalled >= 40:
+                    bland_mode = True
+            else:
+                stalled = 0
+                bland_mode = False
+            xb -= t * rate
+            iterations += 1
+            if best_row is None:
+                at_upper[j] = ~at_upper[j]
+                continue
+            leaving = basis[best_row]
+            in_basis[leaving] = False
+            at_upper[leaving] = rate[best_row] < 0  # left at its upper bound
+            basis[best_row] = j
+            in_basis[j] = True
+            entering_value = (ub[j] - t) if at_upper[j] else t
+            at_upper[j] = False
+            xb[best_row] = entering_value
+            # The ratio test only admits rows with |rate| > _TOL, so the
+            # pivot element is safely away from zero.
+            piv = tableau[best_row, j]
+            tableau[best_row] /= piv
+            others = tableau[:, j].copy()
+            others[best_row] = 0.0
+            tableau -= np.outer(others, tableau[best_row])
+            reduced -= reduced[j] * tableau[best_row]
+            since_refactor += 1
+            if since_refactor >= 200:
+                refactorize()
+                reduced = cost - cost[basis] @ tableau
+                since_refactor = 0
+
+    run_phase(cost1, banned_from=None)
+    art_total = sum(xb[i] for i in range(m) if basis[i] >= art_start)
+    if art_total > _FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0))):
+        raise Infeasible("constraint rows admit no feasible point")
+
+    # Remove leftover artificials from the basis: pivot them out where the
+    # row has support on real columns, drop the row where it does not
+    # (redundant constraint).
+    drop_rows = []
+    for i in range(m):
+        if basis[i] < art_start:
+            continue
+        support = np.flatnonzero(np.abs(tableau[i, :art_start]) > 1e-7)
+        if support.size == 0:
+            drop_rows.append(i)
+            continue
+        j = int(support[0])
+        leaving = basis[i]
+        in_basis[leaving] = False
+        basis[i] = j
+        in_basis[j] = True
+        entering_value = ub[j] if at_upper[j] else 0.0
+        at_upper[j] = False
+        xb[i] = entering_value
+        piv = tableau[i, j]
+        tableau[i] /= piv
+        others = tableau[:, j].copy()
+        others[i] = 0.0
+        tableau -= np.outer(others, tableau[i])
+    if drop_rows:
+        keep = [i for i in range(m) if i not in drop_rows]
+        tableau = tableau[keep]
+        xb = xb[keep]
+        full = full[keep]
+        rhs = rhs[keep]
+        basis = [basis[i] for i in keep]
+        m = len(keep)
+    # Clean any residue the basis surgery left behind before optimizing.
+    refactorize()
+
+    run_phase(cost2, banned_from=art_start)
+
+    values = nonbasic_values()
+    for i, var in enumerate(basis):
+        values[var] = xb[i]
+    x = np.clip(values[:n_struct], 0.0, np.asarray(upper, dtype=float))
+    return x, float(c @ x), iterations

@@ -11,8 +11,8 @@ from sensel.cli import build_parser, main
 from sensel.plan import ALGORITHMS
 
 
-@pytest.fixture
-def small_scenario_path(tmp_path):
+def save_small_scenario(path, energy):
+    """Four sensors, two steps of two; ``energy`` as ConstraintSet takes it."""
     system = model.tracking_system(1.0)
     h = model.position_h()
     rng = np.random.default_rng(5)
@@ -22,12 +22,22 @@ def small_scenario_path(tmp_path):
     )
     scenario = model.make_scenario(
         system, sensors, noise,
-        model.ConstraintSet.build([2, 2], energy=[1, 1, 1, 1]),
+        model.ConstraintSet.build([2, 2], energy=energy),
         [0.5, 0.5], [50.0, 0.0, 50.0, 0.0], np.diag([25.0, 4.0, 25.0, 4.0]),
     )
-    path = tmp_path / "small.json"
     model.save_scenario(scenario, path)
     return path
+
+
+@pytest.fixture
+def small_scenario_path(tmp_path):
+    """Every sensor has a budget of 1, which binds: top-k cannot plan it."""
+    return save_small_scenario(tmp_path / "small.json", [1, 1, 1, 1])
+
+
+@pytest.fixture
+def unbudgeted_scenario_path(tmp_path):
+    return save_small_scenario(tmp_path / "unbudgeted.json", None)
 
 
 @pytest.fixture
@@ -77,6 +87,26 @@ class TestSelect:
         code = main(["select", str(correlated_scenario_path), "--algo", "topk"])
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["example2", "budgeted"])
+    def test_topk_against_binding_budget_maps_to_exit_2(
+        self, target, small_scenario_path, capsys
+    ):
+        target = str(small_scenario_path) if target == "budgeted" else target
+        assert main(["select", target, "--algo", "topk"]) == 2
+        assert "energy budget" in capsys.readouterr().err
+
+    def test_topk_keeps_schedules_that_meet_the_budgets(self, tmp_path):
+        """A budget top-k happens to meet leaves its output unchanged."""
+        paths = [
+            save_small_scenario(tmp_path / "loose.json", [2, 2, 2, 2]),
+            save_small_scenario(tmp_path / "free.json", None),
+        ]
+        outs = [tmp_path / "loose-sel.json", tmp_path / "free-sel.json"]
+        for path, out in zip(paths, outs):
+            assert main(["select", str(path), "--algo", "topk", "--out", str(out)]) == 0
+        loose, free = (json.loads(out.read_text()) for out in outs)
+        assert loose["schedule"] == free["schedule"]
+
     def test_missing_file_exit_1(self):
         code = main(["select", "nope.json", "--algo", "topk"])
         assert code == 1
@@ -119,10 +149,12 @@ class TestOnePlanner:
 
     @pytest.mark.parametrize("algo", ["topk", "lp", "exhaustive", "ignore-dep"])
     def test_select_schedule_is_the_simulated_one(
-        self, algo, small_scenario_path, tmp_path, monkeypatch
+        self, algo, small_scenario_path, unbudgeted_scenario_path, tmp_path, monkeypatch
     ):
+        # Top-k cannot plan under the binding budget of small_scenario_path.
+        path = unbudgeted_scenario_path if algo == "topk" else small_scenario_path
         out = tmp_path / "sel.json"
-        argv = [str(small_scenario_path), "--algo", algo, "--objective", "f1"]
+        argv = [str(path), "--algo", algo, "--objective", "f1"]
         assert main(["select", *argv, "--out", str(out)]) == 0
         simulated = []
         original = sim.simulate_measurements
@@ -175,10 +207,10 @@ class TestSimulate:
         assert lines[0].startswith("step,")
         assert len(lines) == 3  # header + one row per step
 
-    def test_single_run(self, small_scenario_path, tmp_path):
+    def test_single_run(self, unbudgeted_scenario_path, tmp_path):
         out = tmp_path / "one.csv"
         code = main([
-            "simulate", str(small_scenario_path),
+            "simulate", str(unbudgeted_scenario_path),
             "--algo", "topk", "--runs", "1", "--threads", "1",
             "--out", str(out),
         ])
@@ -228,9 +260,9 @@ class TestSweep:
         assert code == 1
         assert "whole numbers" in capsys.readouterr().err
 
-    def test_single_value(self, small_scenario_path, tmp_path):
+    def test_single_value(self, unbudgeted_scenario_path, tmp_path):
         code = main([
-            "sweep", str(small_scenario_path),
+            "sweep", str(unbudgeted_scenario_path),
             "--algo", "topk", "--param", "m_per_step", "--values", "1",
             "--runs", "1", "--threads", "1",
         ])

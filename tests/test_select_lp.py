@@ -2,12 +2,13 @@
 reference solver and Boolean enumeration, greedy rounding, certificates."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from sensel import model
-from sensel.errors import Infeasible, NotSeparableNoise, RoundingInfeasible
+from sensel import model, select_lp
+from sensel.errors import Infeasible, NotSeparableNoise, RoundingInfeasible, SenselError
 from sensel.select_lp import (
     LpSolution,
     _simplex_max,
@@ -20,7 +21,12 @@ from sensel.select_lp import (
 )
 from sensel.select_separable import exhaustive_opt
 
-from conftest import loop_round_by_scores, rand_scenario, with_random_extra_row
+from conftest import (
+    loop_round_by_scores,
+    loop_simplex_max,
+    rand_scenario,
+    with_random_extra_row,
+)
 
 
 def measures_scenario(values, per_step, horizon=1, energy=None, weights=None):
@@ -363,3 +369,146 @@ class TestSimplexAgainstReference:
                 assert objective == pytest.approx(-reference.fun, abs=1e-7, rel=1e-7)
             elif reference.status == 2:
                 assert not solved, trial
+
+
+def selection_program(rng, num, horizon, per_step, budget, extra=()):
+    """The LP of a budgeted selection problem (count rows, budget rows,
+    then ``extra``) with positive objective weights, as arrays."""
+    constraints = model.ConstraintSet.build(
+        [per_step] * horizon, energy=[budget] * num, extra=list(extra)
+    )
+    rows = constraints.rows(num)
+    a = np.array([row.a for row in rows])
+    rhs = np.array([row.b for row in rows])
+    c = rng.integers(1, 4, size=num * horizon) * rng.choice([1.0, 0.25], size=num * horizon)
+    return c, a, [row.relation for row in rows], rhs, np.ones(num * horizon)
+
+
+def assert_same_as_loop_oracle(c, a, rels, rhs, upper):
+    """The solver returns the oracle's x, objective and iteration count bit
+    for bit, or raises the same error; returns whether a point came back."""
+    try:
+        expected = loop_simplex_max(c, a, rels, rhs, upper)
+    except SenselError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _simplex_max(c, a, rels, rhs, upper)
+        return False
+    x, objective, iterations = _simplex_max(c, a, rels, rhs, upper)
+    assert np.array_equal(x, expected[0])
+    assert objective == expected[1]
+    assert iterations == expected[2]
+    return True
+
+
+class TestSimplexAgainstLoopOracle:
+    """The vectorized ratio test and row-restricted elimination follow the
+    per-row loop solver pivot for pivot (see ``conftest.loop_simplex_max``)."""
+
+    def test_random_degenerate_programs(self, rng):
+        solved = 0
+        for _ in range(120):
+            n = int(rng.integers(2, 12))
+            m = int(rng.integers(1, 8))
+            a = rng.choice([-1.0, 0.0, 0.0, 1.0, 2.0], size=(m, n))
+            rels = [str(r) for r in rng.choice(["<=", "=", ">="], size=m)]
+            # Right-hand sides met at a point with many coordinates on a
+            # bound make degenerate vertices; integer slack keeps ties.
+            point = rng.choice([0.0, 0.5, 1.0], size=n)
+            slack = rng.integers(0, 2, size=m).astype(float)
+            sign = np.array([{"<=": 1.0, "=": 0.0, ">=": -1.0}[r] for r in rels])
+            rhs = a @ point + sign * slack
+            c = rng.integers(-3, 4, size=n).astype(float)
+            upper = np.where(rng.random(n) < 0.2, np.inf, 1.0)
+            solved += assert_same_as_loop_oracle(c, a, rels, rhs, upper)
+        assert solved > 60
+
+    def test_budgets_and_redundant_rows(self, rng):
+        """Redundant rows leave artificials basic at zero after phase 1, so
+        the drive-out pivots and the row drop both run."""
+        for _ in range(12):
+            num = int(rng.integers(4, 12))
+            horizon = int(rng.integers(2, 5))
+            per_step = int(rng.integers(1, num // 2 + 1))
+            budget = int(rng.integers(1, horizon + 1))
+            total = model.LinearConstraint.build(
+                np.ones(num * horizon), "=", per_step * horizon
+            )
+            first_step = model.LinearConstraint.build(
+                np.repeat([1.0, 0.0], [num, num * (horizon - 1)]), ">=", per_step
+            )
+            program = selection_program(
+                rng, num, horizon, per_step, budget, extra=[total, first_step]
+            )
+            assert_same_as_loop_oracle(*program)
+
+    def test_example3_shaped_program(self, rng):
+        c, a, rels, rhs, upper = selection_program(rng, 60, 5, 10, 2)
+        c = rng.uniform(0.1, 1.0, size=c.shape)
+        assert assert_same_as_loop_oracle(c, a, rels, rhs, upper)
+
+    def test_ratio_ties_inside_tolerance(self, rng):
+        """Step lengths that differ by less than the tolerance, chained past
+        it, where the tie-breaking fold and a plain argmin part ways."""
+        for _ in range(80):
+            n = int(rng.integers(3, 9))
+            m = int(rng.integers(2, 8))
+            a = (rng.random((m, n)) < 0.6).astype(float)
+            rhs = 1.0 + rng.choice([0.0, 4e-10, 8e-10, 1.2e-9, 1.6e-9], size=m)
+            rels = [str(r) for r in rng.choice(["<=", "<=", "="], size=m)]
+            c = rng.integers(1, 3, size=n).astype(float)
+            upper = 1.0 + rng.choice([0.0, 6e-10, 1.4e-9], size=n)
+            assert_same_as_loop_oracle(c, a, rels, rhs, upper)
+
+
+class TestPivotCount:
+    """Every basis change goes through ``_pivot``; a second elimination
+    path would miss these counts (a guard on speed that needs no timing)."""
+
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        calls = []
+        original = select_lp._pivot
+
+        def counting(tableau, row, col):
+            calls.append((row, col))
+            original(tableau, row, col)
+
+        monkeypatch.setattr(select_lp, "_pivot", counting)
+        return calls
+
+    def test_phase_pivots_plus_drive_out(self, pivots):
+        # x1 + x2 = 1, x1 - x2 = 1 without upper bounds (so no bound flip
+        # counts as an iteration): phase 1 pivots x1 in on the first row,
+        # which leaves the second row's artificial basic at zero with
+        # support on x2; the drive-out pivots x2 in there.
+        x, _, iterations = _simplex_max(
+            [1.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], ["=", "="], [1.0, 1.0],
+            [np.inf, np.inf],
+        )
+        assert x.tolist() == [1.0, 0.0]
+        assert iterations == 1
+        assert pivots == [(0, 0), (1, 1)]
+
+    def test_one_pivot_per_basis_change_of_the_oracle(self, rng, pivots, monkeypatch):
+        num, horizon = 20, 4
+        total = model.LinearConstraint.build(np.ones(num * horizon), "=", 3 * horizon)
+        first_step = model.LinearConstraint.build(
+            np.repeat([1.0, 0.0], [num, num * (horizon - 1)]), ">=", 3
+        )
+        program = selection_program(rng, num, horizon, 3, 2, extra=[total, first_step])
+        # The oracle eliminates with one np.outer per basis change, in
+        # phase 1, phase 2 and the drive-out alike.
+        outer_calls = []
+        outer = np.outer
+
+        def counting_outer(*args):
+            outer_calls.append(1)
+            return outer(*args)
+
+        monkeypatch.setattr(np, "outer", counting_outer)
+        _, _, oracle_iterations = loop_simplex_max(*program)
+        monkeypatch.setattr(np, "outer", outer)
+        _, _, iterations = _simplex_max(*program)
+        assert iterations == oracle_iterations
+        assert len(outer_calls) > iterations // 2
+        assert len(pivots) == len(outer_calls)
