@@ -8,6 +8,7 @@ positions are in meters, time steps in seconds.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -327,6 +328,18 @@ class LinearConstraint:
         return abs(lhs - self.b) <= tol
 
 
+# Rows are immutable, so the count and budget rows of the last few
+# constraint shapes are kept for every check against the same shape.
+@functools.lru_cache(maxsize=4)
+def _count_budget_rows(per_step, energy, num_sensors) -> tuple[LinearConstraint, ...]:
+    counts = np.kron(np.eye(len(per_step)), np.ones(num_sensors))
+    budgets = np.tile(np.eye(num_sensors), len(per_step)) if energy else ()
+    return (
+        *(LinearConstraint.build(a, "=", m) for a, m in zip(counts, per_step)),
+        *(LinearConstraint.build(a, "<=", b) for a, b in zip(budgets, energy or ())),
+    )
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Per-step selection counts, optional per-sensor budgets, extra rows.
@@ -355,17 +368,7 @@ class ConstraintSet:
         """Every row over the step-major selection vector: one count
         equality per step, one budget inequality per sensor when budgets
         are present, then the extra rows."""
-        nl = num_sensors * self.horizon
-        rows = []
-        for n, m in enumerate(self.per_step):
-            a = np.zeros(nl)
-            a[n * num_sensors : (n + 1) * num_sensors] = 1.0
-            rows.append(LinearConstraint.build(a, "=", m))
-        for i, budget in enumerate(self.energy or ()):
-            a = np.zeros(nl)
-            a[i::num_sensors] = 1.0
-            rows.append(LinearConstraint.build(a, "<=", budget))
-        return (*rows, *self.extra)
+        return (*_count_budget_rows(self.per_step, self.energy, num_sensors), *self.extra)
 
     def validate(self, num_sensors: int) -> None:
         for n, m in enumerate(self.per_step):
@@ -434,18 +437,11 @@ class SelectionSchedule:
         return tuple(int(v) for v in self.gamma.T.reshape(-1))
 
     def satisfies(self, constraints: ConstraintSet, tol: float = 1e-9) -> bool:
-        g = self.gamma
-        if g.shape[1] != constraints.horizon:
+        if self.gamma.shape[1] != constraints.horizon:
             return False
-        if any(
-            int(g[:, n].sum()) != m for n, m in enumerate(constraints.per_step)
-        ):
-            return False
-        if constraints.energy is not None:
-            if np.any(g.sum(axis=1) > np.asarray(constraints.energy)):
-                return False
         vec = self.gamma_vec()
-        return all(row.holds(vec, tol) for row in constraints.extra)
+        rows = constraints.rows(self.gamma.shape[0])
+        return all(row.holds(vec, tol) for row in rows)
 
 
 @dataclass(frozen=True)

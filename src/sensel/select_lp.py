@@ -114,11 +114,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     x, objective, iterations = _simplex_max(problem.c, a, rels, rhs, upper)
     scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
     for row, value in zip(problem.rows, a @ x):
-        if row.relation == "<=" and value > row.b + _FEAS_TOL * scale:
-            raise SenselError("simplex returned an infeasible point")
-        if row.relation == ">=" and value < row.b - _FEAS_TOL * scale:
-            raise SenselError("simplex returned an infeasible point")
-        if row.relation == "=" and abs(value - row.b) > _FEAS_TOL * scale:
+        if not row.compare(value, _FEAS_TOL * scale):
             raise SenselError("simplex returned an infeasible point")
     return LpSolution(x=x, objective=objective, status="optimal", iterations=iterations)
 

@@ -8,8 +8,10 @@ matrix as covariance and rounding each one greedily recovers good feasible
 schedules.
 
 The SDP solver is a self-contained primal-dual path-following method with
-Nesterov-Todd scaling, dense and aimed at the few-hundred-dimensional
-problems this pipeline produces.
+Nesterov-Todd scaling.  Each constraint is a unit-diagonal entry E_ss or a
+lifted linear row diag(a) + a e' + e a' (``a`` padded by a 0, ``e`` the
+last unit vector), and the solver works from these two shapes in closed
+form: no constraint matrix is built, only a few dim x dim arrays.
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ class BqpProblem:
 class SdpProblem:
     """Lifted relaxation: minimize tr(C X) over unit-diagonal PSD X.
 
-    Each linear row is stored by its coefficient vector over the step-major
-    selection variables; the lifted constraint matrix is
-    [[diag(a), diag(a) 1], [(diag(a) 1)', 0]] and the right side carries
-    the affine shift from mapping 0/1 variables to +/-1 variables.
-    ``ones_quad`` is the constant of the same mapping for the objective.
+    Each linear row (a, relation, rhs) holds its coefficients over the
+    step-major selection variables and stands for tr(A X) (relation) rhs
+    with A = [[diag(a), a], [a', 0]], never built; rhs carries the shift of
+    mapping 0/1 to +/-1 variables, and ``ones_quad`` the objective's
+    constant of that mapping.  The unit-diagonal rows are implicit.
     """
 
     c: np.ndarray
@@ -168,16 +170,6 @@ def build_sdp(bqp: BqpProblem) -> SdpProblem:
     return SdpProblem(c=c, rows=rows, dim=nl + 1, ones_quad=ones_quad)
 
 
-def lifted_row_matrix(a: np.ndarray, dim: int) -> np.ndarray:
-    """Materialize the lifted constraint matrix of one linear row."""
-    e = np.zeros((dim, dim))
-    nl = dim - 1
-    e[:nl, :nl] = np.diag(a)
-    e[:nl, nl] = a
-    e[nl, :nl] = a
-    return e
-
-
 def relaxation_bound(sdp_solution: SdpSolution, sdp: SdpProblem) -> float:
     """Lower bound on the Boolean quadratic optimum implied by the SDP."""
     return (sdp_solution.objective + sdp.ones_quad) / 4.0
@@ -185,24 +177,43 @@ def relaxation_bound(sdp_solution: SdpSolution, sdp: SdpProblem) -> float:
 
 def solve_sdp(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSolution:
     """Solve the relaxation; unit-diagonal rows are added internally."""
-    dim = problem.dim
-    mats = []
-    rels = []
-    rhs = []
-    for a, rel, b in problem.rows:
-        mats.append(lifted_row_matrix(a, dim))
-        rels.append(rel)
-        rhs.append(b)
-    for s in range(dim):
-        e = np.zeros((dim, dim))
-        e[s, s] = 1.0
-        mats.append(e)
-        rels.append("=")
-        rhs.append(1.0)
-    return _sdp_ipm(
-        problem.c, np.array(mats), rels, np.array(rhs, dtype=float),
-        tol=tol, max_iter=max_iter,
-    )
+    a_hat = np.array([np.append(a, 0.0) for a, _, _ in problem.rows]).reshape(-1, problem.dim)
+    rels = [rel for _, rel, _ in problem.rows] + ["="] * problem.dim
+    rhs = np.array([b for _, _, b in problem.rows] + [1.0] * problem.dim)
+    return _sdp_ipm(problem.c, a_hat, rels, rhs, tol=tol, max_iter=max_iter)
+
+
+def _operator(a_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A(X): every linear row's tr(A_q X) = a_q'(diag X + 2 X e), then diag X."""
+    diag = np.diagonal(x)
+    return np.concatenate([a_hat @ (diag + 2.0 * x[:, -1]), diag])
+
+
+def _adjoint(a_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A*(y) = Diag(v + y_diag) + v e' + e v', with v = Â' y_lin."""
+    v = a_hat.T @ y[: a_hat.shape[0]]
+    out = np.diag(v + y[a_hat.shape[0] :])
+    out[:, -1] += v
+    out[-1, :] += v
+    return out
+
+
+def _schur(a_hat: np.ndarray, big_w: np.ndarray) -> np.ndarray:
+    """G_qr = tr(A_q W A_r W), linear rows first.  With w = W e, V = W∘W
+    and U = W Â', column q of D is diag(W A_q W) and column q of E is
+    W A_q W e; G = [[Â (D + 2E), D'], [D, V]] (V as for max-cut)."""
+    p, dim = a_hat.shape
+    w = big_w[:, -1]
+    big_v = big_w * big_w
+    big_u = big_w @ a_hat.T
+    d = big_v @ a_hat.T + 2.0 * big_u * w[:, None]
+    e = big_w @ (a_hat.T * w[:, None]) + big_w[-1, -1] * big_u + np.outer(w, a_hat @ w)
+    gram = np.empty((p + dim, p + dim))
+    gram[:p, :p] = a_hat @ (d + 2.0 * e)
+    gram[:p, p:] = d.T
+    gram[p:, :p] = d
+    gram[p:, p:] = big_v
+    return gram
 
 
 def _max_psd_step(chol_lower: np.ndarray, delta: np.ndarray) -> float:
@@ -221,25 +232,28 @@ def _max_pos_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg]))
 
 
-def _sdp_ipm(c, mats, rels, b, tol, max_iter):
+def _sdp_ipm(c, a_hat, rels, b, tol, max_iter):
     """Primal-dual path-following with Nesterov-Todd scaling.
 
     Standard form after adding one slack per inequality row:
         minimize tr(C X)   s.t.  tr(A_q X) + sigma_q s_q = b_q,
         X PSD, s >= 0,
     solved together with its dual by damped Newton steps on the perturbed
-    complementarity conditions.  An affine predictor probe chooses the
-    centering weight each iteration; when the recentered step still stalls
-    at the cone boundary, a full centering step is taken instead.
+    complementarity conditions.  The rows are the p linear rows, whose
+    padded coefficients are ``a_hat`` (p, dim), then the dim unit-diagonal
+    rows (``rels`` and ``b`` cover all p + dim); :func:`_operator`,
+    :func:`_adjoint` and :func:`_schur` give their closed forms.  An affine
+    predictor probe chooses the centering weight each iteration; when the
+    recentered step still stalls at the cone boundary, a full centering
+    step is taken instead.
     """
     dim = c.shape[0]
-    m = mats.shape[0]
+    m = a_hat.shape[0] + dim
     sigma_sign = np.array(
         [1.0 if r == "<=" else (-1.0 if r == ">=" else 0.0) for r in rels]
     )
     ineq = sigma_sign != 0.0
     n_ineq = int(ineq.sum())
-    flat_a = mats.reshape(m, dim * dim)
 
     scale = max(1.0, float(np.abs(b).max(initial=0.0)), float(np.abs(c).max()))
     x = np.eye(dim) * scale
@@ -255,16 +269,10 @@ def _sdp_ipm(c, mats, rels, b, tol, max_iter):
     best = None
     best_err = np.inf
 
-    def operator_a(mat):
-        return flat_a @ mat.reshape(-1)
-
-    def adjoint_a(vec):
-        return np.tensordot(vec, mats, axes=(0, 0))
-
     for iteration in range(1, max_iter + 1):
         mu = (float(np.tensordot(x, z)) + float(s[ineq] @ w[ineq])) / (dim + max(n_ineq, 1))
-        rp = b - operator_a(x) - sigma_sign * s
-        rd = c - adjoint_a(y) - z
+        rp = b - _operator(a_hat, x) - sigma_sign * s
+        rd = c - _adjoint(a_hat, y) - z
         rdl = -sigma_sign * y - w  # dual residual on slack coordinates
         rdl[~ineq] = 0.0
 
@@ -302,8 +310,7 @@ def _sdp_ipm(c, mats, rels, b, tol, max_iter):
         big_w = r_mat @ r_mat.T
         z_inv = linalg.inv_spd(z)
 
-        g_mats = np.matmul(big_w[None], np.matmul(mats, big_w[None]))
-        gram = flat_a @ g_mats.reshape(m, dim * dim).T
+        gram = _schur(a_hat, big_w)
         slack_diag = np.zeros(m)
         slack_diag[ineq] = s[ineq] / w[ineq]
         gram = linalg.symmetrize(gram) + np.diag(slack_diag)
@@ -325,13 +332,13 @@ def _sdp_ipm(c, mats, rels, b, tol, max_iter):
         def solve_direction(rc_mat, rc_slack):
             h = (
                 rp
-                - operator_a(rc_mat - w_rd_w)
+                - _operator(a_hat, rc_mat - w_rd_w)
                 - sigma_sign * (rc_slack - s * rdl) / np.where(ineq, w, 1.0)
             )
             dy = np.linalg.solve(
                 gram_chol.T, np.linalg.solve(gram_chol, h)
             )
-            dz = linalg.symmetrize(rd - adjoint_a(dy))
+            dz = linalg.symmetrize(rd - _adjoint(a_hat, dy))
             dx = linalg.symmetrize(rc_mat - big_w @ dz @ big_w)
             dw = rdl - sigma_sign * dy
             dw[~ineq] = 0.0

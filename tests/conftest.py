@@ -129,6 +129,19 @@ def with_random_extra_row(rng, scenario) -> model.Scenario:
     return replace(scenario, constraints=constraints)
 
 
+# The lifted constraint matrix of one linear row as the SDP solver built it
+# before it worked from the closed forms of the two constraint shapes, kept
+# unchanged as the dense reference for those forms.
+def lifted_row_matrix(a: np.ndarray, dim: int) -> np.ndarray:
+    """Materialize the lifted constraint matrix of one linear row."""
+    e = np.zeros((dim, dim))
+    nl = dim - 1
+    e[:nl, :nl] = np.diag(a)
+    e[:nl, nl] = a
+    e[nl, :nl] = a
+    return e
+
+
 # The bounded simplex as it stood before its pivots were vectorized (a
 # per-row Python ratio test and a full-tableau outer product per pivot),
 # kept unchanged as the oracle for the current solver's pivot sequence.

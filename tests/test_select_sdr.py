@@ -2,6 +2,8 @@
 the interior-point solver, Gaussian-randomization rounding, and the
 correlation-ignoring baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,12 @@ from sensel.errors import RoundingInfeasible
 from sensel.filter import selection_gain, stack_measurement
 from sensel.select_lp import build_lp
 from sensel.select_sdr import (
+    _adjoint,
+    _operator,
+    _schur,
     bqp_objective,
     build_bqp,
     build_sdp,
-    lifted_row_matrix,
     randomize_round,
     relaxation_bound,
     select_ignore_dependence,
@@ -23,8 +27,10 @@ from sensel.select_separable import exhaustive_opt, select_topk
 
 from conftest import (
     enumerate_feasible,
+    lifted_row_matrix,
     loop_round_by_scores,
     rand_scenario,
+    rand_spd,
     with_random_extra_row,
 )
 
@@ -216,6 +222,37 @@ class TestBuildSdp:
                 assert (lifted + sdp.ones_quad) / 4.0 == pytest.approx(direct, abs=1e-9)
 
 
+class TestClosedForms:
+    def test_match_the_dense_constraint_stack(self, rng):
+        """The operator, its adjoint and the Schur complement computed from
+        the padded rows agree with the tensordot forms over the stack of
+        dense lifted matrices (the linear rows, then the unit-diagonal
+        rows), for random rows of every relation and for no rows at all."""
+
+        def close(closed, dense):
+            assert np.linalg.norm(closed - dense) <= 1e-12 * np.linalg.norm(dense)
+
+        for num_rows, dim in ((0, 5), (3, 6), (7, 11), (12, 9)):
+            rows = [
+                (rng.normal(size=dim - 1), str(rng.choice(["=", "<=", ">="])), 0.0)
+                for _ in range(num_rows)
+            ]
+            a_hat = np.array([np.append(a, 0.0) for a, _, _ in rows]).reshape(-1, dim)
+            mats = np.array(
+                [lifted_row_matrix(a, dim) for a, _, _ in rows]
+                + [np.diag(np.eye(dim)[s]) for s in range(dim)]
+            )
+            m = mats.shape[0]
+            x = linalg.symmetrize(rng.normal(size=(dim, dim)))
+            y = rng.normal(size=m)
+            big_w = rand_spd(dim, rng)
+            close(_operator(a_hat, x), np.tensordot(mats, x, axes=2))
+            close(_adjoint(a_hat, y), np.tensordot(y, mats, axes=(0, 0)))
+            scaled = np.matmul(big_w[None], np.matmul(mats, big_w[None]))
+            dense_schur = mats.reshape(m, -1) @ scaled.reshape(m, -1).T
+            close(_schur(a_hat, big_w), dense_schur)
+
+
 class TestSolveSdp:
     def test_zero_objective_unit_diagonal(self):
         scenario = two_sensor_scalar(0.2)
@@ -248,6 +285,20 @@ class TestSolveSdp:
         best = min(bqp_objective(bqp, s) for s in enumerate_feasible(scenario))
         assert relaxation_bound(solution, sdp) <= best + 1e-6 * (1 + abs(best))
         np.testing.assert_allclose(np.diag(solution.x), 1.0, atol=1e-6)
+
+    def test_peak_memory_holds_no_constraint_stack(self):
+        """Solving example5 (dim 126, 30 linear rows) allocates a few
+        dim x dim arrays at a time: a stack of the 156 lifted constraint
+        matrices alone would take 19.8 MB."""
+        scenario = model.load_scenario("src/sensel/scenarios/example5.json")
+        sdp = build_sdp(build_bqp(scenario))
+        tracemalloc.start()
+        try:
+            solve_sdp(sdp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_random_instances_bound_and_conditioning(self, rng):
         """On random correlated instances the solver meets its tolerance,
