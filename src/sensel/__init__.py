@@ -5,8 +5,10 @@ Submodules
 linalg            pseudoinverse, PSD-tolerant Cholesky, SPD solves
 model             scenario data model, JSON I/O, generators
 filter            prediction, masked-measurement updates, covariance rollout
-measure           information measures and the selection objectives
-select_separable  analytic top-k selection and the exhaustive oracle
+measure           information measures, the per-sensor measure table and
+                  the selection objectives (one f3 evaluator, batched)
+select_separable  top-k selection (greedy rounding of the measure table)
+                  and the exhaustive oracle
 select_lp         LP relaxation, simplex solver, greedy rounding, certificates
 select_sdr        semidefinite relaxation and Gaussian randomization
 plan              the algorithm registry and the one planner behind the CLI

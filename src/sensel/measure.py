@@ -3,6 +3,7 @@
 The per-step measure is the trace of the information gain of the selected
 sensors: for uncorrelated sensors it splits into per-sensor terms, which is
 what makes the analytic top-k selection and the LP formulation work.
+f3 has one evaluator, :func:`f3_values`, batched over schedules.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ def gain_trace(h_tilde: np.ndarray, r_tilde: np.ndarray) -> float:
 
 
 def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
-    """Weighted per-sensor measures, sensors by steps.
+    """Unweighted per-sensor measures, sensors by steps.
 
-    Entry (i, n) is weight_n * trace(H_i' R_ii^-1 H_i) at step n, using the
-    diagonal noise block of sensor i.  This is the objective table of the
-    LP route and of any method that ignores cross-sensor correlation.
+    Entry (i, n) is trace(H_i' R_ii^-1 H_i) at step n, using the diagonal
+    noise block of sensor i.  Top-k ranks each step's sensors by it; the
+    LP route weights it by the step weights to get its objective.
     """
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
@@ -65,9 +66,7 @@ def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
     for n in range(horizon):
         noise = noise_seq[n]
         for i, sensor in enumerate(scenario.sensors):
-            table[i, n] = scenario.weights[n] * sensor_measure(
-                sensor.h_at(n), noise.block(i, i)
-            )
+            table[i, n] = sensor_measure(sensor.h_at(n), noise.block(i, i))
     return table
 
 
@@ -90,20 +89,54 @@ def objective_f2(schedule: SelectionSchedule, scenario: Scenario, noise_seq=None
     return sum(covs) / len(covs)
 
 
+def distinct_rows(bits: np.ndarray):
+    """Deduplicate the 0/1 rows of a (B, k) array.
+
+    Each row is packed bit by bit into one fixed-width key and the keys go
+    through ``np.unique``.  Returns the distinct keys (``.tobytes()`` gives
+    a hashable form), the index of each key's first row, and the index of
+    each row's key.
+    """
+    packed = np.ascontiguousarray(np.packbits(bits, axis=1))
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return distinct, first, inverse.reshape(-1)
+
+
+def f3_values(gammas: np.ndarray, scenario: Scenario, noise_seq, gain_memo: dict) -> np.ndarray:
+    """Weighted f3 sum of each (horizon, num) 0/1 schedule in a batch.
+
+    Each step's gain trace is computed once per distinct selection column
+    and kept in ``gain_memo`` under (step, packed column).  The weighted
+    terms are added step by step in step order, starting from 0.0, and
+    steps of weight 0 are skipped.
+    """
+    weights = np.asarray(scenario.weights, dtype=float)
+    totals = np.zeros(gammas.shape[0])
+    for n in range(gammas.shape[1]):
+        if weights[n] == 0.0:
+            continue
+        columns = gammas[:, n]
+        distinct, first, inverse = distinct_rows(columns)
+        gains = np.empty(distinct.shape[0])
+        for k, key in enumerate(distinct):
+            memo_key = (n, key.tobytes())
+            value = gain_memo.get(memo_key)
+            if value is None:
+                gain = selection_gain(scenario.sensors, noise_seq[n], columns[first[k]], n)
+                value = float(np.trace(gain))
+                gain_memo[memo_key] = value
+            gains[k] = value
+        totals = totals + float(weights[n]) * gains[inverse]
+    return totals
+
+
 def objective_f3(schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> float:
-    """Weighted sum over steps of the information-gain trace."""
+    """Weighted sum over steps of the information-gain trace: the
+    single-schedule case of :func:`f3_values`."""
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
-    total = 0.0
-    for n in range(schedule.horizon):
-        w = float(scenario.weights[n])
-        if w == 0.0:
-            continue
-        gain = selection_gain(
-            scenario.sensors, noise_seq[n], schedule.column(n), step=n
-        )
-        total += w * float(np.trace(gain))
-    return total
+    return float(f3_values(schedule.gamma.T[None], scenario, noise_seq, {})[0])
 
 
 def objective_value(kind: str, schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> float:

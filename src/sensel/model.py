@@ -413,10 +413,6 @@ class SelectionSchedule:
     def build(gamma) -> "SelectionSchedule":
         return SelectionSchedule(gamma=_frozen(gamma, dtype=np.int8))
 
-    @staticmethod
-    def from_columns(columns) -> "SelectionSchedule":
-        return SelectionSchedule.build(np.column_stack(columns))
-
     @property
     def num_sensors(self) -> int:
         return self.gamma.shape[0]

@@ -100,7 +100,7 @@ def prepare(scenario: Scenario, algorithm: str, objective: str, noise_seq) -> Pl
         schedule = topk_schedule(scenario, noise_seq)
     elif algorithm == "lp":
         problem = build_lp(scenario, noise_seq)
-        rounded = round_energy(solve_lp(problem), scenario, problem, noise_seq)
+        rounded = round_energy(solve_lp(problem), scenario, problem)
         schedule = rounded.schedule
         certificate = certify(rounded, problem)
     elif algorithm == "ignore-dep":

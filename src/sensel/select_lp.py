@@ -31,6 +31,7 @@ from .model import ConstraintSet, LinearConstraint, Scenario, SelectionSchedule
 
 _TOL = 1e-9
 _FEAS_TOL = 1e-8
+_MAX_PIVOTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class LpProblem:
 class LpSolution:
     x: np.ndarray
     objective: float
-    status: str
     iterations: int
 
 
@@ -98,7 +98,7 @@ def build_lp(scenario: Scenario, noise_seq=None) -> LpProblem:
                 f"step {n} noise is correlated; use the semidefinite route"
             )
     num = scenario.num_sensors
-    c = info_table(scenario, noise_seq).T.reshape(-1)
+    c = (info_table(scenario, noise_seq) * scenario.weights).T.reshape(-1)
     return LpProblem(
         c=c, rows=scenario.constraints.rows(num), num_sensors=num,
         horizon=scenario.horizon,
@@ -116,7 +116,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     for row, value in zip(problem.rows, a @ x):
         if not row.compare(value, _FEAS_TOL * scale):
             raise SenselError("simplex returned an infeasible point")
-    return LpSolution(x=x, objective=objective, status="optimal", iterations=iterations)
+    return LpSolution(x=x, objective=objective, iterations=iterations)
 
 
 def round_batch(
@@ -183,17 +183,12 @@ def round_by_scores(scores: np.ndarray, constraints: ConstraintSet, weights) -> 
     return SelectionSchedule.build(gammas[0].T)
 
 
-def round_energy(
-    lp: LpSolution, scenario: Scenario, problem: LpProblem | None = None,
-    noise_seq=None,
-) -> RoundedSelection:
+def round_energy(lp: LpSolution, scenario: Scenario, problem: LpProblem) -> RoundedSelection:
     """Round a fractional LP point to a feasible schedule and compute the gap.
 
     Raises RoundingInfeasible when the greedy schedule cannot meet every
     constraint row.
     """
-    if problem is None:
-        problem = build_lp(scenario, noise_seq)
     scores = lp.x.reshape(problem.horizon, problem.num_sensors).T
     schedule = round_by_scores(scores, scenario.constraints, scenario.weights)
     objective = float(problem.c @ schedule.gamma_vec())
@@ -239,7 +234,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[nz] -= np.outer(others[nz], tableau[row])
 
 
-def _simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
+def _simplex_max(c, a, rels, rhs, upper):
     """Maximize c'x subject to a x (rel) rhs and 0 <= x <= upper.
 
     Dense two-phase tableau simplex with variable bounds.  Entering and
@@ -284,8 +279,6 @@ def _simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     ub = np.concatenate([np.asarray(upper, dtype=float), np.full(n_slack + m, np.inf)])
     cost1 = np.zeros(ntot)
     cost1[art_start:] = 1.0
-    cost2 = np.zeros(ntot)
-    cost2[:n_struct] = -c  # phase 2 minimizes the negated objective
 
     tableau = full.copy()
     basis = np.arange(art_start, art_start + m)
@@ -306,20 +299,18 @@ def _simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
         tableau = np.linalg.solve(b_cols, full)
         xb = np.linalg.solve(b_cols, rhs - full @ nonbasic_values())
 
-    def run_phase(cost, banned_from: int | None):
+    def run_phase(cost):
         nonlocal iterations, tableau, xb
         since_refactor = 0
         stalled = 0
         bland_mode = False
         reduced = cost - cost[basis] @ tableau
         while True:
-            if iterations >= max_iter:
+            if iterations >= _MAX_PIVOTS:
                 raise SenselError("simplex exceeded its iteration cap")
             eligible = ~in_basis & (
                 (~at_upper & (reduced < -_TOL)) | (at_upper & (reduced > _TOL))
             )
-            if banned_from is not None:
-                eligible[banned_from:] = False
             idx = np.flatnonzero(eligible)
             if idx.size == 0:
                 return
@@ -385,7 +376,7 @@ def _simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
                 reduced = cost - cost[basis] @ tableau
                 since_refactor = 0
 
-    run_phase(cost1, banned_from=None)
+    run_phase(cost1)
     art_total = sum(xb[i] for i in range(m) if basis[i] >= art_start)
     if art_total > _FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0))):
         raise Infeasible("constraint rows admit no feasible point")
@@ -418,10 +409,18 @@ def _simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
         rhs = rhs[keep]
         basis = basis[keep]
         m = len(keep)
-    # Clean any residue the basis surgery left behind before optimizing.
+    # No artificial is basic any more and phase 2 never prices one, so
+    # their columns go; the refactorization rebuilds the tableau without
+    # them and cleans any residue the basis surgery left behind.
+    full = full[:, :art_start]
+    ub = ub[:art_start]
+    at_upper = at_upper[:art_start]
+    in_basis = in_basis[:art_start]
     refactorize()
 
-    run_phase(cost2, banned_from=art_start)
+    cost2 = np.zeros(art_start)
+    cost2[:n_struct] = -c  # phase 2 minimizes the negated objective
+    run_phase(cost2)
 
     values = nonbasic_values()
     for i, var in enumerate(basis):

@@ -29,10 +29,13 @@ from .errors import (
     RoundingInfeasible,
     SingularNoise,
 )
-from .measure import OBJECTIVES, objective_value
+from .measure import OBJECTIVES, distinct_rows, f3_values, objective_value
 from .model import ConstraintSet, Scenario, SelectionSchedule
 from .select_lp import build_lp, round_batch, round_energy, solve_lp
 from .select_separable import topk_schedule
+
+_TOL = 1e-7
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,6 @@ class SdpSolution:
     objective: float
     gap: float
     iterations: int
-    status: str
 
     @cached_property
     def sampling_factor(self) -> np.ndarray:
@@ -175,12 +177,13 @@ def relaxation_bound(sdp_solution: SdpSolution, sdp: SdpProblem) -> float:
     return (sdp_solution.objective + sdp.ones_quad) / 4.0
 
 
-def solve_sdp(problem: SdpProblem, tol: float = 1e-7, max_iter: int = 200) -> SdpSolution:
-    """Solve the relaxation; unit-diagonal rows are added internally."""
+def solve_sdp(problem: SdpProblem) -> SdpSolution:
+    """Solve the relaxation to ``_TOL`` within ``_MAX_ITER`` iterations;
+    unit-diagonal rows are added internally."""
     a_hat = np.array([np.append(a, 0.0) for a, _, _ in problem.rows]).reshape(-1, problem.dim)
     rels = [rel for _, rel, _ in problem.rows] + ["="] * problem.dim
     rhs = np.array([b for _, _, b in problem.rows] + [1.0] * problem.dim)
-    return _sdp_ipm(problem.c, a_hat, rels, rhs, tol=tol, max_iter=max_iter)
+    return _sdp_ipm(problem.c, a_hat, rels, rhs)
 
 
 def _operator(a_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -232,7 +235,7 @@ def _max_pos_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg]))
 
 
-def _sdp_ipm(c, a_hat, rels, b, tol, max_iter):
+def _sdp_ipm(c, a_hat, rels, b):
     """Primal-dual path-following with Nesterov-Todd scaling.
 
     Standard form after adding one slack per inequality row:
@@ -269,7 +272,7 @@ def _sdp_ipm(c, a_hat, rels, b, tol, max_iter):
     best = None
     best_err = np.inf
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         mu = (float(np.tensordot(x, z)) + float(s[ineq] @ w[ineq])) / (dim + max(n_ineq, 1))
         rp = b - _operator(a_hat, x) - sigma_sign * s
         rd = c - _adjoint(a_hat, y) - z
@@ -286,9 +289,9 @@ def _sdp_ipm(c, a_hat, rels, b, tol, max_iter):
             best_err = err
             best = SdpSolution(
                 x=linalg.symmetrize(x), objective=pobj, gap=relgap,
-                iterations=iteration, status="optimal",
+                iterations=iteration,
             )
-        if err <= tol:
+        if err <= _TOL:
             return best
         if float(np.abs(y).max(initial=0.0)) > 1e12 * scale:
             raise Infeasible("dual iterates diverge; constraint rows look infeasible")
@@ -346,21 +349,6 @@ def _sdp_ipm(c, a_hat, rels, b, tol, max_iter):
             ds[~ineq] = 0.0
             return dx, dy, dz, ds, dw
 
-        # Predictor: pure Newton toward complementarity zero, used only to
-        # pick the centering weight for the actual step.
-        dx_a, dy_a, dz_a, ds_a, dw_a = solve_direction(-x.copy(), -s * w)
-        alpha_p = min(
-            1.0, 0.98 * min(_max_psd_step(lx, dx_a), _max_pos_step(s[ineq], ds_a[ineq]))
-        )
-        alpha_d = min(
-            1.0, 0.98 * min(_max_psd_step(lz, dz_a), _max_pos_step(w[ineq], dw_a[ineq]))
-        )
-        mu_aff = (
-            float(np.tensordot(x + alpha_p * dx_a, z + alpha_d * dz_a))
-            + float((s + alpha_p * ds_a)[ineq] @ (w + alpha_d * dw_a)[ineq])
-        ) / (dim + max(n_ineq, 1))
-        center = min(1.0, (max(mu_aff, 0.0) / mu) ** 3)
-
         def step_lengths(dx, dz, ds, dw):
             a_p = min(
                 1.0, 0.98 * min(_max_psd_step(lx, dx), _max_pos_step(s[ineq], ds[ineq]))
@@ -369,6 +357,16 @@ def _sdp_ipm(c, a_hat, rels, b, tol, max_iter):
                 1.0, 0.98 * min(_max_psd_step(lz, dz), _max_pos_step(w[ineq], dw[ineq]))
             )
             return a_p, a_d
+
+        # Predictor: pure Newton toward complementarity zero, used only to
+        # pick the centering weight for the actual step.
+        dx_a, dy_a, dz_a, ds_a, dw_a = solve_direction(-x.copy(), -s * w)
+        alpha_p, alpha_d = step_lengths(dx_a, dz_a, ds_a, dw_a)
+        mu_aff = (
+            float(np.tensordot(x + alpha_p * dx_a, z + alpha_d * dz_a))
+            + float((s + alpha_p * ds_a)[ineq] @ (w + alpha_d * dw_a)[ineq])
+        ) / (dim + max(n_ineq, 1))
+        center = min(1.0, (max(mu_aff, 0.0) / mu) ** 3)
 
         rc_mat = center * mu * z_inv - x
         rc_slack = np.where(ineq, center * mu - s * w, 0.0)
@@ -389,53 +387,9 @@ def _sdp_ipm(c, a_hat, rels, b, tol, max_iter):
         w = w + alpha_d * dw
 
     raise NotConverged(
-        f"SDP solver stopped after {max_iter} iterations with error {best_err:.2e}",
+        f"SDP solver stopped after {_MAX_ITER} iterations with error {best_err:.2e}",
         solution=best,
     )
-
-
-def _distinct_rows(bits: np.ndarray):
-    """Deduplicate the 0/1 rows of a (B, k) array.
-
-    Each row is packed bit by bit into one fixed-width key and the keys go
-    through ``np.unique``.  Returns the distinct keys (``.tobytes()`` gives
-    a hashable form), the index of each key's first row, and the index of
-    each row's key.
-    """
-    packed = np.ascontiguousarray(np.packbits(bits, axis=1))
-    keys = packed.view(f"V{packed.shape[1]}").ravel()
-    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return distinct, first, inverse.reshape(-1)
-
-
-def _f3_values(gammas, scenario: Scenario, noise_seq, gain_memo: dict) -> np.ndarray:
-    """Weighted f3 sum of each (horizon, num) schedule in a batch.
-
-    Each step's gain trace is computed once per distinct selection column
-    and kept in ``gain_memo`` under (step, packed column).  The weighted
-    terms are added step by step in step order, as a scalar sum over the
-    steps would, so the values are exactly those of a per-schedule sum.
-    """
-    from .filter import selection_gain
-
-    weights = np.asarray(scenario.weights, dtype=float)
-    totals = np.zeros(gammas.shape[0])
-    for n in range(gammas.shape[1]):
-        if weights[n] == 0.0:
-            continue
-        columns = gammas[:, n]
-        distinct, first, inverse = _distinct_rows(columns)
-        gains = np.empty(distinct.shape[0])
-        for k, key in enumerate(distinct):
-            memo_key = (n, key.tobytes())
-            value = gain_memo.get(memo_key)
-            if value is None:
-                gain = selection_gain(scenario.sensors, noise_seq[n], columns[first[k]], n)
-                value = float(np.trace(gain))
-                gain_memo[memo_key] = value
-            gains[k] = value
-        totals = totals + float(weights[n]) * gains[inverse]
-    return totals
 
 
 def randomize_round(
@@ -460,10 +414,11 @@ def randomize_round(
     call, and all 2S candidates are rounded in one vectorized greedy pass
     (:func:`select_lp.round_batch`).  Candidates that run out of budgeted
     sensors or violate an extra constraint row are dropped; when none is
-    left the call raises RoundingInfeasible.  f3 scores each step only on
-    its distinct columns through ``gain_memo``, a dict of gain traces keyed
-    by (step, packed column); pass one memo to every call on the same
-    scenario and noise sequence to share it, or omit it for a fresh one.
+    left the call raises RoundingInfeasible.  f3 (:func:`measure.f3_values`)
+    scores each step only on its distinct columns through ``gain_memo``, a
+    dict of gain traces keyed by (step, packed column); pass one memo to
+    every call on the same scenario and noise sequence to share it, or omit
+    it for a fresh one.
     f1 and f2 are evaluated once per distinct schedule.  The best value
     wins, ties going to the smallest ``SelectionSchedule.key()``.
 
@@ -497,10 +452,10 @@ def randomize_round(
     gammas = gammas[feasible]
 
     if objective == "f3":
-        values = _f3_values(gammas, scenario, noise_seq, gain_memo)
+        values = f3_values(gammas, scenario, noise_seq, gain_memo)
         best_value = values.max()
     else:
-        _, first, inverse = _distinct_rows(gammas.reshape(gammas.shape[0], -1))
+        _, first, inverse = distinct_rows(gammas.reshape(gammas.shape[0], -1))
         traces = np.array([
             objective_value(objective, SelectionSchedule.build(gammas[k].T), scenario, noise_seq)
             for k in first
@@ -530,5 +485,5 @@ def select_ignore_dependence(scenario: Scenario, noise_seq=None) -> SelectionSch
         return topk_schedule(scenario, stripped)
     problem = build_lp(scenario, noise_seq=stripped)
     solution = solve_lp(problem)
-    rounded = round_energy(solution, scenario, problem=problem, noise_seq=stripped)
+    rounded = round_energy(solution, scenario, problem)
     return rounded.schedule

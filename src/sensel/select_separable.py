@@ -3,9 +3,10 @@ search used as the optimality oracle everywhere else.
 
 With block-diagonal noise and per-step count constraints the optimum is
 simply the count-many sensors with the largest per-sensor measures at each
-step; no search is needed.  The exhaustive search enumerates every feasible
-schedule and is intentionally unrelated to any other solver in this
-package so it can serve as an independent reference.
+step, which is what the LP route's greedy rounder picks from the measure
+table and the counts alone.  The exhaustive search enumerates every
+feasible schedule and is intentionally unrelated to any other solver in
+this package so it can serve as an independent reference.
 """
 
 from __future__ import annotations
@@ -18,56 +19,28 @@ import numpy as np
 from . import linalg
 from .errors import Infeasible, NotSeparableNoise, TooLarge, UnsupportedConstraints
 from .filter import selection_gain
-from .measure import OBJECTIVES, sensor_measure
-from .model import Scenario, SelectionSchedule
+from .measure import OBJECTIVES, info_table
+from .model import ConstraintSet, Scenario, SelectionSchedule
+from .select_lp import round_by_scores
 
 EXHAUSTIVE_CAP = 10_000_000
 
 
-def per_sensor_measures(scenario: Scenario, step: int, noise_seq=None) -> np.ndarray:
-    """Unweighted per-sensor measures at one step."""
-    noise = (noise_seq or scenario.noise_sequence())[step]
-    return np.array(
-        [
-            sensor_measure(s.h_at(step), noise.block(i, i))
-            for i, s in enumerate(scenario.sensors)
-        ]
-    )
+def topk_schedule(scenario: Scenario, noise_seq=None) -> SelectionSchedule:
+    """Greedy rounding of the unweighted measure table under the per-step
+    counts alone: each step's largest measures, ties to the lower index.
 
-
-def top_k_indices(values: np.ndarray, k: int) -> list[int]:
-    """Indices of the k largest values; equal values resolve to lower index."""
-    order = np.argsort(-np.asarray(values, dtype=float), kind="stable")
-    return sorted(int(i) for i in order[:k])
-
-
-def select_topk(scenario: Scenario, step: int, noise_seq=None) -> np.ndarray:
-    """Optimal selection column for one step under a count constraint.
-
-    Requires uncorrelated sensors (block-diagonal noise); correlated noise
-    raises NotSeparableNoise and callers must use the relaxation route.
+    Raises NotSeparableNoise on correlated noise at any step, and
+    UnsupportedConstraints when the schedule breaks a budget or extra row.
     """
-    noise_seq = noise_seq or scenario.noise_sequence()
-    if not noise_seq[step].is_block_diagonal():
+    if noise_seq is None:
+        noise_seq = scenario.noise_sequence()
+    if not all(noise.is_block_diagonal() for noise in noise_seq):
         raise NotSeparableNoise(
             "sensor noises are correlated; top-k selection does not apply"
         )
-    m = scenario.constraints.per_step[step]
-    measures = per_sensor_measures(scenario, step, noise_seq)
-    column = np.zeros(scenario.num_sensors, dtype=np.int8)
-    column[top_k_indices(measures, m)] = 1
-    return column
-
-
-def topk_schedule(scenario: Scenario, noise_seq=None) -> SelectionSchedule:
-    """The top-k column of every step.
-
-    Top-k sees only the per-step counts; raises UnsupportedConstraints when
-    the schedule it picks violates an energy budget or an extra row.
-    """
-    schedule = SelectionSchedule.from_columns(
-        [select_topk(scenario, n, noise_seq=noise_seq) for n in range(scenario.horizon)]
-    )
+    counts = ConstraintSet.build(scenario.constraints.per_step)
+    schedule = round_by_scores(info_table(scenario, noise_seq), counts, scenario.weights)
     if not schedule.satisfies(scenario.constraints):
         raise UnsupportedConstraints(
             "the top-k schedule violates an energy budget or an extra "

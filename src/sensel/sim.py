@@ -63,8 +63,10 @@ class RunResult:
     param_value: float | None = None
 
 
-def _rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed_seq))
+def _rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def simulate_truth(scenario: Scenario, n_steps: int, seed) -> np.ndarray:
@@ -73,7 +75,7 @@ def simulate_truth(scenario: Scenario, n_steps: int, seed) -> np.ndarray:
     The initial state is the scenario's, process noise is drawn from the
     model covariance through its Cholesky factor.
     """
-    rng = _rng(np.random.SeedSequence(seed)) if not isinstance(seed, np.random.SeedSequence) else _rng(seed)
+    rng = _rng(seed)
     x = np.asarray(scenario.x0, dtype=float)
     out = [x]
     for n in range(n_steps):
@@ -96,7 +98,7 @@ def simulate_measurements(
     covariance first and masked afterwards, so cross-sensor correlation
     survives the selection.
     """
-    rng = _rng(np.random.SeedSequence(seed)) if not isinstance(seed, np.random.SeedSequence) else _rng(seed)
+    rng = _rng(seed)
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
     out = []

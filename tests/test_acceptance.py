@@ -29,7 +29,7 @@ from sensel.select_sdr import (
     select_ignore_dependence,
     solve_sdp,
 )
-from sensel.select_separable import exhaustive_opt, select_topk
+from sensel.select_separable import exhaustive_opt, topk_schedule
 from sensel.sim import RunConfig, run_closed_loop
 
 from conftest import rand_scenario, rand_spd
@@ -192,8 +192,7 @@ def test_c2_topk_optimality():
             continue
         _, f1_min = exhaustive_opt(scenario, "f1")
         _, f2_min = exhaustive_opt(scenario, "f2")
-        columns = [select_topk(scenario, n) for n in range(scenario.horizon)]
-        schedule = SelectionSchedule.from_columns(columns)
+        schedule = topk_schedule(scenario)
         mine_f1 = float(np.trace(measure.objective_f1(schedule, scenario)))
         mine_f2 = float(np.trace(measure.objective_f2(schedule, scenario)))
         worst = max(

@@ -115,16 +115,19 @@ class TestObjectives:
         )
 
     def test_info_table_entries(self, rng):
-        scenario = rand_scenario(rng, num_sensors=3, horizon=2, correlated=False)
+        """Entries are the unweighted per-sensor measures."""
+        scenario = rand_scenario(
+            rng, num_sensors=3, horizon=2, correlated=False, weights=[0.25, 0.75]
+        )
         table = measure.info_table(scenario)
         assert table.shape == (3, 2)
         assert np.all(table >= 0)
         for n in range(2):
             for i in range(3):
-                expected = scenario.weights[n] * measure.sensor_measure(
+                expected = measure.sensor_measure(
                     scenario.sensors[i].h_at(n), scenario.noise.block(i, i)
                 )
-                assert table[i, n] == pytest.approx(expected)
+                assert table[i, n] == expected
 
 
 def _enumerate_schedules(scenario):
@@ -192,7 +195,7 @@ class TestTraceCriterionConsistency:
                 float(np.trace(measure.objective_f1(s, scenario)))
                 for s in schedules
             )
-            myopic = SelectionSchedule.from_columns(myopic_cols)
+            myopic = SelectionSchedule.build(np.column_stack(myopic_cols))
             myopic_trace = float(np.trace(measure.objective_f1(myopic, scenario)))
             assert myopic_trace == pytest.approx(best_trace, abs=1e-9)
             checked += 1

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from sensel import model, select_lp
+from sensel import measure, model, select_lp
 from sensel.errors import Infeasible, NotSeparableNoise, RoundingInfeasible, SenselError
 from sensel.select_lp import (
     LpSolution,
@@ -66,6 +66,20 @@ class TestBuildLp:
             expected[[i, 3 + i, 6 + i]] = 1.0
             np.testing.assert_array_equal(row.a, expected)
             assert row.relation == "<=" and row.b == 2.0
+
+    def test_objective_is_the_weighted_measure_table(self, rng):
+        """Entry (n, i) of the step-major objective is weight_n times the
+        per-sensor measure of sensor i at step n."""
+        scenario = rand_scenario(
+            rng, num_sensors=3, horizon=2, correlated=False, weights=[0.25, 0.75]
+        )
+        c = build_lp(scenario).c
+        for n in range(2):
+            for i in range(3):
+                expected = scenario.weights[n] * measure.sensor_measure(
+                    scenario.sensors[i].h_at(n), scenario.noise.block(i, i)
+                )
+                assert c[n * 3 + i] == expected
 
     def test_large_grid_dimensions(self):
         scenario = model.load_scenario("src/sensel/scenarios/example3.json")
@@ -167,7 +181,6 @@ class TestRounding:
         solution = LpSolution(
             x=fractional,
             objective=float(problem.c @ fractional),
-            status="optimal",
             iterations=0,
         )
         rounded = round_energy(solution, scenario, problem)
@@ -234,7 +247,7 @@ class TestSandwichAndCertificate:
         scenario = measures_scenario([0.4, 0.1], 1)
         problem = build_lp(scenario)
         bogus = LpSolution(
-            x=np.array([1.0, 0.0]), objective=0.1, status="optimal", iterations=0
+            x=np.array([1.0, 0.0]), objective=0.1, iterations=0
         )
         with pytest.raises(SenselError):
             round_energy(bogus, scenario, problem)

@@ -5,12 +5,12 @@ import pytest
 
 from sensel import measure, model
 from sensel.errors import NotSeparableNoise, TooLarge
-from sensel.select_separable import exhaustive_opt, select_topk, top_k_indices
+from sensel.select_separable import exhaustive_opt, topk_schedule
 
 from conftest import rand_scenario
 
 
-def scenario_with_measures(values, per_step, rng, horizon=1, energy=None):
+def scenario_with_measures(values, per_step, rng, horizon=1, energy=None, weights=None):
     """Scalar-state scenario whose per-sensor measures are exactly `values`
     (sensor i has H = 1 and noise 1/value)."""
     num = len(values)
@@ -21,28 +21,41 @@ def scenario_with_measures(values, per_step, rng, horizon=1, energy=None):
     return model.make_scenario(
         system, sensors, noise,
         model.ConstraintSet.build([per_step] * horizon, energy=energy),
-        np.ones(horizon), [0.0], [[1.0]], seed=0,
+        np.ones(horizon) if weights is None else weights, [0.0], [[1.0]], seed=0,
     )
 
 
 class TestTopK:
     def test_orders_by_measure(self, rng):
         scenario = scenario_with_measures([0.3, 0.1, 0.2], 2, rng)
-        column = select_topk(scenario, 0)
+        column = topk_schedule(scenario).column(0)
         np.testing.assert_array_equal(column, [1, 0, 1])
 
     def test_tie_goes_to_lowest_index(self, rng):
         scenario = scenario_with_measures([0.2, 0.2, 0.2], 1, rng)
-        column = select_topk(scenario, 0)
+        column = topk_schedule(scenario).column(0)
         np.testing.assert_array_equal(column, [1, 0, 0])
 
     def test_correlated_noise_rejected(self, rng):
         scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
         with pytest.raises(NotSeparableNoise):
-            select_topk(scenario, 0)
+            topk_schedule(scenario)
 
-    def test_top_k_indices_stable(self):
-        assert top_k_indices(np.array([1.0, 3.0, 3.0, 2.0]), 2) == [1, 2]
+    def test_tied_runner_up_goes_to_lower_index(self, rng):
+        scenario = scenario_with_measures([1.0, 3.0, 3.0, 2.0], 2, rng)
+        column = topk_schedule(scenario).column(0)
+        np.testing.assert_array_equal(column, [0, 1, 1, 0])
+
+    def test_zero_weight_step_still_ranks_by_measure(self, rng):
+        """A step of weight 0 still picks its best sensors: top-k ranks by
+        the unweighted measures, where a weighted table would tie every
+        sensor and fall back to sensor 0."""
+        scenario = scenario_with_measures(
+            [0.1, 0.3, 0.2], 1, rng, horizon=2, weights=[0.0, 1.0]
+        )
+        schedule = topk_schedule(scenario)
+        np.testing.assert_array_equal(schedule.column(0), [0, 1, 0])
+        np.testing.assert_array_equal(schedule.column(1), [0, 1, 0])
 
 
 class TestExhaustive:
@@ -89,8 +102,7 @@ class TestExhaustive:
                 rng, num_sensors=num, horizon=1, correlated=False,
                 per_step=[int(rng.integers(1, num + 1))],
             )
-            column = select_topk(scenario, 0)
-            schedule = model.SelectionSchedule.from_columns([column])
+            schedule = topk_schedule(scenario)
             _, best = exhaustive_opt(scenario, "f3")
             mine = measure.objective_f3(schedule, scenario)
             assert mine == best
@@ -142,10 +154,7 @@ class TestExhaustive:
             if not regular:
                 skipped += 1
                 continue
-            columns = [
-                select_topk(scenario, n) for n in range(scenario.horizon)
-            ]
-            schedule = model.SelectionSchedule.from_columns(columns)
+            schedule = topk_schedule(scenario)
             _, f1_min = exhaustive_opt(scenario, "f1")
             _, f2_min = exhaustive_opt(scenario, "f2")
             mine_f1 = float(np.trace(measure.objective_f1(schedule, scenario)))
@@ -172,8 +181,7 @@ class TestExhaustive:
             model="random_walk", per_step=3, weights=[1.0],
             x0=[50.0, 50.0], p0=10.0 * np.eye(2),
         )
-        column = select_topk(scenario, 0)
-        schedule = model.SelectionSchedule.from_columns([column])
+        schedule = topk_schedule(scenario)
         mine = float(np.trace(measure.objective_f1(schedule, scenario)))
         _, best = exhaustive_opt(scenario, "f1")
         assert mine == pytest.approx(best, abs=1e-9)

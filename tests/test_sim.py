@@ -128,10 +128,9 @@ class TestClosedLoop:
         scenario = tiny_tracking_scenario()
         config = RunConfig(scenario=scenario, algorithm="topk", runs=3, seed=5)
         result = run_closed_loop(config)
-        from sensel.select_separable import select_topk
+        from sensel.select_separable import topk_schedule
 
-        columns = [select_topk(scenario, n) for n in range(scenario.horizon)]
-        schedule = SelectionSchedule.from_columns(columns)
+        schedule = topk_schedule(scenario)
         covs = covariance_rollout(
             scenario.p0, scenario.system, scenario.sensors, schedule,
             scenario.noise_sequence(),
