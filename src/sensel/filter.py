@@ -67,7 +67,7 @@ def stack_measurement(
         raise InvalidMatrix("selection column length does not match sensors")
     dim = noise.dim
     r = sensors[0].h[0].shape[1]
-    offsets = noise.offsets()
+    offsets = noise.offsets
     row_mask = np.zeros(dim, dtype=bool)
     h_tilde = np.zeros((dim, r))
     for i, sensor in enumerate(sensors):
@@ -146,7 +146,7 @@ def selection_gain(
     idx = np.flatnonzero(gamma)
     if idx.size == 0:
         return np.zeros((r, r))
-    offsets = noise.offsets()
+    offsets = noise.offsets
     rows = np.concatenate(
         [np.arange(offsets[i], offsets[i + 1]) for i in idx]
     )

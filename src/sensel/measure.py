@@ -11,21 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import NotPositiveDefinite, SingularBlock
+from .errors import NotPositiveDefinite, SenselError, SingularBlock
 from .filter import covariance_rollout, selection_gain
 from .model import Scenario, SelectionSchedule
 
 OBJECTIVES = ("f1", "f2", "f3")
-
-
-def sensor_measure(h: np.ndarray, r_block: np.ndarray) -> float:
-    """Per-sensor information measure trace(H' R^-1 H); nonnegative."""
-    h = np.asarray(h, dtype=float)
-    try:
-        solved = linalg.solve_spd(r_block, h)
-    except NotPositiveDefinite:
-        raise SingularBlock("sensor noise block is not positive definite") from None
-    return float(np.trace(h.T @ solved))
 
 
 def gain_trace(h_tilde: np.ndarray, r_tilde: np.ndarray) -> float:
@@ -51,22 +41,65 @@ def gain_trace(h_tilde: np.ndarray, r_tilde: np.ndarray) -> float:
     return float(np.trace(h_sel.T @ solved))
 
 
+def _block_measures(r: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """trace(H_k' R_k^-1 H_k) for a stack of blocks R (K, d, d) and H (K, d, s).
+
+    Returns None when some pair fails a check of ``linalg.solve_spd``
+    (non-finite or non-symmetric R, non-finite H, R not positive definite).
+    """
+    r_t = r.transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(1.0, np.abs(r).max(axis=(1, 2)))
+        asym = np.abs(r - r_t).max(axis=(1, 2))
+    if not (np.isfinite(r).all() and np.isfinite(h).all() and np.all(asym <= 1e-8 * scale)):
+        return None
+    r_sym = 0.5 * (r + r_t)
+    try:
+        np.linalg.cholesky(r_sym)
+    except np.linalg.LinAlgError:
+        return None
+    solved = np.linalg.solve(r_sym, h)
+    return np.trace(h.transpose(0, 2, 1) @ solved, axis1=1, axis2=2)
+
+
+def _raise_block_fault(sensors, noise, n: int) -> None:
+    """Raise what the first faulty sensor's ``solve_spd`` raises at step n."""
+    for i, sensor in enumerate(sensors):
+        try:
+            linalg.solve_spd(noise.block(i, i), sensor.h_at(n))
+        except NotPositiveDefinite:
+            raise SingularBlock("sensor noise block is not positive definite") from None
+    raise SenselError(f"step {n}: batched block check disagrees with solve_spd")
+
+
 def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
     """Unweighted per-sensor measures, sensors by steps.
 
     Entry (i, n) is trace(H_i' R_ii^-1 H_i) at step n, using the diagonal
     noise block of sensor i.  Top-k ranks each step's sensors by it; the
     LP route weights it by the step weights to get its objective.
+
+    Each step takes one batched pass per measurement dimension: one gather
+    of the diagonal blocks, the checks of ``linalg.solve_spd``, one stacked
+    solve and one stacked trace.  A faulty block raises what ``solve_spd``
+    raises (``SingularBlock`` where R is not positive definite) for the
+    lowest faulty sensor at the earliest faulty step.
     """
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
-    num = scenario.num_sensors
-    horizon = scenario.horizon
-    table = np.zeros((num, horizon))
-    for n in range(horizon):
+    sensors = scenario.sensors
+    dims = np.array([sensor.meas_dim for sensor in sensors])
+    groups = [(d, np.flatnonzero(dims == d)) for d in np.unique(dims)]
+    table = np.zeros((len(sensors), scenario.horizon))
+    for n in range(scenario.horizon):
         noise = noise_seq[n]
-        for i, sensor in enumerate(scenario.sensors):
-            table[i, n] = sensor_measure(sensor.h_at(n), noise.block(i, i))
+        for d, idx in groups:
+            rows = noise.offsets[idx][:, None] + np.arange(d)
+            r = noise.r_full[rows[:, :, None], rows[:, None, :]]
+            measures = _block_measures(r, np.stack([sensors[i].h_at(n) for i in idx]))
+            if measures is None:
+                _raise_block_fault(sensors, noise, n)
+            table[idx, n] = measures
     return table
 
 

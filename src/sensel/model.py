@@ -142,6 +142,8 @@ class JammerSpec:
     r0: np.ndarray
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.p0, self.alpha, self.n_exp])):
+            raise ScenarioError("jammer p0, alpha and n_exp must be finite")
         if self.p0 < 0:
             raise ScenarioError("jammer power p0 must be >= 0")
         if self.position.shape != (2,):
@@ -270,11 +272,13 @@ class NoiseModel:
     def dim(self) -> int:
         return self.r_full.shape[0]
 
+    @functools.cached_property
     def offsets(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self.block_sizes)])
+        """Row offset of each sensor's block, then the total dimension."""
+        return _frozen(np.concatenate([[0], np.cumsum(self.block_sizes)]), dtype=int)
 
     def block(self, i: int, j: int) -> np.ndarray:
-        off = self.offsets()
+        off = self.offsets
         return self.r_full[off[i] : off[i + 1], off[j] : off[j + 1]]
 
     def diag_blocks(self) -> list[np.ndarray]:
@@ -284,10 +288,8 @@ class NoiseModel:
         """True when all cross-sensor covariance blocks vanish."""
         if tol is None:
             tol = 1e-12 * max(1.0, float(np.abs(self.r_full).max()))
-        off = self.offsets()
-        mask = np.ones_like(self.r_full, dtype=bool)
-        for i in range(len(self.block_sizes)):
-            mask[off[i] : off[i + 1], off[i] : off[i + 1]] = False
+        labels = np.repeat(np.arange(len(self.block_sizes)), self.block_sizes)
+        mask = labels[:, None] != labels[None, :]
         return bool(np.all(np.abs(self.r_full[mask]) <= tol))
 
     def diagonal_only(self) -> "NoiseModel":

@@ -117,7 +117,7 @@ def build_bqp(scenario: Scenario, noise_seq=None) -> BqpProblem:
             raise SingularNoise(
                 f"step {n} joint noise covariance is singular"
             ) from None
-        off = noise.offsets()
+        off = noise.offsets
         h = [scenario.sensors[i].h_at(n) for i in range(num)]
         b = np.zeros((num, num))
         for i in range(num):

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sensel import model
-from sensel.errors import Infeasible, SenselError
+from sensel import linalg, model
+from sensel.errors import Infeasible, NotPositiveDefinite, SenselError, SingularBlock
 from sensel.select_lp import _FEAS_TOL, _TOL
 
 
@@ -129,6 +129,19 @@ def with_random_extra_row(rng, scenario) -> model.Scenario:
     return replace(scenario, constraints=constraints)
 
 
+# The per-sensor measure as ``measure.info_table`` computed it, one
+# ``solve_spd`` call per sensor and step, before it batched each step; kept
+# unchanged as the reference for the batched table.
+def sensor_measure(h: np.ndarray, r_block: np.ndarray) -> float:
+    """Per-sensor information measure trace(H' R^-1 H); nonnegative."""
+    h = np.asarray(h, dtype=float)
+    try:
+        solved = linalg.solve_spd(r_block, h)
+    except NotPositiveDefinite:
+        raise SingularBlock("sensor noise block is not positive definite") from None
+    return float(np.trace(h.T @ solved))
+
+
 # The lifted constraint matrix of one linear row as the SDP solver built it
 # before it worked from the closed forms of the two constraint shapes, kept
 # unchanged as the dense reference for those forms.
@@ -144,7 +157,9 @@ def lifted_row_matrix(a: np.ndarray, dim: int) -> np.ndarray:
 
 # The bounded simplex as it stood before its pivots were vectorized (a
 # per-row Python ratio test and a full-tableau outer product per pivot),
-# kept unchanged as the oracle for the current solver's pivot sequence.
+# kept as the oracle for the current solver's pivot sequence.  Its only
+# change since is the starting basis: the slack of every row whose slack
+# column is +e_p starts basic, and only the other rows get an artificial.
 def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     """Maximize c'x subject to a x (rel) rhs and 0 <= x <= upper.
 
@@ -163,40 +178,56 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
             raise SenselError("LP is unbounded")
         return x, float(c @ x), 0
 
-    # Slack column per inequality, then sign-normalize so rhs >= 0, then one
-    # artificial per row; the artificial block is the starting basis.
+    # Slack column per inequality, then sign-normalize so rhs >= 0 (and a
+    # ">=" row with rhs 0 so its slack is +e_p).  Each row whose slack column
+    # is +e_p starts with that slack basic; every other row gets an
+    # artificial column, and the artificials start basic in their rows.
     slack_cols = []
+    slack_of_row = {}
     for p, rel in enumerate(rels):
         if rel == "<=":
             col = np.zeros(m)
             col[p] = 1.0
+            slack_of_row[p] = n_struct + len(slack_cols)
             slack_cols.append(col)
         elif rel == ">=":
             col = np.zeros(m)
             col[p] = -1.0
+            slack_of_row[p] = n_struct + len(slack_cols)
             slack_cols.append(col)
         elif rel != "=":
             raise ValueError(f"unknown relation {rel!r}")
     n_slack = len(slack_cols)
     full = np.hstack([a, np.array(slack_cols).T.reshape(m, n_slack)]) if n_slack else a.copy()
     for p in range(m):
-        if rhs[p] < 0:
+        if rhs[p] < 0 or (rhs[p] == 0 and rels[p] == ">="):
             full[p] *= -1.0
-            rhs[p] *= -1.0
+            rhs[p] = abs(rhs[p])
     art_start = n_struct + n_slack
-    full = np.hstack([full, np.eye(m)])
-    ntot = art_start + m
+    basis = []
+    art_cols = []
+    for p in range(m):
+        if p in slack_of_row and full[p, slack_of_row[p]] == 1.0:
+            basis.append(slack_of_row[p])
+        else:
+            col = np.zeros(m)
+            col[p] = 1.0
+            basis.append(art_start + len(art_cols))
+            art_cols.append(col)
+    n_art = len(art_cols)
+    if n_art:
+        full = np.hstack([full, np.array(art_cols).T])
+    ntot = art_start + n_art
 
-    ub = np.concatenate([np.asarray(upper, dtype=float), np.full(n_slack + m, np.inf)])
+    ub = np.concatenate([np.asarray(upper, dtype=float), np.full(n_slack + n_art, np.inf)])
     cost1 = np.zeros(ntot)
     cost1[art_start:] = 1.0
     cost2 = np.zeros(ntot)
     cost2[:n_struct] = -c  # phase 2 minimizes the negated objective
 
     tableau = full.copy()
-    basis = list(range(art_start, art_start + m))
     in_basis = np.zeros(ntot, dtype=bool)
-    in_basis[art_start:] = True
+    in_basis[basis] = True
     at_upper = np.zeros(ntot, dtype=bool)
     xb = rhs.copy()
     iterations = 0

@@ -32,7 +32,7 @@ from sensel.select_sdr import (
 from sensel.select_separable import exhaustive_opt, topk_schedule
 from sensel.sim import RunConfig, run_closed_loop
 
-from conftest import rand_scenario, rand_spd
+from conftest import rand_scenario, rand_spd, sensor_measure
 
 EXAMPLE4 = "src/sensel/scenarios/example4.json"
 EXAMPLE7 = "src/sensel/scenarios/example7.json"
@@ -433,7 +433,7 @@ def test_c9_uncorrelated_reduction_identities():
             )
             stacked = measure.gain_trace(meas.h_tilde, meas.r_tilde)
             split = sum(
-                measure.sensor_measure(
+                sensor_measure(
                     scenario.sensors[i].h_at(n), noise_seq[n].block(i, i)
                 )
                 for i in range(num)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,21 @@ class TestSweep:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3  # header + one row per value (horizon 1)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_jammer_power_is_scenario_error(self, value, capsys):
+        """A NaN power used to run with no jammer at all and exit 0."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "sweep", "example4", "--algo", "ignore-dep",
+                "--param", "jammer_power", "--values", value, "--threads", "1",
+            ])
+        assert code == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and "must be finite" in out.err
+        assert "jammer_power=" not in out.out
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_unknown_param_exit_1_and_lists_names(self, small_scenario_path, capsys):
         code = main([

@@ -3,32 +3,33 @@ noise, scaling behavior, and agreement between the myopic trace criterion
 and the covariance objectives on enumerable instances."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sensel import linalg, measure
-from sensel.errors import SingularBlock
+from sensel import linalg, measure, model
+from sensel.errors import InvalidMatrix, SingularBlock
 from sensel.filter import stack_measurement
 from sensel.model import SelectionSchedule
 
-from conftest import rand_scenario
+from conftest import rand_scenario, sensor_measure
 
 
 class TestSensorMeasure:
     def test_identity_h_diagonal_r(self):
-        assert measure.sensor_measure(np.eye(2), np.diag([5.0, 10.0])) == pytest.approx(0.3)
+        assert sensor_measure(np.eye(2), np.diag([5.0, 10.0])) == pytest.approx(0.3)
 
     def test_zero_h(self):
-        assert measure.sensor_measure(np.zeros((2, 2)), np.eye(2)) == 0.0
+        assert sensor_measure(np.zeros((2, 2)), np.eye(2)) == 0.0
 
     def test_tracking_h_same_value(self):
         h = np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]])
-        assert measure.sensor_measure(h, np.diag([5.0, 10.0])) == pytest.approx(0.3)
+        assert sensor_measure(h, np.diag([5.0, 10.0])) == pytest.approx(0.3)
 
     def test_singular_block(self):
         with pytest.raises(SingularBlock):
-            measure.sensor_measure(np.eye(2), np.zeros((2, 2)))
+            sensor_measure(np.eye(2), np.zeros((2, 2)))
 
 
 class TestGainTrace:
@@ -46,7 +47,7 @@ class TestGainTrace:
             meas = stack_measurement(scenario.sensors, scenario.noise, gamma)
             total = measure.gain_trace(meas.h_tilde, meas.r_tilde)
             parts = sum(
-                measure.sensor_measure(
+                sensor_measure(
                     scenario.sensors[i].h_at(0), scenario.noise.block(i, i)
                 )
                 for i in range(4)
@@ -124,10 +125,105 @@ class TestObjectives:
         assert np.all(table >= 0)
         for n in range(2):
             for i in range(3):
-                expected = measure.sensor_measure(
+                expected = sensor_measure(
                     scenario.sensors[i].h_at(n), scenario.noise.block(i, i)
                 )
                 assert table[i, n] == expected
+
+
+def loop_info_table(scenario, noise_seq):
+    """The table one ``sensor_measure`` call per sensor and step."""
+    return np.array([
+        [sensor_measure(sensor.h_at(n), noise_seq[n].block(i, i))
+         for n in range(scenario.horizon)]
+        for i, sensor in enumerate(scenario.sensors)
+    ])
+
+
+def raw_noise(blocks):
+    """A block-diagonal noise model that skips ``NoiseModel.build``'s
+    checks, so that faulty blocks reach the table."""
+    sizes = tuple(b.shape[0] for b in blocks)
+    full = np.zeros((sum(sizes), sum(sizes)))
+    off = np.concatenate([[0], np.cumsum(sizes)])
+    for i, b in enumerate(blocks):
+        full[off[i] : off[i + 1], off[i] : off[i + 1]] = b
+    return model.NoiseModel(
+        block_sizes=sizes, r_full=full, base_blocks=None, base_full=None,
+        jammer=None, distance_alpha1=None,
+    )
+
+
+class TestBatchedInfoTable:
+    """The batched table equals the per-sensor loop bit for bit and raises
+    what the loop raised."""
+
+    def test_mixed_measurement_dimensions(self, rng):
+        for correlated in (False, True) * 3:
+            # Correlated noise gives dense diagonal blocks.
+            scenario = rand_scenario(
+                rng, num_sensors=7, horizon=3, meas_dims=[1, 2, 2, 1, 3, 1, 2],
+                correlated=correlated,
+            )
+            noise_seq = scenario.noise_sequence()
+            assert np.array_equal(
+                measure.info_table(scenario), loop_info_table(scenario, noise_seq)
+            )
+
+    def test_per_step_h(self, rng):
+        scenario = rand_scenario(rng, num_sensors=5, horizon=4, meas_dims=[2, 1, 2, 2, 1])
+        sensors = tuple(
+            model.SensorModel.build(
+                rng.normal(size=(4, sensor.meas_dim, 2)), sensor.position
+            )
+            for sensor in scenario.sensors
+        )
+        scenario = replace(scenario, sensors=sensors)
+        table = measure.info_table(scenario)
+        assert np.array_equal(table, loop_info_table(scenario, scenario.noise_sequence()))
+        assert len(np.unique(table[0])) == 4  # the steps really differ
+
+    def test_state_dependent_noise(self, rng):
+        scenario = rand_scenario(rng, num_sensors=6, horizon=3, meas_dims=[1, 2] * 3)
+        states = [rng.uniform(0.0, 100.0, size=2) for _ in range(3)]
+        noise_seq = model.distance_noise(scenario, states, 0.5)
+        table = measure.info_table(scenario, noise_seq)
+        assert np.array_equal(table, loop_info_table(scenario, noise_seq))
+        assert not np.array_equal(table, measure.info_table(scenario))
+
+    def _scenario(self, rng, blocks):
+        scenario = rand_scenario(
+            rng, num_sensors=len(blocks), horizon=2,
+            meas_dims=[b.shape[0] for b in blocks],
+        )
+        return scenario, (raw_noise(blocks),) * 2
+
+    def test_not_positive_definite_block(self, rng):
+        blocks = [np.eye(1), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)]
+        scenario, noise_seq = self._scenario(rng, blocks)
+        with pytest.raises(SingularBlock, match="not positive definite"):
+            measure.info_table(scenario, noise_seq)
+
+    def test_non_symmetric_block(self, rng):
+        blocks = [np.eye(2), np.eye(1), np.array([[2.0, 1.0], [0.0, 2.0]])]
+        scenario, noise_seq = self._scenario(rng, blocks)
+        with pytest.raises(InvalidMatrix, match="not symmetric"):
+            measure.info_table(scenario, noise_seq)
+
+    def test_lowest_faulty_sensor_decides(self, rng):
+        """Faults in both dimension groups: the error is the one the
+        per-sensor loop met first."""
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        nonfinite = np.array([[np.nan]])
+        for blocks, error in (
+            ([np.eye(1), indefinite, nonfinite], SingularBlock),
+            ([nonfinite, np.eye(2), indefinite], InvalidMatrix),
+        ):
+            scenario, noise_seq = self._scenario(rng, blocks)
+            with pytest.raises(error):
+                measure.info_table(scenario, noise_seq)
+            with pytest.raises(error):
+                loop_info_table(scenario, noise_seq)
 
 
 def _enumerate_schedules(scenario):

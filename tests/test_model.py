@@ -207,6 +207,13 @@ class TestGenerators:
 
 
 class TestJammer:
+    @pytest.mark.parametrize("field", ["p0", "alpha", "n_exp"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, field, value):
+        params = {"p0": 1e4, "alpha": 1.0, "n_exp": 2.0, field: value}
+        with pytest.raises(ScenarioError, match="must be finite"):
+            model.JammerSpec.build(position=[0.0, 0.0], r0=np.eye(2), **params)
+
     def test_zero_power_is_noop(self):
         scenario = small_scenario()
         before = scenario.noise.r_full.copy()

@@ -3,14 +3,16 @@ reference solver and Boolean enumeration, greedy rounding, certificates."""
 
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sensel import measure, model, select_lp
+from sensel import model, select_lp
 from sensel.errors import Infeasible, NotSeparableNoise, RoundingInfeasible, SenselError
 from sensel.select_lp import (
     LpSolution,
+    _crash_start,
     _simplex_max,
     build_lp,
     certify,
@@ -25,6 +27,7 @@ from conftest import (
     loop_round_by_scores,
     loop_simplex_max,
     rand_scenario,
+    sensor_measure,
     with_random_extra_row,
 )
 
@@ -76,7 +79,7 @@ class TestBuildLp:
         c = build_lp(scenario).c
         for n in range(2):
             for i in range(3):
-                expected = scenario.weights[n] * measure.sensor_measure(
+                expected = scenario.weights[n] * sensor_measure(
                     scenario.sensors[i].h_at(n), scenario.noise.block(i, i)
                 )
                 assert c[n * 3 + i] == expected
@@ -525,3 +528,64 @@ class TestPivotCount:
         assert iterations == oracle_iterations
         assert len(outer_calls) > iterations // 2
         assert len(pivots) == len(outer_calls)
+
+    def test_all_rows_crash_no_artificial_no_phase_one(self, pivots):
+        """Budget rows plus ``>=`` rows with rhs <= 0 all start with their
+        slack basic: no artificial column is built, and with a negative
+        objective the slack basis is already optimal, so no pivot of
+        either phase runs."""
+        num, horizon = 6, 3
+        budgets = model.ConstraintSet.build([1] * horizon, energy=[2] * num).rows(num)[horizon:]
+        a = np.array(
+            [row.a for row in budgets]
+            + [np.repeat([1.0, 0.0], [num, num * (horizon - 1)]), np.ones(num * horizon)]
+        )
+        rels = ["<="] * num + [">=", ">="]
+        rhs = np.array([2.0] * num + [-1.0, 0.0])
+        full, start_rhs, basis, art_start = _crash_start(a, rels, rhs)
+        assert full.shape == (num + 2, art_start)
+        assert basis.tolist() == list(range(num * horizon, art_start))
+        assert start_rhs.tolist() == [2.0] * num + [1.0, 0.0]
+        x, objective, iterations = _simplex_max(
+            -np.ones(num * horizon), a, rels, rhs, np.ones(num * horizon)
+        )
+        assert x.tolist() == [0.0] * (num * horizon) and objective == 0.0
+        assert iterations == 0 and pivots == []
+
+
+EXAMPLE3 = Path(__file__).resolve().parents[1] / "src" / "sensel" / "scenarios" / "example3.json"
+
+
+@pytest.fixture(scope="module")
+def example3_lp():
+    problem = build_lp(model.load_scenario(EXAMPLE3))
+    return problem, solve_lp(problem)
+
+
+class TestExample3Lp:
+    def test_crash_basis_keeps_pivots_low(self, example3_lp):
+        """Starting from the slack basis, only the 5 count rows need an
+        artificial; the all-artificial start took 5,690 pivots."""
+        problem, solution = example3_lp
+        a = np.array([row.a for row in problem.rows])
+        full, _, _, art_start = _crash_start(
+            a, [row.relation for row in problem.rows],
+            np.array([row.b for row in problem.rows]),
+        )
+        assert full.shape[1] - art_start == problem.horizon
+        assert solution.iterations < 1000
+
+    def test_objective_matches_scipy_highs(self, example3_lp):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        problem, solution = example3_lp
+        ineq = [row for row in problem.rows if row.relation == "<="]
+        eq = [row for row in problem.rows if row.relation == "="]
+        assert len(ineq) + len(eq) == len(problem.rows)
+        reference = linprog(
+            -problem.c,
+            A_ub=np.array([row.a for row in ineq]), b_ub=[row.b for row in ineq],
+            A_eq=np.array([row.a for row in eq]), b_eq=[row.b for row in eq],
+            bounds=[(0, 1)] * problem.c.shape[0], method="highs",
+        )
+        assert reference.status == 0
+        assert solution.objective == pytest.approx(-reference.fun, rel=1e-9, abs=0)

@@ -31,6 +31,7 @@ from conftest import (
     loop_round_by_scores,
     rand_scenario,
     rand_spd,
+    sensor_measure,
     with_random_extra_row,
 )
 
@@ -106,7 +107,7 @@ class TestBuildBqp:
         for n in range(2):
             block = bqp.b_blocks[n]
             measures = [
-                measure.sensor_measure(
+                sensor_measure(
                     scenario.sensors[i].h_at(n), scenario.noise.block(i, i)
                 )
                 for i in range(4)
