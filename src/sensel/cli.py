@@ -144,14 +144,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """Argument type: an int no smaller than ``low``, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(name, help_text, func, out_help):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="scenario JSON path or bundled name")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=_positive_int, default=100,
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
+        p.add_argument("--samples", type=_int_at_least(1), default=100,
                        help="randomization samples for the sdr algorithm")
         p.add_argument("--objective", choices=OBJECTIVES, default="f3")
         p.add_argument("--algo", choices=tuple(ALGORITHMS), required=True)
@@ -185,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     for p in (p_sim, p_sweep):
-        p.add_argument("--runs", type=_positive_int, default=1)
-        p.add_argument("--threads", type=_positive_int, default=_default_threads())
+        p.add_argument("--runs", type=_int_at_least(1), default=1)
+        p.add_argument("--threads", type=_int_at_least(1), default=_default_threads())
     return parser
 
 

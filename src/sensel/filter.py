@@ -6,6 +6,10 @@ masked measurement stack, and the information form, which inverts only the
 noise blocks of the selected sensors.  Their agreement is the core
 correctness property of this module and is enforced by the test suite.
 All functions are pure; covariances are re-symmetrized after every update.
+
+Every step's joint stack has one row layout: ``noise.labels`` names the
+sensor of each row and ``scenario.h_stacks[n]`` holds the rows of H, so
+the functions below take the scenario and read both.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidMatrix
-from .model import DynamicSystem, NoiseModel, SelectionSchedule, SensorModel
+from .model import DynamicSystem, NoiseModel, Scenario, SelectionSchedule
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class StackedMeasurement:
 
 
 def stack_measurement(
-    sensors: tuple[SensorModel, ...],
+    scenario: Scenario,
     noise: NoiseModel,
     gamma_col,
     step: int = 0,
@@ -63,20 +67,13 @@ def stack_measurement(
     work).
     """
     gamma = np.asarray(gamma_col).astype(bool)
-    if gamma.shape != (len(sensors),):
+    if gamma.shape != (scenario.num_sensors,):
         raise InvalidMatrix("selection column length does not match sensors")
-    dim = noise.dim
-    r = sensors[0].h[0].shape[1]
-    offsets = noise.offsets
-    row_mask = np.zeros(dim, dtype=bool)
-    h_tilde = np.zeros((dim, r))
-    for i, sensor in enumerate(sensors):
-        if gamma[i]:
-            row_mask[offsets[i] : offsets[i + 1]] = True
-            h_tilde[offsets[i] : offsets[i + 1]] = sensor.h_at(step)
+    row_mask = gamma[noise.labels]
+    h_tilde = np.where(row_mask[:, None], scenario.h_stacks[step], 0.0)
     r_tilde = np.where(np.outer(row_mask, row_mask), noise.r_full, 0.0)
     if z is None:
-        z_masked = np.zeros(dim)
+        z_masked = np.zeros(noise.dim)
     else:
         z_masked = np.where(row_mask, np.asarray(z, dtype=float), 0.0)
     return StackedMeasurement(
@@ -131,50 +128,45 @@ def update_gif(state_pred: FilterState, meas: StackedMeasurement) -> FilterState
 
 
 def selection_gain(
-    sensors: tuple[SensorModel, ...],
+    scenario: Scenario,
     noise: NoiseModel,
     gamma_col,
     step: int = 0,
 ) -> np.ndarray:
     """Information gain H' R+ H of one selection column, as an r-by-r matrix.
 
-    Computed on the selected sensors' sub-block only; unselected sensors
+    Computed on the selected sensors' rows only; unselected sensors
     contribute nothing.
     """
-    gamma = np.asarray(gamma_col).astype(bool)
-    r = sensors[0].h[0].shape[1]
-    idx = np.flatnonzero(gamma)
-    if idx.size == 0:
-        return np.zeros((r, r))
-    offsets = noise.offsets
-    rows = np.concatenate(
-        [np.arange(offsets[i], offsets[i + 1]) for i in idx]
-    )
-    h_sel = np.vstack([sensors[i].h_at(step) for i in idx])
+    rows = np.flatnonzero(np.asarray(gamma_col).astype(bool)[noise.labels])
+    if rows.size == 0:
+        return np.zeros((scenario.state_dim, scenario.state_dim))
+    h_sel = scenario.h_stacks[step][rows]
     r_sel = noise.r_full[np.ix_(rows, rows)]
     return linalg.symmetrize(h_sel.T @ linalg.solve_spd(r_sel, h_sel))
 
 
 def covariance_rollout(
-    p0: np.ndarray,
-    system: DynamicSystem,
-    sensors: tuple[SensorModel, ...],
-    schedule: SelectionSchedule,
-    noise_seq,
+    scenario: Scenario, schedule: SelectionSchedule, noise_seq=None
 ) -> list[np.ndarray]:
     """Posterior covariances over the horizon under a fixed schedule.
 
     Covariance evolution does not depend on measurement values, so this is
-    deterministic: predict, add the selected sensors' information gain,
-    invert back.  Returns the posterior covariance after each step.
+    deterministic: starting from ``scenario.p0``, predict, add the selected
+    sensors' information gain, invert back.  ``noise_seq`` defaults to
+    ``scenario.noise_sequence()``.  Returns the posterior covariance after
+    each step.
     """
-    p = linalg.symmetrize(np.asarray(p0, dtype=float))
+    if noise_seq is None:
+        noise_seq = scenario.noise_sequence()
+    system = scenario.system
+    p = linalg.symmetrize(np.asarray(scenario.p0, dtype=float))
     out = []
     for n in range(schedule.horizon):
         f = system.f_at(n)
         q = system.q_at(n)
         p_pred = linalg.symmetrize(f @ p @ f.T + q)
-        gain = selection_gain(sensors, noise_seq[n], schedule.column(n), step=n)
+        gain = selection_gain(scenario, noise_seq[n], schedule.column(n), step=n)
         p = linalg.inv_spd(linalg.inv_spd(p_pred) + gain)
         out.append(p)
     return out

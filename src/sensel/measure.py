@@ -3,7 +3,8 @@
 The per-step measure is the trace of the information gain of the selected
 sensors: for uncorrelated sensors it splits into per-sensor terms, which is
 what makes the analytic top-k selection and the LP formulation work.
-f3 has one evaluator, :func:`f3_values`, batched over schedules.
+f3 has one evaluator, :func:`f3_values`, batched over schedules; f1 and f2
+read :func:`filter.covariance_rollout`.
 """
 
 from __future__ import annotations
@@ -80,10 +81,11 @@ def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
     LP route weights it by the step weights to get its objective.
 
     Each step takes one batched pass per measurement dimension: one gather
-    of the diagonal blocks, the checks of ``linalg.solve_spd``, one stacked
-    solve and one stacked trace.  A faulty block raises what ``solve_spd``
-    raises (``SingularBlock`` where R is not positive definite) for the
-    lowest faulty sensor at the earliest faulty step.
+    of the diagonal blocks and of the sensors' rows of
+    ``scenario.h_stacks[n]``, the checks of ``linalg.solve_spd``, one
+    stacked solve and one stacked trace.  A faulty block raises what
+    ``solve_spd`` raises (``SingularBlock`` where R is not positive
+    definite) for the lowest faulty sensor at the earliest faulty step.
     """
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
@@ -96,29 +98,21 @@ def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
         for d, idx in groups:
             rows = noise.offsets[idx][:, None] + np.arange(d)
             r = noise.r_full[rows[:, :, None], rows[:, None, :]]
-            measures = _block_measures(r, np.stack([sensors[i].h_at(n) for i in idx]))
+            measures = _block_measures(r, scenario.h_stacks[n][rows])
             if measures is None:
                 _raise_block_fault(sensors, noise, n)
             table[idx, n] = measures
     return table
 
 
-def _rollout(schedule: SelectionSchedule, scenario: Scenario, noise_seq):
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
-    return covariance_rollout(
-        scenario.p0, scenario.system, scenario.sensors, schedule, noise_seq
-    )
-
-
 def objective_f1(schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> np.ndarray:
     """Final-step posterior covariance under the schedule."""
-    return _rollout(schedule, scenario, noise_seq)[-1]
+    return covariance_rollout(scenario, schedule, noise_seq)[-1]
 
 
 def objective_f2(schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> np.ndarray:
     """Average posterior covariance over the horizon."""
-    covs = _rollout(schedule, scenario, noise_seq)
+    covs = covariance_rollout(scenario, schedule, noise_seq)
     return sum(covs) / len(covs)
 
 
@@ -156,7 +150,7 @@ def f3_values(gammas: np.ndarray, scenario: Scenario, noise_seq, gain_memo: dict
             memo_key = (n, key.tobytes())
             value = gain_memo.get(memo_key)
             if value is None:
-                gain = selection_gain(scenario.sensors, noise_seq[n], columns[first[k]], n)
+                gain = selection_gain(scenario, noise_seq[n], columns[first[k]], n)
                 value = float(np.trace(gain))
                 gain_memo[memo_key] = value
             gains[k] = value

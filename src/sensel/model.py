@@ -172,7 +172,8 @@ class NoiseModel:
     (or an explicit joint base) plus the jammer cross terms.  When
     ``distance_alpha1`` is set, a per-step diagonal term proportional to
     the sensor-to-target distance is added on top; see
-    :func:`distance_noise`.
+    :func:`distance_noise`.  The properties below are cached: each is
+    computed on first read, once per noise model.
     """
 
     block_sizes: tuple[int, ...]
@@ -277,24 +278,29 @@ class NoiseModel:
         """Row offset of each sensor's block, then the total dimension."""
         return _frozen(np.concatenate([[0], np.cumsum(self.block_sizes)]), dtype=int)
 
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """Sensor index of each joint row: the one sensor-to-row map that
+        masks, gathers and stacks read."""
+        return _frozen(np.repeat(np.arange(len(self.block_sizes)), self.block_sizes), dtype=int)
+
     def block(self, i: int, j: int) -> np.ndarray:
         off = self.offsets
         return self.r_full[off[i] : off[i + 1], off[j] : off[j + 1]]
 
-    def diag_blocks(self) -> list[np.ndarray]:
-        return [self.block(i, i) for i in range(len(self.block_sizes))]
+    @functools.cached_property
+    def is_block_diagonal(self) -> bool:
+        """True when all cross-sensor covariance blocks vanish (to 1e-12 of
+        the largest entry)."""
+        tol = 1e-12 * max(1.0, float(np.abs(self.r_full).max()))
+        cross = self.labels[:, None] != self.labels[None, :]
+        return bool(np.all(np.abs(self.r_full[cross]) <= tol))
 
-    def is_block_diagonal(self, tol: float | None = None) -> bool:
-        """True when all cross-sensor covariance blocks vanish."""
-        if tol is None:
-            tol = 1e-12 * max(1.0, float(np.abs(self.r_full).max()))
-        labels = np.repeat(np.arange(len(self.block_sizes)), self.block_sizes)
-        mask = labels[:, None] != labels[None, :]
-        return bool(np.all(np.abs(self.r_full[mask]) <= tol))
-
+    @functools.cached_property
     def diagonal_only(self) -> "NoiseModel":
         """Copy with all cross-sensor blocks dropped."""
-        return NoiseModel.build(self.block_sizes, base_blocks=self.diag_blocks())
+        own = self.labels[:, None] == self.labels[None, :]
+        return NoiseModel.from_full(np.where(own, self.r_full, 0.0), self.block_sizes)
 
 
 @dataclass(frozen=True)
@@ -510,6 +516,16 @@ class Scenario:
 
     def sensor_positions(self) -> np.ndarray:
         return np.array([s.position for s in self.sensors])
+
+    @functools.cached_property
+    def h_stacks(self) -> tuple[np.ndarray, ...]:
+        """Per step, every sensor's H stacked in joint row order (the rows
+        ``noise.labels`` names): read-only (noise dim, state dim) arrays,
+        built on first use."""
+        return tuple(
+            _frozen(np.vstack([s.h_at(n) for s in self.sensors]))
+            for n in range(self.horizon)
+        )
 
     def noise_sequence(self, predicted_states=None) -> tuple[NoiseModel, ...]:
         """Per-step noise models over the horizon.

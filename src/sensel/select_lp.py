@@ -99,7 +99,7 @@ def build_lp(scenario: Scenario, noise_seq=None) -> LpProblem:
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
     for n, noise in enumerate(noise_seq):
-        if not noise.is_block_diagonal():
+        if not noise.is_block_diagonal:
             raise NotSeparableNoise(
                 f"step {n} noise is correlated; use the semidefinite route"
             )

@@ -100,14 +100,16 @@ class SdrRounding:
 def build_bqp(scenario: Scenario, noise_seq=None) -> BqpProblem:
     """Quadratic coefficients from the full inverse noise covariance.
 
-    Entry (i, s) of a step's matrix is minus the trace coupling of sensors
-    i and s through the inverse joint covariance; the quadratic form in
-    the 0/1 selection vector then equals minus the step's information
-    proxy, so minimizing the weighted sum maximizes information.
+    Entry (i, s) of a step's matrix is minus the trace coupling
+    trace(H_i' T_is H_s) of sensors i and s through block (i, s) of the
+    inverse joint covariance T; the quadratic form in the 0/1 selection
+    vector then equals minus the step's information proxy, so minimizing
+    the weighted sum maximizes information.  Each step is one product:
+    the block sums of T ∘ (H H') over the sensors' rows, with H the step's
+    ``scenario.h_stacks`` entry.
     """
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
-    num = scenario.num_sensors
     blocks = []
     for n in range(scenario.horizon):
         noise = noise_seq[n]
@@ -117,15 +119,10 @@ def build_bqp(scenario: Scenario, noise_seq=None) -> BqpProblem:
             raise SingularNoise(
                 f"step {n} joint noise covariance is singular"
             ) from None
-        off = noise.offsets
-        h = [scenario.sensors[i].h_at(n) for i in range(num)]
-        b = np.zeros((num, num))
-        for i in range(num):
-            for s in range(i, num):
-                t_block = t_full[off[i] : off[i + 1], off[s] : off[s + 1]]
-                b[i, s] = -float(np.trace(h[i].T @ t_block @ h[s]))
-                b[s, i] = b[i, s]
-        blocks.append(b)
+        h = scenario.h_stacks[n]
+        starts = noise.offsets[:-1]
+        row_sums = np.add.reduceat(t_full * (h @ h.T), starts, axis=0)
+        blocks.append(-linalg.symmetrize(np.add.reduceat(row_sums, starts, axis=1)))
     return BqpProblem(
         b_blocks=tuple(blocks),
         weights=np.asarray(scenario.weights, dtype=float),
@@ -479,7 +476,7 @@ def select_ignore_dependence(scenario: Scenario, noise_seq=None) -> SelectionSch
     per-step counts only, the LP route otherwise."""
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
-    stripped = tuple(noise.diagonal_only() for noise in noise_seq)
+    stripped = tuple(noise.diagonal_only for noise in noise_seq)
     cons = scenario.constraints
     if cons.energy is None and not cons.extra:
         return topk_schedule(scenario, stripped)

@@ -35,7 +35,7 @@ def topk_schedule(scenario: Scenario, noise_seq=None) -> SelectionSchedule:
     """
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
-    if not all(noise.is_block_diagonal() for noise in noise_seq):
+    if not all(noise.is_block_diagonal for noise in noise_seq):
         raise NotSeparableNoise(
             "sensor noises are correlated; top-k selection does not apply"
         )
@@ -95,7 +95,7 @@ def exhaustive_opt(
         if hit is None:
             col = np.zeros(num, dtype=np.int8)
             col[list(combo)] = 1
-            hit = selection_gain(scenario.sensors, noise_seq[step], col, step=step)
+            hit = selection_gain(scenario, noise_seq[step], col, step=step)
             gain_cache[key] = hit
         return hit
 

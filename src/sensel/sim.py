@@ -43,6 +43,8 @@ class RunConfig:
             raise ScenarioError("need at least one Monte Carlo run")
         if self.s_count < 1:
             raise ScenarioError("need at least one randomization sample")
+        if self.seed < 0:
+            raise ScenarioError("the seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,6 @@ class RunResult:
     runs: int
     rmse: np.ndarray
     mean_trace_p: np.ndarray
-    f1_trace: float
-    f2_trace: float
     f3: float
     gap: float | None
     solve_seconds: float
@@ -104,16 +104,9 @@ def simulate_measurements(
     out = []
     for n in range(schedule.horizon):
         noise = noise_seq[n]
-        x_true = truth[n + 1]
-        z_full = np.concatenate(
-            [s.h_at(n) @ x_true for s in scenario.sensors]
-        )
+        z_full = scenario.h_stacks[n] @ truth[n + 1]
         z_full = z_full + linalg.cholesky(noise.r_full) @ rng.standard_normal(noise.dim)
-        out.append(
-            stack_measurement(
-                scenario.sensors, noise, schedule.column(n), step=n, z=z_full
-            )
-        )
+        out.append(stack_measurement(scenario, noise, schedule.column(n), step=n, z=z_full))
     return out
 
 
@@ -135,18 +128,13 @@ def _single_run(config: RunConfig, plan: Plan, run: int):
     state = FilterState(x=np.asarray(scenario.x0), p=np.asarray(scenario.p0))
     sq_err = np.zeros(horizon)
     trace_p = np.zeros(horizon)
-    covs = []
     for n in range(horizon):
         state = predict(state, scenario.system, step=n)
         state = update_gif(state, measurements[n])
         err = state.x[pos] - truth[n + 1][pos]
         sq_err[n] = float(err @ err)
         trace_p[n] = float(np.trace(state.p))
-        covs.append(state.p)
-    f1 = float(np.trace(covs[-1]))
-    f2 = float(np.trace(sum(covs) / horizon))
-    f3 = objective_f3(schedule, scenario, noise_seq)
-    return sq_err, trace_p, f1, f2, f3
+    return sq_err, trace_p, objective_f3(schedule, scenario, noise_seq)
 
 
 def run_closed_loop(config: RunConfig) -> RunResult:
@@ -163,10 +151,10 @@ def run_closed_loop(config: RunConfig) -> RunResult:
 
     sq_err = np.zeros((config.runs, horizon))
     trace_p = np.zeros((config.runs, horizon))
-    f_vals = np.zeros((config.runs, 3))
+    f3 = np.zeros(config.runs)
 
     def store(run, result):
-        sq_err[run], trace_p[run], f_vals[run, 0], f_vals[run, 1], f_vals[run, 2] = result
+        sq_err[run], trace_p[run], f3[run] = result
 
     if config.threads > 1 and config.runs > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
@@ -186,9 +174,7 @@ def run_closed_loop(config: RunConfig) -> RunResult:
         runs=config.runs,
         rmse=np.sqrt(sq_err.mean(axis=0)),
         mean_trace_p=trace_p.mean(axis=0),
-        f1_trace=float(f_vals[:, 0].mean()),
-        f2_trace=float(f_vals[:, 1].mean()),
-        f3=float(f_vals[:, 2].mean()),
+        f3=float(f3.mean()),
         gap=plan.gap,
         solve_seconds=plan.seconds,
     )
@@ -269,5 +255,5 @@ def results_equal(a: RunResult, b: RunResult) -> bool:
         and a.gap == b.gap
         and np.array_equal(a.rmse, b.rmse)
         and np.array_equal(a.mean_trace_p, b.mean_trace_p)
-        and (a.f1_trace, a.f2_trace, a.f3) == (b.f1_trace, b.f2_trace, b.f3)
+        and a.f3 == b.f3
     )

@@ -155,6 +155,37 @@ def lifted_row_matrix(a: np.ndarray, dim: int) -> np.ndarray:
     return e
 
 
+# The quadratic coefficients as ``select_sdr.build_bqp`` computed them
+# before each step became one product: one ``np.trace`` per sensor pair,
+# kept unchanged as the reference for the block sums.
+def loop_build_bqp(scenario, noise_seq=None) -> list[np.ndarray]:
+    """Per-step matrices B_n with B_n[i, s] = -trace(H_i' T_is H_s)."""
+    from sensel.errors import SingularNoise
+
+    if noise_seq is None:
+        noise_seq = scenario.noise_sequence()
+    num = scenario.num_sensors
+    blocks = []
+    for n in range(scenario.horizon):
+        noise = noise_seq[n]
+        try:
+            t_full = linalg.inv_spd(noise.r_full)
+        except NotPositiveDefinite:
+            raise SingularNoise(
+                f"step {n} joint noise covariance is singular"
+            ) from None
+        off = noise.offsets
+        h = [scenario.sensors[i].h_at(n) for i in range(num)]
+        b = np.zeros((num, num))
+        for i in range(num):
+            for s in range(i, num):
+                t_block = t_full[off[i] : off[i + 1], off[s] : off[s + 1]]
+                b[i, s] = -float(np.trace(h[i].T @ t_block @ h[s]))
+                b[s, i] = b[i, s]
+        blocks.append(b)
+    return blocks
+
+
 # The bounded simplex as it stood before its pivots were vectorized (a
 # per-row Python ratio test and a full-tableau outer product per pivot),
 # kept as the oracle for the current solver's pivot sequence.  Its only

@@ -78,7 +78,7 @@ def test_c1_update_equivalence():
             x=rng.normal(size=state_dim), p=rand_spd(state_dim, rng)
         )
         z = rng.normal(size=scenario.noise.dim)
-        meas = stack_measurement(scenario.sensors, scenario.noise, gamma, z=z)
+        meas = stack_measurement(scenario, scenario.noise, gamma, z=z)
         a = update_kalman(state, meas)
         b = update_gif(state, meas)
         worst_x = max(
@@ -118,7 +118,7 @@ def _stepwise_regular(scenario, noise_seq=None) -> bool:
         for combo in itertools.combinations(range(num), m):
             col = np.zeros(num, dtype=np.int8)
             col[list(combo)] = 1
-            gains.append(selection_gain(scenario.sensors, noise_seq[n], col, n))
+            gains.append(selection_gain(scenario, noise_seq[n], col, n))
         traces = [float(np.trace(g)) for g in gains]
         best = int(np.argmax(traces))
         scale = 1.0 + abs(traces[best])
@@ -429,7 +429,7 @@ def test_c9_uncorrelated_reduction_identities():
         noise_seq = scenario.noise_sequence()
         for n in range(horizon):
             meas = stack_measurement(
-                scenario.sensors, noise_seq[n], schedule.column(n), step=n
+                scenario, noise_seq[n], schedule.column(n), step=n
             )
             stacked = measure.gain_trace(meas.h_tilde, meas.r_tilde)
             split = sum(

@@ -120,6 +120,9 @@ class TestSelect:
         pytest.param("sweep", "--runs", "-3", id="sweep-runs--3"),
         pytest.param("simulate", "--threads", "0", id="threads-0"),
         pytest.param("sweep", "--threads", "-3", id="sweep-threads--3"),
+        pytest.param("select", "--seed", "-1", id="select-seed--1"),
+        pytest.param("simulate", "--seed", "-1", id="simulate-seed--1"),
+        pytest.param("sweep", "--seed", "-1", id="sweep-seed--1"),
     ])
     def test_bad_samples_is_usage_error(self, command, flag, value, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,7 +22,9 @@ def scalar_setup():
     system = model.DynamicSystem.build([[1.0]], [[1.0]])
     sensor = model.SensorModel.build([[1.0]], [0.0, 0.0])
     noise = model.NoiseModel.build([1], base_blocks=[[[1.0]]])
-    return system, (sensor,), noise
+    return model.make_scenario(
+        system, [sensor], noise, model.ConstraintSet.build([1]), [1.0], [0.0], [[1.0]]
+    )
 
 
 class TestPredict:
@@ -44,7 +46,7 @@ class TestUpdates:
         scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
         state = FilterState(x=rng.normal(size=2), p=rand_spd(2, rng))
         meas = stack_measurement(
-            scenario.sensors, scenario.noise, [0, 0, 0], z=rng.normal(size=scenario.noise.dim)
+            scenario, scenario.noise, [0, 0, 0], z=rng.normal(size=scenario.noise.dim)
         )
         for updater in (update_kalman, update_gif):
             out = updater(state, meas)
@@ -53,9 +55,9 @@ class TestUpdates:
 
     def test_scalar_posterior_half(self):
         """Unit prior, unit noise, scalar measurement: posterior variance 1/2."""
-        system, sensors, noise = scalar_setup()
+        scenario = scalar_setup()
         state = FilterState(x=np.array([0.0]), p=np.array([[1.0]]))
-        meas = stack_measurement(sensors, noise, [1], z=np.array([1.0]))
+        meas = stack_measurement(scenario, scenario.noise, [1], z=np.array([1.0]))
         for updater in (update_kalman, update_gif):
             out = updater(state, meas)
             np.testing.assert_allclose(out.p, [[0.5]], atol=1e-12)
@@ -68,7 +70,7 @@ class TestUpdates:
         dim = scenario.noise.dim
         state = FilterState(x=rng.normal(size=2), p=rand_spd(2, rng))
         z = rng.normal(size=dim)
-        meas = stack_measurement(scenario.sensors, scenario.noise, [1, 1, 1], z=z)
+        meas = stack_measurement(scenario, scenario.noise, [1, 1, 1], z=z)
         h = np.vstack([s.h_at(0) for s in scenario.sensors])
         r = scenario.noise.r_full
         info = np.linalg.inv(state.p) + h.T @ np.linalg.inv(r) @ h
@@ -93,7 +95,7 @@ class TestEquivalence:
             gamma = rng.integers(0, 2, size=num)
             state = FilterState(x=rng.normal(size=r), p=rand_spd(r, rng))
             z = rng.normal(size=scenario.noise.dim)
-            meas = stack_measurement(scenario.sensors, scenario.noise, gamma, z=z)
+            meas = stack_measurement(scenario, scenario.noise, gamma, z=z)
             a = update_kalman(state, meas)
             b = update_gif(state, meas)
             x_scale = 1.0 + np.linalg.norm(a.x)
@@ -120,10 +122,10 @@ class TestMonotonicity:
             extra[off[int(rng.integers(0, len(off)))]] = 1
             state = FilterState(x=np.zeros(r), p=rand_spd(r, rng))
             p_small = update_gif(
-                state, stack_measurement(scenario.sensors, scenario.noise, gamma)
+                state, stack_measurement(scenario, scenario.noise, gamma)
             ).p
             p_large = update_gif(
-                state, stack_measurement(scenario.sensors, scenario.noise, extra)
+                state, stack_measurement(scenario, scenario.noise, extra)
             ).p
             assert linalg.min_eigenvalue(p_small - p_large) >= -1e-9
 
@@ -132,10 +134,7 @@ class TestRollout:
     def test_single_step_no_selection_is_prediction(self, rng):
         scenario = rand_scenario(rng, num_sensors=2, horizon=1)
         schedule = model.SelectionSchedule.build(np.zeros((2, 1)))
-        out = covariance_rollout(
-            scenario.p0, scenario.system, scenario.sensors, schedule,
-            scenario.noise_sequence(),
-        )
+        out = covariance_rollout(scenario, schedule, scenario.noise_sequence())
         f = scenario.system.f_at(0)
         expected = f @ scenario.p0 @ f.T + scenario.system.q_at(0)
         np.testing.assert_allclose(out[0], expected, atol=1e-9)
@@ -143,10 +142,7 @@ class TestRollout:
     def test_single_step_all_sensors_matches_information_form(self, rng):
         scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=False)
         schedule = model.SelectionSchedule.build(np.ones((3, 1)))
-        out = covariance_rollout(
-            scenario.p0, scenario.system, scenario.sensors, schedule,
-            scenario.noise_sequence(),
-        )
+        out = covariance_rollout(scenario, schedule, scenario.noise_sequence())
         f = scenario.system.f_at(0)
         p_pred = f @ scenario.p0 @ f.T + scenario.system.q_at(0)
         h = np.vstack([s.h_at(0) for s in scenario.sensors])
@@ -161,10 +157,7 @@ class TestRollout:
             scenario = rand_scenario(rng, num_sensors=3, horizon=4, correlated=True)
             gamma = rng.integers(0, 2, size=(3, 4))
             schedule = model.SelectionSchedule.build(gamma)
-            out = covariance_rollout(
-                scenario.p0, scenario.system, scenario.sensors, schedule,
-                scenario.noise_sequence(),
-            )
+            out = covariance_rollout(scenario, schedule, scenario.noise_sequence())
             for p in out:
                 assert linalg.min_eigenvalue(p) > 0
 
@@ -174,9 +167,34 @@ class TestRollout:
         for _ in range(30):
             scenario = rand_scenario(rng, num_sensors=4, horizon=1, correlated=True)
             gamma = rng.integers(0, 2, size=4)
-            meas = stack_measurement(scenario.sensors, scenario.noise, gamma)
+            meas = stack_measurement(scenario, scenario.noise, gamma)
             reference = (
                 meas.h_tilde.T @ linalg.pinv(meas.r_tilde) @ meas.h_tilde
             )
-            gain = selection_gain(scenario.sensors, scenario.noise, gamma)
+            gain = selection_gain(scenario, scenario.noise, gamma)
             np.testing.assert_allclose(gain, reference, atol=1e-9)
+
+    def test_selection_gain_reads_each_steps_h(self, rng):
+        """Per-step H with mixed 1-3-row sensors: step n's gain uses the
+        selected rows of step n's stacked H."""
+        for _ in range(20):
+            base = rand_scenario(
+                rng, num_sensors=4, horizon=3, correlated=True,
+                meas_dims=[int(d) for d in rng.integers(1, 4, size=4)],
+            )
+            sensors = [
+                model.SensorModel.build(rng.normal(size=(3, s.meas_dim, 2)), s.position)
+                for s in base.sensors
+            ]
+            scenario = model.make_scenario(
+                base.system, sensors, base.noise, base.constraints, base.weights,
+                base.x0, base.p0,
+            )
+            gamma = rng.integers(0, 2, size=4)
+            rows = np.repeat(gamma, scenario.noise.block_sizes).astype(bool)
+            for n in range(3):
+                h = np.vstack([s.h_at(n) for s in sensors])[rows]
+                r = scenario.noise.r_full[np.ix_(rows, rows)]
+                reference = h.T @ np.linalg.solve(r, h) if rows.any() else np.zeros((2, 2))
+                gain = selection_gain(scenario, scenario.noise, gamma, step=n)
+                np.testing.assert_allclose(gain, reference, rtol=1e-9, atol=1e-9)

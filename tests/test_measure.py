@@ -35,7 +35,7 @@ class TestSensorMeasure:
 class TestGainTrace:
     def test_empty_selection(self, rng):
         scenario = rand_scenario(rng, num_sensors=2, horizon=1)
-        meas = stack_measurement(scenario.sensors, scenario.noise, [0, 0])
+        meas = stack_measurement(scenario, scenario.noise, [0, 0])
         assert measure.gain_trace(meas.h_tilde, meas.r_tilde) == 0.0
 
     def test_uncorrelated_additivity(self, rng):
@@ -44,7 +44,7 @@ class TestGainTrace:
         for _ in range(30):
             scenario = rand_scenario(rng, num_sensors=4, horizon=1, correlated=False)
             gamma = rng.integers(0, 2, size=4)
-            meas = stack_measurement(scenario.sensors, scenario.noise, gamma)
+            meas = stack_measurement(scenario, scenario.noise, gamma)
             total = measure.gain_trace(meas.h_tilde, meas.r_tilde)
             parts = sum(
                 sensor_measure(
@@ -61,7 +61,7 @@ class TestGainTrace:
         for _ in range(30):
             scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
             gamma = rng.integers(0, 2, size=3)
-            meas = stack_measurement(scenario.sensors, scenario.noise, gamma)
+            meas = stack_measurement(scenario, scenario.noise, gamma)
             value = measure.gain_trace(meas.h_tilde, meas.r_tilde)
             oracle = float(
                 np.trace(meas.h_tilde.T @ linalg.pinv(meas.r_tilde) @ meas.h_tilde)
@@ -72,7 +72,7 @@ class TestGainTrace:
         """Multiplying the noise covariance by c divides the measure by c."""
         scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
         gamma = np.array([1, 0, 1])
-        meas = stack_measurement(scenario.sensors, scenario.noise, gamma)
+        meas = stack_measurement(scenario, scenario.noise, gamma)
         base = measure.gain_trace(meas.h_tilde, meas.r_tilde)
         for c in (0.25, 2.0, 10.0):
             scaled = measure.gain_trace(meas.h_tilde, c * meas.r_tilde)
@@ -96,7 +96,7 @@ class TestObjectives:
         gamma = rng.integers(0, 2, size=(3, 3))
         schedule = SelectionSchedule.build(gamma)
         meas = stack_measurement(
-            scenario.sensors, scenario.noise, schedule.column(2), step=2
+            scenario, scenario.noise, schedule.column(2), step=2
         )
         expected = measure.gain_trace(meas.h_tilde, meas.r_tilde)
         assert measure.objective_f3(schedule, scenario) == pytest.approx(expected)
@@ -107,10 +107,7 @@ class TestObjectives:
         scenario = rand_scenario(rng, num_sensors=3, horizon=2, correlated=True)
         gamma = rng.integers(0, 2, size=(3, 2))
         schedule = SelectionSchedule.build(gamma)
-        covs = covariance_rollout(
-            scenario.p0, scenario.system, scenario.sensors, schedule,
-            scenario.noise_sequence(),
-        )
+        covs = covariance_rollout(scenario, schedule, scenario.noise_sequence())
         np.testing.assert_allclose(
             measure.objective_f2(schedule, scenario), (covs[0] + covs[1]) / 2
         )
@@ -271,7 +268,7 @@ class TestTraceCriterionConsistency:
                     col = np.zeros(num, dtype=np.int8)
                     col[list(combo)] = 1
                     gains.append(
-                        (selection_gain(scenario.sensors, noise_seq[n], col, n), col)
+                        (selection_gain(scenario, noise_seq[n], col, n), col)
                     )
                 traces_n = [float(np.trace(g)) for g, _ in gains]
                 top = int(np.argmax(traces_n))

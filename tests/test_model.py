@@ -14,7 +14,7 @@ from sensel.errors import (
     ScenarioError,
 )
 
-from conftest import rand_scenario
+from conftest import rand_correlated_noise, rand_scenario
 
 
 def small_scenario(**overrides):
@@ -331,3 +331,82 @@ class TestSchedule:
     def test_gamma_vec_is_step_major(self):
         schedule = model.SelectionSchedule.build([[1, 0], [0, 1]])
         np.testing.assert_array_equal(schedule.gamma_vec(), [1.0, 0.0, 0.0, 1.0])
+
+
+class TestRowMap:
+    """The one sensor-to-row map (``NoiseModel.labels``), the stacked H per
+    step (``Scenario.h_stacks``) and the noise properties built on them."""
+
+    def test_labels_name_each_joint_row(self, rng):
+        scenario = rand_scenario(rng, num_sensors=4, horizon=1, meas_dims=[1, 3, 2, 1])
+        labels = scenario.noise.labels
+        np.testing.assert_array_equal(labels, [0, 1, 1, 1, 2, 2, 3])
+        assert not labels.flags.writeable
+
+    def test_h_stacks_are_lazy_read_only_and_per_step(self, rng):
+        base = rand_scenario(rng, num_sensors=3, horizon=3, meas_dims=[1, 3, 2])
+        sensors = [
+            model.SensorModel.build(rng.normal(size=(3, s.meas_dim, 2)), s.position)
+            for s in base.sensors
+        ]
+        scenario = model.make_scenario(
+            base.system, sensors, base.noise, base.constraints, base.weights,
+            base.x0, base.p0,
+        )
+        assert "h_stacks" not in vars(scenario)
+        assert len(scenario.h_stacks) == 3
+        for n, stack in enumerate(scenario.h_stacks):
+            np.testing.assert_array_equal(stack, np.vstack([s.h_at(n) for s in sensors]))
+            assert not stack.flags.writeable
+        assert scenario.h_stacks is scenario.h_stacks
+
+    def test_loading_computes_no_row_map(self):
+        scenario = model.load_scenario("src/sensel/scenarios/example4.json")
+        assert "h_stacks" not in vars(scenario)
+        for name in ("labels", "is_block_diagonal", "diagonal_only"):
+            assert name not in vars(scenario.noise)
+
+    @pytest.mark.parametrize("name", ["example1", "example4", "example5", "example6"])
+    def test_diagonal_only_equals_the_diagonal_block_build(self, name):
+        noise = model.load_scenario(f"src/sensel/scenarios/{name}.json").noise
+        blocks = [noise.block(i, i) for i in range(len(noise.block_sizes))]
+        expected = model.NoiseModel.build(noise.block_sizes, base_blocks=blocks)
+        assert np.array_equal(noise.diagonal_only.r_full, expected.r_full)
+        assert noise.diagonal_only.is_block_diagonal
+
+    def test_diagonal_only_of_mixed_correlated_noise(self, rng):
+        for _ in range(20):
+            sizes = [int(d) for d in rng.integers(1, 4, size=int(rng.integers(1, 6)))]
+            noise = rand_correlated_noise(sizes, rng)
+            blocks = [noise.block(i, i) for i in range(len(sizes))]
+            expected = model.NoiseModel.build(sizes, base_blocks=blocks)
+            assert np.array_equal(noise.diagonal_only.r_full, expected.r_full)
+            assert noise.is_block_diagonal == (len(sizes) == 1)
+
+    def test_is_block_diagonal(self):
+        assert model.load_scenario("src/sensel/scenarios/example1.json").noise.is_block_diagonal
+        assert not model.load_scenario("src/sensel/scenarios/example4.json").noise.is_block_diagonal
+
+    @pytest.mark.parametrize("name", ["example3", "example5"])
+    def test_computed_once_per_noise_model(self, name, monkeypatch):
+        """A static scenario repeats one noise model per step; the planners
+        that check or strip it compute each property once."""
+        from sensel.select_sdr import select_ignore_dependence
+
+        counts = {}
+        for prop in ("is_block_diagonal", "diagonal_only"):
+            cached = vars(model.NoiseModel)[prop]
+            compute = cached.func
+            monkeypatch.setattr(
+                cached, "func",
+                lambda noise, prop=prop, compute=compute: (
+                    counts.update({prop: counts.get(prop, 0) + 1}) or compute(noise)
+                ),
+            )
+        scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        assert scenario.horizon > 1
+        select_ignore_dependence(scenario)
+        assert counts == {"is_block_diagonal": 1, "diagonal_only": 1}
+        stripped = [noise.diagonal_only for noise in scenario.noise_sequence()]
+        assert all(copy is stripped[0] for copy in stripped)
+        assert counts == {"is_block_diagonal": 1, "diagonal_only": 1}

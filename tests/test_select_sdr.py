@@ -3,6 +3,7 @@ the interior-point solver, Gaussian-randomization rounding, and the
 correlation-ignoring baseline."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from sensel import linalg, measure, model
 from sensel.errors import RoundingInfeasible
 from sensel.filter import selection_gain, stack_measurement
+from sensel.plan import planning_noise
 from sensel.select_lp import build_lp
 from sensel.select_sdr import (
     _adjoint,
@@ -28,7 +30,9 @@ from sensel.select_separable import exhaustive_opt, topk_schedule
 from conftest import (
     enumerate_feasible,
     lifted_row_matrix,
+    loop_build_bqp,
     loop_round_by_scores,
+    rand_correlated_noise,
     rand_scenario,
     rand_spd,
     sensor_measure,
@@ -53,7 +57,7 @@ def loop_randomize_round(sdp_solution, scenario, s_count, seed, objective):
         if objective == "f3":
             return sum(
                 float(weights[n]) * float(np.trace(selection_gain(
-                    scenario.sensors, noise_seq[n], schedule.column(n), n
+                    scenario, noise_seq[n], schedule.column(n), n
                 )))
                 for n in range(horizon)
                 if weights[n] != 0.0
@@ -93,7 +97,44 @@ def two_sensor_scalar(rho):
     )
 
 
+def per_step_h_scenario(rng, num, horizon, correlated):
+    """rand_scenario with 1- to 3-row sensors whose H differs per step."""
+    scenario = rand_scenario(
+        rng, num_sensors=num, horizon=horizon, state_dim=3, correlated=correlated,
+        meas_dims=[int(d) for d in rng.integers(1, 4, size=num)],
+    )
+    sensors = tuple(
+        model.SensorModel.build(rng.normal(size=(horizon, s.meas_dim, 3)), s.position)
+        for s in scenario.sensors
+    )
+    return replace(scenario, sensors=sensors)
+
+
 class TestBuildBqp:
+    @pytest.mark.parametrize("name", ["example4", "example5", "example6", "example7"])
+    def test_bundled_blocks_equal_the_pairwise_loop(self, name):
+        scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        noise_seq = planning_noise(scenario)
+        blocks = build_bqp(scenario, noise_seq).b_blocks
+        for block, expected in zip(blocks, loop_build_bqp(scenario, noise_seq), strict=True):
+            assert np.array_equal(block, expected)
+
+    def test_random_blocks_match_the_pairwise_loop(self, rng):
+        """Mixed 1-3-row sensors, per-step H, and correlated noise that
+        differs per step."""
+        for trial in range(40):
+            num = int(rng.integers(1, 7))
+            horizon = int(rng.integers(1, 4))
+            scenario = per_step_h_scenario(rng, num, horizon, correlated=trial % 2 == 0)
+            noise_seq = [scenario.noise] + [
+                rand_correlated_noise(scenario.noise.block_sizes, rng)
+                for _ in range(horizon - 1)
+            ]
+            blocks = build_bqp(scenario, noise_seq).b_blocks
+            for block, expected in zip(blocks, loop_build_bqp(scenario, noise_seq), strict=True):
+                np.testing.assert_allclose(block, expected, rtol=1e-12, atol=0.0)
+                assert np.array_equal(block, block.T)
+
     def test_two_sensor_closed_form(self):
         """Unit maps with correlation rho invert to the textbook 2x2 form."""
         rho = 0.6
@@ -123,7 +164,7 @@ class TestBuildBqp:
             bqp = build_bqp(scenario)
             gamma = rng.integers(0, 2, size=num).astype(float)
             t_full = np.linalg.inv(scenario.noise.r_full)
-            meas = stack_measurement(scenario.sensors, scenario.noise, gamma)
+            meas = stack_measurement(scenario, scenario.noise, gamma)
             expected = float(np.trace(meas.h_tilde.T @ t_full @ meas.h_tilde))
             quad = -float(gamma @ bqp.b_blocks[0] @ gamma)
             assert quad == pytest.approx(expected, abs=1e-9, rel=1e-9)

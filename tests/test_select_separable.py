@@ -140,7 +140,7 @@ class TestExhaustive:
                     col = np.zeros(num, dtype=np.int8)
                     col[list(combo)] = 1
                     gains.append(
-                        selection_gain(scenario.sensors, noise_seq[n], col, n)
+                        selection_gain(scenario, noise_seq[n], col, n)
                     )
                 traces = [float(np.trace(g)) for g in gains]
                 top = int(np.argmax(traces))

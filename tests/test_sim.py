@@ -98,6 +98,27 @@ class TestSimulateMeasurements:
             )
             np.testing.assert_allclose(out[n].z, expected, atol=1e-4)
 
+    def test_noiseless_limit_follows_per_step_h(self, rng):
+        base = tiny_tracking_scenario()
+        sensors = [
+            model.SensorModel.build(rng.normal(size=(2, 2, 4)), s.position)
+            for s in base.sensors
+        ]
+        quiet = model.make_scenario(
+            base.system, sensors,
+            model.NoiseModel.build([2] * 3, base_blocks=[1e-12 * np.eye(2)] * 3),
+            base.constraints, base.weights, base.x0, base.p0,
+        )
+        schedule = SelectionSchedule.build(np.ones((3, 2), dtype=np.int8))
+        truth = simulate_truth(quiet, 2, seed=3)
+        out = simulate_measurements(truth, quiet, schedule, seed=4)
+        for n in range(2):
+            expected = np.concatenate([s.h_at(n) @ truth[n + 1] for s in sensors])
+            np.testing.assert_allclose(out[n].z, expected, atol=1e-4)
+            np.testing.assert_array_equal(
+                out[n].h_tilde, np.vstack([s.h_at(n) for s in sensors])
+            )
+
     def test_jammer_correlation_matches_mixing_structure(self):
         """Empirical cross-sensor covariance over many draws approaches the
         outer-product mixing model."""
@@ -131,10 +152,7 @@ class TestClosedLoop:
         from sensel.select_separable import topk_schedule
 
         schedule = topk_schedule(scenario)
-        covs = covariance_rollout(
-            scenario.p0, scenario.system, scenario.sensors, schedule,
-            scenario.noise_sequence(),
-        )
+        covs = covariance_rollout(scenario, schedule, scenario.noise_sequence())
         np.testing.assert_allclose(
             result.mean_trace_p, [float(np.trace(p)) for p in covs], atol=1e-10
         )
@@ -222,6 +240,10 @@ class TestSweep:
         config = RunConfig(scenario=scenario, algorithm="topk", runs=1, seed=0)
         results = sweep(config, "s_count", [25])
         assert len(results) == 1
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ScenarioError, match="seed"):
+            RunConfig(scenario=tiny_tracking_scenario(), algorithm="topk", seed=-1)
 
     def test_unknown_parameter(self):
         scenario = tiny_tracking_scenario()
