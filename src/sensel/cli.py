@@ -159,6 +159,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """Argument type: a file path in an existing directory, else a usage
+    error, so that a bad ``--out`` fails before any solve."""
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory {str(path.parent)!r} does not exist")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sensel",
@@ -174,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="randomization samples for the sdr algorithm")
         p.add_argument("--objective", choices=OBJECTIVES, default="f3")
         p.add_argument("--algo", choices=tuple(ALGORITHMS), required=True)
-        p.add_argument("--out", help=out_help)
+        p.add_argument("--out", type=_out_path, help=out_help)
         p.set_defaults(func=func)
         return p
 

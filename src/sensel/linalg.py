@@ -28,9 +28,9 @@ def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Average a square matrix with its transpose."""
+    """Average a square matrix, or each of a stack of them, with its transpose."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:

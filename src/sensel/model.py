@@ -289,6 +289,12 @@ class NoiseModel:
         return self.r_full[off[i] : off[i + 1], off[j] : off[j + 1]]
 
     @functools.cached_property
+    def r_inv(self) -> np.ndarray:
+        """Inverse of the joint covariance, read-only; raises
+        NotPositiveDefinite when the covariance is singular."""
+        return _frozen(linalg.inv_spd(self.r_full))
+
+    @functools.cached_property
     def is_block_diagonal(self) -> bool:
         """True when all cross-sensor covariance blocks vanish (to 1e-12 of
         the largest entry)."""

@@ -7,11 +7,15 @@ lower-bounds every feasible schedule; sampling Gaussian vectors with that
 matrix as covariance and rounding each one greedily recovers good feasible
 schedules.
 
-The SDP solver is a self-contained primal-dual path-following method with
-Nesterov-Todd scaling.  Each constraint is a unit-diagonal entry E_ss or a
-lifted linear row diag(a) + a e' + e a' (``a`` padded by a 0, ``e`` the
-last unit vector), and the solver works from these two shapes in closed
-form: no constraint matrix is built, only a few dim x dim arrays.
+The lifted cost and every constraint row touch only the step blocks, the
+diagonal and the border column of the shared corner ``e``: the sparsity is
+chordal, one clique per step (its sensors plus ``e``).  By Grone, Johnson,
+Sa and Wolkowicz (1984) the relaxation over one PSD block per step has the
+same optimum (Fukuda, Kojima, Murota and Nakata 2001; Vandenberghe and
+Andersen 2015).  The solver is a self-contained primal-dual path-following
+method with Nesterov-Todd scaling over those blocks, working in closed form
+from the two constraint shapes, a unit-diagonal entry of one block and a
+lifted linear row diag(a_n) + a_n e' + e a_n' summed over the blocks.
 """
 
 from __future__ import annotations
@@ -57,27 +61,57 @@ class BqpProblem:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Lifted relaxation: minimize tr(C X) over unit-diagonal PSD X.
+    """Lifted relaxation: minimize sum_n tr(C_n X_n) over unit-diagonal PSD
+    blocks X_n, one per step, each over the step's sensors then the corner.
 
+    ``c_blocks`` stacks the per-step costs as an (N, k, k) array, k = L + 1.
     Each linear row (a, relation, rhs) holds its coefficients over the
-    step-major selection variables and stands for tr(A X) (relation) rhs
-    with A = [[diag(a), a], [a', 0]], never built; rhs carries the shift of
-    mapping 0/1 to +/-1 variables, and ``ones_quad`` the objective's
-    constant of that mapping.  The unit-diagonal rows are implicit.
+    step-major selection variables and stands for sum_n tr(A_n X_n)
+    (relation) rhs with A_n = [[diag(a_n), a_n], [a_n', 0]], never built;
+    rhs carries the shift of mapping 0/1 to +/-1 variables, and
+    ``ones_quad`` the objective's constant of that mapping.  The unit-
+    diagonal rows are implicit.
     """
 
-    c: np.ndarray
+    c_blocks: np.ndarray
     rows: tuple[tuple[np.ndarray, str, float], ...]
-    dim: int
     ones_quad: float
+
+    @property
+    def dim(self) -> int:
+        """Order of the dense lifted matrix: every step's sensors, then e."""
+        horizon, k, _ = self.c_blocks.shape
+        return horizon * (k - 1) + 1
 
 
 @dataclass(frozen=True)
 class SdpSolution:
-    x: np.ndarray
+    """Per-step blocks of the relaxation's solution, stacked as (N, k, k)."""
+
+    blocks: np.ndarray
     objective: float
     gap: float
     iterations: int
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """The dense lifted matrix: the maximum-determinant completion of
+        the blocks, which is the limit of the dense central path.  Off the
+        blocks X[i, j] = X[i, e] X[j, e] / X_ee.  The blocks' corners all
+        equal 1 to the solver's tolerance; X_ee takes the largest of them,
+        which keeps the completion PSD whenever every block is."""
+        horizon, k, _ = self.blocks.shape
+        num = k - 1
+        border = self.blocks[:, :num, num].ravel()
+        corner = float(self.blocks[:, num, num].max())
+        x = np.empty((horizon * num + 1,) * 2)
+        x[:-1, :-1] = np.outer(border, border) / corner
+        for n, block in enumerate(self.blocks):
+            x[n * num : (n + 1) * num, n * num : (n + 1) * num] = block[:num, :num]
+        x[:-1, -1] = border
+        x[-1, :-1] = border
+        x[-1, -1] = corner
+        return x
 
     @cached_property
     def sampling_factor(self) -> np.ndarray:
@@ -114,7 +148,7 @@ def build_bqp(scenario: Scenario, noise_seq=None) -> BqpProblem:
     for n in range(scenario.horizon):
         noise = noise_seq[n]
         try:
-            t_full = linalg.inv_spd(noise.r_full)
+            t_full = noise.r_inv
         except NotPositiveDefinite:
             raise SingularNoise(
                 f"step {n} joint noise covariance is singular"
@@ -140,20 +174,15 @@ def bqp_objective(bqp: BqpProblem, schedule: SelectionSchedule) -> float:
 
 
 def build_sdp(bqp: BqpProblem) -> SdpProblem:
-    """Lift the Boolean quadratic problem to its PSD relaxation."""
+    """Lift the Boolean quadratic problem to its PSD relaxation: step n's
+    cost block is [[B, B 1], [1' B, 0]] with B = w_n B_n."""
     num = bqp.num_sensors
     horizon = bqp.horizon
-    nl = num * horizon
-    big_b = np.zeros((nl, nl))
-    for n, b in enumerate(bqp.b_blocks):
-        big_b[n * num : (n + 1) * num, n * num : (n + 1) * num] = (
-            float(bqp.weights[n]) * b
-        )
-    c = np.zeros((nl + 1, nl + 1))
-    c[:nl, :nl] = big_b
-    border = big_b @ np.ones(nl)
-    c[:nl, nl] = border
-    c[nl, :nl] = border
+    c_blocks = np.zeros((horizon, num + 1, num + 1))
+    c_blocks[:, :num, :num] = bqp.weights[:, None, None] * np.array(bqp.b_blocks)
+    border = c_blocks[:, :num, :num].sum(axis=2)
+    c_blocks[:, :num, num] = border
+    c_blocks[:, num, :num] = border
     # Budgets exhausted exactly by the counts force every budget row tight,
     # which would leave the relaxation without a strict interior; convert
     # them to equalities so the interior-point solver keeps a Slater point.
@@ -165,8 +194,7 @@ def build_sdp(bqp: BqpProblem) -> SdpProblem:
          4.0 * row.b - float(row.a.sum()))
         for p, row in enumerate(cons.rows(num))
     )
-    ones_quad = float(np.ones(nl) @ big_b @ np.ones(nl))
-    return SdpProblem(c=c, rows=rows, dim=nl + 1, ones_quad=ones_quad)
+    return SdpProblem(c_blocks=c_blocks, rows=rows, ones_quad=float(border.sum()))
 
 
 def relaxation_bound(sdp_solution: SdpSolution, sdp: SdpProblem) -> float:
@@ -177,49 +205,60 @@ def relaxation_bound(sdp_solution: SdpSolution, sdp: SdpProblem) -> float:
 def solve_sdp(problem: SdpProblem) -> SdpSolution:
     """Solve the relaxation to ``_TOL`` within ``_MAX_ITER`` iterations;
     unit-diagonal rows are added internally."""
-    a_hat = np.array([np.append(a, 0.0) for a, _, _ in problem.rows]).reshape(-1, problem.dim)
-    rels = [rel for _, rel, _ in problem.rows] + ["="] * problem.dim
-    rhs = np.array([b for _, _, b in problem.rows] + [1.0] * problem.dim)
-    return _sdp_ipm(problem.c, a_hat, rels, rhs)
+    horizon, k, _ = problem.c_blocks.shape
+    a_hat = np.zeros((len(problem.rows), horizon, k))
+    for q, (a, _, _) in enumerate(problem.rows):
+        a_hat[q, :, :-1] = a.reshape(horizon, k - 1)
+    rels = [rel for _, rel, _ in problem.rows] + ["="] * (horizon * k)
+    rhs = np.array([b for _, _, b in problem.rows] + [1.0] * (horizon * k))
+    return _sdp_ipm(problem.c_blocks, a_hat, rels, rhs)
 
 
 def _operator(a_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A(X): every linear row's tr(A_q X) = a_q'(diag X + 2 X e), then diag X."""
-    diag = np.diagonal(x)
-    return np.concatenate([a_hat @ (diag + 2.0 * x[:, -1]), diag])
+    """A(X): every linear row's sum_n a_qn'(diag X_n + 2 X_n e), then the
+    diagonal of every block."""
+    diag = np.diagonal(x, axis1=1, axis2=2)
+    lin = a_hat.reshape(a_hat.shape[0], diag.size) @ (diag + 2.0 * x[:, :, -1]).ravel()
+    return np.concatenate([lin, diag.ravel()])
 
 
 def _adjoint(a_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A*(y) = Diag(v + y_diag) + v e' + e v', with v = Â' y_lin."""
-    v = a_hat.T @ y[: a_hat.shape[0]]
-    out = np.diag(v + y[a_hat.shape[0] :])
-    out[:, -1] += v
-    out[-1, :] += v
+    """A*(y), block n: Diag(v_n + y_diag,n) + v_n e' + e v_n', with v = Â' y_lin."""
+    p, horizon, k = a_hat.shape
+    v = (y[:p] @ a_hat.reshape(p, horizon * k)).reshape(horizon, k)
+    out = np.zeros((horizon, k, k))
+    out[:, np.arange(k), np.arange(k)] = v + y[p:].reshape(horizon, k)
+    out[:, :, -1] += v
+    out[:, -1, :] += v
     return out
 
 
 def _schur(a_hat: np.ndarray, big_w: np.ndarray) -> np.ndarray:
-    """G_qr = tr(A_q W A_r W), linear rows first.  With w = W e, V = W∘W
-    and U = W Â', column q of D is diag(W A_q W) and column q of E is
-    W A_q W e; G = [[Â (D + 2E), D'], [D, V]] (V as for max-cut)."""
-    p, dim = a_hat.shape
-    w = big_w[:, -1]
+    """G_qr = sum_n tr(A_qn W_n A_rn W_n), linear rows first.  Per block,
+    with w = W e, V = W∘W and U = W Â', column q of D is diag(W A_q W) and
+    column q of E is W A_q W e; G = [[sum_n Â_n (D_n + 2E_n), D'], [D, V]],
+    where V is block-diagonal, one W_n∘W_n per step."""
+    p, horizon, k = a_hat.shape
+    a_t = a_hat.transpose(1, 2, 0)
+    w = big_w[:, :, -1:]
     big_v = big_w * big_w
-    big_u = big_w @ a_hat.T
-    d = big_v @ a_hat.T + 2.0 * big_u * w[:, None]
-    e = big_w @ (a_hat.T * w[:, None]) + big_w[-1, -1] * big_u + np.outer(w, a_hat @ w)
-    gram = np.empty((p + dim, p + dim))
-    gram[:p, :p] = a_hat @ (d + 2.0 * e)
-    gram[:p, p:] = d.T
-    gram[p:, :p] = d
-    gram[p:, p:] = big_v
+    big_u = big_w @ a_t
+    d = big_v @ a_t + 2.0 * big_u * w
+    e = big_w @ (a_t * w) + big_w[:, -1:, -1:] * big_u + w * (w.transpose(0, 2, 1) @ a_t)
+    gram = np.zeros((p + horizon * k,) * 2)
+    gram[:p, :p] = np.einsum("nkp,nkq->pq", a_t, d + 2.0 * e)
+    gram[p:, :p] = d.reshape(horizon * k, p)
+    gram[:p, p:] = gram[p:, :p].T
+    for n in range(horizon):
+        gram[p + n * k : p + (n + 1) * k, p + n * k : p + (n + 1) * k] = big_v[n]
     return gram
 
 
-def _max_psd_step(chol_lower: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with X + alpha*Delta still PSD, given X = L L'."""
-    inner = np.linalg.solve(chol_lower, np.linalg.solve(chol_lower, delta).T)
-    lam_min = float(np.linalg.eigvalsh(linalg.symmetrize(inner))[0])
+def _max_psd_step(chol_inv: np.ndarray, delta: np.ndarray) -> float:
+    """Largest alpha with every X_n + alpha*Delta_n still PSD, given the
+    inverses of the factors L_n of X_n = L_n L_n'."""
+    inner = chol_inv @ delta @ chol_inv.transpose(0, 2, 1)
+    lam_min = float(np.linalg.eigvalsh(linalg.symmetrize(inner))[:, 0].min())
     if lam_min >= 0.0:
         return np.inf
     return -1.0 / lam_min
@@ -233,31 +272,38 @@ def _max_pos_step(v: np.ndarray, dv: np.ndarray) -> float:
 
 
 def _sdp_ipm(c, a_hat, rels, b):
-    """Primal-dual path-following with Nesterov-Todd scaling.
+    """Primal-dual path-following with Nesterov-Todd scaling over the
+    blocks of the chordal relaxation.
 
     Standard form after adding one slack per inequality row:
-        minimize tr(C X)   s.t.  tr(A_q X) + sigma_q s_q = b_q,
-        X PSD, s >= 0,
+        minimize sum_n tr(C_n X_n)   s.t.  sum_n tr(A_qn X_n) + sigma_q s_q = b_q,
+        every X_n PSD, s >= 0,
     solved together with its dual by damped Newton steps on the perturbed
-    complementarity conditions.  The rows are the p linear rows, whose
-    padded coefficients are ``a_hat`` (p, dim), then the dim unit-diagonal
-    rows (``rels`` and ``b`` cover all p + dim); :func:`_operator`,
-    :func:`_adjoint` and :func:`_schur` give their closed forms.  An affine
-    predictor probe chooses the centering weight each iteration; when the
-    recentered step still stalls at the cone boundary, a full centering
-    step is taken instead.
+    complementarity conditions.  ``c`` stacks the (N, k, k) cost blocks.
+    The rows are the p linear rows, whose padded coefficients are ``a_hat``
+    (p, N, k), then the N*k unit-diagonal rows (``rels`` and ``b`` cover all
+    p + N*k); :func:`_operator`, :func:`_adjoint` and :func:`_schur` give
+    their closed forms.  Every block is scaled on its own, and each
+    Cholesky factor is inverted once per iteration.  An affine predictor
+    probe chooses the centering weight each iteration; when the recentered
+    step still stalls at the cone boundary, a full centering step is taken
+    instead.
     """
-    dim = c.shape[0]
-    m = a_hat.shape[0] + dim
+    horizon, k, _ = c.shape
+    order = horizon * k
+    m = a_hat.shape[0] + order
     sigma_sign = np.array(
         [1.0 if r == "<=" else (-1.0 if r == ">=" else 0.0) for r in rels]
     )
     ineq = sigma_sign != 0.0
     n_ineq = int(ineq.sum())
 
+    def transpose(a):
+        return a.transpose(0, 2, 1)
+
     scale = max(1.0, float(np.abs(b).max(initial=0.0)), float(np.abs(c).max()))
-    x = np.eye(dim) * scale
-    z = np.eye(dim) * scale
+    x = np.tile(np.eye(k) * scale, (horizon, 1, 1))
+    z = x.copy()
     y = np.zeros(m)
     s = np.full(m, scale)
     w = np.full(m, scale)
@@ -270,13 +316,13 @@ def _sdp_ipm(c, a_hat, rels, b):
     best_err = np.inf
 
     for iteration in range(1, _MAX_ITER + 1):
-        mu = (float(np.tensordot(x, z)) + float(s[ineq] @ w[ineq])) / (dim + max(n_ineq, 1))
+        mu = (float(np.vdot(x, z)) + float(s[ineq] @ w[ineq])) / (order + max(n_ineq, 1))
         rp = b - _operator(a_hat, x) - sigma_sign * s
         rd = c - _adjoint(a_hat, y) - z
         rdl = -sigma_sign * y - w  # dual residual on slack coordinates
         rdl[~ineq] = 0.0
 
-        pobj = float(np.tensordot(c, x))
+        pobj = float(np.vdot(c, x))
         dobj = float(b @ y)
         pinf = float(np.linalg.norm(rp)) / b_norm
         dinf = (float(np.linalg.norm(rd)) + float(np.linalg.norm(rdl))) / c_norm
@@ -285,18 +331,17 @@ def _sdp_ipm(c, a_hat, rels, b):
         if err < best_err:
             best_err = err
             best = SdpSolution(
-                x=linalg.symmetrize(x), objective=pobj, gap=relgap,
-                iterations=iteration,
+                blocks=x, objective=pobj, gap=relgap, iterations=iteration,
             )
         if err <= _TOL:
             return best
         if float(np.abs(y).max(initial=0.0)) > 1e12 * scale:
             raise Infeasible("dual iterates diverge; constraint rows look infeasible")
 
-        # Nesterov-Todd scaling point W = R R' with W Z W = X.
+        # Nesterov-Todd scaling point W_n = R_n R_n' with W_n Z_n W_n = X_n.
         try:
-            lx = np.linalg.cholesky(linalg.symmetrize(x))
-            lz = np.linalg.cholesky(linalg.symmetrize(z))
+            lx = np.linalg.cholesky(x)
+            lz = np.linalg.cholesky(z)
         except np.linalg.LinAlgError:
             # An iterate slid onto the cone boundary (typically a relaxation
             # with no strict interior); report the best point found so far.
@@ -305,10 +350,12 @@ def _sdp_ipm(c, a_hat, rels, b):
                 f"with error {best_err:.2e}",
                 solution=best,
             ) from None
-        _, lam, vt = np.linalg.svd(lz.T @ lx)
-        r_mat = lx @ vt.T / np.sqrt(lam)
-        big_w = r_mat @ r_mat.T
-        z_inv = linalg.inv_spd(z)
+        lx_inv = np.linalg.inv(lx)
+        lz_inv = np.linalg.inv(lz)
+        _, lam, vt = np.linalg.svd(transpose(lz) @ lx)
+        r_mat = lx @ transpose(vt) / np.sqrt(lam)[:, None, :]
+        big_w = r_mat @ transpose(r_mat)
+        z_inv = transpose(lz_inv) @ lz_inv
 
         gram = _schur(a_hat, big_w)
         slack_diag = np.zeros(m)
@@ -326,6 +373,7 @@ def _sdp_ipm(c, a_hat, rels, b):
                     f"with error {best_err:.2e}",
                     solution=best,
                 ) from None
+        gram_inv = np.linalg.inv(gram_chol)
 
         w_rd_w = big_w @ rd @ big_w
 
@@ -335,9 +383,7 @@ def _sdp_ipm(c, a_hat, rels, b):
                 - _operator(a_hat, rc_mat - w_rd_w)
                 - sigma_sign * (rc_slack - s * rdl) / np.where(ineq, w, 1.0)
             )
-            dy = np.linalg.solve(
-                gram_chol.T, np.linalg.solve(gram_chol, h)
-            )
+            dy = gram_inv.T @ (gram_inv @ h)
             dz = linalg.symmetrize(rd - _adjoint(a_hat, dy))
             dx = linalg.symmetrize(rc_mat - big_w @ dz @ big_w)
             dw = rdl - sigma_sign * dy
@@ -348,21 +394,21 @@ def _sdp_ipm(c, a_hat, rels, b):
 
         def step_lengths(dx, dz, ds, dw):
             a_p = min(
-                1.0, 0.98 * min(_max_psd_step(lx, dx), _max_pos_step(s[ineq], ds[ineq]))
+                1.0, 0.98 * min(_max_psd_step(lx_inv, dx), _max_pos_step(s[ineq], ds[ineq]))
             )
             a_d = min(
-                1.0, 0.98 * min(_max_psd_step(lz, dz), _max_pos_step(w[ineq], dw[ineq]))
+                1.0, 0.98 * min(_max_psd_step(lz_inv, dz), _max_pos_step(w[ineq], dw[ineq]))
             )
             return a_p, a_d
 
         # Predictor: pure Newton toward complementarity zero, used only to
         # pick the centering weight for the actual step.
-        dx_a, dy_a, dz_a, ds_a, dw_a = solve_direction(-x.copy(), -s * w)
+        dx_a, dy_a, dz_a, ds_a, dw_a = solve_direction(-x, -s * w)
         alpha_p, alpha_d = step_lengths(dx_a, dz_a, ds_a, dw_a)
         mu_aff = (
-            float(np.tensordot(x + alpha_p * dx_a, z + alpha_d * dz_a))
+            float(np.vdot(x + alpha_p * dx_a, z + alpha_d * dz_a))
             + float((s + alpha_p * ds_a)[ineq] @ (w + alpha_d * dw_a)[ineq])
-        ) / (dim + max(n_ineq, 1))
+        ) / (order + max(n_ineq, 1))
         center = min(1.0, (max(mu_aff, 0.0) / mu) ** 3)
 
         rc_mat = center * mu * z_inv - x

@@ -1,13 +1,19 @@
 """Shared helpers for building randomized test instances."""
 
 import itertools
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from sensel import linalg, model
-from sensel.errors import Infeasible, NotPositiveDefinite, SenselError, SingularBlock
+from sensel import linalg, model, select_sdr
+from sensel.errors import (
+    Infeasible,
+    NotConverged,
+    NotPositiveDefinite,
+    SenselError,
+    SingularBlock,
+)
 from sensel.select_lp import _FEAS_TOL, _TOL
 
 
@@ -153,6 +159,239 @@ def lifted_row_matrix(a: np.ndarray, dim: int) -> np.ndarray:
     e[:nl, nl] = a
     e[nl, :nl] = a
     return e
+
+
+# The SDP solver as it stood before it split the relaxation into one PSD
+# block per step: one dense dim x dim matrix variable with the closed forms
+# of its two constraint shapes, kept unchanged (but for its cost, assembled
+# from the blocks by ``dense_cost``) as the oracle for the block solver.
+@dataclass(frozen=True)
+class DenseSolution:
+    x: np.ndarray
+    objective: float
+    gap: float
+    iterations: int
+
+
+def dense_cost(sdp) -> np.ndarray:
+    """The dense lifted cost C: every step's block on the diagonal, its
+    border in the shared last row and column, a zero corner."""
+    horizon, k, _ = sdp.c_blocks.shape
+    num = k - 1
+    c = np.zeros((sdp.dim, sdp.dim))
+    for n, block in enumerate(sdp.c_blocks):
+        rows = slice(n * num, (n + 1) * num)
+        c[rows, rows] = block[:num, :num]
+        c[rows, -1] = block[:num, num]
+        c[-1, rows] = block[num, :num]
+    return c
+
+
+def dense_solve_sdp(sdp) -> DenseSolution:
+    """Solve the relaxation over one dense unit-diagonal PSD matrix."""
+    a_hat = np.array([np.append(a, 0.0) for a, _, _ in sdp.rows]).reshape(-1, sdp.dim)
+    rels = [rel for _, rel, _ in sdp.rows] + ["="] * sdp.dim
+    rhs = np.array([b for _, _, b in sdp.rows] + [1.0] * sdp.dim)
+    return dense_sdp_ipm(dense_cost(sdp), a_hat, rels, rhs)
+
+
+def dense_operator(a_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A(X): every linear row's tr(A_q X) = a_q'(diag X + 2 X e), then diag X."""
+    diag = np.diagonal(x)
+    return np.concatenate([a_hat @ (diag + 2.0 * x[:, -1]), diag])
+
+
+def dense_adjoint(a_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A*(y) = Diag(v + y_diag) + v e' + e v', with v = Â' y_lin."""
+    v = a_hat.T @ y[: a_hat.shape[0]]
+    out = np.diag(v + y[a_hat.shape[0] :])
+    out[:, -1] += v
+    out[-1, :] += v
+    return out
+
+
+def dense_schur(a_hat: np.ndarray, big_w: np.ndarray) -> np.ndarray:
+    """G_qr = tr(A_q W A_r W), linear rows first.  With w = W e, V = W∘W
+    and U = W Â', column q of D is diag(W A_q W) and column q of E is
+    W A_q W e; G = [[Â (D + 2E), D'], [D, V]] (V as for max-cut)."""
+    p, dim = a_hat.shape
+    w = big_w[:, -1]
+    big_v = big_w * big_w
+    big_u = big_w @ a_hat.T
+    d = big_v @ a_hat.T + 2.0 * big_u * w[:, None]
+    e = big_w @ (a_hat.T * w[:, None]) + big_w[-1, -1] * big_u + np.outer(w, a_hat @ w)
+    gram = np.empty((p + dim, p + dim))
+    gram[:p, :p] = a_hat @ (d + 2.0 * e)
+    gram[:p, p:] = d.T
+    gram[p:, :p] = d
+    gram[p:, p:] = big_v
+    return gram
+
+
+def dense_max_psd_step(chol_lower: np.ndarray, delta: np.ndarray) -> float:
+    """Largest alpha with X + alpha*Delta still PSD, given X = L L'."""
+    inner = np.linalg.solve(chol_lower, np.linalg.solve(chol_lower, delta).T)
+    lam_min = float(np.linalg.eigvalsh(linalg.symmetrize(inner))[0])
+    if lam_min >= 0.0:
+        return np.inf
+    return -1.0 / lam_min
+
+
+def dense_sdp_ipm(c, a_hat, rels, b):
+    """Primal-dual path-following with Nesterov-Todd scaling.
+
+    Standard form after adding one slack per inequality row:
+        minimize tr(C X)   s.t.  tr(A_q X) + sigma_q s_q = b_q,
+        X PSD, s >= 0,
+    solved together with its dual by damped Newton steps on the perturbed
+    complementarity conditions.  The rows are the p linear rows, whose
+    padded coefficients are ``a_hat`` (p, dim), then the dim unit-diagonal
+    rows (``rels`` and ``b`` cover all p + dim); :func:`dense_operator`,
+    :func:`dense_adjoint` and :func:`dense_schur` give their closed forms.
+    An affine predictor probe chooses the centering weight each iteration;
+    when the recentered step still stalls at the cone boundary, a full
+    centering step is taken instead.
+    """
+    dim = c.shape[0]
+    m = a_hat.shape[0] + dim
+    sigma_sign = np.array(
+        [1.0 if r == "<=" else (-1.0 if r == ">=" else 0.0) for r in rels]
+    )
+    ineq = sigma_sign != 0.0
+    n_ineq = int(ineq.sum())
+
+    scale = max(1.0, float(np.abs(b).max(initial=0.0)), float(np.abs(c).max()))
+    x = np.eye(dim) * scale
+    z = np.eye(dim) * scale
+    y = np.zeros(m)
+    s = np.full(m, scale)
+    w = np.full(m, scale)
+    s[~ineq] = 0.0
+    w[~ineq] = 0.0
+
+    c_norm = 1.0 + float(np.linalg.norm(c))
+    b_norm = 1.0 + float(np.linalg.norm(b))
+    best = None
+    best_err = np.inf
+
+    for iteration in range(1, select_sdr._MAX_ITER + 1):
+        mu = (float(np.tensordot(x, z)) + float(s[ineq] @ w[ineq])) / (dim + max(n_ineq, 1))
+        rp = b - dense_operator(a_hat, x) - sigma_sign * s
+        rd = c - dense_adjoint(a_hat, y) - z
+        rdl = -sigma_sign * y - w  # dual residual on slack coordinates
+        rdl[~ineq] = 0.0
+
+        pobj = float(np.tensordot(c, x))
+        dobj = float(b @ y)
+        pinf = float(np.linalg.norm(rp)) / b_norm
+        dinf = (float(np.linalg.norm(rd)) + float(np.linalg.norm(rdl))) / c_norm
+        relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        err = max(pinf, dinf, relgap)
+        if err < best_err:
+            best_err = err
+            best = DenseSolution(
+                x=linalg.symmetrize(x), objective=pobj, gap=relgap,
+                iterations=iteration,
+            )
+        if err <= select_sdr._TOL:
+            return best
+        if float(np.abs(y).max(initial=0.0)) > 1e12 * scale:
+            raise Infeasible("dual iterates diverge; constraint rows look infeasible")
+
+        # Nesterov-Todd scaling point W = R R' with W Z W = X.
+        try:
+            lx = np.linalg.cholesky(linalg.symmetrize(x))
+            lz = np.linalg.cholesky(linalg.symmetrize(z))
+        except np.linalg.LinAlgError:
+            # An iterate slid onto the cone boundary (typically a relaxation
+            # with no strict interior); report the best point found so far.
+            raise NotConverged(
+                f"interior-point iterate left the cone at iteration {iteration} "
+                f"with error {best_err:.2e}",
+                solution=best,
+            ) from None
+        _, lam, vt = np.linalg.svd(lz.T @ lx)
+        r_mat = lx @ vt.T / np.sqrt(lam)
+        big_w = r_mat @ r_mat.T
+        z_inv = linalg.inv_spd(z)
+
+        gram = dense_schur(a_hat, big_w)
+        slack_diag = np.zeros(m)
+        slack_diag[ineq] = s[ineq] / w[ineq]
+        gram = linalg.symmetrize(gram) + np.diag(slack_diag)
+        ridge = 1e-13 * (1.0 + float(np.trace(gram)) / m)
+        try:
+            gram_chol = np.linalg.cholesky(gram + ridge * np.eye(m))
+        except np.linalg.LinAlgError:
+            try:
+                gram_chol = np.linalg.cholesky(gram + 1e5 * ridge * np.eye(m))
+            except np.linalg.LinAlgError:
+                raise NotConverged(
+                    f"normal equations lost definiteness at iteration {iteration} "
+                    f"with error {best_err:.2e}",
+                    solution=best,
+                ) from None
+
+        w_rd_w = big_w @ rd @ big_w
+
+        def solve_direction(rc_mat, rc_slack):
+            h = (
+                rp
+                - dense_operator(a_hat, rc_mat - w_rd_w)
+                - sigma_sign * (rc_slack - s * rdl) / np.where(ineq, w, 1.0)
+            )
+            dy = np.linalg.solve(
+                gram_chol.T, np.linalg.solve(gram_chol, h)
+            )
+            dz = linalg.symmetrize(rd - dense_adjoint(a_hat, dy))
+            dx = linalg.symmetrize(rc_mat - big_w @ dz @ big_w)
+            dw = rdl - sigma_sign * dy
+            dw[~ineq] = 0.0
+            ds = (rc_slack - s * dw) / np.where(ineq, w, 1.0)
+            ds[~ineq] = 0.0
+            return dx, dy, dz, ds, dw
+
+        def step_lengths(dx, dz, ds, dw):
+            a_p = min(
+                1.0, 0.98 * min(dense_max_psd_step(lx, dx), select_sdr._max_pos_step(s[ineq], ds[ineq]))
+            )
+            a_d = min(
+                1.0, 0.98 * min(dense_max_psd_step(lz, dz), select_sdr._max_pos_step(w[ineq], dw[ineq]))
+            )
+            return a_p, a_d
+
+        # Predictor: pure Newton toward complementarity zero, used only to
+        # pick the centering weight for the actual step.
+        dx_a, dy_a, dz_a, ds_a, dw_a = solve_direction(-x.copy(), -s * w)
+        alpha_p, alpha_d = step_lengths(dx_a, dz_a, ds_a, dw_a)
+        mu_aff = (
+            float(np.tensordot(x + alpha_p * dx_a, z + alpha_d * dz_a))
+            + float((s + alpha_p * ds_a)[ineq] @ (w + alpha_d * dw_a)[ineq])
+        ) / (dim + max(n_ineq, 1))
+        center = min(1.0, (max(mu_aff, 0.0) / mu) ** 3)
+
+        rc_mat = center * mu * z_inv - x
+        rc_slack = np.where(ineq, center * mu - s * w, 0.0)
+        dx, dy, dz, ds, dw = solve_direction(rc_mat, rc_slack)
+        alpha_p, alpha_d = step_lengths(dx, dz, ds, dw)
+        if min(alpha_p, alpha_d) < 0.05:
+            # Iterates drifted toward the cone boundary: take a pure
+            # centering step instead of crawling along it.
+            rc_mat = mu * z_inv - x
+            rc_slack = np.where(ineq, mu - s * w, 0.0)
+            dx, dy, dz, ds, dw = solve_direction(rc_mat, rc_slack)
+            alpha_p, alpha_d = step_lengths(dx, dz, ds, dw)
+
+        x = linalg.symmetrize(x + alpha_p * dx)
+        s = s + alpha_p * ds
+        y = y + alpha_d * dy
+        z = linalg.symmetrize(z + alpha_d * dz)
+        w = w + alpha_d * dw
+
+    raise NotConverged(
+        f"SDP solver stopped after {select_sdr._MAX_ITER} iterations with error {best_err:.2e}",
+        solution=best,
+    )
 
 
 # The quadratic coefficients as ``select_sdr.build_bqp`` computed them

@@ -130,6 +130,30 @@ class TestSelect:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["select", "simulate", "sweep"])
+    @pytest.mark.parametrize("where", ["missing/dir/x.json", "."])
+    def test_bad_out_is_usage_error_before_any_solve(
+        self, command, where, tmp_path, monkeypatch, capsys
+    ):
+        """An --out in a missing directory, or naming a directory, used to
+        fail with a traceback after every solve had run."""
+        from sensel import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("planned before the arguments were checked")
+
+        monkeypatch.setattr(cli, "prepare", never)
+        monkeypatch.setattr(cli, "run_closed_loop", never)
+        monkeypatch.setattr(cli, "sweep", never)
+        argv = [command, "example4", "--algo", "sdr", "--out", str(tmp_path / where)]
+        if command == "sweep":
+            argv += ["--param", "s_count", "--values", "5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
     def test_bundled_name_resolves(self, tmp_path):
         out = tmp_path / "sel.json"
         code = main([
