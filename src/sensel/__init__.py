@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-linalg            pseudoinverse, PSD-tolerant Cholesky, SPD solves
+linalg            pseudoinverse, SPD solves, PSD projection
 model             scenario data model, JSON I/O, generators
 filter            prediction, masked-measurement updates, covariance rollout
 measure           information measures, the per-sensor measure table and
@@ -28,8 +28,6 @@ from .errors import (
     RoundingInfeasible,
     ScenarioError,
     SenselError,
-    SingularBlock,
-    SingularNoise,
     TooLarge,
     UnsupportedConstraints,
 )
@@ -72,8 +70,6 @@ __all__ = [
     "SelectionSchedule",
     "SenselError",
     "SensorModel",
-    "SingularBlock",
-    "SingularNoise",
     "TooLarge",
     "UnsupportedConstraints",
     "apply_jammer",

@@ -9,14 +9,6 @@ class InvalidMatrix(SenselError):
     """A matrix argument contains NaN/Inf or has an unusable shape."""
 
 
-class SingularBlock(SenselError):
-    """A per-sensor noise block that must be inverted is singular."""
-
-
-class SingularNoise(SenselError):
-    """The joint measurement-noise covariance is singular."""
-
-
 class NotPositiveDefinite(SenselError):
     """A matrix required to be symmetric positive definite is not."""
 

@@ -143,7 +143,7 @@ def selection_gain(
         return np.zeros((scenario.state_dim, scenario.state_dim))
     h_sel = scenario.h_stacks[step][rows]
     r_sel = noise.r_full[np.ix_(rows, rows)]
-    return linalg.symmetrize(h_sel.T @ linalg.solve_spd(r_sel, h_sel))
+    return linalg.symmetrize(h_sel.T @ np.linalg.solve(r_sel, h_sel))
 
 
 def covariance_rollout(

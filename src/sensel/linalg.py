@@ -86,42 +86,6 @@ def inv_spd(a: np.ndarray) -> np.ndarray:
     return symmetrize(solve_spd(a, np.eye(a.shape[0])))
 
 
-def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L.T = a for symmetric PSD ``a``.
-
-    Positive definite inputs go through the standard factorization.  For
-    PSD-but-singular inputs the factorization continues past vanishing
-    pivots by zeroing the corresponding column, which is exact for PSD
-    matrices up to roundoff.  Indefinite inputs raise NotPSD.
-    """
-    a = _require_symmetric(a, "cholesky input")
-    n = a.shape[0]
-    if n == 0:
-        return a.copy()
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        pass
-    scale = max(1.0, float(np.abs(a).max()))
-    tol = PSD_SLACK * scale
-    low = np.zeros((n, n))
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if d > tol:
-            low[j, j] = np.sqrt(d)
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-        elif d < -tol:
-            raise NotPSD(f"negative pivot {d:.3e} at index {j}")
-        else:
-            # Vanishing pivot: for a PSD matrix the rest of this column of the
-            # Schur complement must vanish too; a clear residual means the
-            # matrix is indefinite.
-            resid = a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]
-            if resid.size and float(np.abs(resid).max()) > np.sqrt(tol * scale):
-                raise NotPSD(f"zero pivot with nonzero column at index {j}")
-    return low
-
-
 def psd_project(a: np.ndarray, slack: float = PSD_SLACK) -> np.ndarray:
     """Clip negative eigenvalues of a nearly-PSD symmetric matrix to zero.
 

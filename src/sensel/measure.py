@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import NotPositiveDefinite, SenselError, SingularBlock
+from .errors import NotPositiveDefinite
 from .filter import covariance_rollout, selection_gain
 from .model import Scenario, SelectionSchedule
 
@@ -42,37 +42,6 @@ def gain_trace(h_tilde: np.ndarray, r_tilde: np.ndarray) -> float:
     return float(np.trace(h_sel.T @ solved))
 
 
-def _block_measures(r: np.ndarray, h: np.ndarray) -> np.ndarray | None:
-    """trace(H_k' R_k^-1 H_k) for a stack of blocks R (K, d, d) and H (K, d, s).
-
-    Returns None when some pair fails a check of ``linalg.solve_spd``
-    (non-finite or non-symmetric R, non-finite H, R not positive definite).
-    """
-    r_t = r.transpose(0, 2, 1)
-    with np.errstate(invalid="ignore"):
-        scale = np.maximum(1.0, np.abs(r).max(axis=(1, 2)))
-        asym = np.abs(r - r_t).max(axis=(1, 2))
-    if not (np.isfinite(r).all() and np.isfinite(h).all() and np.all(asym <= 1e-8 * scale)):
-        return None
-    r_sym = 0.5 * (r + r_t)
-    try:
-        np.linalg.cholesky(r_sym)
-    except np.linalg.LinAlgError:
-        return None
-    solved = np.linalg.solve(r_sym, h)
-    return np.trace(h.transpose(0, 2, 1) @ solved, axis1=1, axis2=2)
-
-
-def _raise_block_fault(sensors, noise, n: int) -> None:
-    """Raise what the first faulty sensor's ``solve_spd`` raises at step n."""
-    for i, sensor in enumerate(sensors):
-        try:
-            linalg.solve_spd(noise.block(i, i), sensor.h_at(n))
-        except NotPositiveDefinite:
-            raise SingularBlock("sensor noise block is not positive definite") from None
-    raise SenselError(f"step {n}: batched block check disagrees with solve_spd")
-
-
 def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
     """Unweighted per-sensor measures, sensors by steps.
 
@@ -82,10 +51,10 @@ def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
 
     Each step takes one batched pass per measurement dimension: one gather
     of the diagonal blocks and of the sensors' rows of
-    ``scenario.h_stacks[n]``, the checks of ``linalg.solve_spd``, one
-    stacked solve and one stacked trace.  A faulty block raises what
-    ``solve_spd`` raises (``SingularBlock`` where R is not positive
-    definite) for the lowest faulty sensor at the earliest faulty step.
+    ``scenario.h_stacks[n]``, one stacked solve and one stacked trace.
+    No block is checked here: a noise model is checked when it is made,
+    and every one a step uses (all but the static part of a distance
+    model) is positive definite, and so is each of its diagonal blocks.
     """
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
@@ -98,10 +67,9 @@ def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
         for d, idx in groups:
             rows = noise.offsets[idx][:, None] + np.arange(d)
             r = noise.r_full[rows[:, :, None], rows[:, None, :]]
-            measures = _block_measures(r, scenario.h_stacks[n][rows])
-            if measures is None:
-                _raise_block_fault(sensors, noise, n)
-            table[idx, n] = measures
+            h = scenario.h_stacks[n][rows]
+            solved = np.linalg.solve(r, h)
+            table[idx, n] = np.trace(h.transpose(0, 2, 1) @ solved, axis1=1, axis2=2)
     return table
 
 

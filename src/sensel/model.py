@@ -20,7 +20,6 @@ from .errors import (
     Infeasible,
     InvalidMatrix,
     NotPositiveDefinite,
-    NotPSD,
     PerStepCountOutOfRange,
     ScenarioError,
 )
@@ -68,22 +67,24 @@ class DynamicSystem:
         for idx, m in enumerate(self.q):
             if m.shape != (r, r):
                 raise InvalidMatrix(f"Q[{idx}] must be {r}x{r}, got {m.shape}")
+            if not np.array_equal(m, m.T):
+                raise InvalidMatrix(f"Q[{idx}] is not symmetric")
             try:
-                np.linalg.cholesky(linalg.symmetrize(m))
+                np.linalg.cholesky(m)
             except np.linalg.LinAlgError:
                 raise NotPositiveDefinite(f"Q[{idx}] is not positive definite") from None
 
     @staticmethod
     def build(f, q) -> "DynamicSystem":
+        """Validated dynamics; each square Q is symmetrized first."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim in (2, 3) and q.shape[-1] == q.shape[-2]:
+            q = linalg.symmetrize(q)
         return DynamicSystem(f=_matrix_steps(f, "F"), q=_matrix_steps(q, "Q"))
 
     @property
     def state_dim(self) -> int:
         return self.f[0].shape[0]
-
-    @property
-    def constant(self) -> bool:
-        return len(self.f) == 1 and len(self.q) == 1
 
     def f_at(self, n: int) -> np.ndarray:
         return self.f[0] if len(self.f) == 1 else self.f[n]
@@ -184,11 +185,27 @@ class NoiseModel:
     distance_alpha1: float | None
 
     def __post_init__(self):
+        """The one check of a noise covariance: ``r_full`` is finite,
+        exactly symmetric and positive definite, or, with a distance term,
+        positive semidefinite to ``linalg.PSD_SLACK``."""
+        r = self.r_full
         dim = sum(self.block_sizes)
-        if self.r_full.shape != (dim, dim):
-            raise InvalidMatrix(
-                f"noise covariance shape {self.r_full.shape} != ({dim}, {dim})"
-            )
+        if r.shape != (dim, dim):
+            raise InvalidMatrix(f"noise covariance shape {r.shape} != ({dim}, {dim})")
+        alpha1 = self.distance_alpha1
+        if alpha1 is not None and not (np.isfinite(alpha1) and alpha1 > 0):
+            raise ScenarioError("distance noise scaling alpha1 must be finite and > 0")
+        if not np.all(np.isfinite(r)):
+            raise InvalidMatrix("noise covariance contains non-finite entries")
+        if not np.array_equal(r, r.T):
+            raise InvalidMatrix("noise covariance is not symmetric")
+        if alpha1 is None:
+            try:
+                np.linalg.cholesky(r)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite("noise covariance is not positive definite") from None
+        elif linalg.min_eigenvalue(r) < -linalg.PSD_SLACK * (1.0 + np.abs(r).max()):
+            raise NotPositiveDefinite("static noise part is not positive semidefinite")
 
     @staticmethod
     def build(
@@ -199,21 +216,16 @@ class NoiseModel:
         distance_alpha1: float | None = None,
         sensor_positions=None,
     ) -> "NoiseModel":
-        """Assemble and validate the static covariance.
+        """Assemble the static covariance, symmetrized; construction checks it.
 
-        Exactly one of ``base_blocks`` / ``base_full`` must be given.  The
-        static part must be positive definite, except that a PSD-singular
-        static part is allowed when a distance term will supply the rest.
+        Exactly one of ``base_blocks`` / ``base_full`` must be given.
         """
         block_sizes = tuple(int(b) for b in block_sizes)
         dim = sum(block_sizes)
         if (base_blocks is None) == (base_full is None):
             raise ScenarioError("noise needs exactly one of blocks or full")
         if base_blocks is not None:
-            base_blocks = tuple(
-                _frozen(linalg.symmetrize(linalg.check_finite(b, f"noise block {i}")))
-                for i, b in enumerate(base_blocks)
-            )
+            base_blocks = tuple(_frozen(linalg.symmetrize(b)) for b in base_blocks)
             if tuple(b.shape[0] for b in base_blocks) != block_sizes:
                 raise ScenarioError("noise block sizes do not match sensors")
             static = np.zeros((dim, dim))
@@ -222,14 +234,12 @@ class NoiseModel:
                 static[off : off + b.shape[0], off : off + b.shape[0]] = b
                 off += b.shape[0]
         else:
-            base_full = _frozen(
-                linalg.symmetrize(linalg.check_finite(base_full, "noise full"))
-            )
+            base_full = _frozen(linalg.symmetrize(base_full))
             if base_full.shape != (dim, dim):
                 raise ScenarioError(
                     f"noise full covariance shape {base_full.shape} != ({dim}, {dim})"
                 )
-            static = np.array(base_full)
+            static = base_full
         if jammer is not None and jammer.p0 > 0:
             if sensor_positions is None:
                 raise ScenarioError("jammer noise needs sensor positions")
@@ -241,20 +251,6 @@ class NoiseModel:
             beta = jammer.betas(np.asarray(sensor_positions, dtype=float))
             static = static + np.kron(np.outer(beta, beta), jammer.r0)
         static = linalg.symmetrize(static)
-        if distance_alpha1 is None:
-            try:
-                np.linalg.cholesky(static)
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite(
-                    "noise covariance is not positive definite"
-                ) from None
-        else:
-            try:
-                linalg.cholesky(static)
-            except NotPSD:
-                raise NotPositiveDefinite(
-                    "static noise part is not positive semidefinite"
-                ) from None
         return NoiseModel(
             block_sizes=block_sizes,
             r_full=_frozen(static),
@@ -291,7 +287,8 @@ class NoiseModel:
     @functools.cached_property
     def r_inv(self) -> np.ndarray:
         """Inverse of the joint covariance, read-only; raises
-        NotPositiveDefinite when the covariance is singular."""
+        NotPositiveDefinite when it is singular, which only the PSD static
+        part of a distance model can be."""
         return _frozen(linalg.inv_spd(self.r_full))
 
     @functools.cached_property

@@ -26,13 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import (
-    Infeasible,
-    NotConverged,
-    NotPositiveDefinite,
-    RoundingInfeasible,
-    SingularNoise,
-)
+from .errors import Infeasible, NotConverged, RoundingInfeasible
 from .measure import OBJECTIVES, distinct_rows, f3_values, objective_value
 from .model import ConstraintSet, Scenario, SelectionSchedule
 from .select_lp import build_lp, round_batch, round_energy, solve_lp
@@ -147,15 +141,9 @@ def build_bqp(scenario: Scenario, noise_seq=None) -> BqpProblem:
     blocks = []
     for n in range(scenario.horizon):
         noise = noise_seq[n]
-        try:
-            t_full = noise.r_inv
-        except NotPositiveDefinite:
-            raise SingularNoise(
-                f"step {n} joint noise covariance is singular"
-            ) from None
         h = scenario.h_stacks[n]
         starts = noise.offsets[:-1]
-        row_sums = np.add.reduceat(t_full * (h @ h.T), starts, axis=0)
+        row_sums = np.add.reduceat(noise.r_inv * (h @ h.T), starts, axis=0)
         blocks.append(-linalg.symmetrize(np.add.reduceat(row_sums, starts, axis=1)))
     return BqpProblem(
         b_blocks=tuple(blocks),

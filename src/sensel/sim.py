@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linalg
 from .errors import ScenarioError
 from .filter import FilterState, StackedMeasurement, predict, stack_measurement, update_gif
 from .measure import objective_f3
@@ -79,7 +78,7 @@ def simulate_truth(scenario: Scenario, n_steps: int, seed) -> np.ndarray:
     x = np.asarray(scenario.x0, dtype=float)
     out = [x]
     for n in range(n_steps):
-        low = linalg.cholesky(scenario.system.q_at(n))
+        low = np.linalg.cholesky(scenario.system.q_at(n))
         x = scenario.system.f_at(n) @ x + low @ rng.standard_normal(x.shape[0])
         out.append(x)
     return np.array(out)
@@ -105,7 +104,7 @@ def simulate_measurements(
     for n in range(schedule.horizon):
         noise = noise_seq[n]
         z_full = scenario.h_stacks[n] @ truth[n + 1]
-        z_full = z_full + linalg.cholesky(noise.r_full) @ rng.standard_normal(noise.dim)
+        z_full = z_full + np.linalg.cholesky(noise.r_full) @ rng.standard_normal(noise.dim)
         out.append(stack_measurement(scenario, noise, schedule.column(n), step=n, z=z_full))
     return out
 

@@ -247,6 +247,19 @@ class TestSimulate:
     def test_missing_file_exit_1(self):
         assert main(["simulate", "absent.json", "--algo", "topk"]) == 1
 
+    def test_off_symmetric_process_noise_runs(self, tmp_path):
+        """Q is symmetrized on load, so the simulator's Cholesky factor of
+        Q never meets an off-symmetric matrix."""
+        data = json.loads(open("src/sensel/scenarios/example2.json").read())
+        data["Q"][0][1] += 0.01
+        path = tmp_path / "off_symmetric.json"
+        path.write_text(json.dumps(data))
+        code = main([
+            "simulate", str(path), "--algo", "lp", "--runs", "2",
+            "--threads", "1", "--out", str(tmp_path / "run.csv"),
+        ])
+        assert code == 0
+
 
 class TestSweep:
     def test_jammer_power_sweep(self, correlated_scenario_path, tmp_path):

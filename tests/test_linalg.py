@@ -1,5 +1,5 @@
 """Matrix primitive tests: pseudoinverse identities, block inversion,
-SPD solves, and the PSD-tolerant Cholesky."""
+SPD solves, and the PSD projection."""
 
 import numpy as np
 import pytest
@@ -70,50 +70,6 @@ class TestSolveSpd:
     def test_not_pd(self):
         with pytest.raises(NotPositiveDefinite):
             linalg.solve_spd(np.diag([1.0, -1.0]), np.ones((2, 1)))
-
-
-class TestCholesky:
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            linalg.cholesky(np.diag([4.0, 9.0])), np.diag([2.0, 3.0])
-        )
-
-    def test_zero_matrix(self):
-        np.testing.assert_allclose(linalg.cholesky(np.zeros((3, 3))), np.zeros((3, 3)))
-
-    def test_tracking_process_noise(self):
-        """The unit-interval process-noise blocks factor and reconstruct."""
-        block = np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]])
-        q = np.zeros((4, 4))
-        q[:2, :2] = block
-        q[2:, 2:] = block
-        low = linalg.cholesky(q)
-        np.testing.assert_allclose(low @ low.T, q, atol=1e-10)
-        assert np.allclose(low, np.tril(low))
-
-    def test_reconstruction_random(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(1, 7))
-            a = rand_spd(n, rng, ridge=0.1)
-            low = linalg.cholesky(a)
-            err = np.linalg.norm(low @ low.T - a) / np.linalg.norm(a)
-            assert err < 1e-10
-
-    def test_singular_psd(self, rng):
-        """Rank-deficient PSD matrices factor with zeroed null columns."""
-        for _ in range(25):
-            n = int(rng.integers(2, 7))
-            rank = int(rng.integers(1, n))
-            b = rng.normal(size=(n, rank))
-            a = b @ b.T
-            low = linalg.cholesky(a)
-            scale = max(1.0, np.abs(a).max())
-            assert np.abs(low @ low.T - a).max() < 1e-8 * scale
-            assert np.allclose(low, np.tril(low))
-
-    def test_indefinite_raises(self):
-        with pytest.raises(NotPSD):
-            linalg.cholesky(np.diag([1.0, -1.0]))
 
 
 class TestPsdProject:

