@@ -3,7 +3,8 @@
 Submodules
 ----------
 linalg            pseudoinverse, SPD solves, PSD projection
-model             scenario data model, JSON I/O, generators
+model             scenario data model, the constraint-row matrix
+                  (ConstraintRows), JSON I/O, generators
 filter            prediction, masked-measurement updates, covariance rollout
 measure           information measures, the per-sensor measure table and
                   the selection objectives (one f3 evaluator, batched)
@@ -32,10 +33,10 @@ from .errors import (
     UnsupportedConstraints,
 )
 from .model import (
+    ConstraintRows,
     ConstraintSet,
     DynamicSystem,
     JammerSpec,
-    LinearConstraint,
     NoiseModel,
     Scenario,
     SelectionSchedule,
@@ -52,12 +53,12 @@ from .model import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ConstraintRows",
     "ConstraintSet",
     "DynamicSystem",
     "Infeasible",
     "InvalidMatrix",
     "JammerSpec",
-    "LinearConstraint",
     "NoiseModel",
     "NotConverged",
     "NotPSD",

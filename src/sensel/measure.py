@@ -11,35 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
-from .errors import NotPositiveDefinite
 from .filter import covariance_rollout, selection_gain
 from .model import Scenario, SelectionSchedule
 
 OBJECTIVES = ("f1", "f2", "f3")
-
-
-def gain_trace(h_tilde: np.ndarray, r_tilde: np.ndarray) -> float:
-    """Trace of the information gain of a masked measurement stack.
-
-    Selected rows are recognized by their nonzero noise diagonal (a
-    positive definite block has a strictly positive diagonal, a masked one
-    is all zero), so only the selected sub-block is ever inverted.
-    """
-    h_tilde = np.asarray(h_tilde, dtype=float)
-    r_tilde = np.asarray(r_tilde, dtype=float)
-    sel = np.diag(r_tilde) > 0
-    if not np.any(sel):
-        return 0.0
-    h_sel = h_tilde[sel]
-    r_sel = r_tilde[np.ix_(sel, sel)]
-    try:
-        solved = linalg.solve_spd(r_sel, h_sel)
-    except NotPositiveDefinite:
-        # Degenerate stack (for instance a PSD-singular block): fall back to
-        # the generic pseudoinverse.
-        return float(np.trace(h_sel.T @ linalg.pinv(linalg.symmetrize(r_sel)) @ h_sel))
-    return float(np.trace(h_sel.T @ solved))
 
 
 def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:

@@ -24,7 +24,8 @@ from .errors import (
     ScenarioError,
 )
 
-RELATIONS = ("<=", "=", ">=")
+# The one place relation strings meet the slack signs of ConstraintRows.
+_SENSE = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
@@ -165,6 +166,11 @@ class JammerSpec:
         return self.p0 / (1.0 + self.alpha * d**self.n_exp)
 
 
+def _check_alpha1(alpha1) -> None:
+    if not (np.isfinite(alpha1) and alpha1 > 0):
+        raise ScenarioError("distance noise scaling alpha1 must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Joint measurement-noise covariance with addressable per-sensor blocks.
@@ -193,8 +199,8 @@ class NoiseModel:
         if r.shape != (dim, dim):
             raise InvalidMatrix(f"noise covariance shape {r.shape} != ({dim}, {dim})")
         alpha1 = self.distance_alpha1
-        if alpha1 is not None and not (np.isfinite(alpha1) and alpha1 > 0):
-            raise ScenarioError("distance noise scaling alpha1 must be finite and > 0")
+        if alpha1 is not None:
+            _check_alpha1(alpha1)
         if not np.all(np.isfinite(r)):
             raise InvalidMatrix("noise covariance contains non-finite entries")
         if not np.array_equal(r, r.T):
@@ -307,48 +313,43 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class LinearConstraint:
-    """One linear row a' gamma (relation) b over the step-major gamma vector."""
+class ConstraintRows:
+    """The linear system A gamma (sense) b over the step-major gamma vector.
+
+    ``a`` is the (p, N*L) coefficient matrix, ``b`` the (p,) right side and
+    ``sense`` each row's slack sign: +1 for a' gamma <= b, 0 for an
+    equality and -1 for a' gamma >= b.  Arrays are read-only copies.
+    """
 
     a: np.ndarray
-    relation: str
-    b: float
+    sense: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        if self.relation not in RELATIONS:
-            raise ScenarioError(f"constraint relation must be one of {RELATIONS}")
+        for name in ("a", "sense", "b"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        a, sense, b = self.a, self.sense, self.b
+        if a.ndim != 2 or sense.shape != (a.shape[0],) or b.shape != (a.shape[0],):
+            raise ScenarioError(
+                f"constraint rows need a (p, n) matrix and two (p,) vectors, got "
+                f"{a.shape}, {sense.shape} and {b.shape}"
+            )
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ScenarioError("constraint rows contain non-finite entries")
+        if not np.all(np.isin(sense, (-1.0, 0.0, 1.0))):
+            raise ScenarioError("constraint sense must be -1, 0 or 1")
 
-    @staticmethod
-    def build(a, relation, b) -> "LinearConstraint":
-        return LinearConstraint(
-            a=_frozen(linalg.check_finite(a, "constraint row")),
-            relation=str(relation),
-            b=float(b),
+    def __len__(self) -> int:
+        return self.a.shape[0]
+
+    def meets(self, lhs, tol: float = 1e-9) -> np.ndarray:
+        """Whether left sides ``a gamma`` meet their rows, elementwise; the
+        rows run along the last axis of ``lhs``."""
+        return np.where(
+            self.sense > 0,
+            lhs <= self.b + tol,
+            np.where(self.sense < 0, lhs >= self.b - tol, np.abs(lhs - self.b) <= tol),
         )
-
-    def holds(self, gamma_vec: np.ndarray, tol: float = 1e-9) -> bool:
-        return self.compare(float(self.a @ gamma_vec), tol)
-
-    def compare(self, lhs, tol: float = 1e-9):
-        """Whether left-hand value(s) ``a' gamma`` meet the row; elementwise
-        on an array of values."""
-        if self.relation == "<=":
-            return lhs <= self.b + tol
-        if self.relation == ">=":
-            return lhs >= self.b - tol
-        return abs(lhs - self.b) <= tol
-
-
-# Rows are immutable, so the count and budget rows of the last few
-# constraint shapes are kept for every check against the same shape.
-@functools.lru_cache(maxsize=4)
-def _count_budget_rows(per_step, energy, num_sensors) -> tuple[LinearConstraint, ...]:
-    counts = np.kron(np.eye(len(per_step)), np.ones(num_sensors))
-    budgets = np.tile(np.eye(num_sensors), len(per_step)) if energy else ()
-    return (
-        *(LinearConstraint.build(a, "=", m) for a, m in zip(counts, per_step)),
-        *(LinearConstraint.build(a, "<=", b) for a, b in zip(budgets, energy or ())),
-    )
 
 
 @dataclass(frozen=True)
@@ -361,25 +362,45 @@ class ConstraintSet:
 
     per_step: tuple[int, ...]
     energy: tuple[int, ...] | None = None
-    extra: tuple[LinearConstraint, ...] = ()
+    extra: ConstraintRows | None = None
 
     @staticmethod
     def build(per_step, energy=None, extra=()) -> "ConstraintSet":
+        """``extra`` holds (a, relation, b) triples, each relation a key of
+        ``_SENSE``."""
+        extra = list(extra)
+        try:
+            sense = [_SENSE[str(relation)] for _, relation, _ in extra]
+        except KeyError:
+            raise ScenarioError(f"constraint relation must be one of {tuple(_SENSE)}") from None
         return ConstraintSet(
             per_step=tuple(int(m) for m in per_step),
             energy=None if energy is None else tuple(int(m) for m in energy),
-            extra=tuple(extra),
+            extra=ConstraintRows(
+                [a for a, _, _ in extra], sense, [b for _, _, b in extra]
+            ) if extra else None,
         )
 
     @property
     def horizon(self) -> int:
         return len(self.per_step)
 
-    def rows(self, num_sensors: int) -> tuple[LinearConstraint, ...]:
+    def rows(self, num_sensors: int) -> ConstraintRows:
         """Every row over the step-major selection vector: one count
         equality per step, one budget inequality per sensor when budgets
         are present, then the extra rows."""
-        return (*_count_budget_rows(self.per_step, self.energy, num_sensors), *self.extra)
+        a = [np.kron(np.eye(self.horizon), np.ones(num_sensors))]
+        sense = [np.zeros(self.horizon)]
+        b = [self.per_step]
+        if self.energy is not None:
+            a.append(np.tile(np.eye(num_sensors), self.horizon))
+            sense.append(np.ones(num_sensors))
+            b.append(self.energy)
+        if self.extra is not None:
+            a.append(self.extra.a)
+            sense.append(self.extra.sense)
+            b.append(self.extra.b)
+        return ConstraintRows(np.vstack(a), np.concatenate(sense), np.concatenate(b))
 
     def validate(self, num_sensors: int) -> None:
         for n, m in enumerate(self.per_step):
@@ -400,11 +421,10 @@ class ConstraintSet:
                     "total per-step counts exceed the total energy budget"
                 )
         nl = num_sensors * self.horizon
-        for p, row in enumerate(self.extra):
-            if row.a.shape != (nl,):
-                raise ScenarioError(
-                    f"linear constraint {p} has length {row.a.shape}, expected ({nl},)"
-                )
+        if self.extra is not None and self.extra.a.shape[1] != nl:
+            raise ScenarioError(
+                f"linear constraint rows have length {self.extra.a.shape[1]}, expected {nl}"
+            )
 
 
 @dataclass(frozen=True)
@@ -446,9 +466,8 @@ class SelectionSchedule:
     def satisfies(self, constraints: ConstraintSet, tol: float = 1e-9) -> bool:
         if self.gamma.shape[1] != constraints.horizon:
             return False
-        vec = self.gamma_vec()
-        rows = constraints.rows(self.gamma.shape[0])
-        return all(row.holds(vec, tol) for row in rows)
+        rows = constraints.rows(self.num_sensors)
+        return bool(rows.meets(rows.a @ self.gamma_vec(), tol).all())
 
 
 @dataclass(frozen=True)
@@ -606,8 +625,7 @@ def distance_noise(scenario: Scenario, predicted_states, alpha1: float) -> list[
     d_{i,n} is the distance from sensor i to the predicted target position
     at step n.  The static part (base noise plus jammer) is kept.
     """
-    if alpha1 <= 0:
-        raise ScenarioError("distance noise scaling alpha1 must be > 0")
+    _check_alpha1(alpha1)
     predicted_states = [np.asarray(x, dtype=float) for x in predicted_states]
     if len(predicted_states) != scenario.horizon:
         raise ScenarioError(
@@ -797,6 +815,16 @@ def _steps_json(steps: tuple[np.ndarray, ...]):
     return _mat(steps[0]) if len(steps) == 1 else [_mat(m) for m in steps]
 
 
+def _linear_json(rows: ConstraintRows | None) -> list:
+    if rows is None:
+        return []
+    relation = {sense: rel for rel, sense in _SENSE.items()}
+    return [
+        {"a": [float(v) for v in a], "relation": relation[sense], "b": float(b)}
+        for a, sense, b in zip(rows.a, rows.sense.tolist(), rows.b.tolist())
+    ]
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     noise = scenario.noise
     noise_json = {
@@ -829,10 +857,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "energy": None
             if scenario.constraints.energy is None
             else list(scenario.constraints.energy),
-            "linear": [
-                {"a": [float(v) for v in row.a], "relation": row.relation, "b": row.b}
-                for row in scenario.constraints.extra
-            ],
+            "linear": _linear_json(scenario.constraints.extra),
         },
         "weights": [float(w) for w in scenario.weights],
         "x0": [float(v) for v in scenario.x0],
@@ -889,11 +914,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             _get(cons_json, "per_step", "constraints"),
             energy=cons_json.get("energy"),
             extra=[
-                LinearConstraint.build(
-                    _get(row, "a", f"constraints.linear[{p}]"),
-                    _get(row, "relation", f"constraints.linear[{p}]"),
-                    _get(row, "b", f"constraints.linear[{p}]"),
-                )
+                tuple(_get(row, key, f"constraints.linear[{p}]") for key in ("a", "relation", "b"))
                 for p, row in enumerate(cons_json.get("linear") or [])
             ],
         )

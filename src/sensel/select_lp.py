@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import Infeasible, NotSeparableNoise, RoundingInfeasible, SenselError
 from .measure import info_table
-from .model import ConstraintSet, LinearConstraint, Scenario, SelectionSchedule
+from .model import ConstraintRows, ConstraintSet, Scenario, SelectionSchedule
 
 _TOL = 1e-9
 _FEAS_TOL = 1e-8
@@ -45,7 +45,7 @@ class LpProblem:
     """Relaxed selection problem: maximize c'g, rows on g, 0 <= g <= 1."""
 
     c: np.ndarray
-    rows: tuple[LinearConstraint, ...]
+    rows: ConstraintRows
     num_sensors: int
     horizon: int
 
@@ -113,15 +113,12 @@ def build_lp(scenario: Scenario, noise_seq=None) -> LpProblem:
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the relaxation to optimality; raises Infeasible when empty."""
-    a = np.array([row.a for row in problem.rows], dtype=float)
-    rels = [row.relation for row in problem.rows]
-    rhs = np.array([row.b for row in problem.rows], dtype=float)
+    rows = problem.rows
     upper = np.ones(problem.c.shape[0])
-    x, objective, iterations = _simplex_max(problem.c, a, rels, rhs, upper)
-    scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
-    for row, value in zip(problem.rows, a @ x):
-        if not row.compare(value, _FEAS_TOL * scale):
-            raise SenselError("simplex returned an infeasible point")
+    x, objective, iterations = _simplex_max(problem.c, rows.a, rows.sense, rows.b, upper)
+    scale = 1.0 + float(np.abs(rows.b).max(initial=0.0))
+    if not rows.meets(rows.a @ x, _FEAS_TOL * scale).all():
+        raise SenselError("simplex returned an infeasible point")
     return LpSolution(x=x, objective=objective, iterations=iterations)
 
 
@@ -164,11 +161,9 @@ def round_batch(
             gammas[rows, n, pick] = 1
             key[rows, pick] = -np.inf
         budgets -= gammas[:, n]
-    if constraints.extra:
-        a = np.array([row.a for row in constraints.extra])
-        lhs = gammas.reshape(batch, -1) @ a.T
-        for p, row in enumerate(constraints.extra):
-            feasible &= row.compare(lhs[:, p])
+    extra = constraints.extra
+    if extra is not None:
+        feasible &= extra.meets(gammas.reshape(batch, -1) @ extra.a.T).all(axis=1)
     return gammas, feasible
 
 
@@ -210,8 +205,8 @@ def round_energy(lp: LpSolution, scenario: Scenario, problem: LpProblem) -> Roun
 
 def certify(rounded: RoundedSelection, problem: LpProblem) -> Certificate:
     """Feasibility and bound report for a rounded schedule."""
-    vec = rounded.schedule.gamma_vec()
-    ok = tuple(row.holds(vec) for row in problem.rows)
+    rows = problem.rows
+    ok = tuple(rows.meets(rows.a @ rounded.schedule.gamma_vec()).tolist())
     gap = rounded.gap
     denom = max(1.0, abs(rounded.bound))
     return Certificate(
@@ -240,34 +235,28 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[nz] -= np.outer(others[nz], tableau[row])
 
 
-def _crash_start(a, rels, rhs):
-    """Equality form of a x (rel) rhs and its starting basis.
+def _crash_start(a, sense, rhs):
+    """Equality form of a x + sense s = rhs, s >= 0, and its starting basis.
 
-    Each inequality gets a slack column, +e_p for ``<=`` and -e_p for
-    ``>=``.  Rows are then negated where rhs < 0, and ``>=`` rows where
-    rhs = 0, so that rhs >= 0 and every slack that can start at its row's
-    rhs has column +e_p.  That slack is the row's starting basic variable
-    (a crash basis, after Bixby 1992); only the remaining rows, the ``=``
-    rows and ``>=`` rows with rhs > 0, get an artificial column +e_p.
+    Each inequality row (sense +1 or -1) gets a slack column sense_p e_p.
+    Rows are then negated where rhs < 0, and sense -1 rows where rhs = 0,
+    so that rhs >= 0 and every slack that can start at its row's rhs has
+    column +e_p.  That slack is the row's starting basic variable (a crash
+    basis, after Bixby 1992); only the remaining rows, the equalities and
+    the sense -1 rows with rhs > 0, get an artificial column +e_p.
 
     Returns (full, rhs, basis, art_start): the columns [a | slacks |
     artificials], the normalized rhs, the basic column of each row, and the
     index of the first artificial column.
     """
     m, n_struct = a.shape
-    for rel in rels:
-        if rel not in ("<=", ">=", "="):
-            raise ValueError(f"unknown relation {rel!r}")
-    rels = np.array(rels)
-    slack_rows = np.flatnonzero(rels != "=")
+    slack_rows = np.flatnonzero(sense != 0)
     art_start = n_struct + slack_rows.size
     slacks = np.zeros((m, slack_rows.size))
-    slacks[slack_rows, np.arange(slack_rows.size)] = np.where(
-        rels[slack_rows] == "<=", 1.0, -1.0
-    )
+    slacks[slack_rows, np.arange(slack_rows.size)] = sense[slack_rows]
     full = np.hstack([a, slacks])
-    full[(rhs < 0) | ((rhs == 0) & (rels == ">="))] *= -1.0
-    crashed = np.where(rels == "<=", rhs >= 0, (rels == ">=") & (rhs <= 0))
+    full[(rhs < 0) | ((rhs == 0) & (sense < 0))] *= -1.0
+    crashed = np.where(sense > 0, rhs >= 0, (sense < 0) & (rhs <= 0))
     art_rows = np.flatnonzero(~crashed)
     basis = np.empty(m, dtype=int)
     basis[slack_rows] = np.arange(n_struct, art_start)
@@ -276,8 +265,9 @@ def _crash_start(a, rels, rhs):
     return full, np.abs(rhs), basis, art_start
 
 
-def _simplex_max(c, a, rels, rhs, upper):
-    """Maximize c'x subject to a x (rel) rhs and 0 <= x <= upper.
+def _simplex_max(c, a, sense, rhs, upper):
+    """Maximize c'x subject to a x (sense) rhs and 0 <= x <= upper, where
+    sense +1, 0 and -1 ask for a row at most, equal to or at least its rhs.
 
     Dense two-phase tableau simplex with variable bounds, started from the
     crash basis of :func:`_crash_start`; phase 1 runs only when some row
@@ -296,7 +286,7 @@ def _simplex_max(c, a, rels, rhs, upper):
             raise SenselError("LP is unbounded")
         return x, float(c @ x), 0
 
-    full, rhs, basis, art_start = _crash_start(a, rels, rhs)
+    full, rhs, basis, art_start = _crash_start(a, np.asarray(sense, dtype=float), rhs)
     m, ntot = full.shape
     ub = np.concatenate([np.asarray(upper, dtype=float), np.full(ntot - n_struct, np.inf)])
     tableau = full.copy()  # every starting basic column is a unit column

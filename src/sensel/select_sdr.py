@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg
 from .errors import Infeasible, NotConverged, RoundingInfeasible
 from .measure import OBJECTIVES, distinct_rows, f3_values, objective_value
-from .model import ConstraintSet, Scenario, SelectionSchedule
+from .model import ConstraintRows, ConstraintSet, Scenario, SelectionSchedule
 from .select_lp import build_lp, round_batch, round_energy, solve_lp
 from .select_separable import topk_schedule
 
@@ -59,16 +59,16 @@ class SdpProblem:
     blocks X_n, one per step, each over the step's sensors then the corner.
 
     ``c_blocks`` stacks the per-step costs as an (N, k, k) array, k = L + 1.
-    Each linear row (a, relation, rhs) holds its coefficients over the
-    step-major selection variables and stands for sum_n tr(A_n X_n)
-    (relation) rhs with A_n = [[diag(a_n), a_n], [a_n', 0]], never built;
-    rhs carries the shift of mapping 0/1 to +/-1 variables, and
-    ``ones_quad`` the objective's constant of that mapping.  The unit-
-    diagonal rows are implicit.
+    Row q of ``rows`` holds its coefficients a over the step-major
+    selection variables and stands for sum_n tr(A_n X_n) (sense_q) b_q
+    with A_n = [[diag(a_n), a_n], [a_n', 0]], never built; b carries the
+    shift of mapping 0/1 to +/-1 variables, and ``ones_quad`` the
+    objective's constant of that mapping.  The unit-diagonal rows are
+    implicit.
     """
 
     c_blocks: np.ndarray
-    rows: tuple[tuple[np.ndarray, str, float], ...]
+    rows: ConstraintRows
     ones_quad: float
 
     @property
@@ -175,13 +175,11 @@ def build_sdp(bqp: BqpProblem) -> SdpProblem:
     # which would leave the relaxation without a strict interior; convert
     # them to equalities so the interior-point solver keeps a Slater point.
     cons = bqp.constraints
-    tight = cons.energy is not None and sum(cons.per_step) == sum(cons.energy)
-    budget_rows = range(horizon, horizon + num) if tight else range(0)
-    rows = tuple(
-        (row.a, "=" if p in budget_rows else row.relation,
-         4.0 * row.b - float(row.a.sum()))
-        for p, row in enumerate(cons.rows(num))
-    )
+    rows = cons.rows(num)
+    sense = rows.sense.copy()
+    if cons.energy is not None and sum(cons.per_step) == sum(cons.energy):
+        sense[horizon : horizon + num] = 0.0
+    rows = ConstraintRows(rows.a, sense, 4.0 * rows.b - rows.a.sum(axis=1))
     return SdpProblem(c_blocks=c_blocks, rows=rows, ones_quad=float(border.sum()))
 
 
@@ -194,12 +192,12 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
     """Solve the relaxation to ``_TOL`` within ``_MAX_ITER`` iterations;
     unit-diagonal rows are added internally."""
     horizon, k, _ = problem.c_blocks.shape
-    a_hat = np.zeros((len(problem.rows), horizon, k))
-    for q, (a, _, _) in enumerate(problem.rows):
-        a_hat[q, :, :-1] = a.reshape(horizon, k - 1)
-    rels = [rel for _, rel, _ in problem.rows] + ["="] * (horizon * k)
-    rhs = np.array([b for _, _, b in problem.rows] + [1.0] * (horizon * k))
-    return _sdp_ipm(problem.c_blocks, a_hat, rels, rhs)
+    rows = problem.rows
+    a_hat = np.zeros((len(rows), horizon, k))
+    a_hat[:, :, :-1] = rows.a.reshape(len(rows), horizon, k - 1)
+    sense = np.concatenate([rows.sense, np.zeros(horizon * k)])
+    rhs = np.concatenate([rows.b, np.ones(horizon * k)])
+    return _sdp_ipm(problem.c_blocks, a_hat, sense, rhs)
 
 
 def _operator(a_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -259,7 +257,7 @@ def _max_pos_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg]))
 
 
-def _sdp_ipm(c, a_hat, rels, b):
+def _sdp_ipm(c, a_hat, sigma_sign, b):
     """Primal-dual path-following with Nesterov-Todd scaling over the
     blocks of the chordal relaxation.
 
@@ -269,8 +267,9 @@ def _sdp_ipm(c, a_hat, rels, b):
     solved together with its dual by damped Newton steps on the perturbed
     complementarity conditions.  ``c`` stacks the (N, k, k) cost blocks.
     The rows are the p linear rows, whose padded coefficients are ``a_hat``
-    (p, N, k), then the N*k unit-diagonal rows (``rels`` and ``b`` cover all
-    p + N*k); :func:`_operator`, :func:`_adjoint` and :func:`_schur` give
+    (p, N, k), then the N*k unit-diagonal rows; ``sigma_sign`` (each row's
+    slack sign, 0 on equalities) and ``b`` cover all p + N*k rows.
+    :func:`_operator`, :func:`_adjoint` and :func:`_schur` give
     their closed forms.  Every block is scaled on its own, and each
     Cholesky factor is inverted once per iteration.  An affine predictor
     probe chooses the centering weight each iteration; when the recentered
@@ -280,9 +279,6 @@ def _sdp_ipm(c, a_hat, rels, b):
     horizon, k, _ = c.shape
     order = horizon * k
     m = a_hat.shape[0] + order
-    sigma_sign = np.array(
-        [1.0 if r == "<=" else (-1.0 if r == ">=" else 0.0) for r in rels]
-    )
     ineq = sigma_sign != 0.0
     n_ineq = int(ineq.sum())
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ScenarioError
 from .filter import FilterState, StackedMeasurement, predict, stack_measurement, update_gif
 from .measure import objective_f3
-from .model import ConstraintSet, Scenario, SelectionSchedule, apply_jammer
+from .model import Scenario, SelectionSchedule, apply_jammer
 from .plan import ALGORITHMS, Plan, planning_noise, prepare
 
 SWEEP_PARAMS = ("jammer_power", "m_per_step", "s_count")
@@ -212,11 +212,7 @@ def _apply_sweep_value(config: RunConfig, parameter: str, value) -> RunConfig:
             jammer.position, jammer.r0,
         )
     else:  # m_per_step
-        constraints = ConstraintSet.build(
-            [int(value)] * scenario.horizon,
-            energy=scenario.constraints.energy,
-            extra=scenario.constraints.extra,
-        )
+        constraints = replace(scenario.constraints, per_step=(int(value),) * scenario.horizon)
         scenario = replace(scenario, constraints=constraints)
     return replace(config, scenario=scenario)
 

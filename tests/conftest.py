@@ -10,6 +10,16 @@ from sensel import linalg, model, select_sdr
 from sensel.errors import Infeasible, NotConverged, SenselError
 from sensel.select_lp import _FEAS_TOL, _TOL
 
+# Each relation's slack sign in ``model.ConstraintRows``, written out here
+# independently of the package's own mapping.
+SENSE = {"<=": 1.0, "=": 0.0, ">=": -1.0}
+RELATION = {sense: relation for relation, sense in SENSE.items()}
+
+
+def senses(relations) -> np.ndarray:
+    """The sense array of a list of relation strings."""
+    return np.array([SENSE[r] for r in relations])
+
 
 def rand_spd(n: int, rng: np.random.Generator, ridge: float = 0.5) -> np.ndarray:
     a = rng.normal(size=(n, n))
@@ -123,7 +133,7 @@ def with_random_extra_row(rng, scenario) -> model.Scenario:
     target = feasible[int(rng.integers(len(feasible)))]
     a = rng.integers(-2, 3, size=scenario.num_sensors * scenario.horizon).astype(float)
     relation = str(rng.choice(["<=", ">="]))
-    row = model.LinearConstraint.build(a, relation, float(a @ target.gamma_vec()))
+    row = (a, relation, float(a @ target.gamma_vec()))
     cons = scenario.constraints
     constraints = model.ConstraintSet.build(cons.per_step, energy=cons.energy, extra=[row])
     return replace(scenario, constraints=constraints)
@@ -179,9 +189,9 @@ def dense_cost(sdp) -> np.ndarray:
 
 def dense_solve_sdp(sdp) -> DenseSolution:
     """Solve the relaxation over one dense unit-diagonal PSD matrix."""
-    a_hat = np.array([np.append(a, 0.0) for a, _, _ in sdp.rows]).reshape(-1, sdp.dim)
-    rels = [rel for _, rel, _ in sdp.rows] + ["="] * sdp.dim
-    rhs = np.array([b for _, _, b in sdp.rows] + [1.0] * sdp.dim)
+    a_hat = np.array([np.append(a, 0.0) for a in sdp.rows.a]).reshape(-1, sdp.dim)
+    rels = [RELATION[sense] for sense in sdp.rows.sense] + ["="] * sdp.dim
+    rhs = np.array(list(sdp.rows.b) + [1.0] * sdp.dim)
     return dense_sdp_ipm(dense_cost(sdp), a_hat, rels, rhs)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from sensel import linalg, measure, model
 from sensel.filter import (
     FilterState,
+    selection_gain,
     stack_measurement,
     update_gif,
     update_kalman,
@@ -428,10 +429,9 @@ def test_c9_uncorrelated_reduction_identities():
         schedule = SelectionSchedule.build(gamma)
         noise_seq = scenario.noise_sequence()
         for n in range(horizon):
-            meas = stack_measurement(
-                scenario, noise_seq[n], schedule.column(n), step=n
-            )
-            stacked = measure.gain_trace(meas.h_tilde, meas.r_tilde)
+            stacked = float(np.trace(
+                selection_gain(scenario, noise_seq[n], schedule.column(n), step=n)
+            ))
             split = sum(
                 sensor_measure(
                     scenario.sensors[i].h_at(n), noise_seq[n].block(i, i)

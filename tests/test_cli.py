@@ -112,6 +112,19 @@ class TestSelect:
         code = main(["select", "nope.json", "--algo", "topk"])
         assert code == 1
 
+    @pytest.mark.parametrize("relation, b", [("<=", np.nan), ("=", np.inf)], ids=["nan", "inf"])
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_non_finite_row_right_side_exit_1(self, algo, relation, b, tmp_path, capsys):
+        """A linear row whose right side is not finite is rejected when the
+        scenario is loaded, before any algorithm runs."""
+        data = json.loads(open("src/sensel/scenarios/example1.json").read())
+        nl = len(data["sensors"]) * len(data["constraints"]["per_step"])
+        data["constraints"]["linear"] = [{"a": [1.0] * nl, "relation": relation, "b": b}]
+        path = tmp_path / "row.json"
+        path.write_text(json.dumps(data))
+        assert main(["select", str(path), "--algo", algo]) == 1
+        assert "constraint rows contain non-finite entries" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, flag, value", [
         pytest.param("select", "--samples", "0", id="0"),
         pytest.param("select", "--samples", "-3", id="-3"),

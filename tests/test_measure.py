@@ -10,7 +10,7 @@ import pytest
 
 from sensel import linalg, measure, model
 from sensel.errors import NotPositiveDefinite
-from sensel.filter import stack_measurement
+from sensel.filter import selection_gain, stack_measurement
 from sensel.model import SelectionSchedule
 
 from conftest import rand_scenario, sensor_measure
@@ -32,11 +32,15 @@ class TestSensorMeasure:
             sensor_measure(np.eye(2), np.zeros((2, 2)))
 
 
+def gain_trace(scenario, noise, gamma_col) -> float:
+    """The stack measure f3 sums: the trace of ``filter.selection_gain``."""
+    return float(np.trace(selection_gain(scenario, noise, gamma_col)))
+
+
 class TestGainTrace:
     def test_empty_selection(self, rng):
         scenario = rand_scenario(rng, num_sensors=2, horizon=1)
-        meas = stack_measurement(scenario, scenario.noise, [0, 0])
-        assert measure.gain_trace(meas.h_tilde, meas.r_tilde) == 0.0
+        assert gain_trace(scenario, scenario.noise, [0, 0]) == 0.0
 
     def test_uncorrelated_additivity(self, rng):
         """Block-diagonal noise: the stack's trace equals the sum of the
@@ -44,8 +48,7 @@ class TestGainTrace:
         for _ in range(30):
             scenario = rand_scenario(rng, num_sensors=4, horizon=1, correlated=False)
             gamma = rng.integers(0, 2, size=4)
-            meas = stack_measurement(scenario, scenario.noise, gamma)
-            total = measure.gain_trace(meas.h_tilde, meas.r_tilde)
+            total = gain_trace(scenario, scenario.noise, gamma)
             parts = sum(
                 sensor_measure(
                     scenario.sensors[i].h_at(0), scenario.noise.block(i, i)
@@ -62,7 +65,7 @@ class TestGainTrace:
             scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
             gamma = rng.integers(0, 2, size=3)
             meas = stack_measurement(scenario, scenario.noise, gamma)
-            value = measure.gain_trace(meas.h_tilde, meas.r_tilde)
+            value = gain_trace(scenario, scenario.noise, gamma)
             oracle = float(
                 np.trace(meas.h_tilde.T @ linalg.pinv(meas.r_tilde) @ meas.h_tilde)
             )
@@ -72,10 +75,11 @@ class TestGainTrace:
         """Multiplying the noise covariance by c divides the measure by c."""
         scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
         gamma = np.array([1, 0, 1])
-        meas = stack_measurement(scenario, scenario.noise, gamma)
-        base = measure.gain_trace(meas.h_tilde, meas.r_tilde)
+        noise = scenario.noise
+        base = gain_trace(scenario, noise, gamma)
         for c in (0.25, 2.0, 10.0):
-            scaled = measure.gain_trace(meas.h_tilde, c * meas.r_tilde)
+            scaled_noise = model.NoiseModel.from_full(c * noise.r_full, noise.block_sizes)
+            scaled = gain_trace(scenario, scaled_noise, gamma)
             assert scaled == pytest.approx(base / c, rel=1e-10)
 
 
@@ -98,7 +102,7 @@ class TestObjectives:
         meas = stack_measurement(
             scenario, scenario.noise, schedule.column(2), step=2
         )
-        expected = measure.gain_trace(meas.h_tilde, meas.r_tilde)
+        expected = np.trace(meas.h_tilde.T @ linalg.pinv(meas.r_tilde) @ meas.h_tilde)
         assert measure.objective_f3(schedule, scenario) == pytest.approx(expected)
 
     def test_f2_is_average_of_rollout(self, rng):

@@ -15,7 +15,7 @@ from sensel.errors import (
     ScenarioError,
 )
 
-from conftest import rand_correlated_noise, rand_scenario
+from conftest import rand_correlated_noise, rand_scenario, senses
 
 
 def small_scenario(**overrides):
@@ -161,6 +161,27 @@ class TestJsonRoundTrip:
         assert loaded.noise.jammer.p0 == 1e4
         assert loaded.noise.distance_alpha1 == 0.05
         np.testing.assert_allclose(loaded.noise.r_full, scenario.noise.r_full)
+
+    def test_linear_rows_survive(self, tmp_path):
+        """One extra row of each relation, the last with a negative right
+        side: save, load and save again give the same bytes, and the rows'
+        senses and right sides come back."""
+        extra = [
+            ([1.0, 0.0, 0.0, 0.0], "<=", 1.0),
+            ([1.0, 1.0, 0.0, 0.0], "=", 1.0),
+            ([0.0, 0.0, 1.0, 1.0], ">=", 0.5),
+            ([-1.0, 0.0, -1.0, 0.0], ">=", -2.0),
+        ]
+        scenario = small_scenario(constraints=model.ConstraintSet.build([1, 1], extra=extra))
+        path = tmp_path / "rows.json"
+        first = model.save_scenario(scenario, path)
+        loaded = model.load_scenario(path)
+        assert model.save_scenario(loaded) == first
+        written = json.loads(first)["constraints"]["linear"]
+        assert [row["relation"] for row in written] == ["<=", "=", ">=", ">="]
+        rows = loaded.constraints.rows(loaded.num_sensors)
+        np.testing.assert_array_equal(rows.sense[2:], senses(["<=", "=", ">=", ">="]))
+        np.testing.assert_array_equal(rows.b[2:], [1.0, 1.0, 0.5, -2.0])
 
     def test_parse_error_mentions_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -364,6 +385,17 @@ class TestDistanceNoise:
         with pytest.raises(ScenarioError, match="alpha1 must be finite and > 0"):
             model.load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "alpha1", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+    )
+    def test_bad_scaling_call_rejected(self, alpha1):
+        """distance_noise applies the check NoiseModel makes of a file's
+        scaling."""
+        scenario = small_scenario()
+        states = [np.zeros(4)] * scenario.horizon
+        with pytest.raises(ScenarioError, match="alpha1 must be finite and > 0"):
+            model.distance_noise(scenario, states, alpha1)
+
     def test_bundled_state_dependent_scenario_assembles(self):
         scenario = model.load_scenario("src/sensel/scenarios/example6.json")
         from sensel.filter import open_loop_predictions
@@ -375,6 +407,43 @@ class TestDistanceNoise:
         assert len(seq) == scenario.horizon
         for noise in seq:
             assert np.all(np.linalg.eigvalsh(noise.r_full) > 0)
+
+
+class TestConstraintRows:
+    def test_meets_each_sense(self):
+        rows = model.ConstraintRows(np.eye(3), senses(["<=", "=", ">="]), [1.0, 1.0, 1.0])
+        lhs = np.array([[0.5, 1.0, 1.5], [1.5, 1.5, 0.5], [1.0, 1.0 + 1e-10, 1.0]])
+        np.testing.assert_array_equal(
+            rows.meets(lhs), [[True, True, True], [False, False, False], [True, True, True]]
+        )
+        assert len(rows) == 3
+
+    @pytest.mark.parametrize("field", ["a", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, field, value):
+        parts = {"a": np.eye(2), "sense": [1.0, 0.0], "b": [1.0, 1.0]}
+        parts[field] = np.array(parts[field], dtype=float)
+        parts[field].flat[0] = value
+        with pytest.raises(ScenarioError, match="non-finite"):
+            model.ConstraintRows(**parts)
+
+    def test_bad_sense_and_shapes_rejected(self):
+        with pytest.raises(ScenarioError, match="sense"):
+            model.ConstraintRows(np.eye(2), [2.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ScenarioError, match="shape|matrix"):
+            model.ConstraintRows(np.eye(2), [1.0], [1.0, 1.0])
+        with pytest.raises(ScenarioError, match="shape|matrix"):
+            model.ConstraintRows(np.ones(2), [1.0], [1.0])
+
+    def test_unknown_relation_rejected(self):
+        with pytest.raises(ScenarioError, match="relation"):
+            model.ConstraintSet.build([1], extra=[([1.0, 0.0], "<", 1.0)])
+
+    def test_row_length_checked_against_the_scenario(self):
+        with pytest.raises(ScenarioError, match="length 3, expected 4"):
+            small_scenario(
+                constraints=model.ConstraintSet.build([1, 1], extra=[([1.0] * 3, "<=", 1.0)])
+            )
 
 
 class TestSchedule:

@@ -24,9 +24,12 @@ from sensel.select_lp import (
 from sensel.select_separable import exhaustive_opt
 
 from conftest import (
+    RELATION,
+    SENSE,
     loop_round_by_scores,
     loop_simplex_max,
     rand_scenario,
+    senses,
     sensor_measure,
     with_random_extra_row,
 )
@@ -54,21 +57,21 @@ class TestBuildLp:
         scenario = measures_scenario([0.3, 0.1], 1)
         problem = build_lp(scenario)
         np.testing.assert_allclose(problem.c, [0.3, 0.1])
-        assert len(problem.rows) == 1
-        row = problem.rows[0]
-        np.testing.assert_allclose(row.a, [1.0, 1.0])
-        assert row.relation == "=" and row.b == 1.0
+        rows = problem.rows
+        assert len(rows) == 1
+        np.testing.assert_allclose(rows.a[0], [1.0, 1.0])
+        assert rows.sense[0] == SENSE["="] and rows.b[0] == 1.0
 
     def test_energy_row_hits_one_sensor_per_step(self):
         scenario = measures_scenario([0.3, 0.1, 0.2], 1, horizon=3, energy=[2, 2, 2])
         problem = build_lp(scenario)
-        energy_rows = problem.rows[3:]
-        assert len(energy_rows) == 3
-        for i, row in enumerate(energy_rows):
+        rows = problem.rows
+        assert len(rows) - 3 == 3
+        for i, (a, sense, b) in enumerate(zip(rows.a[3:], rows.sense[3:], rows.b[3:])):
             expected = np.zeros(9)
             expected[[i, 3 + i, 6 + i]] = 1.0
-            np.testing.assert_array_equal(row.a, expected)
-            assert row.relation == "<=" and row.b == 2.0
+            np.testing.assert_array_equal(a, expected)
+            assert sense == SENSE["<="] and b == 2.0
 
     def test_objective_is_the_weighted_measure_table(self, rng):
         """Entry (n, i) of the step-major objective is weight_n times the
@@ -151,7 +154,7 @@ class TestSolveLp:
 
     def test_infeasible_extra_row(self):
         scenario = measures_scenario([0.3, 0.1], 1)
-        impossible = model.LinearConstraint.build([1.0, 1.0], ">=", 3.0)
+        impossible = ([1.0, 1.0], ">=", 3.0)
         import dataclasses
 
         constrained = dataclasses.replace(
@@ -306,7 +309,7 @@ class TestRoundBatch:
     def test_extra_row_masks_violating_candidates(self):
         """Only the candidate that meets the extra row survives the mask,
         and round_by_scores raises on the one that does not."""
-        forbid_first = model.LinearConstraint.build([1.0, 0.0, 0.0], "<=", 0.0)
+        forbid_first = ([1.0, 0.0, 0.0], "<=", 0.0)
         constraints = model.ConstraintSet.build([1], extra=[forbid_first])
         scores = np.array([[[0.9, 0.5, 0.1]], [[0.1, 0.5, 0.9]]])
         gammas, feasible = round_batch(scores, constraints, [1.0])
@@ -376,7 +379,7 @@ class TestSimplexAgainstReference:
                 method="highs",
             )
             try:
-                x, objective, _ = _simplex_max(c, a, rels, rhs, np.ones(n))
+                x, objective, _ = _simplex_max(c, a, senses(rels), rhs, np.ones(n))
                 solved = True
             except Infeasible:
                 solved = False
@@ -394,10 +397,9 @@ def selection_program(rng, num, horizon, per_step, budget, extra=()):
         [per_step] * horizon, energy=[budget] * num, extra=list(extra)
     )
     rows = constraints.rows(num)
-    a = np.array([row.a for row in rows])
-    rhs = np.array([row.b for row in rows])
     c = rng.integers(1, 4, size=num * horizon) * rng.choice([1.0, 0.25], size=num * horizon)
-    return c, a, [row.relation for row in rows], rhs, np.ones(num * horizon)
+    rels = [RELATION[sense] for sense in rows.sense]
+    return c, rows.a, rels, rows.b, np.ones(num * horizon)
 
 
 def assert_same_as_loop_oracle(c, a, rels, rhs, upper):
@@ -407,9 +409,9 @@ def assert_same_as_loop_oracle(c, a, rels, rhs, upper):
         expected = loop_simplex_max(c, a, rels, rhs, upper)
     except SenselError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            _simplex_max(c, a, rels, rhs, upper)
+            _simplex_max(c, a, senses(rels), rhs, upper)
         return False
-    x, objective, iterations = _simplex_max(c, a, rels, rhs, upper)
+    x, objective, iterations = _simplex_max(c, a, senses(rels), rhs, upper)
     assert np.array_equal(x, expected[0])
     assert objective == expected[1]
     assert iterations == expected[2]
@@ -446,10 +448,8 @@ class TestSimplexAgainstLoopOracle:
             horizon = int(rng.integers(2, 5))
             per_step = int(rng.integers(1, num // 2 + 1))
             budget = int(rng.integers(1, horizon + 1))
-            total = model.LinearConstraint.build(
-                np.ones(num * horizon), "=", per_step * horizon
-            )
-            first_step = model.LinearConstraint.build(
+            total = (np.ones(num * horizon), "=", per_step * horizon)
+            first_step = (
                 np.repeat([1.0, 0.0], [num, num * (horizon - 1)]), ">=", per_step
             )
             program = selection_program(
@@ -498,7 +498,7 @@ class TestPivotCount:
         # which leaves the second row's artificial basic at zero with
         # support on x2; the drive-out pivots x2 in there.
         x, _, iterations = _simplex_max(
-            [1.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], ["=", "="], [1.0, 1.0],
+            [1.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], senses(["=", "="]), [1.0, 1.0],
             [np.inf, np.inf],
         )
         assert x.tolist() == [1.0, 0.0]
@@ -507,10 +507,8 @@ class TestPivotCount:
 
     def test_one_pivot_per_basis_change_of_the_oracle(self, rng, pivots, monkeypatch):
         num, horizon = 20, 4
-        total = model.LinearConstraint.build(np.ones(num * horizon), "=", 3 * horizon)
-        first_step = model.LinearConstraint.build(
-            np.repeat([1.0, 0.0], [num, num * (horizon - 1)]), ">=", 3
-        )
+        total = (np.ones(num * horizon), "=", 3 * horizon)
+        first_step = (np.repeat([1.0, 0.0], [num, num * (horizon - 1)]), ">=", 3)
         program = selection_program(rng, num, horizon, 3, 2, extra=[total, first_step])
         # The oracle eliminates with one np.outer per basis change, in
         # phase 1, phase 2 and the drive-out alike.
@@ -524,7 +522,8 @@ class TestPivotCount:
         monkeypatch.setattr(np, "outer", counting_outer)
         _, _, oracle_iterations = loop_simplex_max(*program)
         monkeypatch.setattr(np, "outer", outer)
-        _, _, iterations = _simplex_max(*program)
+        c, a, rels, rhs, upper = program
+        _, _, iterations = _simplex_max(c, a, senses(rels), rhs, upper)
         assert iterations == oracle_iterations
         assert len(outer_calls) > iterations // 2
         assert len(pivots) == len(outer_calls)
@@ -535,19 +534,19 @@ class TestPivotCount:
         objective the slack basis is already optimal, so no pivot of
         either phase runs."""
         num, horizon = 6, 3
-        budgets = model.ConstraintSet.build([1] * horizon, energy=[2] * num).rows(num)[horizon:]
+        budgets = model.ConstraintSet.build([1] * horizon, energy=[2] * num).rows(num).a[horizon:]
         a = np.array(
-            [row.a for row in budgets]
+            list(budgets)
             + [np.repeat([1.0, 0.0], [num, num * (horizon - 1)]), np.ones(num * horizon)]
         )
         rels = ["<="] * num + [">=", ">="]
         rhs = np.array([2.0] * num + [-1.0, 0.0])
-        full, start_rhs, basis, art_start = _crash_start(a, rels, rhs)
+        full, start_rhs, basis, art_start = _crash_start(a, senses(rels), rhs)
         assert full.shape == (num + 2, art_start)
         assert basis.tolist() == list(range(num * horizon, art_start))
         assert start_rhs.tolist() == [2.0] * num + [1.0, 0.0]
         x, objective, iterations = _simplex_max(
-            -np.ones(num * horizon), a, rels, rhs, np.ones(num * horizon)
+            -np.ones(num * horizon), a, senses(rels), rhs, np.ones(num * horizon)
         )
         assert x.tolist() == [0.0] * (num * horizon) and objective == 0.0
         assert iterations == 0 and pivots == []
@@ -567,24 +566,22 @@ class TestExample3Lp:
         """Starting from the slack basis, only the 5 count rows need an
         artificial; the all-artificial start took 5,690 pivots."""
         problem, solution = example3_lp
-        a = np.array([row.a for row in problem.rows])
-        full, _, _, art_start = _crash_start(
-            a, [row.relation for row in problem.rows],
-            np.array([row.b for row in problem.rows]),
-        )
+        rows = problem.rows
+        full, _, _, art_start = _crash_start(rows.a, rows.sense, rows.b)
         assert full.shape[1] - art_start == problem.horizon
         assert solution.iterations < 1000
 
     def test_objective_matches_scipy_highs(self, example3_lp):
         linprog = pytest.importorskip("scipy.optimize").linprog
         problem, solution = example3_lp
-        ineq = [row for row in problem.rows if row.relation == "<="]
-        eq = [row for row in problem.rows if row.relation == "="]
-        assert len(ineq) + len(eq) == len(problem.rows)
+        rows = problem.rows
+        ineq = rows.sense == SENSE["<="]
+        eq = rows.sense == SENSE["="]
+        assert ineq.sum() + eq.sum() == len(rows)
         reference = linprog(
             -problem.c,
-            A_ub=np.array([row.a for row in ineq]), b_ub=[row.b for row in ineq],
-            A_eq=np.array([row.a for row in eq]), b_eq=[row.b for row in eq],
+            A_ub=rows.a[ineq], b_ub=rows.b[ineq],
+            A_eq=rows.a[eq], b_eq=rows.b[eq],
             bounds=[(0, 1)] * problem.c.shape[0], method="highs",
         )
         assert reference.status == 0

@@ -29,6 +29,7 @@ from sensel.select_sdr import (
 from sensel.select_separable import exhaustive_opt, topk_schedule
 
 from conftest import (
+    RELATION,
     dense_adjoint,
     dense_cost,
     dense_operator,
@@ -227,7 +228,7 @@ class TestBuildSdp:
         """A select-m-of-L equality row transforms to 4m - L."""
         scenario = two_sensor_scalar(0.3)
         sdp = build_sdp(build_bqp(scenario))
-        a, rel, rhs = sdp.rows[0]
+        a, rel, rhs = sdp.rows.a[0], RELATION[sdp.rows.sense[0]], sdp.rows.b[0]
         assert rel == "="
         assert rhs == 4.0 * 1 - 2
         np.testing.assert_array_equal(a, [1.0, 1.0])
@@ -238,7 +239,7 @@ class TestBuildSdp:
             per_step=[1, 1], energy=[1, 1, 2],
         )
         sdp = build_sdp(build_bqp(scenario))
-        rels = [rel for _, rel, _ in sdp.rows]
+        rels = [RELATION[sense] for sense in sdp.rows.sense]
         assert rels[:2] == ["=", "="]
         assert rels[2:] == ["<=", "<=", "<="]
 
@@ -271,7 +272,8 @@ class TestBuildSdp:
                 tau = 2.0 * schedule.gamma_vec() - 1.0
                 v = np.concatenate([tau, [1.0]])
                 x = np.outer(v, v)
-                for a, rel, rhs in sdp.rows:
+                for a, sense, rhs in zip(sdp.rows.a, sdp.rows.sense, sdp.rows.b):
+                    rel = RELATION[sense]
                     value = float(np.tensordot(lifted_row_matrix(a, sdp.dim), x))
                     if rel == "=":
                         assert value == pytest.approx(rhs, abs=1e-9)
@@ -356,7 +358,8 @@ class TestSolveSdp:
     def test_zero_objective_unit_diagonal(self):
         scenario = two_sensor_scalar(0.2)
         sdp = build_sdp(build_bqp(scenario))
-        zeroed = replace(sdp, c_blocks=np.zeros_like(sdp.c_blocks), rows=(), ones_quad=0.0)
+        no_rows = model.ConstraintRows(np.zeros((0, 2)), [], [])
+        zeroed = replace(sdp, c_blocks=np.zeros_like(sdp.c_blocks), rows=no_rows, ones_quad=0.0)
         solution = solve_sdp(zeroed)
         assert solution.objective == pytest.approx(0.0, abs=1e-6)
         np.testing.assert_allclose(np.diag(solution.x), 1.0, atol=1e-6)
@@ -516,7 +519,7 @@ class TestBlockSolver:
         a[3 :: scenario.num_sensors] = 1.0
         scenario = replace(scenario, constraints=model.ConstraintSet.build(
             cons.per_step, energy=cons.energy,
-            extra=[model.LinearConstraint.build(a, "<=", 0.0)],
+            extra=[(a, "<=", 0.0)],
         ))
         noise_seq = planning_noise(scenario)
         solution = solve_sdp(build_sdp(build_bqp(scenario, noise_seq)))

@@ -84,7 +84,7 @@ class TestExhaustive:
     def test_extra_linear_row_filters_schedules(self, rng):
         """A row forbidding the strongest sensor changes the optimum."""
         scenario = scenario_with_measures([0.5, 0.2, 0.1], 1, rng)
-        forbid_first = model.LinearConstraint.build([1.0, 0.0, 0.0], "<=", 0.0)
+        forbid_first = ([1.0, 0.0, 0.0], "<=", 0.0)
         constraints = model.ConstraintSet.build([1], extra=[forbid_first])
         import dataclasses
 
