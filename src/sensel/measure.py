@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .filter import covariance_rollout, selection_gain
+from .filter import covariance_rollout
 from .model import Scenario, SelectionSchedule
 
 OBJECTIVES = ("f1", "f2", "f3")
@@ -59,27 +59,51 @@ def objective_f2(schedule: SelectionSchedule, scenario: Scenario, noise_seq=None
     return sum(covs) / len(covs)
 
 
-def distinct_rows(bits: np.ndarray):
-    """Deduplicate the 0/1 rows of a (B, k) array.
+def distinct_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deduplicate the 0/1 rows of a (B, k) array, for any width k.
 
-    Each row is packed bit by bit into one fixed-width key and the keys go
-    through ``np.unique``.  Returns the distinct keys (``.tobytes()`` gives
-    a hashable form), the index of each key's first row, and the index of
-    each row's key.
+    Each row is packed into 64-bit words, and one stable ``lexsort`` of the
+    words groups equal rows.  Returns the index of each distinct row's
+    first occurrence and the index of each row's distinct row.
     """
-    packed = np.ascontiguousarray(np.packbits(bits, axis=1))
-    keys = packed.view(f"V{packed.shape[1]}").ravel()
-    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return distinct, first, inverse.reshape(-1)
+    packed = np.packbits(bits, axis=1)
+    words = np.zeros((bits.shape[0], max(1, -(-packed.shape[1] // 8)) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    words = words.view(np.uint64)
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
-def f3_values(gammas: np.ndarray, scenario: Scenario, noise_seq, gain_memo: dict) -> np.ndarray:
+def _gain_traces(scenario: Scenario, noise, columns: np.ndarray, step: int) -> np.ndarray:
+    """trace(H' R^-1 H) of each 0/1 selection column of a (U, num) array, as
+    :func:`filter.selection_gain` computes it, with one stacked solve per
+    count of selected noise rows."""
+    selected = columns.astype(bool)[:, noise.labels]
+    counts = np.count_nonzero(selected, axis=1)
+    traces = np.zeros(columns.shape[0])
+    # A set, not np.unique: numpy's hash-based unique of an int array holds
+    # about 1 MB more resident memory from its first call on.
+    for k in sorted(set(counts.tolist()) - {0}):
+        idx = np.flatnonzero(counts == k)
+        rows = np.nonzero(selected[idx])[1].reshape(idx.size, k)
+        h = scenario.h_stacks[step][rows]
+        r = noise.r_full[rows[:, :, None], rows[:, None, :]]
+        gains = h.transpose(0, 2, 1) @ np.linalg.solve(r, h)
+        traces[idx] = np.trace(gains, axis1=1, axis2=2)
+    return traces
+
+
+def f3_values(gammas: np.ndarray, scenario: Scenario, noise_seq) -> np.ndarray:
     """Weighted f3 sum of each (horizon, num) 0/1 schedule in a batch.
 
-    Each step's gain trace is computed once per distinct selection column
-    and kept in ``gain_memo`` under (step, packed column).  The weighted
-    terms are added step by step in step order, starting from 0.0, and
-    steps of weight 0 are skipped.
+    Each step's gain trace is computed once per distinct selection column.
+    The weighted terms are added step by step in step order, starting from
+    0.0, and steps of weight 0 are skipped.
     """
     weights = np.asarray(scenario.weights, dtype=float)
     totals = np.zeros(gammas.shape[0])
@@ -87,16 +111,8 @@ def f3_values(gammas: np.ndarray, scenario: Scenario, noise_seq, gain_memo: dict
         if weights[n] == 0.0:
             continue
         columns = gammas[:, n]
-        distinct, first, inverse = distinct_rows(columns)
-        gains = np.empty(distinct.shape[0])
-        for k, key in enumerate(distinct):
-            memo_key = (n, key.tobytes())
-            value = gain_memo.get(memo_key)
-            if value is None:
-                gain = selection_gain(scenario, noise_seq[n], columns[first[k]], n)
-                value = float(np.trace(gain))
-                gain_memo[memo_key] = value
-            gains[k] = value
+        first, inverse = distinct_rows(columns)
+        gains = _gain_traces(scenario, noise_seq[n], columns[first], n)
         totals = totals + float(weights[n]) * gains[inverse]
     return totals
 
@@ -106,7 +122,7 @@ def objective_f3(schedule: SelectionSchedule, scenario: Scenario, noise_seq=None
     single-schedule case of :func:`f3_values`."""
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
-    return float(f3_values(schedule.gamma.T[None], scenario, noise_seq, {})[0])
+    return float(f3_values(schedule.gamma.T[None], scenario, noise_seq)[0])
 
 
 def objective_value(kind: str, schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> float:

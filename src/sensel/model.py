@@ -312,13 +312,15 @@ class NoiseModel:
         return NoiseModel.from_full(np.where(own, self.r_full, 0.0), self.block_sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintRows:
     """The linear system A gamma (sense) b over the step-major gamma vector.
 
     ``a`` is the (p, N*L) coefficient matrix, ``b`` the (p,) right side and
     ``sense`` each row's slack sign: +1 for a' gamma <= b, 0 for an
     equality and -1 for a' gamma >= b.  Arrays are read-only copies.
+    Equality and hashing go by identity, so a ``ConstraintSet`` holding
+    rows is hashable.
     """
 
     a: np.ndarray
@@ -385,10 +387,12 @@ class ConstraintSet:
     def horizon(self) -> int:
         return len(self.per_step)
 
+    @functools.lru_cache(maxsize=8)
     def rows(self, num_sensors: int) -> ConstraintRows:
         """Every row over the step-major selection vector: one count
         equality per step, one budget inequality per sensor when budgets
-        are present, then the extra rows."""
+        are present, then the extra rows.  Built once per (constraint set,
+        sensor count) and shared, read-only, by every caller."""
         a = [np.kron(np.eye(self.horizon), np.ones(num_sensors))]
         sense = [np.zeros(self.horizon)]
         b = [self.per_step]

@@ -5,8 +5,8 @@ name, with the label the results CSV gives it.  ``prepare`` runs
 everything about planning that does not depend on a random seed and
 returns a :class:`Plan`: a fixed schedule for the deterministic
 algorithms (with the rounding certificate for ``lp``), or for ``sdr`` the
-relaxation solution plus one memo of f3 gain traces, from which
-:meth:`Plan.draw` rounds a schedule per seed.
+relaxation solution, from which :meth:`Plan.draw` rounds a schedule per
+seed.
 
 The selectors are looked up in this module's globals at call time, never
 kept in a table or a default argument, so rebinding a selector's name
@@ -52,7 +52,7 @@ def planning_noise(scenario: Scenario):
 @dataclass(frozen=True)
 class Plan:
     """A prepared selection: ``schedule`` is set for the deterministic
-    algorithms, ``sdp_solution`` and ``gain_memo`` for ``sdr``."""
+    algorithms, ``sdp_solution`` for ``sdr``."""
 
     algorithm: str
     objective: str
@@ -62,7 +62,6 @@ class Plan:
     schedule: SelectionSchedule | None = None
     certificate: Certificate | None = None
     sdp_solution: SdpSolution | None = None
-    gain_memo: dict | None = None
 
     @property
     def label(self) -> str:
@@ -77,7 +76,6 @@ class Plan:
         return randomize_round(
             self.sdp_solution, self.scenario, samples, seed,
             objective=self.objective, noise_seq=self.noise_seq,
-            gain_memo=self.gain_memo,
         )
 
     def schedule_for(self, samples: int, seed: int) -> SelectionSchedule:
@@ -95,7 +93,7 @@ def prepare(scenario: Scenario, algorithm: str, objective: str, noise_seq) -> Pl
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}")
     started = time.perf_counter()
-    schedule = certificate = solution = gain_memo = None
+    schedule = certificate = solution = None
     if algorithm == "topk":
         schedule = topk_schedule(scenario, noise_seq)
     elif algorithm == "lp":
@@ -112,10 +110,8 @@ def prepare(scenario: Scenario, algorithm: str, objective: str, noise_seq) -> Pl
         # Factor the sampling covariance once, here, so that every draw (and
         # every worker process the plan is shipped to) reuses it.
         _ = solution.sampling_factor
-        gain_memo = {}
     return Plan(
         algorithm=algorithm, objective=objective, scenario=scenario,
         noise_seq=noise_seq, seconds=time.perf_counter() - started,
         schedule=schedule, certificate=certificate, sdp_solution=solution,
-        gain_memo=gain_memo,
     )

@@ -426,7 +426,6 @@ def randomize_round(
     seed: int,
     objective: str = "f3",
     noise_seq=None,
-    gain_memo: dict | None = None,
 ) -> SdrRounding:
     """Sample schedules from the lifted solution and keep the best one.
 
@@ -442,12 +441,9 @@ def randomize_round(
     (:func:`select_lp.round_batch`).  Candidates that run out of budgeted
     sensors or violate an extra constraint row are dropped; when none is
     left the call raises RoundingInfeasible.  f3 (:func:`measure.f3_values`)
-    scores each step only on its distinct columns through ``gain_memo``, a
-    dict of gain traces keyed by (step, packed column); pass one memo to
-    every call on the same scenario and noise sequence to share it, or omit
-    it for a fresh one.
-    f1 and f2 are evaluated once per distinct schedule.  The best value
-    wins, ties going to the smallest ``SelectionSchedule.key()``.
+    scores each step only on its distinct columns; f1 and f2 are evaluated
+    once per distinct schedule.  The best value wins, ties going to the
+    smallest ``SelectionSchedule.key()``.
 
     Deterministic for a fixed seed, and the sample stream is nested: a
     larger count extends the draws of a smaller one.
@@ -458,8 +454,6 @@ def randomize_round(
         raise ValueError(f"objective must be one of {OBJECTIVES}")
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
-    if gain_memo is None:
-        gain_memo = {}
     num = scenario.num_sensors
     horizon = scenario.horizon
     nl = num * horizon
@@ -479,10 +473,10 @@ def randomize_round(
     gammas = gammas[feasible]
 
     if objective == "f3":
-        values = f3_values(gammas, scenario, noise_seq, gain_memo)
+        values = f3_values(gammas, scenario, noise_seq)
         best_value = values.max()
     else:
-        _, first, inverse = distinct_rows(gammas.reshape(gammas.shape[0], -1))
+        first, inverse = distinct_rows(gammas.reshape(gammas.shape[0], -1))
         traces = np.array([
             objective_value(objective, SelectionSchedule.build(gammas[k].T), scenario, noise_seq)
             for k in first

@@ -8,7 +8,7 @@ import pytest
 
 from sensel import linalg, model, select_sdr
 from sensel.errors import Infeasible, NotConverged, SenselError
-from sensel.select_lp import _FEAS_TOL, _TOL
+from sensel.select_lp import _FEAS_TOL, _TOL, _basis_solve
 
 # Each relation's slack sign in ``model.ConstraintRows``, written out here
 # independently of the package's own mapping.
@@ -420,9 +420,13 @@ def loop_build_bqp(scenario, noise_seq=None) -> list[np.ndarray]:
 
 # The bounded simplex as it stood before its pivots were vectorized (a
 # per-row Python ratio test and a full-tableau outer product per pivot),
-# kept as the oracle for the current solver's pivot sequence.  Its only
-# change since is the starting basis: the slack of every row whose slack
-# column is +e_p starts basic, and only the other rows get an artificial.
+# kept as the oracle for the current solver's pivot sequence.  Two things
+# changed since.  The slack of every row whose slack column is +e_p starts
+# basic, and only the other rows get an artificial.  The tableau is rebuilt
+# through the solver's own ``_basis_solve``, which has its own test against
+# ``np.linalg.solve``: on rows that are not totally unimodular the two
+# round differently in the last ulp, and this oracle checks the ratio test
+# and the elimination, not the refactorization.
 def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     """Maximize c'x subject to a x (rel) rhs and 0 <= x <= upper.
 
@@ -503,8 +507,8 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     def refactorize():
         nonlocal tableau, xb
         b_cols = full[:, basis]
-        tableau = np.linalg.solve(b_cols, full)
-        xb = np.linalg.solve(b_cols, rhs - full @ nonbasic_values())
+        tableau = _basis_solve(b_cols, full)
+        xb = _basis_solve(b_cols, rhs - full @ nonbasic_values())
 
     def run_phase(cost, banned_from: int | None):
         nonlocal iterations, tableau, xb

@@ -456,6 +456,26 @@ class TestSchedule:
         wrong_count = model.SelectionSchedule.build([[1, 1], [1, 1], [0, 0]])
         assert not wrong_count.satisfies(cons)
 
+    def test_repeated_satisfies_builds_the_rows_once(self, monkeypatch):
+        """``satisfies`` reads the constraint rows built once per (set,
+        sensor count); repeated checks build no ``ConstraintRows``."""
+        cons = model.ConstraintSet.build(
+            [1, 2], energy=[1, 1, 1], extra=[([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], "<=", 1.0)]
+        )
+        built = []
+        check = model.ConstraintRows.__post_init__
+
+        def counting(self):
+            built.append(1)
+            check(self)
+
+        monkeypatch.setattr(model.ConstraintRows, "__post_init__", counting)
+        good = model.SelectionSchedule.build([[1, 0], [0, 1], [0, 1]])
+        bad = model.SelectionSchedule.build([[1, 1], [0, 1], [0, 0]])
+        for _ in range(20):
+            assert good.satisfies(cons) and not bad.satisfies(cons)
+        assert len(built) == 1
+
     def test_gamma_vec_is_step_major(self):
         schedule = model.SelectionSchedule.build([[1, 0], [0, 1]])
         np.testing.assert_array_equal(schedule.gamma_vec(), [1.0, 0.0, 0.0, 1.0])

@@ -476,6 +476,67 @@ class TestSimplexAgainstLoopOracle:
             assert_same_as_loop_oracle(c, a, rels, rhs, upper)
 
 
+def mixed_basis(rng, m, singletons):
+    """A nonsingular (m, m) basis in shuffled column order: ``singletons``
+    unit-like columns with entries away from +-1 in distinct rows, and dense
+    columns that also reach into those rows."""
+    rows = rng.permutation(m)
+    b = np.zeros((m, m))
+    s_rows, d_rows = rows[:singletons], rows[singletons:]
+    b[s_rows, np.arange(singletons)] = rng.choice([-1.0, 1.0], singletons) * rng.uniform(
+        1.5, 4.0, singletons
+    )
+    dense = rng.normal(size=(m, m - singletons)) * (rng.random((m, m - singletons)) < 0.5)
+    dense[d_rows] += 3.0 * np.eye(m - singletons)
+    b[:, singletons:] = dense
+    return b[:, rng.permutation(m)]
+
+
+def assert_matches_dense_solve(b, cols):
+    expected = np.linalg.solve(b, cols)
+    got = select_lp._basis_solve(b, cols)
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+class TestBasisSolve:
+    """``_basis_solve`` against ``np.linalg.solve``, for the tableau (a
+    matrix of columns) and for the basic values (a vector)."""
+
+    def test_mixed_singleton_and_dense_columns(self, rng):
+        for _ in range(40):
+            m = int(rng.integers(2, 30))
+            b = mixed_basis(rng, m, int(rng.integers(1, m)))
+            assert_matches_dense_solve(b, rng.normal(size=(m, int(rng.integers(1, 50)))))
+            assert_matches_dense_solve(b, rng.normal(size=m))
+
+    def test_no_singleton_and_pure_slack_bases(self, rng):
+        for m in (1, 4, 17):
+            dense = rng.normal(size=(m, m)) + 4.0 * np.eye(m)
+            slack = np.eye(m)[:, rng.permutation(m)] * rng.choice([-1.0, 1.0], m)
+            for b in (dense, slack):
+                assert_matches_dense_solve(b, rng.normal(size=(m, 9)))
+                assert_matches_dense_solve(b, rng.normal(size=m))
+
+    def test_count_budget_bases_bit_for_bit(self, rng, monkeypatch):
+        """Every basis the simplex refactorizes on an example3-shaped program
+        (count and budget rows, an incidence matrix) gives exactly the
+        dense solve's tableau and basic values."""
+        calls = []
+        original = select_lp._basis_solve
+
+        def checked(b_cols, cols):
+            out = original(b_cols, cols)
+            calls.append(np.array_equal(out, np.linalg.solve(b_cols, cols)))
+            return out
+
+        monkeypatch.setattr(select_lp, "_basis_solve", checked)
+        for num, per_step in ((60, 10), (30, 4)):
+            c, a, rels, rhs, upper = selection_program(rng, num, 5, per_step, 2)
+            _simplex_max(rng.uniform(0.1, 1.0, size=c.shape), a, senses(rels), rhs, upper)
+        assert len(calls) >= 4 and all(calls)
+
+
 class TestPivotCount:
     """Every basis change goes through ``_pivot``; a second elimination
     path would miss these counts (a guard on speed that needs no timing)."""

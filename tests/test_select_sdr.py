@@ -635,22 +635,35 @@ class TestRandomizeRound:
                 compared += 1
         assert compared >= 24
 
-    def test_shared_gain_memo_changes_nothing(self, rng):
-        """A memo shared across calls gives the results of fresh memos and
-        holds one gain trace per (step, packed column)."""
-        scenario = rand_scenario(
-            rng, num_sensors=5, horizon=3, correlated=True, per_step=[2, 1, 2],
-        )
-        solution = solve_sdp(build_sdp(build_bqp(scenario)))
-        memo = {}
-        for seed in range(4):
-            shared = randomize_round(solution, scenario, 25, seed=seed, gain_memo=memo)
-            fresh = randomize_round(solution, scenario, 25, seed=seed)
-            np.testing.assert_array_equal(shared.schedule.gamma, fresh.schedule.gamma)
-            assert shared.objective == fresh.objective
-        assert memo
-        assert {step for step, _ in memo} <= {0, 1, 2}
-        assert all(isinstance(key, bytes) for _, key in memo)
+    def test_f3_values_match_per_column_gain_loop(self, rng):
+        """The batched f3 (stacked solves over each step's distinct
+        columns) is bit for bit the step-order sum of
+        ``filter.selection_gain`` traces, one column at a time; mixed
+        measurement dimensions, a weight-0 step and empty columns included."""
+        for trial in range(6):
+            num, horizon = 6, 3
+            weights = rng.uniform(0.1, 1.0, size=horizon)
+            weights[trial % horizon] = 0.0
+            scenario = rand_scenario(
+                rng, num_sensors=num, horizon=horizon, state_dim=int(rng.integers(1, 5)),
+                meas_dims=[1, 2, 3, 1, 2, 1], correlated=bool(trial % 2),
+                per_step=[2] * horizon, weights=weights,
+            )
+            noise_seq = scenario.noise_sequence()
+            gammas = rng.integers(0, 2, size=(40, horizon, num)).astype(np.int8)
+            gammas[:3, 1] = 0  # empty selections
+            gammas[20:30] = gammas[:10]  # repeated columns
+            expected = []
+            for gamma in gammas:
+                total = 0.0
+                for n in range(horizon):
+                    if weights[n] != 0.0:
+                        gain = selection_gain(scenario, noise_seq[n], gamma[n], n)
+                        total = total + float(weights[n]) * float(np.trace(gain))
+                expected.append(total)
+            np.testing.assert_array_equal(
+                measure.f3_values(gammas, scenario, noise_seq), expected
+            )
 
     def test_extra_row_met_or_rounding_infeasible(self, rng):
         """With a random extra row the result meets every row and stays
