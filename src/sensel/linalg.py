@@ -27,9 +27,12 @@ def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Average a square matrix, or each of a stack of them, with its transpose."""
+def symmetrize(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Average a square matrix, or each of a stack of them, with its transpose;
+    raises InvalidMatrix when the last two dimensions differ."""
     a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
@@ -70,20 +73,15 @@ def pinv(a: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
     return (vt.T * inv_s) @ u.T
 
 
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite ``a``."""
-    a = _require_symmetric(a, "solve_spd matrix")
-    b = check_finite(b, "solve_spd rhs")
+def inv_spd(a: np.ndarray) -> np.ndarray:
+    """Inverse of a positive definite matrix, symmetrized; ``a`` is
+    symmetrized first and one Cholesky factorization tests it."""
+    a = symmetrize(check_finite(a, "inv_spd input"), "inv_spd input")
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("matrix is not positive definite") from None
-    return np.linalg.solve(a, b)
-
-
-def inv_spd(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, symmetrized."""
-    return symmetrize(solve_spd(a, np.eye(a.shape[0])))
+    return symmetrize(np.linalg.solve(a, np.eye(a.shape[0])))
 
 
 def psd_project(a: np.ndarray, slack: float = PSD_SLACK) -> np.ndarray:

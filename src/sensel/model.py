@@ -34,14 +34,28 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
-def _matrix_steps(value, name: str) -> tuple[np.ndarray, ...]:
-    """Normalize a constant matrix or a per-step list of matrices."""
-    arr = np.asarray(value, dtype=float)
+def _matrix_steps(arr: np.ndarray, name: str) -> tuple[np.ndarray, ...]:
+    """Split a read-only constant matrix, or per-step stack of matrices,
+    into its steps (views of ``arr``)."""
     if arr.ndim == 2:
-        return (_frozen(linalg.check_finite(arr, name)),)
+        return (arr,)
     if arr.ndim == 3:
-        return tuple(_frozen(linalg.check_finite(m, name)) for m in arr)
+        return tuple(arr)
     raise InvalidMatrix(f"{name} must be a matrix or a list of matrices")
+
+
+def _size_groups(block_sizes: tuple[int, ...]) -> list[tuple[list[int], tuple]]:
+    """Per distinct block size ``s``, ascending: the sensors whose noise
+    block is s x s, and the index that reads or writes their blocks of the
+    joint matrix as one (sensors, s, s) stack."""
+    sizes = np.array(block_sizes, dtype=int)
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for s in sorted(set(block_sizes)):
+        which = np.flatnonzero(sizes == s)
+        rows = starts[which, None] + np.arange(s)
+        groups.append((which.tolist(), (rows[:, :, None], rows[:, None, :])))
+    return groups
 
 
 @dataclass(frozen=True)
@@ -81,7 +95,10 @@ class DynamicSystem:
         q = np.asarray(q, dtype=float)
         if q.ndim in (2, 3) and q.shape[-1] == q.shape[-2]:
             q = linalg.symmetrize(q)
-        return DynamicSystem(f=_matrix_steps(f, "F"), q=_matrix_steps(q, "Q"))
+        return DynamicSystem(
+            f=_matrix_steps(_frozen(linalg.check_finite(f, "F")), "F"),
+            q=_matrix_steps(_frozen(linalg.check_finite(q, "Q")), "Q"),
+        )
 
     @property
     def state_dim(self) -> int:
@@ -115,9 +132,18 @@ class SensorModel:
 
     @staticmethod
     def build(h, position) -> "SensorModel":
-        return SensorModel(
-            h=_matrix_steps(h, "H"),
-            position=_frozen(linalg.check_finite(position, "position")),
+        return SensorModel.build_all([h], [position])[0]
+
+    @staticmethod
+    def build_all(hs, positions) -> tuple["SensorModel", ...]:
+        """One sensor per (H, position) pair, with one finiteness check over
+        every sensor's H and position."""
+        hs = [_frozen(h) for h in hs]
+        positions = [_frozen(p) for p in positions]
+        values = [a.ravel() for a in (*hs, *positions)]
+        linalg.check_finite(np.concatenate(values or [np.zeros(0)]), "sensor H or position")
+        return tuple(
+            SensorModel(h=_matrix_steps(h, "H"), position=p) for h, p in zip(hs, positions)
         )
 
     @property
@@ -158,7 +184,7 @@ class JammerSpec:
             alpha=float(alpha),
             n_exp=float(n_exp),
             position=_frozen(linalg.check_finite(position, "jammer position")),
-            r0=_frozen(linalg.symmetrize(linalg.check_finite(r0, "jammer R0"))),
+            r0=_frozen(linalg.symmetrize(linalg.check_finite(r0, "jammer R0"), "jammer R0")),
         )
 
     def betas(self, sensor_positions: np.ndarray) -> np.ndarray:
@@ -193,7 +219,13 @@ class NoiseModel:
     def __post_init__(self):
         """The one check of a noise covariance: ``r_full`` is finite,
         exactly symmetric and positive definite, or, with a distance term,
-        positive semidefinite to ``linalg.PSD_SLACK``."""
+        positive semidefinite to ``linalg.PSD_SLACK``.
+
+        When every nonzero of ``r_full`` lies in a sensor's own block, it is
+        symmetric and positive definite exactly when each block is, so the
+        blocks are checked as one stack per block size instead of the whole
+        matrix.
+        """
         r = self.r_full
         dim = sum(self.block_sizes)
         if r.shape != (dim, dim):
@@ -203,11 +235,14 @@ class NoiseModel:
             _check_alpha1(alpha1)
         if not np.all(np.isfinite(r)):
             raise InvalidMatrix("noise covariance contains non-finite entries")
-        if not np.array_equal(r, r.T):
+        stacks = [r[ix] for _, ix in _size_groups(self.block_sizes)]
+        parts = stacks if np.count_nonzero(r) == sum(map(np.count_nonzero, stacks)) else [r]
+        if not all(np.array_equal(a, np.swapaxes(a, -1, -2)) for a in parts):
             raise InvalidMatrix("noise covariance is not symmetric")
         if alpha1 is None:
             try:
-                np.linalg.cholesky(r)
+                for a in parts:
+                    np.linalg.cholesky(a)
             except np.linalg.LinAlgError:
                 raise NotPositiveDefinite("noise covariance is not positive definite") from None
         elif linalg.min_eigenvalue(r) < -linalg.PSD_SLACK * (1.0 + np.abs(r).max()):
@@ -222,25 +257,40 @@ class NoiseModel:
         distance_alpha1: float | None = None,
         sensor_positions=None,
     ) -> "NoiseModel":
-        """Assemble the static covariance, symmetrized; construction checks it.
+        """Assemble the static covariance from symmetrized parts;
+        construction checks it.
 
-        Exactly one of ``base_blocks`` / ``base_full`` must be given.
+        Exactly one of ``base_blocks`` / ``base_full`` must be given.  The
+        blocks are symmetrized and placed as one stack per block size.
         """
         block_sizes = tuple(int(b) for b in block_sizes)
         dim = sum(block_sizes)
         if (base_blocks is None) == (base_full is None):
             raise ScenarioError("noise needs exactly one of blocks or full")
         if base_blocks is not None:
-            base_blocks = tuple(_frozen(linalg.symmetrize(b)) for b in base_blocks)
-            if tuple(b.shape[0] for b in base_blocks) != block_sizes:
+            given = list(base_blocks)
+            if len(given) != len(block_sizes):
                 raise ScenarioError("noise block sizes do not match sensors")
             static = np.zeros((dim, dim))
-            off = 0
-            for b in base_blocks:
-                static[off : off + b.shape[0], off : off + b.shape[0]] = b
-                off += b.shape[0]
+            placed = [None] * len(given)
+            for which, ix in _size_groups(block_sizes):
+                s = ix[0].shape[1]
+                try:
+                    stack = np.array([given[i] for i in which], dtype=float)
+                except ValueError:  # blocks of uneven shapes
+                    stack = None
+                if stack is None or stack.shape != (len(which), s, s):
+                    raise InvalidMatrix(
+                        f"every noise block must be square and match its sensor: "
+                        f"expected {s}x{s}"
+                    )
+                stack = _frozen(linalg.symmetrize(stack))
+                static[ix] = stack
+                for i, b in zip(which, stack):
+                    placed[i] = b
+            base_blocks = tuple(placed)
         else:
-            base_full = _frozen(linalg.symmetrize(base_full))
+            base_full = _frozen(linalg.symmetrize(base_full, "noise full covariance"))
             if base_full.shape != (dim, dim):
                 raise ScenarioError(
                     f"noise full covariance shape {base_full.shape} != ({dim}, {dim})"
@@ -255,11 +305,12 @@ class NoiseModel:
                     "jammer covariance dimension must match every sensor block"
                 )
             beta = jammer.betas(np.asarray(sensor_positions, dtype=float))
+            # Exactly symmetric: a sum of exactly symmetric terms.
             static = static + np.kron(np.outer(beta, beta), jammer.r0)
-        static = linalg.symmetrize(static)
+        static.setflags(write=False)
         return NoiseModel(
             block_sizes=block_sizes,
-            r_full=_frozen(static),
+            r_full=static,
             base_blocks=base_blocks,
             base_full=base_full,
             jammer=jammer,
@@ -298,12 +349,22 @@ class NoiseModel:
         return _frozen(linalg.inv_spd(self.r_full))
 
     @functools.cached_property
+    def r_chol(self) -> np.ndarray:
+        """Lower Cholesky factor of ``r_full``, read-only: the simulator
+        draws every step's joint noise through it, factored once per noise
+        model."""
+        low = np.linalg.cholesky(self.r_full)
+        low.setflags(write=False)
+        return low
+
+    @functools.cached_property
     def is_block_diagonal(self) -> bool:
         """True when all cross-sensor covariance blocks vanish (to 1e-12 of
-        the largest entry)."""
-        tol = 1e-12 * max(1.0, float(np.abs(self.r_full).max()))
-        cross = self.labels[:, None] != self.labels[None, :]
-        return bool(np.all(np.abs(self.r_full[cross]) <= tol))
+        the largest entry): every larger entry lies in its sensor's block."""
+        r = self.r_full
+        tol = 1e-12 * max(1.0, float(r.max()), -float(r.min()))
+        rows, cols = np.divmod(np.flatnonzero((r > tol) | (r < -tol)), self.dim)
+        return bool(np.array_equal(self.labels[rows], self.labels[cols]))
 
     @functools.cached_property
     def diagonal_only(self) -> "NoiseModel":
@@ -593,7 +654,7 @@ def make_scenario(
         constraints=constraints,
         weights=_frozen(linalg.check_finite(weights, "weights")),
         x0=_frozen(linalg.check_finite(x0, "x0")),
-        p0=_frozen(linalg.symmetrize(linalg.check_finite(p0, "P0"))),
+        p0=_frozen(linalg.symmetrize(linalg.check_finite(p0, "P0"), "P0")),
         seed=int(seed),
         position_indices=tuple(int(i) for i in position_indices),
     )
@@ -731,7 +792,7 @@ def _build_generated(
     blocks = [
         np.diag([rng.uniform(lo, hi) for lo, hi in ranges]) for _ in range(num)
     ]
-    sensors = [SensorModel.build(h, pos) for pos in positions]
+    sensors = SensorModel.build_all([h] * num, positions)
     noise = NoiseModel.build([h.shape[0]] * num, base_blocks=blocks)
     if np.isscalar(per_step):
         per_step = [int(per_step)]
@@ -888,10 +949,11 @@ def _get(obj: dict, field: str, where: str = "scenario"):
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         system = DynamicSystem.build(_get(data, "F"), _get(data, "Q"))
-        sensors = [
-            SensorModel.build(_get(s, "H", f"sensors[{i}]"), _get(s, "position", f"sensors[{i}]"))
-            for i, s in enumerate(_get(data, "sensors"))
-        ]
+        sensors_json = _get(data, "sensors")
+        sensors = SensorModel.build_all(
+            [_get(s, "H", f"sensors[{i}]") for i, s in enumerate(sensors_json)],
+            [_get(s, "position", f"sensors[{i}]") for i, s in enumerate(sensors_json)],
+        )
         if int(_get(data, "state_dim")) != system.state_dim:
             raise ScenarioError("state_dim does not match the F matrix")
         noise_json = _get(data, "noise")

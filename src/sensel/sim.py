@@ -104,7 +104,7 @@ def simulate_measurements(
     for n in range(schedule.horizon):
         noise = noise_seq[n]
         z_full = scenario.h_stacks[n] @ truth[n + 1]
-        z_full = z_full + np.linalg.cholesky(noise.r_full) @ rng.standard_normal(noise.dim)
+        z_full = z_full + noise.r_chol @ rng.standard_normal(noise.dim)
         out.append(stack_measurement(scenario, noise, schedule.column(n), step=n, z=z_full))
     return out
 

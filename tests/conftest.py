@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sensel import linalg, model, select_sdr
-from sensel.errors import Infeasible, NotConverged, SenselError
+from sensel.errors import Infeasible, NotConverged, NotPositiveDefinite, SenselError
 from sensel.select_lp import _FEAS_TOL, _TOL, _basis_solve
 
 # Each relation's slack sign in ``model.ConstraintRows``, written out here
@@ -139,13 +139,18 @@ def with_random_extra_row(rng, scenario) -> model.Scenario:
     return replace(scenario, constraints=constraints)
 
 
-# The per-sensor measure as ``measure.info_table`` computed it, one
-# ``solve_spd`` call per sensor and step, before it batched each step; kept
-# unchanged as the reference for the batched table.
+# The per-sensor measure as ``measure.info_table`` computed it, one solve
+# per sensor and step, before it batched each step; kept as the reference
+# for the batched table.  ``r_block`` is an exactly symmetric block of a
+# checked noise model, so it is solved as it is.
 def sensor_measure(h: np.ndarray, r_block: np.ndarray) -> float:
     """Per-sensor information measure trace(H' R^-1 H); nonnegative."""
     h = np.asarray(h, dtype=float)
-    return float(np.trace(h.T @ linalg.solve_spd(r_block, h)))
+    try:
+        np.linalg.cholesky(r_block)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("noise block is not positive definite") from None
+    return float(np.trace(h.T @ np.linalg.solve(r_block, h)))
 
 
 # The lifted constraint matrix of one linear row as the SDP solver built it

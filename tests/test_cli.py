@@ -125,6 +125,25 @@ class TestSelect:
         assert main(["select", str(path), "--algo", algo]) == 1
         assert "constraint rows contain non-finite entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix", ["R0", "noise block", "P0"])
+    def test_non_square_matrix_exit_1(self, matrix, tmp_path, capsys):
+        """A non-square matrix is a shape error at load.  Broadcast against
+        its transpose, a 1x2 jammer R0 would load as the indefinite
+        [[1, 0.5], [0.5, 0]]."""
+        data = json.loads(open("src/sensel/scenarios/example4.json").read())
+        if matrix == "R0":
+            data["noise"]["jammer"].update({"R0": [[1.0, 0.0]], "p0": 1.0})
+        elif matrix == "noise block":
+            data["noise"]["blocks"][1] = [[1.0, 0.0]]
+        else:
+            data["P0"] = data["P0"][:1]
+        path = tmp_path / "non_square.json"
+        path.write_text(json.dumps(data))
+        assert main(["select", str(path), "--algo", "sdr"]) == 1
+        err = capsys.readouterr().err
+        assert "must be square" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, flag, value", [
         pytest.param("select", "--samples", "0", id="0"),
         pytest.param("select", "--samples", "-3", id="-3"),

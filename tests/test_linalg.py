@@ -1,5 +1,5 @@
-"""Matrix primitive tests: pseudoinverse identities, block inversion,
-SPD solves, and the PSD projection."""
+"""Matrix primitive tests: pseudoinverse identities, SPD inverses,
+symmetrization, and the PSD projection."""
 
 import numpy as np
 import pytest
@@ -51,25 +51,52 @@ class TestPinv:
             linalg.pinv(np.eye(2), tol=0.0)
 
 
-class TestSolveSpd:
+class TestInvSpd:
     def test_identity(self):
-        b = np.array([[3.0], [4.0]])
-        np.testing.assert_allclose(linalg.solve_spd(np.eye(2), b), b)
+        np.testing.assert_array_equal(linalg.inv_spd(np.eye(2)), np.eye(2))
 
     def test_diagonal(self):
-        out = linalg.solve_spd(np.diag([2.0, 4.0]), np.array([[2.0], [8.0]]))
-        np.testing.assert_allclose(out, np.array([[1.0], [2.0]]))
+        np.testing.assert_allclose(linalg.inv_spd(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
 
     def test_residual(self, rng):
         a = rand_spd(5, rng)
-        b = rng.normal(size=(5, 3))
-        x = linalg.solve_spd(a, b)
-        resid = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
-        assert resid < 1e-10
+        inv = linalg.inv_spd(a)
+        assert np.array_equal(inv, inv.T)
+        assert np.linalg.norm(a @ inv - np.eye(5)) < 1e-10
 
     def test_not_pd(self):
         with pytest.raises(NotPositiveDefinite):
-            linalg.solve_spd(np.diag([1.0, -1.0]), np.ones((2, 1)))
+            linalg.inv_spd(np.diag([1.0, -1.0]))
+
+    def test_equals_symmetrized_solve(self, rng):
+        """One check and one factorization: the inverse is the symmetrized
+        solve of the symmetrized input against the identity, bit for bit."""
+        for _ in range(20):
+            a = rand_spd(int(rng.integers(1, 7)), rng)
+            a = a + 1e-9 * rng.normal(size=a.shape)  # off-symmetric in the last digits
+            sym = linalg.symmetrize(a)
+            expected = linalg.symmetrize(np.linalg.solve(sym, np.eye(a.shape[0])))
+            assert np.array_equal(linalg.inv_spd(a), expected)
+
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0]], [1.0, 2.0], [[np.nan]]])
+    def test_rejects_non_square_and_non_finite(self, bad):
+        with pytest.raises(InvalidMatrix):
+            linalg.inv_spd(np.array(bad))
+
+
+class TestSymmetrize:
+    def test_stack(self, rng):
+        a = rng.normal(size=(3, 2, 2))
+        out = linalg.symmetrize(a)
+        assert np.array_equal(out, np.swapaxes(out, -1, -2))
+        np.testing.assert_allclose(out[1], 0.5 * (a[1] + a[1].T))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (4, 1, 2), (3,)])
+    def test_non_square_rejected(self, shape):
+        """A non-square input is refused, not broadcast against its
+        transpose (which turns a 1x2 matrix into a 2x2 one)."""
+        with pytest.raises(InvalidMatrix, match="R0 must be square"):
+            linalg.symmetrize(np.ones(shape), "R0")
 
 
 class TestPsdProject:

@@ -15,7 +15,7 @@ from sensel.errors import (
     ScenarioError,
 )
 
-from conftest import rand_correlated_noise, rand_scenario, senses
+from conftest import rand_correlated_noise, rand_scenario, rand_spd, senses
 
 
 def small_scenario(**overrides):
@@ -558,3 +558,172 @@ class TestRowMap:
         stripped = [noise.diagonal_only for noise in scenario.noise_sequence()]
         assert all(copy is stripped[0] for copy in stripped)
         assert counts == {"is_block_diagonal": 1, "diagonal_only": 1}
+
+
+def loop_built_r_full(block_sizes, blocks=None, full=None, jammer=None, positions=None):
+    """The joint covariance as ``NoiseModel.build`` assembled it one block
+    at a time: symmetrize each block, place it, add the jammer term, then
+    symmetrize the sum."""
+    dim = sum(block_sizes)
+    if full is not None:
+        static = 0.5 * (np.asarray(full, dtype=float) + np.asarray(full, dtype=float).T)
+    else:
+        static = np.zeros((dim, dim))
+        off = 0
+        for b in blocks:
+            b = np.asarray(b, dtype=float)
+            static[off : off + b.shape[0], off : off + b.shape[0]] = 0.5 * (b + b.T)
+            off += b.shape[0]
+    if jammer is not None and jammer.p0 > 0:
+        beta = jammer.betas(np.asarray(positions, dtype=float))
+        static = static + np.kron(np.outer(beta, beta), jammer.r0)
+    return 0.5 * (static + static.T)
+
+
+def lp_family_path(tmp_path):
+    """A 400-sensor file of the benchmark's LP family: 20x20 grid, 2x2
+    diagonal noise blocks, 5 steps of 10, budget 2."""
+    scenario = model.gen_grid_scenario(
+        20, 100.0, [(5.0, 10.0), (5.0, 10.0)], seed=3,
+        per_step=[10] * 5, energy=2, weights=[0.2] * 5,
+        x0=[50.0, 0.0, 50.0, 0.0], p0=np.diag([100.0, 10.0, 100.0, 10.0]),
+    )
+    path = tmp_path / "grid400.json"
+    model.save_scenario(scenario, path)
+    return path
+
+
+class TestBlockNoiseWork:
+    """Block-diagonal noise is loaded and checked with per-sensor work: the
+    counts below, not timings, pin that."""
+
+    def test_network_load_factors_no_matrix_larger_than_a_block(self, tmp_path, monkeypatch):
+        path = lp_family_path(tmp_path)
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda a: shapes.append(np.shape(a)) or cholesky(a)
+        )
+        scenario = model.load_scenario(path)
+        assert scenario.noise.dim == 800
+        # The noise is factored as one stack of its 400 blocks; the only
+        # other factorizations are the 4x4 Q and P0 checks.
+        assert sorted(shapes) == [(4, 4), (4, 4), (400, 2, 2)]
+
+    def test_correlated_noise_keeps_the_dense_check(self, monkeypatch):
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda a: shapes.append(np.shape(a)) or cholesky(a)
+        )
+        noise = model.load_scenario("src/sensel/scenarios/example4.json").noise
+        assert (noise.dim, noise.dim) in shapes
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_non_pd_block_among_uneven_sizes_rejected(self, bad, rng):
+        sizes = (1, 2, 3)
+        blocks = [rand_spd(n, rng) for n in sizes]
+        blocks[bad] = -blocks[bad]
+        with pytest.raises(NotPositiveDefinite):
+            model.NoiseModel.build(sizes, base_blocks=blocks)
+        full = loop_built_r_full(sizes, blocks)
+        with pytest.raises(NotPositiveDefinite):
+            model.NoiseModel(
+                block_sizes=sizes, r_full=full, base_blocks=None, base_full=full,
+                jammer=None, distance_alpha1=None,
+            )
+
+    def test_check_is_chosen_from_the_matrix_not_the_fields(self, rng):
+        """A directly built model whose blocks are PD but whose cross terms
+        make the whole matrix indefinite is refused, whatever
+        ``base_blocks`` says."""
+        sizes = (1, 2)
+        blocks = (np.eye(1), np.eye(2))
+        full = loop_built_r_full(sizes, blocks)
+        full[0, 1] = full[1, 0] = 2.0
+        with pytest.raises(NotPositiveDefinite):
+            model.NoiseModel(
+                block_sizes=sizes, r_full=full, base_blocks=blocks, base_full=None,
+                jammer=None, distance_alpha1=None,
+            )
+        full[0, 1] = 2.0
+        full[1, 0] = 0.0
+        with pytest.raises(InvalidMatrix, match="not symmetric"):
+            model.NoiseModel(
+                block_sizes=sizes, r_full=full, base_blocks=blocks, base_full=None,
+                jammer=None, distance_alpha1=None,
+            )
+
+    def test_asymmetric_block_rejected(self):
+        full = np.diag([1.0, 2.0, 3.0])
+        full[1, 2] = 0.5
+        with pytest.raises(InvalidMatrix, match="not symmetric"):
+            model.NoiseModel(
+                block_sizes=(1, 2), r_full=full, base_blocks=None, base_full=full,
+                jammer=None, distance_alpha1=None,
+            )
+
+    @pytest.mark.parametrize("name", [f"example{k}" for k in range(1, 8)])
+    def test_bundled_r_full_equals_the_loop_build(self, name):
+        data = json.loads(open(f"src/sensel/scenarios/{name}.json").read())
+        scenario = model.scenario_from_dict(data)
+        noise = scenario.noise
+        expected = loop_built_r_full(
+            noise.block_sizes, blocks=data["noise"]["blocks"], full=data["noise"]["full"],
+            jammer=noise.jammer, positions=scenario.sensor_positions(),
+        )
+        assert np.array_equal(noise.r_full, expected)
+
+    def test_random_uneven_r_full_equals_the_loop_build(self, rng):
+        for trial in range(30):
+            sizes = [int(n) for n in rng.integers(1, 4, size=int(rng.integers(1, 9)))]
+            blocks = [
+                rand_spd(n, rng) + 1e-9 * rng.normal(size=(n, n)) for n in sizes
+            ]  # off-symmetric in the last digits
+            noise = model.NoiseModel.build(sizes, base_blocks=blocks)
+            assert np.array_equal(noise.r_full, loop_built_r_full(sizes, blocks))
+            for b, given in zip(noise.base_blocks, blocks):
+                assert np.array_equal(b, 0.5 * (given + given.T))
+                assert not b.flags.writeable
+        sizes = [2] * 5
+        blocks = [rand_spd(2, rng) for _ in sizes]
+        positions = rng.uniform(0.0, 100.0, size=(5, 2))
+        jammer = model.JammerSpec.build(1e4, 1.0, 2.0, [50.0, 50.0], rand_spd(2, rng))
+        noise = model.NoiseModel.build(
+            sizes, base_blocks=blocks, jammer=jammer, sensor_positions=positions
+        )
+        assert np.array_equal(
+            noise.r_full, loop_built_r_full(sizes, blocks, jammer=jammer, positions=positions)
+        )
+
+    def test_is_block_diagonal_agrees_with_the_cross_mask(self, rng):
+        """The entry-by-entry test gives the former masked result, also
+        for cross terms just above and below the tolerance."""
+        def by_mask(noise):
+            tol = 1e-12 * max(1.0, float(np.abs(noise.r_full).max()))
+            cross = noise.labels[:, None] != noise.labels[None, :]
+            return bool(np.all(np.abs(noise.r_full[cross]) <= tol))
+
+        for trial in range(40):
+            sizes = [int(n) for n in rng.integers(1, 4, size=int(rng.integers(2, 7)))]
+            full = loop_built_r_full(sizes, [10.0 * rand_spd(n, rng) for n in sizes])
+            if trial % 2:
+                i, j = 0, sum(sizes) - 1
+                full[i, j] = full[j, i] = float(rng.choice([0.5, 2.0])) * 1e-12 * np.abs(full).max()
+            noise = model.NoiseModel.from_full(full, sizes)
+            assert noise.is_block_diagonal == by_mask(noise)
+        for name in ("example1", "example4", "example6"):
+            noise = model.load_scenario(f"src/sensel/scenarios/{name}.json").noise
+            assert noise.is_block_diagonal == by_mask(noise)
+
+    def test_non_finite_sensor_values_rejected_at_load(self):
+        data = json.loads(open("src/sensel/scenarios/example1.json").read())
+        for field in ("H", "position"):
+            bad = json.loads(json.dumps(data))
+            value = bad["sensors"][3][field]
+            if field == "H":
+                value[0][1] = float("nan")
+            else:
+                value[1] = float("inf")
+            with pytest.raises(InvalidMatrix, match="non-finite"):
+                model.scenario_from_dict(bad)

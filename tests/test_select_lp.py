@@ -647,3 +647,46 @@ class TestExample3Lp:
         )
         assert reference.status == 0
         assert solution.objective == pytest.approx(-reference.fun, rel=1e-9, abs=0)
+
+
+class TestZeroGapWithoutExtraRows:
+    """Count and budget rows form the incidence matrix of a bipartite graph
+    (steps and sensors), so the LP is totally unimodular: the simplex's
+    vertex optimum is integral, greedy rounding returns it, and the
+    certified gap is exactly zero."""
+
+    @staticmethod
+    def assert_zero_gap(scenario, problem, solution):
+        x = solution.x
+        assert np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= 1e-9)
+        rounded = round_energy(solution, scenario, problem)
+        report = certify(rounded, problem)
+        assert report.feasible
+        assert report.gap == 0.0
+
+    def test_random_lp_family_instances(self, rng):
+        """Small grids of the benchmark's LP family: random counts, budgets
+        and step weights, every instance feasible."""
+        for _ in range(25):
+            grid = int(rng.integers(2, 5))
+            num = grid * grid
+            horizon = int(rng.integers(1, 6))
+            budget = int(rng.integers(1, horizon + 1))
+            per_step = [int(rng.integers(1, num + 1)) for _ in range(horizon)]
+            while sum(per_step) > budget * num:
+                per_step[int(np.argmax(per_step))] -= 1
+            scenario = model.gen_grid_scenario(
+                grid, 100.0, [(5.0, 10.0), (5.0, 10.0)], seed=int(rng.integers(2**31)),
+                per_step=per_step, energy=budget, weights=rng.uniform(0.1, 1.0, size=horizon),
+            )
+            problem = build_lp(scenario)
+            self.assert_zero_gap(scenario, problem, solve_lp(problem))
+
+    def test_example2(self):
+        scenario = model.load_scenario(EXAMPLE3.with_name("example2.json"))
+        problem = build_lp(scenario)
+        self.assert_zero_gap(scenario, problem, solve_lp(problem))
+
+    def test_example3(self, example3_lp):
+        problem, solution = example3_lp
+        self.assert_zero_gap(model.load_scenario(EXAMPLE3), problem, solution)

@@ -200,6 +200,55 @@ class TestClosedLoop:
         assert np.all(np.isfinite(result.rmse))
 
 
+class TestNoiseFactor:
+    @pytest.mark.parametrize("name", ["static", "example4", "example7"])
+    def test_study_factors_each_noise_model_once(self, name, monkeypatch):
+        """Every step of every run draws its joint noise through the noise
+        model's cached factor: a study factors each distinct noise model
+        once (a static scenario's once, a distance-noise scenario's once per
+        step model), and makes no more full-size factorizations for three
+        runs than for one."""
+        from sensel import sim
+
+        computed, used, orders = [], [], []
+        cached = vars(model.NoiseModel)["r_chol"]
+        compute = cached.func
+        monkeypatch.setattr(cached, "func", lambda noise: computed.append(noise) or compute(noise))
+        stack = sim.stack_measurement
+        monkeypatch.setattr(
+            sim, "stack_measurement",
+            lambda scenario, noise, *args, **kw: used.append(noise) or stack(scenario, noise, *args, **kw),
+        )
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda a: orders.append(np.shape(a)[-1]) or cholesky(a)
+        )
+        factorizations = {}
+        for runs in (1, 3):
+            del computed[:], used[:], orders[:]
+            if name == "static":
+                scenario = tiny_tracking_scenario(num=4, horizon=3)
+            else:
+                scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+            config = RunConfig(scenario=scenario, algorithm="ignore-dep", runs=runs, seed=8)
+            assert np.all(np.isfinite(run_closed_loop(config).rmse))
+            assert len(used) == runs * scenario.horizon
+            models = {id(noise) for noise in used}
+            assert len(models) == (1 if scenario.noise.distance_alpha1 is None else scenario.horizon)
+            assert sorted(map(id, computed)) == sorted(models)
+            factorizations[runs] = orders.count(scenario.noise.dim)
+        assert factorizations[1] == factorizations[3]
+
+    def test_measurements_use_the_cached_factor(self):
+        """The cached factor is the one ``np.linalg.cholesky`` gives, so the
+        simulated measurements are unchanged by the cache."""
+        scenario = tiny_tracking_scenario(num=4, horizon=2)
+        noise = scenario.noise
+        assert np.array_equal(noise.r_chol, np.linalg.cholesky(noise.r_full))
+        assert not noise.r_chol.flags.writeable
+        assert noise.r_chol is noise.r_chol
+
+
 class TestConvergenceBand:
     def test_doubling_runs_moves_mean_rmse_within_band(self):
         """Sanity band, logged rather than hard-asserted at the exact
