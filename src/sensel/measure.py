@@ -59,15 +59,15 @@ def objective_f2(schedule: SelectionSchedule, scenario: Scenario, noise_seq=None
     return sum(covs) / len(covs)
 
 
-def distinct_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deduplicate the 0/1 rows of a (B, k) array, for any width k.
+def distinct_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deduplicate the rows of a (B, k) uint8 array, for any width k: 0/1
+    rows packed by ``np.packbits`` along their last axis.
 
-    Each row is packed into 64-bit words, and one stable ``lexsort`` of the
+    Each row is padded into 64-bit words, and one stable ``lexsort`` of the
     words groups equal rows.  Returns the index of each distinct row's
     first occurrence and the index of each row's distinct row.
     """
-    packed = np.packbits(bits, axis=1)
-    words = np.zeros((bits.shape[0], max(1, -(-packed.shape[1] // 8)) * 8), dtype=np.uint8)
+    words = np.zeros((packed.shape[0], max(1, -(-packed.shape[1] // 8)) * 8), dtype=np.uint8)
     words[:, :packed.shape[1]] = packed
     words = words.view(np.uint64)
     order = np.lexsort(words.T)
@@ -102,17 +102,23 @@ def f3_values(gammas: np.ndarray, scenario: Scenario, noise_seq) -> np.ndarray:
     """Weighted f3 sum of each (horizon, num) 0/1 schedule in a batch.
 
     Each step's gain trace is computed once per distinct selection column.
-    The weighted terms are added step by step in step order, starting from
-    0.0, and steps of weight 0 are skipped.
+    The columns of every step are packed by one ``np.packbits`` over the
+    batch, each padded with zeros to whole bytes first, which gives the
+    bytes that packing each step alone would give.  The weighted terms are
+    added step by step in step order, starting from 0.0, and steps of
+    weight 0 are skipped.
     """
     weights = np.asarray(scenario.weights, dtype=float)
-    totals = np.zeros(gammas.shape[0])
-    for n in range(gammas.shape[1]):
+    batch, horizon, num = gammas.shape
+    totals = np.zeros(batch)
+    padded = np.zeros((batch, horizon, -(-num // 8) * 8), dtype=bool)
+    padded[:, :, :num] = gammas
+    packed = np.packbits(padded.reshape(batch, -1), axis=1).reshape(batch, horizon, -1)
+    for n in range(horizon):
         if weights[n] == 0.0:
             continue
-        columns = gammas[:, n]
-        first, inverse = distinct_rows(columns)
-        gains = _gain_traces(scenario, noise_seq[n], columns[first], n)
+        first, inverse = distinct_rows(packed[:, n])
+        gains = _gain_traces(scenario, noise_seq[n], gammas[first, n], n)
         totals = totals + float(weights[n]) * gains[inverse]
     return totals
 

@@ -84,10 +84,7 @@ class DynamicSystem:
                 raise InvalidMatrix(f"Q[{idx}] must be {r}x{r}, got {m.shape}")
             if not np.array_equal(m, m.T):
                 raise InvalidMatrix(f"Q[{idx}] is not symmetric")
-            try:
-                np.linalg.cholesky(m)
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite(f"Q[{idx}] is not positive definite") from None
+        _ = self.q_chol
 
     @staticmethod
     def build(f, q) -> "DynamicSystem":
@@ -109,6 +106,24 @@ class DynamicSystem:
 
     def q_at(self, n: int) -> np.ndarray:
         return self.q[0] if len(self.q) == 1 else self.q[n]
+
+    @functools.cached_property
+    def q_chol(self) -> tuple[np.ndarray, ...]:
+        """Lower Cholesky factor of each Q, read-only: factored once, where
+        construction checks that Q is positive definite; the simulator draws
+        every step's process noise through it."""
+        factors = []
+        for idx, m in enumerate(self.q):
+            try:
+                low = np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(f"Q[{idx}] is not positive definite") from None
+            low.setflags(write=False)
+            factors.append(low)
+        return tuple(factors)
+
+    def q_chol_at(self, n: int) -> np.ndarray:
+        return self.q_chol[0] if len(self.q_chol) == 1 else self.q_chol[n]
 
 
 @dataclass(frozen=True)
@@ -368,9 +383,10 @@ class NoiseModel:
 
     @functools.cached_property
     def diagonal_only(self) -> "NoiseModel":
-        """Copy with all cross-sensor blocks dropped."""
-        own = self.labels[:, None] == self.labels[None, :]
-        return NoiseModel.from_full(np.where(own, self.r_full, 0.0), self.block_sizes)
+        """Copy with all cross-sensor blocks dropped, built from the
+        sensors' own blocks of ``r_full``."""
+        own = [self.block(i, i) for i in range(len(self.block_sizes))]
+        return NoiseModel.build(self.block_sizes, base_blocks=own)
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,12 +78,6 @@ class Plan:
             objective=self.objective, noise_seq=self.noise_seq,
         )
 
-    def schedule_for(self, samples: int, seed: int) -> SelectionSchedule:
-        """The fixed schedule, or one drawn for this seed."""
-        if self.schedule is not None:
-            return self.schedule
-        return self.draw(samples, seed).schedule
-
 
 def prepare(scenario: Scenario, algorithm: str, objective: str, noise_seq) -> Plan:
     """Plan ``algorithm`` on ``scenario`` under the per-step noise models

@@ -143,6 +143,10 @@ def round_batch(
     Returns the (B, horizon, num) 0/1 schedules and a (B,) mask that is
     false where a step ran out of sensors with budget left or an extra
     constraint row is violated; a masked-out schedule is meaningless.
+    Each step builds one key, the scores with -inf at the sensors out of
+    budget, and every pick sets its entry to -inf.  Scores are finite, so a
+    pick lands on -inf exactly when fewer than the count of sensors had
+    budget left, and that marks the candidate infeasible.
     """
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
@@ -156,17 +160,14 @@ def round_batch(
     feasible = np.ones(batch, dtype=bool)
     rows = np.arange(batch)
     for n in order:
-        m = constraints.per_step[n]
-        has_budget = budgets > 0
-        feasible &= np.count_nonzero(has_budget, axis=1) >= m
-        # Scores are finite, so -inf marks exactly the sensors out of reach;
-        # argmax returns the first maximum, the lower index on a tie.
-        key = np.where(has_budget, scores[:, n], -np.inf)
-        for _ in range(m):
+        key = np.where(budgets > 0, scores[:, n], -np.inf)
+        for _ in range(constraints.per_step[n]):
+            # argmax returns the first maximum, the lower index on a tie.
             pick = key.argmax(axis=1)
-            gammas[rows, n, pick] = 1
+            feasible &= key[rows, pick] > -np.inf
             key[rows, pick] = -np.inf
-        budgets -= gammas[:, n]
+            gammas[rows, n, pick] = 1
+            budgets[rows, pick] -= 1
     extra = constraints.extra
     if extra is not None:
         feasible &= extra.meets(gammas.reshape(batch, -1) @ extra.a.T).all(axis=1)

@@ -437,8 +437,12 @@ def randomize_round(
     yields two candidates, interleaved as (+draw 0, -draw 0, +draw 1, ...).
 
     The work is batched: all ``s_count`` draws come from one generator
-    call, and all 2S candidates are rounded in one vectorized greedy pass
-    (:func:`select_lp.round_batch`).  Candidates that run out of budgeted
+    call.  One (S, 2, N*L) buffer holds the candidates' scores: the product
+    of the draws with the factor's leading rows is written into its
+    ``[:, 0]`` half and the negation into its ``[:, 1]`` half, so that the
+    buffer read as (2S, N, L) is the interleaved order above with no
+    further copy.  All 2S candidates are rounded in one vectorized greedy
+    pass (:func:`select_lp.round_batch`).  Candidates that run out of budgeted
     sensors or violate an extra constraint row are dropped; when none is
     left the call raises RoundingInfeasible.  f3 (:func:`measure.f3_values`)
     scores each step only on its distinct columns; f1 and f2 are evaluated
@@ -460,15 +464,15 @@ def randomize_round(
     low = sdp_solution.sampling_factor
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
-    signed = np.empty((2 * int(s_count), nl))
-    signed[0::2] = rng.standard_normal((int(s_count), low.shape[0])) @ low[:nl].T
-    signed[1::2] = -signed[0::2]
+    signed = np.empty((int(s_count), 2, nl))
+    np.matmul(rng.standard_normal((int(s_count), low.shape[0])), low[:nl].T, out=signed[:, 0])
+    np.negative(signed[:, 0], out=signed[:, 1])
     gammas, feasible = round_batch(
         signed.reshape(-1, horizon, num), scenario.constraints, scenario.weights
     )
     if not feasible.any():
         raise RoundingInfeasible(
-            f"none of the {signed.shape[0]} randomized candidates satisfies every constraint row"
+            f"none of the {2 * int(s_count)} randomized candidates satisfies every constraint row"
         )
     gammas = gammas[feasible]
 
@@ -476,7 +480,8 @@ def randomize_round(
         values = f3_values(gammas, scenario, noise_seq)
         best_value = values.max()
     else:
-        first, inverse = distinct_rows(gammas.reshape(gammas.shape[0], -1))
+        bits = np.packbits(gammas.reshape(gammas.shape[0], -1), axis=1)
+        first, inverse = distinct_rows(bits)
         traces = np.array([
             objective_value(objective, SelectionSchedule.build(gammas[k].T), scenario, noise_seq)
             for k in first

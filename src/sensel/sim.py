@@ -72,14 +72,15 @@ def simulate_truth(scenario: Scenario, n_steps: int, seed) -> np.ndarray:
     """True trajectory (n_steps + 1 rows, row 0 is the initial state).
 
     The initial state is the scenario's, process noise is drawn from the
-    model covariance through its Cholesky factor.
+    model covariance through its cached Cholesky factor
+    (``DynamicSystem.q_chol``).
     """
     rng = _rng(seed)
+    system = scenario.system
     x = np.asarray(scenario.x0, dtype=float)
     out = [x]
     for n in range(n_steps):
-        low = np.linalg.cholesky(scenario.system.q_at(n))
-        x = scenario.system.f_at(n) @ x + low @ rng.standard_normal(x.shape[0])
+        x = system.f_at(n) @ x + system.q_chol_at(n) @ rng.standard_normal(x.shape[0])
         out.append(x)
     return np.array(out)
 
@@ -114,11 +115,23 @@ def _run_seed(master_seed: int, run: int, stream: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _single_run(config: RunConfig, plan: Plan, run: int):
+def _single_run(config: RunConfig, plan: Plan, run: int, f3: float | None):
+    """One run: squared position errors and trace(P) per step, and the f3
+    of its schedule.  ``f3`` is the fixed schedule's value, scored once
+    per study; a drawn schedule reuses its rounding's value when the plan
+    maximizes f3."""
     scenario = config.scenario
     horizon = scenario.horizon
     noise_seq = plan.noise_seq
-    schedule = plan.schedule_for(config.s_count, _run_seed(config.seed, run, 0))
+    if plan.schedule is None:
+        rounding = plan.draw(config.s_count, _run_seed(config.seed, run, 0))
+        schedule = rounding.schedule
+        if rounding.objective_kind == "f3":
+            f3 = rounding.objective
+        else:
+            f3 = objective_f3(schedule, scenario, noise_seq)
+    else:
+        schedule = plan.schedule
     truth = simulate_truth(scenario, horizon, _run_seed(config.seed, run, 1))
     measurements = simulate_measurements(
         truth, scenario, schedule, _run_seed(config.seed, run, 2), noise_seq
@@ -133,7 +146,7 @@ def _single_run(config: RunConfig, plan: Plan, run: int):
         err = state.x[pos] - truth[n + 1][pos]
         sq_err[n] = float(err @ err)
         trace_p[n] = float(np.trace(state.p))
-    return sq_err, trace_p, objective_f3(schedule, scenario, noise_seq)
+    return sq_err, trace_p, f3
 
 
 def run_closed_loop(config: RunConfig) -> RunResult:
@@ -147,6 +160,9 @@ def run_closed_loop(config: RunConfig) -> RunResult:
     scenario = config.scenario
     horizon = scenario.horizon
     plan = prepare(scenario, config.algorithm, config.objective, planning_noise(scenario))
+    fixed_f3 = None if plan.schedule is None else objective_f3(
+        plan.schedule, scenario, plan.noise_seq
+    )
 
     sq_err = np.zeros((config.runs, horizon))
     trace_p = np.zeros((config.runs, horizon))
@@ -158,14 +174,14 @@ def run_closed_loop(config: RunConfig) -> RunResult:
     if config.threads > 1 and config.runs > 1:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             futures = {
-                pool.submit(_single_run, config, plan, run): run
+                pool.submit(_single_run, config, plan, run, fixed_f3): run
                 for run in range(config.runs)
             }
             for future, run in futures.items():
                 store(run, future.result())
     else:
         for run in range(config.runs):
-            store(run, _single_run(config, plan, run))
+            store(run, _single_run(config, plan, run, fixed_f3))
 
     return RunResult(
         algorithm=plan.label,

@@ -593,6 +593,17 @@ def lp_family_path(tmp_path):
     return path
 
 
+def jammer_network() -> model.Scenario:
+    """400 sensors uniform over 600 m, 5 steps of 10, budget 2, with
+    example4's jammer: every sensor pair has a cross block."""
+    scenario = model.gen_uniform_scenario(
+        400, 600.0, [(10.0, 10.0), (10.0, 10.0)], seed=5,
+        per_step=[10] * 5, energy=2, weights=[0.2] * 5,
+    )
+    jam = model.load_scenario("src/sensel/scenarios/example4.json").noise.jammer
+    return model.apply_jammer(scenario, jam.p0, jam.alpha, jam.n_exp, jam.position, jam.r0)
+
+
 class TestBlockNoiseWork:
     """Block-diagonal noise is loaded and checked with per-sensor work: the
     counts below, not timings, pin that."""
@@ -662,6 +673,41 @@ class TestBlockNoiseWork:
                 block_sizes=(1, 2), r_full=full, base_blocks=None, base_full=full,
                 jammer=None, distance_alpha1=None,
             )
+
+    @pytest.mark.parametrize("name", [f"example{k}" for k in range(1, 8)] + ["jammer400"])
+    def test_diagonal_only_equals_the_masked_copy(self, name):
+        """Gathering the sensors' own blocks gives bit for bit the copy that
+        masked every cross entry of ``r_full`` to 0 and rebuilt the model
+        from the full matrix; every step model of a distance scenario too."""
+        from sensel.plan import planning_noise
+
+        if name == "jammer400":
+            scenario = jammer_network()
+        else:
+            scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        for noise in {id(n): n for n in planning_noise(scenario)}.values():
+            own = noise.labels[:, None] == noise.labels[None, :]
+            masked = model.NoiseModel.from_full(
+                np.where(own, noise.r_full, 0.0), noise.block_sizes
+            )
+            assert np.array_equal(noise.diagonal_only.r_full, masked.r_full)
+            assert noise.diagonal_only.block_sizes == noise.block_sizes
+
+    def test_diagonal_only_is_built_from_the_own_blocks(self, monkeypatch):
+        """The copy is assembled from the 400 own blocks, with no masked
+        800 x 800 matrix, and checked as one stack of blocks."""
+        noise = jammer_network().noise
+        assert noise.dim == 800 and not noise.is_block_diagonal
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda a: shapes.append(np.shape(a)) or cholesky(a)
+        )
+        stripped = noise.diagonal_only
+        assert shapes == [(400, 2, 2)]
+        assert stripped.base_full is None
+        for i, block in enumerate(stripped.base_blocks):
+            assert np.array_equal(block, noise.block(i, i))
 
     @pytest.mark.parametrize("name", [f"example{k}" for k in range(1, 8)])
     def test_bundled_r_full_equals_the_loop_build(self, name):

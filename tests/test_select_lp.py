@@ -35,6 +35,29 @@ from conftest import (
 )
 
 
+def count_rule_feasible(scores, constraints, weights) -> np.ndarray:
+    """Reference feasibility mask of a batch: before each step, count the
+    sensors with budget left against the step's count, then spend one unit
+    on each of the step's picks (the batched rounder's former rule)."""
+    batch, horizon, num = scores.shape
+    order = sorted(range(horizon), key=lambda n: (-weights[n], -n))
+    energy = constraints.energy if constraints.energy is not None else [horizon] * num
+    budgets = np.tile(np.asarray(energy, dtype=np.int64), (batch, 1))
+    feasible = np.ones(batch, dtype=bool)
+    rows = np.arange(batch)
+    for n in order:
+        has_budget = budgets > 0
+        feasible &= np.count_nonzero(has_budget, axis=1) >= constraints.per_step[n]
+        key = np.where(has_budget, scores[:, n], -np.inf)
+        picked = np.zeros((batch, num), dtype=np.int64)
+        for _ in range(constraints.per_step[n]):
+            pick = key.argmax(axis=1)
+            picked[rows, pick] = 1
+            key[rows, pick] = -np.inf
+        budgets -= picked
+    return feasible
+
+
 def measures_scenario(values, per_step, horizon=1, energy=None, weights=None):
     num = len(values)
     system = model.DynamicSystem.build([[1.0]], [[1.0]])
@@ -305,6 +328,33 @@ class TestRoundBatch:
                     round_by_scores(scores[b].T, constraints, weights).gamma, expected
                 )
         assert masked > 0
+
+    def test_budget_exhausting_tie_heavy_batches_match_the_count_rule(self, rng):
+        """Budgets that leave many candidates short of sensors, and scores
+        from three levels, so that ties are frequent: the feasibility mask
+        equals the rule that counted the sensors with budget left at every
+        step, and every feasible row equals the per-candidate loop."""
+        outcomes = {"feasible": 0, "infeasible": 0}
+        for trial in range(40):
+            num = int(rng.integers(2, 7))
+            horizon = int(rng.integers(2, 5))
+            per_step = [int(rng.integers(1, num + 1)) for _ in range(horizon)]
+            # Total budget at or just above the total count, spread unevenly.
+            spend = rng.multinomial(sum(per_step) + int(rng.integers(0, 2)), np.ones(num) / num)
+            constraints = model.ConstraintSet.build(per_step, energy=np.minimum(spend, horizon))
+            weights = rng.integers(0, 2, size=horizon).astype(float)
+            scores = rng.integers(-1, 2, size=(32, horizon, num)).astype(float)
+            gammas, feasible = round_batch(scores, constraints, weights)
+            np.testing.assert_array_equal(
+                feasible, count_rule_feasible(scores, constraints, weights)
+            )
+            for b in np.flatnonzero(feasible):
+                np.testing.assert_array_equal(
+                    gammas[b].T, loop_round_by_scores(scores[b].T, constraints, weights)
+                )
+            outcomes["feasible"] += int(feasible.sum())
+            outcomes["infeasible"] += int((~feasible).sum())
+        assert min(outcomes.values()) > 100
 
     def test_extra_row_masks_violating_candidates(self):
         """Only the candidate that meets the extra row survives the mask,

@@ -248,6 +248,106 @@ class TestNoiseFactor:
         assert not noise.r_chol.flags.writeable
         assert noise.r_chol is noise.r_chol
 
+    @pytest.mark.parametrize("name", ["static", "example7"])
+    def test_study_factors_each_q_once(self, name, monkeypatch):
+        """Construction factors each process-noise Q once and keeps the
+        factor (``DynamicSystem.q_chol``); every run's truth simulation
+        reads it, so a study factors each Q once, at 3 runs as at 1."""
+        computed, factored = [], []
+        cached = vars(model.DynamicSystem)["q_chol"]
+        compute = cached.func
+        monkeypatch.setattr(
+            cached, "func", lambda system: computed.append(system) or compute(system)
+        )
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+        counts = {}
+        for runs in (1, 3):
+            del computed[:], factored[:]
+            if name == "static":
+                scenario = tiny_tracking_scenario(num=4, horizon=3)
+            else:
+                scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+            config = RunConfig(scenario=scenario, algorithm="ignore-dep", runs=runs, seed=8)
+            assert np.all(np.isfinite(run_closed_loop(config).rmse))
+            qs = scenario.system.q
+            assert sum(system is scenario.system for system in computed) == 1
+            counts[runs] = sum(any(a is q for q in qs) for a in factored)
+        assert counts[1] == counts[3] == len(qs)
+
+    def test_truth_uses_the_cached_q_factor(self):
+        system = tiny_tracking_scenario().system
+        for q, low in zip(system.q, system.q_chol):
+            assert np.array_equal(low, np.linalg.cholesky(q))
+            assert not low.flags.writeable
+        assert system.q_chol is system.q_chol
+
+
+class TestStudyScoring:
+    """A study reports the mean f3 of its runs' schedules; the counts below
+    pin that each schedule is scored once."""
+
+    @staticmethod
+    def _count_f3(monkeypatch):
+        """Record f3 evaluations made inside ``randomize_round`` and those
+        made anywhere else (``objective_f3`` reaches ``measure.f3_values``)."""
+        from sensel import measure, select_sdr
+
+        calls = {"inside": 0, "outside": 0}
+        for module, where in ((select_sdr, "inside"), (measure, "outside")):
+            f3_values = module.f3_values
+            monkeypatch.setattr(
+                module, "f3_values",
+                lambda *args, where=where, f3_values=f3_values: (
+                    calls.update({where: calls[where] + 1}) or f3_values(*args)
+                ),
+            )
+        return calls
+
+    @pytest.mark.parametrize("algorithm", ["topk", "lp", "ignore-dep"])
+    def test_fixed_schedule_scored_once(self, algorithm, monkeypatch):
+        from sensel.measure import objective_f3
+        from sensel.plan import planning_noise, prepare
+
+        calls = self._count_f3(monkeypatch)
+        scenario = tiny_tracking_scenario(num=4, horizon=3)
+        for runs in (1, 3):
+            calls.update(inside=0, outside=0)
+            result = run_closed_loop(
+                RunConfig(scenario=scenario, algorithm=algorithm, runs=runs, seed=4)
+            )
+            assert calls == {"inside": 0, "outside": 1}
+        plan = prepare(scenario, algorithm, "f3", planning_noise(scenario))
+        value = objective_f3(plan.schedule, scenario, plan.noise_seq)
+        assert result.f3 == np.full(3, value).mean()
+
+    @pytest.mark.parametrize("objective", ["f3", "f1"])
+    def test_sdr_study_reuses_the_rounding_value(self, objective, monkeypatch):
+        """An f3 study scores f3 only inside its ``runs`` roundings, and the
+        value it reuses is bit for bit ``objective_f3`` of the drawn
+        schedule; an f1 study scores each drawn schedule's f3 once."""
+        from sensel.measure import objective_f3
+        from sensel.plan import planning_noise, prepare
+        from sensel.sim import _run_seed
+
+        calls = self._count_f3(monkeypatch)
+        scenario = tiny_tracking_scenario(num=5, horizon=3, seed=2)
+        config = RunConfig(
+            scenario=scenario, algorithm="sdr", runs=3, seed=6, s_count=20,
+            objective=objective,
+        )
+        result = run_closed_loop(config)
+        if objective == "f3":
+            assert calls == {"inside": 3, "outside": 0}
+        else:
+            assert calls == {"inside": 0, "outside": 3}
+        plan = prepare(scenario, "sdr", objective, planning_noise(scenario))
+        values = [
+            objective_f3(plan.draw(20, _run_seed(6, run, 0)).schedule, scenario, plan.noise_seq)
+            for run in range(3)
+        ]
+        assert result.f3 == np.array(values).mean()
+
 
 class TestConvergenceBand:
     def test_doubling_runs_moves_mean_rmse_within_band(self):
