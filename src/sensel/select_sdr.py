@@ -15,7 +15,10 @@ same optimum (Fukuda, Kojima, Murota and Nakata 2001; Vandenberghe and
 Andersen 2015).  The solver is a self-contained primal-dual path-following
 method with Nesterov-Todd scaling over those blocks, working in closed form
 from the two constraint shapes, a unit-diagonal entry of one block and a
-lifted linear row diag(a_n) + a_n e' + e a_n' summed over the blocks.
+lifted linear row diag(a_n) + a_n e' + e a_n' summed over the blocks.  Its
+Newton system is never assembled: the unit-diagonal rows of each step form
+one positive definite k x k block W_n∘W_n, which is eliminated step by
+step, leaving one dense system in the p linear rows.
 """
 
 from __future__ import annotations
@@ -219,11 +222,12 @@ def _adjoint(a_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _schur(a_hat: np.ndarray, big_w: np.ndarray) -> np.ndarray:
-    """G_qr = sum_n tr(A_qn W_n A_rn W_n), linear rows first.  Per block,
-    with w = W e, V = W∘W and U = W Â', column q of D is diag(W A_q W) and
-    column q of E is W A_q W e; G = [[sum_n Â_n (D_n + 2E_n), D'], [D, V]],
-    where V is block-diagonal, one W_n∘W_n per step."""
+def _schur(a_hat: np.ndarray, big_w: np.ndarray):
+    """Blocks of G_qr = sum_n tr(A_qn W_n A_rn W_n), linear rows first.
+    Per block, with w = W e, V = W∘W and U = W Â', column q of D is
+    diag(W A_q W) and column q of E is W A_q W e; G = [[sum_n Â_n (D_n +
+    2E_n), D'], [D, V]], where V is block-diagonal, one W_n∘W_n per step.
+    Returns the p x p linear part, D as (N, k, p) and V as (N, k, k)."""
     p, horizon, k = a_hat.shape
     a_t = a_hat.transpose(1, 2, 0)
     w = big_w[:, :, -1:]
@@ -231,13 +235,36 @@ def _schur(a_hat: np.ndarray, big_w: np.ndarray) -> np.ndarray:
     big_u = big_w @ a_t
     d = big_v @ a_t + 2.0 * big_u * w
     e = big_w @ (a_t * w) + big_w[:, -1:, -1:] * big_u + w * (w.transpose(0, 2, 1) @ a_t)
-    gram = np.zeros((p + horizon * k,) * 2)
-    gram[:p, :p] = np.einsum("nkp,nkq->pq", a_t, d + 2.0 * e)
-    gram[p:, :p] = d.reshape(horizon * k, p)
-    gram[:p, p:] = gram[p:, :p].T
-    for n in range(horizon):
-        gram[p + n * k : p + (n + 1) * k, p + n * k : p + (n + 1) * k] = big_v[n]
-    return gram
+    linear = np.tensordot(a_t, d + 2.0 * e, axes=([0, 1], [0, 1]))
+    return linear, d, big_v
+
+
+def _eliminate(linear: np.ndarray, coupling: np.ndarray, big_v: np.ndarray, ridge: float):
+    """Factor the Newton matrix [[G11, D'], [D, V]] + ridge*I, given as the
+    blocks of :func:`_schur`, by eliminating the unit-diagonal rows step by
+    step: V_n + ridge*I = L_n L_n' (one batched Cholesky), C_n = L_n^-1 D_n
+    and S = G11 + ridge*I - sum_n C_n'C_n = L_S L_S'.  Returns L_n^-1
+    (N, k, k), C stacked as (N*k, p) and L_S^-1; raises LinAlgError when a
+    V_n or S is not numerically positive definite."""
+    horizon, k, p = coupling.shape
+    lv_inv = np.linalg.inv(np.linalg.cholesky(big_v + ridge * np.eye(k)))
+    c_stack = (lv_inv @ coupling).reshape(horizon * k, p)
+    schur = linalg.symmetrize(linear - c_stack.T @ c_stack) + ridge * np.eye(p)
+    return lv_inv, c_stack, np.linalg.inv(np.linalg.cholesky(schur))
+
+
+def _newton_solve(factors, h: np.ndarray) -> np.ndarray:
+    """Solve the Newton system factored by :func:`_eliminate` for the
+    right side ``h`` (linear rows first) by block forward and back
+    substitution: t_n = L_n^-1 h_n, S y_lin = h_lin - sum_n C_n' t_n, then
+    y_n = L_n^-T (t_n - C_n y_lin)."""
+    lv_inv, c_stack, ls_inv = factors
+    horizon, k, _ = lv_inv.shape
+    p = ls_inv.shape[0]
+    t = (lv_inv @ h[p:].reshape(horizon, k, 1)).ravel()
+    dy_lin = ls_inv.T @ (ls_inv @ (h[:p] - c_stack.T @ t))
+    back = (t - c_stack @ dy_lin).reshape(horizon, k, 1)
+    return np.concatenate([dy_lin, (lv_inv.transpose(0, 2, 1) @ back).ravel()])
 
 
 def _max_psd_step(chol_inv: np.ndarray, delta: np.ndarray) -> float:
@@ -270,15 +297,19 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
     (p, N, k), then the N*k unit-diagonal rows; ``sigma_sign`` (each row's
     slack sign, 0 on equalities) and ``b`` cover all p + N*k rows.
     :func:`_operator`, :func:`_adjoint` and :func:`_schur` give
-    their closed forms.  Every block is scaled on its own, and each
-    Cholesky factor is inverted once per iteration.  An affine predictor
-    probe chooses the centering weight each iteration; when the recentered
-    step still stalls at the cone boundary, a full centering step is taken
-    instead.
+    their closed forms.  Every block is scaled on its own.  The Newton
+    matrix of order p + N*k is never formed: each iteration factors its N
+    diagonal blocks and the p x p complement (:func:`_eliminate`) and
+    solves every direction by block substitution (:func:`_newton_solve`),
+    so no matrix of order above max(p, k) is factored or inverted.  An
+    affine predictor probe chooses the centering weight each iteration;
+    when the recentered step still stalls at the cone boundary, a full
+    centering step is taken instead.
     """
     horizon, k, _ = c.shape
     order = horizon * k
-    m = a_hat.shape[0] + order
+    p = a_hat.shape[0]
+    m = p + order
     ineq = sigma_sign != 0.0
     n_ineq = int(ineq.sum())
 
@@ -341,23 +372,27 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
         big_w = r_mat @ transpose(r_mat)
         z_inv = transpose(lz_inv) @ lz_inv
 
-        gram = _schur(a_hat, big_w)
-        slack_diag = np.zeros(m)
-        slack_diag[ineq] = s[ineq] / w[ineq]
-        gram = linalg.symmetrize(gram) + np.diag(slack_diag)
-        ridge = 1e-13 * (1.0 + float(np.trace(gram)) / m)
+        # The Newton matrix is [[G11 + Diag(s/w), D'], [D, V]] + ridge*I;
+        # the unit-diagonal rows are equalities, so s/w covers the first p.
+        linear, coupling, big_v = _schur(a_hat, big_w)
+        linear = linalg.symmetrize(linear) + np.diag(
+            np.divide(s[:p], w[:p], out=np.zeros(p), where=ineq[:p])
+        )
+        ridge = 1e-13 * (
+            1.0 + (float(np.trace(linear)) + float(np.trace(big_v, axis1=1, axis2=2).sum())) / m
+        )
+
         try:
-            gram_chol = np.linalg.cholesky(gram + ridge * np.eye(m))
+            factors = _eliminate(linear, coupling, big_v, ridge)
         except np.linalg.LinAlgError:
             try:
-                gram_chol = np.linalg.cholesky(gram + 1e5 * ridge * np.eye(m))
+                factors = _eliminate(linear, coupling, big_v, 1e5 * ridge)
             except np.linalg.LinAlgError:
                 raise NotConverged(
                     f"normal equations lost definiteness at iteration {iteration} "
                     f"with error {best_err:.2e}",
                     solution=best,
                 ) from None
-        gram_inv = np.linalg.inv(gram_chol)
 
         w_rd_w = big_w @ rd @ big_w
 
@@ -367,7 +402,7 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
                 - _operator(a_hat, rc_mat - w_rd_w)
                 - sigma_sign * (rc_slack - s * rdl) / np.where(ineq, w, 1.0)
             )
-            dy = gram_inv.T @ (gram_inv @ h)
+            dy = _newton_solve(factors, h)
             dz = linalg.symmetrize(rd - _adjoint(a_hat, dy))
             dx = linalg.symmetrize(rc_mat - big_w @ dz @ big_w)
             dw = rdl - sigma_sign * dy

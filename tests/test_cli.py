@@ -9,7 +9,8 @@ import pytest
 
 from sensel import model, sim
 from sensel.cli import build_parser, main
-from sensel.plan import ALGORITHMS
+from sensel.plan import ALGORITHMS, planning_noise
+from sensel.select_sdr import bqp_objective, build_bqp
 
 
 def save_small_scenario(path, energy):
@@ -76,6 +77,24 @@ class TestSelect:
         b = json.loads(out_b.read_text())
         assert a["schedule"] == b["schedule"]
         assert {"sdp_objective", "duality_gap", "samples", "best_objective"} <= set(a)
+
+    @pytest.mark.parametrize("name", ["example4", "example5", "example6"])
+    def test_sdr_certificate_bounds_the_rounded_schedule(self, name, tmp_path):
+        """The sdr JSON carries the relaxation's lower bound and the drawn
+        schedule's quadratic value, and the bound holds."""
+        out = tmp_path / "sdr.json"
+        argv = ["select", name, "--algo", "sdr", "--seed", "7", "--samples", "100"]
+        assert main(argv + ["--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        gamma = np.zeros((scenario.num_sensors, scenario.horizon), dtype=np.int8)
+        for n, chosen in enumerate(payload["schedule"]):
+            gamma[chosen, n] = 1
+        bqp = build_bqp(scenario, planning_noise(scenario))
+        bqp_value = bqp_objective(bqp, model.SelectionSchedule.build(gamma))
+        assert payload["bqp_objective"] == pytest.approx(bqp_value, rel=1e-12)
+        bound = payload["relaxation_bound"]
+        assert bound <= payload["bqp_objective"] + 1e-6 * (1 + abs(bound))
 
     def test_exhaustive_too_large_maps_to_exit_2(self, tmp_path):
         scenario = model.load_scenario("src/sensel/scenarios/example3.json")

@@ -16,6 +16,8 @@ from sensel.select_lp import build_lp
 from sensel.select_sdr import (
     _TOL,
     _adjoint,
+    _eliminate,
+    _newton_solve,
     _operator,
     _schur,
     bqp_objective,
@@ -287,6 +289,50 @@ class TestBuildSdp:
                 assert (lifted + sdp.ones_quad) / 4.0 == pytest.approx(direct, abs=1e-9)
 
 
+def block_diag(blocks):
+    """The (N*k, N*k) block-diagonal matrix of an (N, k, k) stack."""
+    horizon, k, _ = blocks.shape
+    out = np.zeros((horizon * k, horizon * k))
+    for n, block in enumerate(blocks):
+        out[n * k : (n + 1) * k, n * k : (n + 1) * k] = block
+    return out
+
+
+def random_block_rows(rng, num_rows, horizon, num):
+    """Random padded rows ``a_hat`` (num_rows, N, k) and the dense stack of
+    the constraint matrices of order N*k: each linear row lifted in every
+    block, then one unit-diagonal row per block entry."""
+    k = num + 1
+    a_hat = np.zeros((num_rows, horizon, k))
+    a_hat[:, :, :-1] = rng.normal(size=(num_rows, horizon, num))
+    mats = np.array(
+        [block_diag(np.array([lifted_row_matrix(a[:-1], k) for a in row]))
+         for row in a_hat]
+        + [np.diag(np.eye(horizon * k)[t]) for t in range(horizon * k)]
+    )
+    return a_hat, mats
+
+
+def dense_stack_schur(mats, big_w):
+    """G_qr = tr(A_q W A_r W) over the dense stack, W block-diagonal."""
+    m = mats.shape[0]
+    dense_w = block_diag(big_w)
+    scaled = np.matmul(dense_w[None], np.matmul(mats, dense_w[None]))
+    return mats.reshape(m, -1) @ scaled.reshape(m, -1).T
+
+
+def nt_scaling(x, z):
+    """The Nesterov-Todd point W with W Z W = X, from eigendecompositions:
+    W = X^1/2 (X^1/2 Z X^1/2)^-1/2 X^1/2."""
+
+    def power(a, t):
+        lam, vec = np.linalg.eigh(a)
+        return (vec * lam**t) @ vec.T
+
+    root = power(x, 0.5)
+    return linalg.symmetrize(root @ power(root @ z @ root, -0.5) @ root)
+
+
 class TestClosedForms:
     def test_match_the_dense_constraint_stack(self, rng):
         """The operator, its adjoint and the Schur complement computed from
@@ -318,40 +364,56 @@ class TestClosedForms:
             close(dense_schur(a_hat, big_w), stack_schur)
 
     def test_block_forms_match_the_block_diagonal_stack(self, rng):
-        """The per-step operator, adjoint and Schur complement agree with
-        the tensordot forms over dense block-diagonal matrices of order
-        N*k: each linear row lifted in every block, then one unit-diagonal
-        row per block entry."""
+        """The per-step operator and adjoint, and each of the Schur
+        complement's three blocks (the linear part, the coupling D and the
+        diagonal blocks V_n), agree with the tensordot forms over dense
+        block-diagonal matrices of order N*k: each linear row lifted in
+        every block, then one unit-diagonal row per block entry."""
 
         def close(closed, dense):
             assert np.linalg.norm(closed - dense) <= 1e-12 * np.linalg.norm(dense)
 
-        def block_diag(blocks):
-            horizon, k, _ = blocks.shape
-            out = np.zeros((horizon * k, horizon * k))
-            for n, block in enumerate(blocks):
-                out[n * k : (n + 1) * k, n * k : (n + 1) * k] = block
-            return out
-
         for num_rows, horizon, num in ((0, 1, 4), (3, 2, 5), (7, 3, 3), (12, 4, 2)):
             k = num + 1
-            a_hat = np.zeros((num_rows, horizon, k))
-            a_hat[:, :, :-1] = rng.normal(size=(num_rows, horizon, num))
-            mats = np.array(
-                [block_diag(np.array([lifted_row_matrix(a[:-1], k) for a in row]))
-                 for row in a_hat]
-                + [np.diag(np.eye(horizon * k)[t]) for t in range(horizon * k)]
-            )
+            a_hat, mats = random_block_rows(rng, num_rows, horizon, num)
             m = mats.shape[0]
             x = linalg.symmetrize(rng.normal(size=(horizon, k, k)))
             y = rng.normal(size=m)
             big_w = np.array([rand_spd(k, rng) for _ in range(horizon)])
             close(_operator(a_hat, x), np.tensordot(mats, block_diag(x), axes=2))
             close(block_diag(_adjoint(a_hat, y)), np.tensordot(y, mats, axes=(0, 0)))
-            dense_w = block_diag(big_w)
-            scaled = np.matmul(dense_w[None], np.matmul(mats, dense_w[None]))
-            stack_schur = mats.reshape(m, -1) @ scaled.reshape(m, -1).T
-            close(_schur(a_hat, big_w), stack_schur)
+            stack_schur = dense_stack_schur(mats, big_w)
+            linear, coupling, big_v = _schur(a_hat, big_w)
+            assert coupling.shape == (horizon, k, num_rows)
+            close(linear, stack_schur[:num_rows, :num_rows])
+            close(coupling.reshape(horizon * k, num_rows), stack_schur[num_rows:, :num_rows])
+            close(block_diag(big_v), stack_schur[num_rows:, num_rows:])
+
+    def test_eliminated_newton_solve_matches_the_dense_solve(self, rng):
+        """At random Nesterov-Todd points (W_n Z_n W_n = X_n for random PD
+        X_n and Z_n), with rows of every sense, the step-by-step
+        elimination solves the assembled Newton matrix -- the tensordot
+        Schur complement plus the slack diagonal s/w on the inequality
+        rows plus the ridge -- as np.linalg.solve does, with no rows too."""
+        for num_rows, horizon, num in ((0, 1, 4), (0, 3, 3), (3, 2, 5), (7, 3, 3), (8, 4, 3)):
+            k = num + 1
+            a_hat, mats = random_block_rows(rng, num_rows, horizon, num)
+            m = mats.shape[0]
+            sense = rng.permutation(np.resize([-1.0, 0.0, 1.0], num_rows))
+            slack = np.where(sense != 0.0, rng.uniform(0.1, 10.0, num_rows), 0.0)
+            big_w = np.array([
+                nt_scaling(rand_spd(k, rng), rand_spd(k, rng)) for _ in range(horizon)
+            ])
+            gram = dense_stack_schur(mats, big_w)
+            gram[:num_rows, :num_rows] += np.diag(slack)
+            linear, coupling, big_v = _schur(a_hat, big_w)
+            linear = linalg.symmetrize(linear) + np.diag(slack)
+            h = rng.normal(size=m)
+            base = 1e-13 * (1.0 + float(np.trace(gram)) / m)
+            for ridge in (base, 1e5 * base):
+                dy = _newton_solve(_eliminate(linear, coupling, big_v, ridge), h)
+                dense = np.linalg.solve(gram + ridge * np.eye(m), h)
+                assert np.linalg.norm(dy - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 class TestSolveSdp:
@@ -419,12 +481,13 @@ class TestSolveSdp:
             assert relaxation_bound(solution, sdp) <= best + 1e-6 * (1 + abs(best))
 
 
-def jammer_instance(seed):
-    """20 sensors uniform over 600 m under example4's jammer, 5 steps of 2
-    and a budget of 2: the generated SDR family of dimension 101."""
+def jammer_instance(seed, per_step=(2,) * 5, energy=2):
+    """20 sensors uniform over 600 m under example4's jammer, by default 5
+    steps of 2 and a budget of 2: the generated SDR family of dimension
+    101 (``perfbench/workloads.py``'s ``sdr_instance``)."""
     scenario = model.gen_uniform_scenario(
         20, 600.0, [(10.0, 10.0), (10.0, 10.0)], seed=seed,
-        model="tracking", per_step=[2] * 5, energy=2, weights=[0.2] * 5,
+        model="tracking", per_step=list(per_step), energy=energy, weights=[0.2] * 5,
         x0=[600.0, -20.0, 200.0, 0.0], p0=np.diag([100.0, 10.0, 100.0, 10.0]),
     )
     jam = model.load_scenario("src/sensel/scenarios/example4.json").noise.jammer
@@ -479,6 +542,39 @@ class TestBlockSolver:
     def test_jammer_family_matches_dense(self):
         sdp = build_sdp(build_bqp(jammer_instance(2)))
         self.check_against_dense(sdp, dense_solve_sdp(sdp))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exhausted_budgets_match_dense(self, seed):
+        """Four sensors per step and a budget of one each: the counts use
+        the budgets up exactly, so ``build_sdp`` makes the budget rows
+        equalities.  The count rows and the budget rows then sum to the
+        same row, which leaves the eliminated complement S singular up to
+        the ridge; the solve still meets the tolerance and the dense
+        oracle's objective."""
+        sdp = build_sdp(build_bqp(jammer_instance(seed, per_step=(4,) * 5, energy=[1] * 20)))
+        assert not sdp.rows.sense.any()
+        ones = np.ones(5)
+        assert np.allclose(ones @ sdp.rows.a[:5], np.ones(20) @ sdp.rows.a[5:])
+        self.check_against_dense(sdp, dense_solve_sdp(sdp))
+
+    def test_factors_no_matrix_above_the_block_order(self, monkeypatch):
+        """One solve on the generated SDR family (p = 25 linear rows, blocks
+        of order k = 21) factors and inverts no matrix of order above
+        max(p, k): the (p + N*k) = 130 Newton matrix is never formed."""
+        sdp = build_sdp(build_bqp(jammer_instance(1)))
+        orders = []
+        for name in ("cholesky", "inv", "solve"):
+            def recorded(a, *args, _call=getattr(np.linalg, name), **kwargs):
+                orders.append(np.shape(a)[-1])
+                return _call(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        solution = solve_sdp(sdp)
+        monkeypatch.undo()
+        assert solution.gap <= _TOL
+        p, k = len(sdp.rows), sdp.c_blocks.shape[1]
+        assert (p, k) == (25, 21)
+        assert len(orders) >= 4 * solution.iterations
+        assert max(orders) <= max(p, k)
 
     def test_random_objectives_match_dense_and_bound_the_optimum(self, rng):
         """20 random correlated instances, every third with a random extra

@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Solve the SDP relaxation of a generated jammer network and report it.
+
+The network is ``gen_uniform_scenario`` with ``--sensors`` sensors over
+600 m (seed 1), 5 steps of ``--per-step`` and a budget of 2, under
+example4's jammer: the ``sdr_plan`` benchmark family at network scale.  The
+relaxation is built as ``sensel select --algo sdr`` builds it and solved
+once.  One JSON line goes to stdout: seconds, iterations, duality gap,
+objective and the process's peak RSS.  The exit code is 1 when the solver
+does not converge or the gap is above the solver's tolerance.
+
+    PYTHONPATH=src python tools/sdp_scale.py --sensors 120 --per-step 12
+"""
+
+import argparse
+import json
+import resource
+import sys
+import time
+from importlib import resources
+
+import numpy as np
+
+from sensel import model
+from sensel.errors import NotConverged
+from sensel.plan import planning_noise
+from sensel.select_sdr import _TOL, build_bqp, build_sdp, solve_sdp
+
+
+def jammer_network(sensors: int, per_step: int) -> model.Scenario:
+    scenario = model.gen_uniform_scenario(
+        sensors, 600.0, [(10.0, 10.0), (10.0, 10.0)], seed=1,
+        model="tracking", per_step=[per_step] * 5, energy=2, weights=[0.2] * 5,
+        x0=[600.0, -20.0, 200.0, 0.0], p0=np.diag([100.0, 10.0, 100.0, 10.0]),
+    )
+    example4 = resources.files("sensel").joinpath("scenarios", "example4.json")
+    jam = model.load_scenario(str(example4)).noise.jammer
+    return model.apply_jammer(scenario, jam.p0, jam.alpha, jam.n_exp, jam.position, jam.r0)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sensors", type=int, default=120)
+    parser.add_argument("--per-step", type=int, default=12)
+    args = parser.parse_args()
+    scenario = jammer_network(args.sensors, args.per_step)
+    sdp = build_sdp(build_bqp(scenario, planning_noise(scenario)))
+    started = time.perf_counter()
+    try:
+        solution = solve_sdp(sdp)
+    except NotConverged as exc:
+        print(f"not converged: {exc}", file=sys.stderr)
+        return 1
+    record = {
+        "sensors": args.sensors,
+        "per_step": args.per_step,
+        "dim": sdp.dim,
+        "rows": len(sdp.rows),
+        "seconds": round(time.perf_counter() - started, 3),
+        "iterations": solution.iterations,
+        "gap": solution.gap,
+        "objective": solution.objective,
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+    print(json.dumps(record))
+    if not solution.gap <= _TOL:
+        print(f"duality gap {solution.gap:.2e} above {_TOL:.0e}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
