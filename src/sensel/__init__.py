@@ -5,7 +5,8 @@ Submodules
 linalg            pseudoinverse, SPD solves, PSD projection
 model             scenario data model, the constraint-row matrix
                   (ConstraintRows), JSON I/O, generators
-filter            prediction, masked-measurement updates, covariance rollout
+filter            prediction, updates on the selected rows, the one selection
+                  gain, covariance rollout
 measure           information measures, the per-sensor measure table and
                   the selection objectives (one f3 evaluator, batched)
 select_separable  top-k selection (greedy rounding of the measure table)

@@ -1,8 +1,9 @@
 """Command-line interface: plan selections, run simulations, sweep parameters.
 
-Exit codes: 0 success, 1 usage or scenario errors, 2 infeasible or oversized
-instances, 3 solver non-convergence.  Summaries go to stdout; schedules,
-certificates, and results go to the requested output files as JSON/CSV.
+Exit codes: 0 success; 1 scenario and other model errors; 2 usage errors
+(argparse exits before any work) and infeasible or oversized instances;
+3 solver non-convergence.  Summaries go to stdout; schedules, certificates,
+and results go to the requested output files as JSON/CSV.
 """
 
 from __future__ import annotations

@@ -33,34 +33,31 @@ class FilterState:
 
 @dataclass(frozen=True)
 class StackedMeasurement:
-    """All-sensor measurement stack with unselected blocks masked to zero.
-
-    ``row_mask`` flags the rows belonging to selected sensors; on those
-    rows ``h_tilde`` and ``r_tilde`` carry the original model, everywhere
-    else they are zero.
+    """One step's all-sensor stack: ``h`` and ``r`` are the step's
+    ``scenario.h_stacks[step]`` and ``noise.r_full`` by reference,
+    ``row_mask`` flags the selected sensors' rows and ``z`` is zero on the
+    others.  The gain form's masked ``h_tilde`` and ``r_tilde`` (the model
+    on selected rows and columns, zero elsewhere) are built when read.
     """
 
     z: np.ndarray
-    h_tilde: np.ndarray
-    r_tilde: np.ndarray
     row_mask: np.ndarray
+    h: np.ndarray
+    r: np.ndarray
 
-    def __post_init__(self):
-        dim = self.z.shape[0]
-        if self.h_tilde.shape[0] != dim or self.r_tilde.shape != (dim, dim):
-            raise InvalidMatrix("stacked measurement dimensions disagree")
-        if self.row_mask.shape != (dim,):
-            raise InvalidMatrix("row mask length does not match the stack")
+    @property
+    def h_tilde(self) -> np.ndarray:
+        return np.where(self.row_mask[:, None], self.h, 0.0)
+
+    @property
+    def r_tilde(self) -> np.ndarray:
+        return np.where(np.outer(self.row_mask, self.row_mask), self.r, 0.0)
 
 
 def stack_measurement(
-    scenario: Scenario,
-    noise: NoiseModel,
-    gamma_col,
-    step: int = 0,
-    z=None,
+    scenario: Scenario, noise: NoiseModel, gamma_col, step: int = 0, z=None
 ) -> StackedMeasurement:
-    """Assemble the masked stack for one step's selection column.
+    """The stack for one step's selection column.
 
     ``z`` carries raw per-sensor measurements for the full stack; they are
     masked here.  Omitted ``z`` yields a zero vector (enough for covariance
@@ -70,15 +67,12 @@ def stack_measurement(
     if gamma.shape != (scenario.num_sensors,):
         raise InvalidMatrix("selection column length does not match sensors")
     row_mask = gamma[noise.labels]
-    h_tilde = np.where(row_mask[:, None], scenario.h_stacks[step], 0.0)
-    r_tilde = np.where(np.outer(row_mask, row_mask), noise.r_full, 0.0)
     if z is None:
         z_masked = np.zeros(noise.dim)
     else:
         z_masked = np.where(row_mask, np.asarray(z, dtype=float), 0.0)
     return StackedMeasurement(
-        z=z_masked, h_tilde=h_tilde, r_tilde=linalg.symmetrize(r_tilde),
-        row_mask=row_mask,
+        z=z_masked, row_mask=row_mask, h=scenario.h_stacks[step], r=noise.r_full
     )
 
 
@@ -111,39 +105,54 @@ def update_gif(state_pred: FilterState, meas: StackedMeasurement) -> FilterState
     """Measurement update in information form.
 
     Equivalent to :func:`update_kalman`; the pseudoinverse of the masked
-    noise covariance reduces to inverting the selected sensors' block
-    (extract, invert, re-embed), which is both exact and cheap.
+    noise covariance reduces to inverting the selected sensors' block, so
+    only the selected rows of ``h``, ``r`` and ``z`` are read.
     """
     sel = meas.row_mask
     if not np.any(sel):
         return state_pred
     info_pred = linalg.inv_spd(state_pred.p)
-    h_sel = meas.h_tilde[sel]
-    r_sel = meas.r_tilde[np.ix_(sel, sel)]
-    r_inv = linalg.inv_spd(r_sel)
+    h_sel = meas.h[sel]
+    r_inv = linalg.inv_spd(meas.r[np.ix_(sel, sel)])
     gain = h_sel.T @ r_inv @ h_sel
     p = linalg.inv_spd(info_pred + gain)
     x = p @ (info_pred @ state_pred.x + h_sel.T @ (r_inv @ meas.z[sel]))
     return FilterState(x=x, p=p)
 
 
-def selection_gain(
-    scenario: Scenario,
-    noise: NoiseModel,
-    gamma_col,
-    step: int = 0,
-) -> np.ndarray:
-    """Information gain H' R+ H of one selection column, as an r-by-r matrix.
+def row_gains(scenario: Scenario, noise: NoiseModel, rows, step: int = 0) -> np.ndarray:
+    """Information gain H' R^-1 H of each row set of a (U, k) index array
+    into the step's stack, as a (U, r, r) array, by one stacked solve."""
+    h = scenario.h_stacks[step][rows]
+    r = noise.r_full[rows[:, :, None], rows[:, None, :]]
+    return h.transpose(0, 2, 1) @ np.linalg.solve(r, h)
 
-    Computed on the selected sensors' rows only; unselected sensors
-    contribute nothing.
+
+def selection_gains(scenario: Scenario, noise: NoiseModel, columns, step: int = 0) -> np.ndarray:
+    """Information gain H' R+ H of each 0/1 selection column of a (U, num)
+    array, as a (U, r, r) array: one :func:`row_gains` of the selected
+    sensors' rows per count of them.  Other lengths raise InvalidMatrix.
     """
-    rows = np.flatnonzero(np.asarray(gamma_col).astype(bool)[noise.labels])
-    if rows.size == 0:
-        return np.zeros((scenario.state_dim, scenario.state_dim))
-    h_sel = scenario.h_stacks[step][rows]
-    r_sel = noise.r_full[np.ix_(rows, rows)]
-    return linalg.symmetrize(h_sel.T @ np.linalg.solve(r_sel, h_sel))
+    selected = np.asarray(columns).astype(bool)
+    if selected.shape[-1] != scenario.num_sensors:
+        raise InvalidMatrix("selection column length does not match sensors")
+    selected = selected[:, noise.labels]
+    counts = np.count_nonzero(selected, axis=1)
+    gains = np.zeros((selected.shape[0], scenario.state_dim, scenario.state_dim))
+    # A set, not np.unique: numpy's hash-based unique of an int array holds
+    # about 1 MB more resident memory from its first call on.
+    for k in sorted(set(counts.tolist()) - {0}):
+        idx = np.flatnonzero(counts == k)
+        rows = np.nonzero(selected[idx])[1].reshape(idx.size, k)
+        gains[idx] = row_gains(scenario, noise, rows, step)
+    return gains
+
+
+def selection_gain(scenario: Scenario, noise: NoiseModel, gamma_col, step: int = 0) -> np.ndarray:
+    """Information gain of one selection column, as an r-by-r matrix: the
+    one-column case of :func:`selection_gains`, symmetrized."""
+    gains = selection_gains(scenario, noise, np.asarray(gamma_col)[None], step)
+    return linalg.symmetrize(gains[0])
 
 
 def covariance_rollout(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .filter import covariance_rollout
+from .filter import covariance_rollout, row_gains, selection_gains
 from .model import Scenario, SelectionSchedule
 
 OBJECTIVES = ("f1", "f2", "f3")
@@ -24,9 +24,8 @@ def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
     noise block of sensor i.  Top-k ranks each step's sensors by it; the
     LP route weights it by the step weights to get its objective.
 
-    Each step takes one batched pass per measurement dimension: one gather
-    of the diagonal blocks and of the sensors' rows of
-    ``scenario.h_stacks[n]``, one stacked solve and one stacked trace.
+    Each step takes one :func:`filter.row_gains` per measurement
+    dimension, on each sensor's own rows, and one stacked trace.
     No block is checked here: a noise model is checked when it is made,
     and every one a step uses (all but the static part of a distance
     model) is positive definite, and so is each of its diagonal blocks.
@@ -41,10 +40,8 @@ def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
         noise = noise_seq[n]
         for d, idx in groups:
             rows = noise.offsets[idx][:, None] + np.arange(d)
-            r = noise.r_full[rows[:, :, None], rows[:, None, :]]
-            h = scenario.h_stacks[n][rows]
-            solved = np.linalg.solve(r, h)
-            table[idx, n] = np.trace(h.transpose(0, 2, 1) @ solved, axis1=1, axis2=2)
+            gains = row_gains(scenario, noise, rows, n)
+            table[idx, n] = np.trace(gains, axis1=1, axis2=2)
     return table
 
 
@@ -79,29 +76,11 @@ def distinct_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], inverse
 
 
-def _gain_traces(scenario: Scenario, noise, columns: np.ndarray, step: int) -> np.ndarray:
-    """trace(H' R^-1 H) of each 0/1 selection column of a (U, num) array, as
-    :func:`filter.selection_gain` computes it, with one stacked solve per
-    count of selected noise rows."""
-    selected = columns.astype(bool)[:, noise.labels]
-    counts = np.count_nonzero(selected, axis=1)
-    traces = np.zeros(columns.shape[0])
-    # A set, not np.unique: numpy's hash-based unique of an int array holds
-    # about 1 MB more resident memory from its first call on.
-    for k in sorted(set(counts.tolist()) - {0}):
-        idx = np.flatnonzero(counts == k)
-        rows = np.nonzero(selected[idx])[1].reshape(idx.size, k)
-        h = scenario.h_stacks[step][rows]
-        r = noise.r_full[rows[:, :, None], rows[:, None, :]]
-        gains = h.transpose(0, 2, 1) @ np.linalg.solve(r, h)
-        traces[idx] = np.trace(gains, axis1=1, axis2=2)
-    return traces
-
-
 def f3_values(gammas: np.ndarray, scenario: Scenario, noise_seq) -> np.ndarray:
     """Weighted f3 sum of each (horizon, num) 0/1 schedule in a batch.
 
-    Each step's gain trace is computed once per distinct selection column.
+    Each step's gain traces come from one :func:`filter.selection_gains`
+    of its distinct selection columns.
     The columns of every step are packed by one ``np.packbits`` over the
     batch, each padded with zeros to whole bytes first, which gives the
     bytes that packing each step alone would give.  The weighted terms are
@@ -118,8 +97,9 @@ def f3_values(gammas: np.ndarray, scenario: Scenario, noise_seq) -> np.ndarray:
         if weights[n] == 0.0:
             continue
         first, inverse = distinct_rows(packed[:, n])
-        gains = _gain_traces(scenario, noise_seq[n], gammas[first, n], n)
-        totals = totals + float(weights[n]) * gains[inverse]
+        gains = selection_gains(scenario, noise_seq[n], gammas[first, n], n)
+        traces = np.trace(gains, axis1=1, axis2=2)
+        totals = totals + float(weights[n]) * traces[inverse]
     return totals
 
 

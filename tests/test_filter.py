@@ -2,6 +2,7 @@
 agreement, covariance monotonicity, and rollout consistency."""
 
 import numpy as np
+import pytest
 
 from sensel import linalg, model
 from sensel.filter import (
@@ -13,6 +14,7 @@ from sensel.filter import (
     update_gif,
     update_kalman,
 )
+from sensel.plan import planning_noise
 
 from conftest import rand_scenario, rand_spd
 
@@ -79,6 +81,31 @@ class TestUpdates:
         out = update_kalman(state, meas)
         np.testing.assert_allclose(out.p, p_ref, atol=1e-10)
         np.testing.assert_allclose(out.x, x_ref, atol=1e-10)
+
+    @pytest.mark.parametrize("name", ["example4", "example7"])
+    def test_information_update_reads_the_selected_rows(self, name, rng):
+        """Bit for bit the information update written out from the selected
+        rows of ``r_full`` and ``h_stacks[step]``, under a jammer's
+        correlated noise (example4) and per-step distance noise (example7).
+        The simulator's CSVs rest on these bits."""
+        scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        noise_seq = planning_noise(scenario)
+        r = scenario.state_dim
+        for n in range(scenario.horizon):
+            noise = noise_seq[n]
+            gamma = rng.integers(0, 2, size=scenario.num_sensors)
+            gamma[int(rng.integers(scenario.num_sensors))] = 1
+            state = FilterState(x=rng.normal(size=r), p=rand_spd(r, rng))
+            z = rng.normal(size=noise.dim)
+            out = update_gif(state, stack_measurement(scenario, noise, gamma, step=n, z=z))
+            rows = np.flatnonzero(np.repeat(gamma, noise.block_sizes))
+            h = scenario.h_stacks[n][rows]
+            r_inv = linalg.inv_spd(noise.r_full[np.ix_(rows, rows)])
+            info_pred = linalg.inv_spd(state.p)
+            p = linalg.inv_spd(info_pred + h.T @ r_inv @ h)
+            x = p @ (info_pred @ state.x + h.T @ (r_inv @ z[rows]))
+            assert np.array_equal(out.p, p)
+            assert np.array_equal(out.x, x)
 
 
 class TestEquivalence:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sensel import linalg, measure, model
-from sensel.errors import NotPositiveDefinite
+from sensel.errors import InvalidMatrix, NotPositiveDefinite
 from sensel.filter import selection_gain, stack_measurement
 from sensel.model import SelectionSchedule
 
@@ -41,6 +41,19 @@ class TestGainTrace:
     def test_empty_selection(self, rng):
         scenario = rand_scenario(rng, num_sensors=2, horizon=1)
         assert gain_trace(scenario, scenario.noise, [0, 0]) == 0.0
+
+    def test_wrong_length_selection_rejected(self):
+        """A column or schedule of the wrong length is refused; a longer one
+        used to be cut to the network and score all nine of example2."""
+        scenario = model.load_scenario("src/sensel/scenarios/example2.json")
+        for length in (scenario.num_sensors + 2, scenario.num_sensors - 1):
+            with pytest.raises(InvalidMatrix, match="length"):
+                selection_gain(scenario, scenario.noise, [1] * length)
+            with pytest.raises(InvalidMatrix, match="length"):
+                stack_measurement(scenario, scenario.noise, [1] * length)
+            schedule = SelectionSchedule.build(np.ones((length, scenario.horizon)))
+            with pytest.raises(InvalidMatrix, match="length"):
+                measure.objective_f3(schedule, scenario)
 
     def test_uncorrelated_additivity(self, rng):
         """Block-diagonal noise: the stack's trace equals the sum of the

@@ -8,8 +8,9 @@ import pytest
 
 from sensel import model
 from sensel.errors import ScenarioError
-from sensel.filter import covariance_rollout
+from sensel.filter import StackedMeasurement, covariance_rollout, stack_measurement
 from sensel.model import SelectionSchedule
+from sensel.plan import planning_noise
 from sensel.sim import (
     RunConfig,
     results_equal,
@@ -118,6 +119,35 @@ class TestSimulateMeasurements:
             np.testing.assert_array_equal(
                 out[n].h_tilde, np.vstack([s.h_at(n) for s in sensors])
             )
+
+    def test_stack_holds_the_model_by_reference(self):
+        """A step's stack is the step's H and noise covariance themselves,
+        with no network-size copy."""
+        scenario = model.load_scenario("src/sensel/scenarios/example7.json")
+        noise_seq = planning_noise(scenario)
+        gamma = np.ones(scenario.num_sensors, dtype=np.int8)
+        for n in range(scenario.horizon):
+            meas = stack_measurement(scenario, noise_seq[n], gamma, step=n)
+            assert meas.r is noise_seq[n].r_full
+            assert meas.h is scenario.h_stacks[n]
+
+    def test_study_builds_no_masked_stack(self, monkeypatch):
+        """A closed-loop study reads the selected rows only: it never builds
+        the masked ``h_tilde`` or ``r_tilde``."""
+        reads = []
+        for name in ("h_tilde", "r_tilde"):
+            build = vars(StackedMeasurement)[name].fget
+            monkeypatch.setattr(
+                StackedMeasurement, name,
+                property(lambda meas, name=name, build=build: reads.append(name) or build(meas)),
+            )
+        scenario = model.load_scenario("src/sensel/scenarios/example4.json")
+        config = RunConfig(scenario=scenario, algorithm="ignore-dep", runs=2, seed=3)
+        assert np.all(np.isfinite(run_closed_loop(config).rmse))
+        assert reads == []
+        masked = stack_measurement(scenario, scenario.noise, np.ones(scenario.num_sensors)).r_tilde
+        assert reads == ["r_tilde"]
+        assert np.array_equal(masked, scenario.noise.r_full)
 
     def test_jammer_correlation_matches_mixing_structure(self):
         """Empirical cross-sensor covariance over many draws approaches the
