@@ -128,15 +128,19 @@ def row_gains(scenario: Scenario, noise: NoiseModel, rows, step: int = 0) -> np.
     return h.transpose(0, 2, 1) @ np.linalg.solve(r, h)
 
 
-def selection_gains(scenario: Scenario, noise: NoiseModel, columns, step: int = 0) -> np.ndarray:
-    """Information gain H' R+ H of each 0/1 selection column of a (U, num)
-    array, as a (U, r, r) array: one :func:`row_gains` of the selected
-    sensors' rows per count of them.  Other lengths raise InvalidMatrix.
-    """
+def _selected(scenario: Scenario, columns) -> np.ndarray:
+    """0/1 selection columns as booleans; other lengths raise InvalidMatrix."""
     selected = np.asarray(columns).astype(bool)
     if selected.shape[-1] != scenario.num_sensors:
         raise InvalidMatrix("selection column length does not match sensors")
-    selected = selected[:, noise.labels]
+    return selected
+
+
+def selection_gains(scenario: Scenario, noise: NoiseModel, columns, step: int = 0) -> np.ndarray:
+    """Information gain H' R+ H of each 0/1 selection column of a (U, num)
+    array, as a (U, r, r) array: one :func:`row_gains` of the selected
+    sensors' rows per count of them."""
+    selected = _selected(scenario, columns)[:, noise.labels]
     counts = np.count_nonzero(selected, axis=1)
     gains = np.zeros((selected.shape[0], scenario.state_dim, scenario.state_dim))
     # A set, not np.unique: numpy's hash-based unique of an int array holds
@@ -150,9 +154,11 @@ def selection_gains(scenario: Scenario, noise: NoiseModel, columns, step: int = 
 
 def selection_gain(scenario: Scenario, noise: NoiseModel, gamma_col, step: int = 0) -> np.ndarray:
     """Information gain of one selection column, as an r-by-r matrix: the
-    one-column case of :func:`selection_gains`, symmetrized."""
-    gains = selection_gains(scenario, noise, np.asarray(gamma_col)[None], step)
-    return linalg.symmetrize(gains[0])
+    one-row-set :func:`row_gains` of its selected rows, symmetrized."""
+    rows = np.flatnonzero(_selected(scenario, gamma_col)[noise.labels])
+    if rows.size == 0:
+        return np.zeros((scenario.state_dim, scenario.state_dim))
+    return linalg.symmetrize(row_gains(scenario, noise, rows[None], step)[0])
 
 
 def covariance_rollout(

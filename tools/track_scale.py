@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Run a closed-loop tracking study on a generated jammer network and report it.
 
-The network is ``sdp_scale.jammer_network`` with ``--sensors`` sensors and
-``--per-step`` picks per step.  The study is what ``sensel simulate --algo
+The network is ``sdp_scale.jammer_network(400, 10)``: 400 sensors, 10
+picks per step.  The study is what ``sensel simulate --algo
 ignore-dep --runs 20 --threads 1 --seed 1`` runs on it: plan once, then
 simulate and filter 20 Monte Carlo runs in this process.  One JSON line
 goes to stdout: the study's seconds (planning, runs and the results CSV,
 not building the network), the process's peak RSS and the sha256 of the
 results CSV, which compares two versions' studies bit for bit.
 
-    PYTHONPATH=src python tools/track_scale.py --sensors 400 --per-step 10
+    PYTHONPATH=src python tools/track_scale.py
 """
 
-import argparse
 import hashlib
 import json
 import os
@@ -27,11 +26,7 @@ from sensel.sim import RunConfig, run_closed_loop, write_results_csv
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sensors", type=int, default=400)
-    parser.add_argument("--per-step", type=int, default=10)
-    args = parser.parse_args()
-    scenario = jammer_network(args.sensors, args.per_step)
+    scenario = jammer_network(400, 10)
     config = RunConfig(scenario=scenario, algorithm="ignore-dep", runs=20, seed=1, threads=1)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "results.csv")
@@ -41,8 +36,8 @@ def main() -> int:
         with open(path, "rb") as handle:
             digest = hashlib.sha256(handle.read()).hexdigest()
     record = {
-        "sensors": args.sensors,
-        "per_step": args.per_step,
+        "sensors": 400,
+        "per_step": 10,
         "runs": config.runs,
         "seconds": round(seconds, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
