@@ -47,21 +47,10 @@ def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     return symmetrize(a)
 
 
-def pinv(a: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD with a spectral cutoff.
-
-    Singular values below ``tol * sigma_max`` are treated as exactly zero.
-
-    Parameters
-    ----------
-    a : ndarray
-        Matrix to pseudoinvert.
-    tol : float
-        Relative singular-value cutoff, must be positive.
-    """
+def pinv(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse via SVD; singular values below
+    ``DEFAULT_PINV_TOL * sigma_max`` are treated as exactly zero."""
     a = check_finite(a, "pinv input")
-    if tol <= 0:
-        raise InvalidMatrix("pinv tolerance must be positive")
     if a.ndim != 2:
         raise InvalidMatrix(f"pinv expects a 2-d matrix, got shape {a.shape}")
     if a.size == 0:
@@ -69,19 +58,22 @@ def pinv(a: np.ndarray, tol: float = DEFAULT_PINV_TOL) -> np.ndarray:
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[0]))
-    inv_s = np.where(s > tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    inv_s = np.where(s > DEFAULT_PINV_TOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return (vt.T * inv_s) @ u.T
 
 
 def inv_spd(a: np.ndarray) -> np.ndarray:
-    """Inverse of a positive definite matrix, symmetrized; ``a`` is
-    symmetrized first and one Cholesky factorization tests it."""
+    """Inverse of a positive definite matrix, or of each of a stack of
+    them, symmetrized; ``a`` is symmetrized first and one Cholesky
+    factorization tests it."""
     a = symmetrize(check_finite(a, "inv_spd input"), "inv_spd input")
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("matrix is not positive definite") from None
-    return symmetrize(np.linalg.solve(a, np.eye(a.shape[0])))
+    # An identity of a's own shape: numpy before 2.0 reads a b of one
+    # dimension less than a as a stack of vectors.
+    return symmetrize(np.linalg.solve(a, np.broadcast_to(np.eye(a.shape[-1]), a.shape)))
 
 
 def psd_project(a: np.ndarray, slack: float = PSD_SLACK) -> np.ndarray:

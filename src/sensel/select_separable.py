@@ -4,9 +4,12 @@ search used as the optimality oracle everywhere else.
 With block-diagonal noise and per-step count constraints the optimum is
 simply the count-many sensors with the largest per-sensor measures at each
 step, which is what the LP route's greedy rounder picks from the measure
-table and the counts alone.  The exhaustive search enumerates every
-feasible schedule and is intentionally unrelated to any other solver in
-this package so it can serve as an independent reference.
+table and the counts alone.  The exhaustive search scores every feasible
+schedule, up to ``EXHAUSTIVE_CAP`` candidates, in fixed slices, so its
+memory depends on the slice and each step's combination count, not on
+the number of schedules.  It shares only the gain computation and the
+constraint rows with the rest of the package, and calls no solver,
+rounder or f3 evaluator, so it serves as an independent reference.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import numpy as np
 
 from . import linalg
 from .errors import Infeasible, NotSeparableNoise, TooLarge, UnsupportedConstraints
-from .filter import selection_gain
+from .filter import selection_gains
 from .measure import OBJECTIVES, info_table
 from .model import ConstraintSet, Scenario, SelectionSchedule
 from .select_lp import round_by_scores
 
 EXHAUSTIVE_CAP = 10_000_000
+# Leaves scored together by the exhaustive search.
+_SLICE = 4096
 
 
 def topk_schedule(scenario: Scenario, noise_seq=None) -> SelectionSchedule:
@@ -56,106 +61,83 @@ def _schedule_count(scenario: Scenario) -> int:
 
 
 def exhaustive_opt(
-    scenario: Scenario,
-    objective: str = "f1",
-    cap: int = EXHAUSTIVE_CAP,
-    noise_seq=None,
+    scenario: Scenario, objective: str = "f1", noise_seq=None
 ) -> tuple[SelectionSchedule, float]:
     """Best feasible schedule by brute-force enumeration.
 
     Minimizes the trace objectives f1 and f2, maximizes the information
-    objective f3.
+    objective f3.  Every schedule is one leaf of the product of the steps'
+    count-sized combinations, each step in ``itertools.combinations``
+    order; the leaves are scored in slices of ``_SLICE`` consecutive
+    mixed-radix indices, so memory does not grow with the schedule count.
+    Each step's gains come from one :func:`filter.selection_gains` call.
+    One constraint-row product per slice drops the leaves that break a
+    budget or an extra row.  f3 adds the weighted gain traces in step
+    order; f1 and f2 run the predict and information update over the
+    slice as one stack of covariances.
     Ties resolve to the schedule whose step-major 0/1 vector is
-    lexicographically smallest.  Energy budgets prune partial schedules;
-    extra linear constraints are checked on complete ones.
+    lexicographically smallest: in combination order the 0/1 vectors
+    descend, so that is the tied leaf of largest index.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
     total = _schedule_count(scenario)
-    if total > cap:
+    if total > EXHAUSTIVE_CAP:
         raise TooLarge(
-            f"{total} candidate schedules exceed the cap of {cap}"
+            f"{total} candidate schedules exceed the cap of {EXHAUSTIVE_CAP}"
         )
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
-    cons = scenario.constraints
     num = scenario.num_sensors
-    horizon = scenario.horizon
+    system = scenario.system
+    rows = scenario.constraints.rows(num)
+    # Each step's combinations as 0/1 rows, in itertools order.
+    columns = []
+    for m in scenario.constraints.per_step:
+        chosen = np.array(list(combinations(range(num), m)))
+        column = np.zeros((len(chosen), num), dtype=np.int8)
+        np.put_along_axis(column, chosen, 1, axis=1)
+        columns.append(column)
+    gains = [
+        linalg.symmetrize(selection_gains(scenario, noise_seq[n], column, n))
+        for n, column in enumerate(columns)
+    ]
+    traces = [np.trace(gain, axis1=1, axis2=2) for gain in gains]
+    radices = [len(column) for column in columns]
     maximize = objective == "f3"
-    weights = scenario.weights
-    p_seed = np.asarray(scenario.p0, dtype=float)
-
-    # Per-step gain matrices are shared across every branch that picks the
-    # same combination at that step.
-    gain_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-
-    def gain_for(step: int, combo: tuple[int, ...]) -> np.ndarray:
-        key = (step, combo)
-        hit = gain_cache.get(key)
-        if hit is None:
-            col = np.zeros(num, dtype=np.int8)
-            col[list(combo)] = 1
-            hit = selection_gain(scenario, noise_seq[step], col, step=step)
-            gain_cache[key] = hit
-        return hit
-
-    best: list = [None, math.inf if not maximize else -math.inf, None]
-
-    def consider(columns: list[tuple[int, ...]], value: float) -> None:
-        schedule = SelectionSchedule.build(_combo_matrix(columns, num))
-        if cons.extra and not schedule.satisfies(cons):
-            return
-        better = value > best[1] if maximize else value < best[1]
-        if better or (value == best[1] and (best[2] is None or schedule.key() < best[2])):
-            best[0], best[1], best[2] = schedule, value, schedule.key()
-
-    def recurse(step, budgets, columns, p, trace_acc, f3_acc):
-        if step == horizon:
+    best_leaf, best_value = None, None
+    for start in range(0, total, _SLICE):
+        leaves = np.arange(start, min(start + _SLICE, total))
+        picks = np.unravel_index(leaves, radices)
+        vectors = np.concatenate(
+            [column[pick] for column, pick in zip(columns, picks)], axis=1
+        )
+        keep = np.flatnonzero(rows.meets(vectors @ rows.a.T).all(axis=1))
+        if keep.size == 0:
+            continue
+        picks = [pick[keep] for pick in picks]
+        if maximize:
+            values = 0.0
+            for n, pick in enumerate(picks):
+                values = values + float(scenario.weights[n]) * traces[n][pick]
+        else:
+            p = np.asarray(scenario.p0, dtype=float)
+            trace_sum = 0.0
+            for n, pick in enumerate(picks):
+                f = system.f_at(n)
+                p_pred = linalg.symmetrize(f @ p @ f.T + system.q_at(n))
+                p = linalg.inv_spd(linalg.inv_spd(p_pred) + gains[n][pick])
+                trace_sum = trace_sum + np.trace(p, axis1=1, axis2=2)
             if objective == "f1":
-                consider(columns, float(np.trace(p)))
-            elif objective == "f2":
-                consider(columns, trace_acc / horizon)
+                values = np.trace(p, axis1=1, axis2=2)
             else:
-                consider(columns, f3_acc)
-            return
-        f = scenario.system.f_at(step)
-        q = scenario.system.q_at(step)
-        if objective != "f3":
-            p_pred = linalg.symmetrize(f @ p @ f.T + q)
-            info_pred = linalg.inv_spd(p_pred)
-        for combo in combinations(range(num), cons.per_step[step]):
-            if budgets is not None:
-                if any(budgets[i] == 0 for i in combo):
-                    continue
-                next_budgets = list(budgets)
-                for i in combo:
-                    next_budgets[i] -= 1
-            else:
-                next_budgets = None
-            columns.append(combo)
-            if objective == "f3":
-                gain_val = float(np.trace(gain_for(step, combo)))
-                recurse(
-                    step + 1, next_budgets, columns, p,
-                    trace_acc, f3_acc + float(weights[step]) * gain_val,
-                )
-            else:
-                p_next = linalg.inv_spd(info_pred + gain_for(step, combo))
-                recurse(
-                    step + 1, next_budgets, columns, p_next,
-                    trace_acc + float(np.trace(p_next)), f3_acc,
-                )
-            columns.pop()
-
-    budgets = list(cons.energy) if cons.energy is not None else None
-    recurse(0, budgets, [], p_seed, 0.0, 0.0)
-    if best[0] is None:
+                values = trace_sum / scenario.horizon
+        value = values.max() if maximize else values.min()
+        if best_leaf is None or (value >= best_value if maximize else value <= best_value):
+            best_leaf = leaves[keep[np.flatnonzero(values == value)[-1]]]
+            best_value = value
+    if best_leaf is None:
         raise Infeasible("no feasible schedule under the constraint set")
-    return best[0], float(best[1])
-
-
-def _combo_matrix(columns: list[tuple[int, ...]], num: int) -> np.ndarray:
-    gamma = np.zeros((num, len(columns)), dtype=np.int8)
-    for n, combo in enumerate(columns):
-        gamma[list(combo), n] = 1
-    return gamma
+    picks = np.unravel_index(best_leaf, radices)
+    gamma = np.stack([column[pick] for column, pick in zip(columns, picks)], axis=1)
+    return SelectionSchedule.build(gamma), float(best_value)

@@ -33,7 +33,7 @@ from sensel.select_sdr import (
 from sensel.select_separable import exhaustive_opt, topk_schedule
 from sensel.sim import RunConfig, run_closed_loop
 
-from conftest import rand_scenario, rand_spd, sensor_measure
+from conftest import enumerate_feasible, rand_scenario, rand_spd, sensor_measure
 
 EXAMPLE4 = "src/sensel/scenarios/example4.json"
 EXAMPLE7 = "src/sensel/scenarios/example7.json"
@@ -44,20 +44,6 @@ JAMMER_POWERS = [1e5, 3e5, 6e5, 10e5, 12e5, 15e5, 20e5]
 def _report(name: str, ok: bool, detail: str = "") -> bool:
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok
-
-
-def _enumerate(scenario):
-    pools = [
-        itertools.combinations(range(scenario.num_sensors), m)
-        for m in scenario.constraints.per_step
-    ]
-    for combo in itertools.product(*pools):
-        gamma = np.zeros(
-            (scenario.num_sensors, scenario.horizon), dtype=np.int8
-        )
-        for n, chosen in enumerate(combo):
-            gamma[list(chosen), n] = 1
-        yield SelectionSchedule.build(gamma)
 
 
 def test_c1_update_equivalence():
@@ -242,8 +228,7 @@ def test_c3_lp_sandwich():
         rounded = round_energy(solution, scenario, problem)
         boolean_best = max(
             float(problem.c @ s.gamma_vec())
-            for s in _enumerate(scenario)
-            if s.satisfies(scenario.constraints)
+            for s in enumerate_feasible(scenario)
         )
         assert rounded.objective <= boolean_best + 1e-8
         assert boolean_best <= solution.objective + 1e-8
@@ -314,8 +299,7 @@ def test_c5_sdr_lower_bound():
         worst_diag = max(worst_diag, float(np.abs(np.diag(solution.x) - 1).max()))
         best = min(
             bqp_objective(bqp, s)
-            for s in _enumerate(scenario)
-            if s.satisfies(scenario.constraints)
+            for s in enumerate_feasible(scenario)
         )
         slack = relaxation_bound(solution, sdp) - best  # must stay <= ~0
         worst_slack = max(worst_slack, slack / (1.0 + abs(best)))

@@ -1,13 +1,16 @@
 """Tests for the analytic top-k selection and the exhaustive oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sensel import measure, model
-from sensel.errors import NotSeparableNoise, TooLarge
-from sensel.select_separable import exhaustive_opt, topk_schedule
+from sensel.errors import Infeasible, NotSeparableNoise, TooLarge
+from sensel.measure import OBJECTIVES
+from sensel.select_separable import _SLICE, _schedule_count, exhaustive_opt, topk_schedule
 
-from conftest import rand_scenario
+from conftest import enumerate_feasible, rand_scenario, with_random_extra_row
 
 
 def scenario_with_measures(values, per_step, rng, horizon=1, energy=None, weights=None):
@@ -75,11 +78,13 @@ class TestExhaustive:
         assert schedule.gamma[0].sum() <= 1
 
     def test_cap_exceeded(self, rng):
+        """C(30, 15)^3 schedules: the count is refused before any
+        enumeration, so this returns at once."""
         scenario = rand_scenario(
-            rng, num_sensors=8, horizon=3, per_step=[4, 4, 4], correlated=False
+            rng, num_sensors=30, horizon=3, per_step=[15, 15, 15], correlated=False
         )
         with pytest.raises(TooLarge):
-            exhaustive_opt(scenario, "f3", cap=10)
+            exhaustive_opt(scenario, "f3")
 
     def test_extra_linear_row_filters_schedules(self, rng):
         """A row forbidding the strongest sensor changes the optimum."""
@@ -171,6 +176,14 @@ class TestExhaustive:
         scenario = scenario_with_measures([0.2, 0.2, 0.2], 1, rng)
         schedule, _ = exhaustive_opt(scenario, "f3")
         np.testing.assert_array_equal(schedule.gamma[:, 0], [0, 0, 1])
+        # 84^2 = 7,056 schedules, all tied, so tied optima fall in more than
+        # one slice of the enumeration.
+        scenario = scenario_with_measures([0.2] * 9, 3, rng, horizon=2)
+        assert _schedule_count(scenario) > _SLICE
+        for objective in OBJECTIVES:
+            schedule, _ = exhaustive_opt(scenario, objective)
+            np.testing.assert_array_equal(schedule.gamma[:6], 0)
+            np.testing.assert_array_equal(schedule.gamma[6:], 1)
 
     def test_reduced_forty_sensor_replica(self):
         """Reduced replica of the 40-sensor direct-observation study
@@ -200,3 +213,64 @@ class TestExhaustive:
         rounded = round_energy(solve_lp(problem), scenario, problem)
         lp_f1 = float(np.trace(measure.objective_f1(rounded.schedule, scenario)))
         assert value <= lp_f1 + 1e-12
+
+    def test_matches_scored_enumeration(self):
+        """Random instances with budgets, extra rows and correlated noise:
+        the oracle returns the best of every feasible schedule scored by
+        ``measure.objective_value``, ties to the smallest ``key()``; f1 and
+        f3 to the bit, f2 (a sum of traces against the trace of a sum)
+        within 1e-12 relative."""
+        rng = np.random.default_rng(606)
+        checked = 0
+        for _ in range(60):
+            num = int(rng.integers(2, 6))
+            horizon = int(rng.integers(1, 4))
+            per_step = [int(rng.integers(1, num)) for _ in range(horizon)]
+            energy = None
+            if rng.random() < 0.5:
+                energy = [int(rng.integers(0, horizon + 1)) for _ in range(num)]
+                if sum(per_step) > sum(energy):
+                    energy = None
+            scenario = rand_scenario(
+                rng, num_sensors=num, horizon=horizon, per_step=per_step,
+                energy=energy, correlated=bool(rng.random() < 0.5),
+                state_dim=int(rng.integers(1, 4)),
+            )
+            feasible = list(enumerate_feasible(scenario))
+            if feasible and rng.random() < 0.5:
+                scenario = with_random_extra_row(rng, scenario)
+                feasible = list(enumerate_feasible(scenario))
+            for objective in OBJECTIVES:
+                if not feasible:
+                    with pytest.raises(Infeasible):
+                        exhaustive_opt(scenario, objective)
+                    continue
+                # f3 is maximized: rank by its negation, then by key.
+                sign = -1.0 if objective == "f3" else 1.0
+                ranked, key = min(
+                    (sign * measure.objective_value(objective, s, scenario), s.key())
+                    for s in feasible
+                )
+                schedule, value = exhaustive_opt(scenario, objective)
+                assert schedule.key() == key
+                if objective == "f2":
+                    assert value == pytest.approx(ranked, rel=1e-12, abs=0.0)
+                else:
+                    assert value == sign * ranked
+            checked += bool(feasible)
+        assert checked >= 50
+
+    def test_memory_does_not_grow_with_schedule_count(self, rng):
+        """The leaves are scored in fixed slices: 592,704 schedules peak at
+        about the traced memory of 46,656."""
+        peaks = []
+        for per_step in (2, 3):
+            scenario = scenario_with_measures(
+                rng.uniform(0.1, 1.0, size=9), per_step, rng, horizon=3
+            )
+            tracemalloc.start()
+            exhaustive_opt(scenario, "f3")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert _schedule_count(scenario) == 84**3
+        assert peaks[1] < 1.5 * peaks[0]
