@@ -1,6 +1,7 @@
 """Shared helpers for building randomized test instances."""
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -111,8 +112,32 @@ def loop_round_by_scores(scores, constraints, weights) -> np.ndarray:
     return gamma
 
 
-def enumerate_feasible(scenario):
-    """Every schedule that meets the scenario's constraint set."""
+def enumerate_feasible(scenario, batch: int = 4096):
+    """Every schedule that meets the scenario's constraint set, in the
+    order of ``itertools.product`` over the steps' count-sized
+    ``itertools.combinations``.  Candidates are built ``batch`` at a time
+    as step-major 0/1 rows and checked with one constraint-row product per
+    batch; only the feasible ones become schedules."""
+    num, horizon = scenario.num_sensors, scenario.horizon
+    rows = scenario.constraints.rows(num)
+    columns = []
+    for m in scenario.constraints.per_step:
+        chosen = np.array(list(itertools.combinations(range(num), m)))
+        column = np.zeros((len(chosen), num), dtype=np.int8)
+        np.put_along_axis(column, chosen, 1, axis=1)
+        columns.append(column)
+    radices = [len(column) for column in columns]
+    total = math.prod(radices)
+    for start in range(0, total, batch):
+        picks = np.unravel_index(np.arange(start, min(start + batch, total)), radices)
+        vectors = np.concatenate([column[pick] for column, pick in zip(columns, picks)], axis=1)
+        for vector in vectors[rows.meets(vectors @ rows.a.T).all(axis=1)]:
+            yield model.SelectionSchedule.build(vector.reshape(horizon, num).T)
+
+
+def loop_enumerate_feasible(scenario):
+    """Reference for :func:`enumerate_feasible`: one schedule and one
+    ``satisfies`` check per candidate, as it was before batching."""
     pools = [
         itertools.combinations(range(scenario.num_sensors), m)
         for m in scenario.constraints.per_step
@@ -425,13 +450,15 @@ def loop_build_bqp(scenario, noise_seq=None) -> list[np.ndarray]:
 
 # The bounded simplex as it stood before its pivots were vectorized (a
 # per-row Python ratio test and a full-tableau outer product per pivot),
-# kept as the oracle for the current solver's pivot sequence.  Two things
-# changed since.  The slack of every row whose slack column is +e_p starts
-# basic, and only the other rows get an artificial.  The tableau is rebuilt
-# through the solver's own ``_basis_solve``, which has its own test against
-# ``np.linalg.solve``: on rows that are not totally unimodular the two
-# round differently in the last ulp, and this oracle checks the ratio test
-# and the elimination, not the refactorization.
+# kept as the oracle for the current solver's pivot sequence.  Three things
+# changed since.  The start puts columns at their upper bounds greedily,
+# computed here by its own per-column loop.  The slack of every row whose
+# slack column is +e_p starts basic, and only the other rows get an
+# artificial.  The tableau is rebuilt through the solver's own
+# ``_basis_solve``, which has its own test against ``np.linalg.solve``: on
+# rows that are not totally unimodular the two round differently in the
+# last ulp, and this oracle checks the ratio test and the elimination, not
+# the refactorization.
 def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     """Maximize c'x subject to a x (rel) rhs and 0 <= x <= upper.
 
@@ -450,10 +477,37 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
             raise SenselError("LP is unbounded")
         return x, float(c @ x), 0
 
-    # Slack column per inequality, then sign-normalize so rhs >= 0 (and a
-    # ">=" row with rhs 0 so its slack is +e_p).  Each row whose slack column
-    # is +e_p starts with that slack basic; every other row gets an
-    # artificial column, and the artificials start basic in their rows.
+    # Greedy start: by decreasing positive cost (ties to the lower index),
+    # put each column with a finite bound at that bound unless a "<=" or "="
+    # row it raises would pass its rhs or a ">=" row it lowers would fall
+    # below it.
+    upper = np.asarray(upper, dtype=float)
+    residual = rhs.copy()
+    lifted = np.zeros(n_struct, dtype=bool)
+    for j in sorted(range(n_struct), key=lambda j: -c[j]):
+        if c[j] <= 0:
+            break
+        if not np.isfinite(upper[j]):
+            continue
+        moved = {}
+        for p in range(m):
+            if a[p, j] == 0:
+                continue
+            moved[p] = residual[p] - upper[j] * a[p, j]
+            if a[p, j] > 0 and rels[p] != ">=" and moved[p] < 0:
+                break
+            if a[p, j] < 0 and rels[p] == ">=" and moved[p] > 0:
+                break
+        else:
+            for p, value in moved.items():
+                residual[p] = value
+            lifted[j] = True
+
+    # Slack column per inequality, then sign-normalize so the residual rhs
+    # - a x0 is >= 0 (and a ">=" row with residual 0 so its slack is +e_p).
+    # Each row whose slack column is +e_p starts with that slack basic;
+    # every other row gets an artificial column, and the artificials start
+    # basic in their rows.
     slack_cols = []
     slack_of_row = {}
     for p, rel in enumerate(rels):
@@ -472,9 +526,10 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     n_slack = len(slack_cols)
     full = np.hstack([a, np.array(slack_cols).T.reshape(m, n_slack)]) if n_slack else a.copy()
     for p in range(m):
-        if rhs[p] < 0 or (rhs[p] == 0 and rels[p] == ">="):
+        if residual[p] < 0 or (residual[p] == 0 and rels[p] == ">="):
             full[p] *= -1.0
-            rhs[p] = abs(rhs[p])
+            rhs[p] = -rhs[p]
+            residual[p] = abs(residual[p])
     art_start = n_struct + n_slack
     basis = []
     art_cols = []
@@ -491,7 +546,7 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
         full = np.hstack([full, np.array(art_cols).T])
     ntot = art_start + n_art
 
-    ub = np.concatenate([np.asarray(upper, dtype=float), np.full(n_slack + n_art, np.inf)])
+    ub = np.concatenate([upper, np.full(n_slack + n_art, np.inf)])
     cost1 = np.zeros(ntot)
     cost1[art_start:] = 1.0
     cost2 = np.zeros(ntot)
@@ -501,7 +556,8 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     in_basis = np.zeros(ntot, dtype=bool)
     in_basis[basis] = True
     at_upper = np.zeros(ntot, dtype=bool)
-    xb = rhs.copy()
+    at_upper[:n_struct] = lifted
+    xb = residual
     iterations = 0
 
     def nonbasic_values():
@@ -639,5 +695,5 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     values = nonbasic_values()
     for i, var in enumerate(basis):
         values[var] = xb[i]
-    x = np.clip(values[:n_struct], 0.0, np.asarray(upper, dtype=float))
+    x = np.clip(values[:n_struct], 0.0, upper)
     return x, float(c @ x), iterations

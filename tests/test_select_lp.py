@@ -394,11 +394,44 @@ class TestRoundBatch:
         assert outcomes["met"] > 0 and outcomes["infeasible"] > 0
 
 
+def assert_same_as_highs(c, a, rels, rhs, upper, trial=None):
+    """The solver agrees with scipy's HiGHS on objective value and
+    feasibility status; returns whether HiGHS found an optimum."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row, rel, b in zip(a, rels, rhs):
+        if rel == "<=":
+            a_ub.append(row); b_ub.append(b)
+        elif rel == ">=":
+            a_ub.append(-row); b_ub.append(-b)
+        else:
+            a_eq.append(row); b_eq.append(b)
+    reference = linprog(
+        -np.asarray(c),
+        A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        A_eq=np.array(a_eq) if a_eq else None,
+        b_eq=np.array(b_eq) if b_eq else None,
+        bounds=[(0, u) for u in upper],
+        method="highs",
+    )
+    try:
+        _, objective, _ = _simplex_max(c, a, senses(rels), rhs, upper)
+        solved = True
+    except Infeasible:
+        solved = False
+    if reference.status == 0:
+        assert solved, trial
+        assert objective == pytest.approx(-reference.fun, abs=1e-7, rel=1e-7)
+    elif reference.status == 2:
+        assert not solved, trial
+    return reference.status == 0
+
+
 class TestSimplexAgainstReference:
     def test_matches_scipy_on_random_programs(self, rng):
         """Box-bounded LPs with mixed relations agree with a reference
         solver on objective value and feasibility status."""
-        linprog = pytest.importorskip("scipy.optimize").linprog
         for trial in range(60):
             n = int(rng.integers(2, 10))
             m = int(rng.integers(1, 7))
@@ -411,33 +444,28 @@ class TestSimplexAgainstReference:
                 np.where([r == ">=" for r in rels], -slack, 0.0),
             )
             c = rng.normal(size=n)
-            a_ub, b_ub, a_eq, b_eq = [], [], [], []
-            for row, rel, b in zip(a, rels, rhs):
-                if rel == "<=":
-                    a_ub.append(row); b_ub.append(b)
-                elif rel == ">=":
-                    a_ub.append(-row); b_ub.append(-b)
-                else:
-                    a_eq.append(row); b_eq.append(b)
-            reference = linprog(
-                -c,
-                A_ub=np.array(a_ub) if a_ub else None,
-                b_ub=np.array(b_ub) if b_ub else None,
-                A_eq=np.array(a_eq) if a_eq else None,
-                b_eq=np.array(b_eq) if b_eq else None,
-                bounds=[(0, 1)] * n,
-                method="highs",
-            )
-            try:
-                x, objective, _ = _simplex_max(c, a, senses(rels), rhs, np.ones(n))
-                solved = True
-            except Infeasible:
-                solved = False
-            if reference.status == 0:
-                assert solved, trial
-                assert objective == pytest.approx(-reference.fun, abs=1e-7, rel=1e-7)
-            elif reference.status == 2:
-                assert not solved, trial
+            assert_same_as_highs(c, a, rels, rhs, np.ones(n), trial)
+
+    def test_selection_programs_with_signed_extra_rows(self, rng):
+        """Count and budget rows plus a "<=" and a ">=" row with negative
+        coefficients, which the greedy start may lift columns against:
+        feasible or not, the solver agrees with HiGHS, and with the loop
+        oracle bit for bit."""
+        solved = 0
+        for trial in range(40):
+            num = int(rng.integers(4, 12))
+            horizon = int(rng.integers(2, 5))
+            per_step = int(rng.integers(1, num // 2 + 1))
+            budget = int(rng.integers(1, horizon + 1))
+            extra = [
+                (rng.integers(-2, 3, size=num * horizon).astype(float), rel,
+                 float(rng.integers(-3, 4)))
+                for rel in ("<=", ">=")
+            ]
+            program = selection_program(rng, num, horizon, per_step, budget, extra=extra)
+            solved += assert_same_as_highs(*program, trial)
+            assert_same_as_loop_oracle(*program)
+        assert 10 < solved < 40
 
 
 def selection_program(rng, num, horizon, per_step, budget, extra=()):
@@ -450,6 +478,23 @@ def selection_program(rng, num, horizon, per_step, budget, extra=()):
     c = rng.integers(1, 4, size=num * horizon) * rng.choice([1.0, 0.25], size=num * horizon)
     rels = [RELATION[sense] for sense in rows.sense]
     return c, rows.a, rels, rows.b, np.ones(num * horizon)
+
+
+def degenerate_programs(rng, count=120):
+    """Small programs with mixed relations, some infinite upper bounds and
+    right sides met at a point with many coordinates on a bound, which make
+    degenerate vertices; integer slack keeps ties."""
+    for _ in range(count):
+        n = int(rng.integers(2, 12))
+        m = int(rng.integers(1, 8))
+        a = rng.choice([-1.0, 0.0, 0.0, 1.0, 2.0], size=(m, n))
+        rels = [str(r) for r in rng.choice(["<=", "=", ">="], size=m)]
+        point = rng.choice([0.0, 0.5, 1.0], size=n)
+        slack = rng.integers(0, 2, size=m).astype(float)
+        rhs = a @ point + senses(rels) * slack
+        c = rng.integers(-3, 4, size=n).astype(float)
+        upper = np.where(rng.random(n) < 0.2, np.inf, 1.0)
+        yield c, a, rels, rhs, upper
 
 
 def assert_same_as_loop_oracle(c, a, rels, rhs, upper):
@@ -474,20 +519,8 @@ class TestSimplexAgainstLoopOracle:
 
     def test_random_degenerate_programs(self, rng):
         solved = 0
-        for _ in range(120):
-            n = int(rng.integers(2, 12))
-            m = int(rng.integers(1, 8))
-            a = rng.choice([-1.0, 0.0, 0.0, 1.0, 2.0], size=(m, n))
-            rels = [str(r) for r in rng.choice(["<=", "=", ">="], size=m)]
-            # Right-hand sides met at a point with many coordinates on a
-            # bound make degenerate vertices; integer slack keeps ties.
-            point = rng.choice([0.0, 0.5, 1.0], size=n)
-            slack = rng.integers(0, 2, size=m).astype(float)
-            sign = np.array([{"<=": 1.0, "=": 0.0, ">=": -1.0}[r] for r in rels])
-            rhs = a @ point + sign * slack
-            c = rng.integers(-3, 4, size=n).astype(float)
-            upper = np.where(rng.random(n) < 0.2, np.inf, 1.0)
-            solved += assert_same_as_loop_oracle(c, a, rels, rhs, upper)
+        for program in degenerate_programs(rng):
+            solved += assert_same_as_loop_oracle(*program)
         assert solved > 60
 
     def test_budgets_and_redundant_rows(self, rng):
@@ -524,6 +557,51 @@ class TestSimplexAgainstLoopOracle:
             c = rng.integers(1, 3, size=n).astype(float)
             upper = 1.0 + rng.choice([0.0, 6e-10, 1.4e-9], size=n)
             assert_same_as_loop_oracle(c, a, rels, rhs, upper)
+
+
+class TestGreedyStart:
+    """The point ``_crash_start`` starts the simplex from."""
+
+    def test_start_on_degenerate_programs(self, rng):
+        """On the oracle test's programs: the start lies in the box, no
+        "<=" or "=" row passes its rhs (nor a ">=" row falls below it)
+        unless it already did at x = 0, the basic values are the residual,
+        and no more rows need an artificial than from x = 0."""
+        for c, a, rels, rhs, upper in degenerate_programs(rng):
+            sense = senses(rels)
+            full, start_rhs, start, basis, art_start, lifted = _crash_start(
+                c, a, sense, rhs, upper
+            )
+            x0 = np.where(lifted, upper, 0.0)
+            assert np.all(np.isfinite(x0)) and np.all((x0 >= 0.0) & (x0 <= upper))
+            assert np.all(lifted <= (c > 0))
+            lhs = a @ x0
+            assert np.all(lhs[sense >= 0] <= np.maximum(rhs, 0.0)[sense >= 0])
+            assert np.all(lhs[sense < 0] >= np.minimum(rhs, 0.0)[sense < 0])
+            n = c.shape[0]
+            np.testing.assert_allclose(start, start_rhs - full[:, :n] @ x0, rtol=0, atol=1e-12)
+            assert np.all(start >= 0.0)
+            assert np.array_equal(full[np.arange(len(rels)), basis], np.ones(len(rels)))
+            zero_start_arts = np.count_nonzero(
+                (sense == 0) | ((sense > 0) & (rhs < 0)) | ((sense < 0) & (rhs > 0))
+            )
+            assert full.shape[1] - art_start <= zero_start_arts
+
+    def test_lifts_columns_by_decreasing_cost(self):
+        """One "<=" row x1 + x2 + x3 <= 2 and a ">=" row -x1 + x3 >= 0.5:
+        x3 (cost 3) goes up first and meets the ">=" row; x1 (cost 2) would
+        pull that row back to 0 and stays down, x2 (cost 2, tied with x1,
+        next in index order) fills the "<=" row, and x4, with cost 0, is
+        never lifted.  The ">=" row, which needs an artificial at x = 0,
+        starts with its slack basic."""
+        a = np.array([[1.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 1.0, 0.0]])
+        c = np.array([2.0, 2.0, 3.0, 0.0])
+        full, start_rhs, start, basis, art_start, lifted = _crash_start(
+            c, a, senses(["<=", ">="]), np.array([2.0, 0.5]), np.ones(4)
+        )
+        assert lifted.tolist() == [False, True, True, False]
+        assert start.tolist() == [0.0, 0.5] and start_rhs.tolist() == [2.0, -0.5]
+        assert basis.tolist() == [4, 5] and full.shape == (2, art_start) == (2, 6)
 
 
 def mixed_basis(rng, m, singletons):
@@ -652,10 +730,13 @@ class TestPivotCount:
         )
         rels = ["<="] * num + [">=", ">="]
         rhs = np.array([2.0] * num + [-1.0, 0.0])
-        full, start_rhs, basis, art_start = _crash_start(a, senses(rels), rhs)
+        full, start_rhs, start, basis, art_start, lifted = _crash_start(
+            -np.ones(num * horizon), a, senses(rels), rhs, np.ones(num * horizon)
+        )
         assert full.shape == (num + 2, art_start)
         assert basis.tolist() == list(range(num * horizon, art_start))
         assert start_rhs.tolist() == [2.0] * num + [1.0, 0.0]
+        assert start.tolist() == start_rhs.tolist() and not lifted.any()
         x, objective, iterations = _simplex_max(
             -np.ones(num * horizon), a, senses(rels), rhs, np.ones(num * horizon)
         )
@@ -674,13 +755,20 @@ def example3_lp():
 
 class TestExample3Lp:
     def test_crash_basis_keeps_pivots_low(self, example3_lp):
-        """Starting from the slack basis, only the 5 count rows need an
-        artificial; the all-artificial start took 5,690 pivots."""
+        """The greedy start fills every count row and leaves every budget
+        slack basic, so only the 5 count rows need an artificial and the
+        solve takes about 70 pivots; the slack basis from x = 0 took 399
+        and the all-artificial start 5,690."""
         problem, solution = example3_lp
         rows = problem.rows
-        full, _, _, art_start = _crash_start(rows.a, rows.sense, rows.b)
+        upper = np.ones(problem.c.shape[0])
+        full, _, start, _, art_start, lifted = _crash_start(
+            problem.c, rows.a, rows.sense, rows.b, upper
+        )
         assert full.shape[1] - art_start == problem.horizon
-        assert solution.iterations < 1000
+        assert np.array_equal(rows.a[: problem.horizon] @ lifted, rows.b[: problem.horizon])
+        assert np.all(start[: problem.horizon] == 0.0)
+        assert solution.iterations < 150
 
     def test_objective_matches_scipy_highs(self, example3_lp):
         linprog = pytest.importorskip("scipy.optimize").linprog

@@ -10,7 +10,12 @@ from sensel.errors import Infeasible, NotSeparableNoise, TooLarge
 from sensel.measure import OBJECTIVES
 from sensel.select_separable import _SLICE, _schedule_count, exhaustive_opt, topk_schedule
 
-from conftest import enumerate_feasible, rand_scenario, with_random_extra_row
+from conftest import (
+    enumerate_feasible,
+    loop_enumerate_feasible,
+    rand_scenario,
+    with_random_extra_row,
+)
 
 
 def scenario_with_measures(values, per_step, rng, horizon=1, energy=None, weights=None):
@@ -274,3 +279,27 @@ class TestExhaustive:
             tracemalloc.stop()
         assert _schedule_count(scenario) == 84**3
         assert peaks[1] < 1.5 * peaks[0]
+
+
+class TestEnumerateFeasible:
+    def test_batches_match_the_loop(self):
+        """The batched ``conftest.enumerate_feasible`` yields the loop's
+        schedules in the loop's order, whatever the batch size, on
+        instances with budgets (some exhausted) and an extra row."""
+        rng = np.random.default_rng(707)
+        for _ in range(30):
+            num = int(rng.integers(2, 6))
+            horizon = int(rng.integers(1, 4))
+            per_step = [int(rng.integers(1, num + 1)) for _ in range(horizon)]
+            energy = [int(rng.integers(0, horizon + 1)) for _ in range(num)]
+            if sum(per_step) > sum(energy) or rng.random() < 0.3:
+                energy = None
+            scenario = rand_scenario(
+                rng, num_sensors=num, horizon=horizon, per_step=per_step, energy=energy
+            )
+            if rng.random() < 0.5 and any(loop_enumerate_feasible(scenario)):
+                scenario = with_random_extra_row(rng, scenario)
+            expected = [s.gamma.tolist() for s in loop_enumerate_feasible(scenario)]
+            for batch in (1, 7, 4096):
+                got = [s.gamma.tolist() for s in enumerate_feasible(scenario, batch)]
+                assert got == expected
