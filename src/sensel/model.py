@@ -239,7 +239,7 @@ class NoiseModel:
         When every nonzero of ``r_full`` lies in a sensor's own block, it is
         symmetric and positive definite exactly when each block is, so the
         blocks are checked as one stack per block size instead of the whole
-        matrix.
+        matrix, and :attr:`is_block_diagonal` reads that finding.
         """
         r = self.r_full
         dim = sum(self.block_sizes)
@@ -251,7 +251,9 @@ class NoiseModel:
         if not np.all(np.isfinite(r)):
             raise InvalidMatrix("noise covariance contains non-finite entries")
         stacks = [r[ix] for _, ix in _size_groups(self.block_sizes)]
-        parts = stacks if np.count_nonzero(r) == sum(map(np.count_nonzero, stacks)) else [r]
+        own_blocks = np.count_nonzero(r) == sum(map(np.count_nonzero, stacks))
+        object.__setattr__(self, "_own_blocks", own_blocks)
+        parts = stacks if own_blocks else [r]
         if not all(np.array_equal(a, np.swapaxes(a, -1, -2)) for a in parts):
             raise InvalidMatrix("noise covariance is not symmetric")
         if alpha1 is None:
@@ -375,7 +377,11 @@ class NoiseModel:
     @functools.cached_property
     def is_block_diagonal(self) -> bool:
         """True when all cross-sensor covariance blocks vanish (to 1e-12 of
-        the largest entry): every larger entry lies in its sensor's block."""
+        the largest entry): every larger entry lies in its sensor's block.
+        Construction already found whether every nonzero does; only a model
+        with some nonzero outside its blocks is scanned."""
+        if self._own_blocks:
+            return True
         r = self.r_full
         tol = 1e-12 * max(1.0, float(r.max()), -float(r.min()))
         rows, cols = np.divmod(np.flatnonzero((r > tol) | (r < -tol)), self.dim)
@@ -395,7 +401,9 @@ class ConstraintRows:
 
     ``a`` is the (p, N*L) coefficient matrix, ``b`` the (p,) right side and
     ``sense`` each row's slack sign: +1 for a' gamma <= b, 0 for an
-    equality and -1 for a' gamma >= b.  Arrays are read-only copies.
+    equality and -1 for a' gamma >= b.  Arrays are read-only: one given as a
+    read-only float array that owns its data is held as it is, since nothing
+    can change it, and any other is copied.
     Equality and hashing go by identity, so a ``ConstraintSet`` holding
     rows is hashable.
     """
@@ -406,7 +414,12 @@ class ConstraintRows:
 
     def __post_init__(self):
         for name in ("a", "sense", "b"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            value = getattr(self, name)
+            if not (
+                isinstance(value, np.ndarray) and value.dtype == float
+                and value.flags.owndata and not value.flags.writeable
+            ):
+                object.__setattr__(self, name, _frozen(value))
         a, sense, b = self.a, self.sense, self.b
         if a.ndim != 2 or sense.shape != (a.shape[0],) or b.shape != (a.shape[0],):
             raise ScenarioError(
@@ -469,19 +482,31 @@ class ConstraintSet:
         """Every row over the step-major selection vector: one count
         equality per step, one budget inequality per sensor when budgets
         are present, then the extra rows.  Built once per (constraint set,
-        sensor count) and shared, read-only, by every caller."""
-        a = [np.kron(np.eye(self.horizon), np.ones(num_sensors))]
-        sense = [np.zeros(self.horizon)]
+        sensor count) and shared, read-only, by every caller.  The matrix is
+        filled in one preallocated array, which the rows hold uncopied: its
+        peak memory is its size."""
+        horizon, extra = self.horizon, self.extra
+        budgets = 0 if self.energy is None else num_sensors
+        count = horizon + budgets + (0 if extra is None else len(extra))
+        a = np.zeros((count, horizon * num_sensors))
+        # Count row n is 1 on step n's block; budget row i is 1 on sensor i
+        # of every step's block.
+        steps = np.arange(horizon)
+        a[:horizon].reshape(horizon, horizon, num_sensors)[steps, steps] = 1.0
+        sense = [np.zeros(horizon)]
         b = [self.per_step]
         if self.energy is not None:
-            a.append(np.tile(np.eye(num_sensors), self.horizon))
+            sensors = np.arange(num_sensors)
+            budget_rows = a[horizon : horizon + budgets].reshape(budgets, horizon, num_sensors)
+            budget_rows[sensors, :, sensors] = 1.0
             sense.append(np.ones(num_sensors))
             b.append(self.energy)
-        if self.extra is not None:
-            a.append(self.extra.a)
-            sense.append(self.extra.sense)
-            b.append(self.extra.b)
-        return ConstraintRows(np.vstack(a), np.concatenate(sense), np.concatenate(b))
+        if extra is not None:
+            a[horizon + budgets :] = extra.a
+            sense.append(extra.sense)
+            b.append(extra.b)
+        a.setflags(write=False)
+        return ConstraintRows(a, np.concatenate(sense), np.concatenate(b))
 
     def validate(self, num_sensors: int) -> None:
         for n, m in enumerate(self.per_step):
@@ -624,7 +649,10 @@ class Scenario:
     def h_stacks(self) -> tuple[np.ndarray, ...]:
         """Per step, every sensor's H stacked in joint row order (the rows
         ``noise.labels`` names): read-only (noise dim, state dim) arrays,
-        built on first use."""
+        built on first use.  When no sensor's H varies by step, one stack
+        serves every step."""
+        if all(len(s.h) == 1 for s in self.sensors):
+            return (_frozen(np.vstack([s.h[0] for s in self.sensors])),) * self.horizon
         return tuple(
             _frozen(np.vstack([s.h_at(n) for s in self.sensors]))
             for n in range(self.horizon)

@@ -16,11 +16,14 @@ above its right side or a ``>=`` row below it, which fills the count rows
 with the best sensors that have budget left.  Every row whose slack can
 take the row's residual at that point starts with that slack basic, which
 covers the budget rows, and only the count rows (and any row the point
-leaves on the wrong side) get an artificial variable for phase 1.  On the
-400-sensor example3 LP that is 5 artificials instead of 405, and 70 pivots
-instead of 399 from the zero start and 5,690 from an all-artificial
-basis.  Where the optimum is not unique, the vertex returned is the one
-this start leads to.
+leaves on the wrong side) get an artificial variable.  On selection LPs
+the greedy point fills every count row exactly, so every artificial starts
+at zero and the start is already feasible: phase 1 does not run, and the
+artificials stay basic as variables fixed at zero until a pivot through
+their row takes them out (Maros 2003).  On the 400-sensor example3 LP the
+whole solve is 61 phase-2 pivots, against 399 from the zero start and
+5,690 from an all-artificial basis.  Where the optimum is not unique, the
+vertex returned is the one this start leads to.
 
 One pivot touches only what it changes.  The ratio test computes the step
 lengths of every bounding row in one numpy pass and runs its tie-breaking
@@ -30,11 +33,12 @@ nonzero; the count and budget rows form an incidence matrix, so on
 selection LPs most entries of that column are zero and most rows are
 skipped.
 
-Every 200 pivots, and once after phase 1, the tableau is rebuilt from the
-basis columns (:func:`_basis_solve`).  Almost every basic column of a
-selection LP is a unit slack column, so the rebuild solves only the few
-other basic columns densely and back-substitutes the rest: on the
-400-sensor example3 LP that is a 28 x 28 solve in place of a 405 x 405 one.
+The tableau is the one full-size array the solver keeps.  Every 200
+pivots, and after phase 1 when it runs, the tableau is rebuilt from the
+basis columns (:func:`_basis_solve`) of an equality form built afresh from
+the rows and dropped again.  Almost every basic column of a selection LP
+is a unit slack column, so the rebuild solves only the few other basic
+columns densely and back-substitutes the rest.
 """
 
 from __future__ import annotations
@@ -283,6 +287,24 @@ def _basis_solve(b_cols: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _equality_form(a, sense, sign, art_rows):
+    """The columns [a | slacks | artificials] of a x + sense s = rhs, row p
+    times ``sign[p]``: a slack column sense_p e_p per inequality row, then an
+    artificial column +e_p per row of ``art_rows``, in one preallocated
+    array."""
+    m, n_struct = a.shape
+    slack_rows = np.flatnonzero(sense != 0)
+    art_start = n_struct + slack_rows.size
+    ntot = art_start + art_rows.size
+    full = np.empty((m, ntot))
+    full[:, :n_struct] = a
+    full[:, n_struct:] = 0.0
+    full[slack_rows, np.arange(n_struct, art_start)] = sense[slack_rows]
+    full[sign < 0] *= -1.0
+    full[art_rows, np.arange(art_start, ntot)] = 1.0
+    return full
+
+
 def _crash_start(c, a, sense, rhs, upper):
     """Equality form of a x + sense s = rhs, s >= 0, and its starting point.
 
@@ -304,11 +326,11 @@ def _crash_start(c, a, sense, rhs, upper):
     x = 0 past its rhs, so this start needs no more artificials than
     x = 0 would.
 
-    Returns (full, rhs, start, basis, art_start, lifted): the columns
-    [a | slacks | artificials] and the rhs with each row's sign, the basic
-    values (the normalized residual), the basic column of each row, the
-    index of the first artificial column, and the mask of the structural
-    columns at their upper bound.
+    Returns (full, sign, start, basis, art_start, lifted): the columns
+    [a | slacks | artificials] of :func:`_equality_form`, each row's sign
+    (-1 where it was negated), the basic values (the normalized residual),
+    the basic column of each row, the index of the first artificial
+    column, and the mask of the structural columns at their upper bound.
     """
     m, n_struct = a.shape
     order = np.argsort(-c, kind="stable")
@@ -341,22 +363,16 @@ def _crash_start(c, a, sense, rhs, upper):
         start = end
 
     residual = np.array(residual)
-    flip = (residual < 0) | ((residual == 0) & (sense < 0))
+    sign = np.where((residual < 0) | ((residual == 0) & (sense < 0)), -1.0, 1.0)
     crashed = np.where(sense > 0, residual >= 0, (sense < 0) & (residual <= 0))
     slack_rows = np.flatnonzero(sense != 0)
     art_rows = np.flatnonzero(~crashed)
+    full = _equality_form(a, sense, sign, art_rows)
     art_start = n_struct + slack_rows.size
-    ntot = art_start + art_rows.size
-    full = np.empty((m, ntot))
-    full[:, :n_struct] = a
-    full[:, n_struct:] = 0.0
-    full[slack_rows, np.arange(n_struct, art_start)] = sense[slack_rows]
-    full[flip] *= -1.0
-    full[art_rows, np.arange(art_start, ntot)] = 1.0
     basis = np.empty(m, dtype=int)
     basis[slack_rows] = np.arange(n_struct, art_start)
-    basis[art_rows] = np.arange(art_start, ntot)
-    return full, np.where(flip, -rhs, rhs), np.abs(residual), basis, art_start, lifted
+    basis[art_rows] = np.arange(art_start, full.shape[1])
+    return full, sign, np.abs(residual), basis, art_start, lifted
 
 
 def _simplex_max(c, a, sense, rhs, upper):
@@ -364,13 +380,18 @@ def _simplex_max(c, a, sense, rhs, upper):
     sense +1, 0 and -1 ask for a row at most, equal to or at least its rhs.
 
     Dense two-phase tableau simplex with variable bounds, started from the
-    greedy point and crash basis of :func:`_crash_start`; phase 1 runs
-    only when some row needed an artificial.  Entering and leaving choices
-    follow Bland's rule, so the method terminates even on degenerate
-    instances.  Returns (x, objective, iterations).
+    greedy point and crash basis of :func:`_crash_start`, whose array is
+    the tableau: no other full-size array is kept.  Phase 1 runs only when
+    some artificial starts above zero.  In phase 2 the artificials are
+    fixed at zero and never enter; one still basic (every one, when phase 1
+    did not run) leaves the basis on the first pivot through its row.
+    Entering and leaving choices follow Bland's rule, so the method
+    terminates even on degenerate instances.  Returns (x, objective,
+    iterations).
     """
     c = np.asarray(c, dtype=float)
     a = np.atleast_2d(np.asarray(a, dtype=float))
+    sense = np.asarray(sense, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n_struct = c.shape[0]
@@ -381,12 +402,13 @@ def _simplex_max(c, a, sense, rhs, upper):
             raise SenselError("LP is unbounded")
         return x, float(c @ x), 0
 
-    full, rhs, xb, basis, art_start, lifted = _crash_start(
-        c, a, np.asarray(sense, dtype=float), rhs, upper
-    )
-    m, ntot = full.shape
+    # Every starting basic column is a unit column, so the equality form is
+    # the starting tableau as it stands.
+    tableau, sign, xb, basis, art_start, lifted = _crash_start(c, a, sense, rhs, upper)
+    rhs = sign * rhs
+    art_rows = np.flatnonzero(basis >= art_start)
+    ntot = tableau.shape[1]
     ub = np.concatenate([upper, np.full(ntot - n_struct, np.inf)])
-    tableau = full.copy()  # every starting basic column is a unit column
     in_basis = np.zeros(ntot, dtype=bool)
     in_basis[basis] = True
     at_upper = np.zeros(ntot, dtype=bool)
@@ -399,13 +421,18 @@ def _simplex_max(c, a, sense, rhs, upper):
         return vals
 
     def refactorize():
+        # The equality form is rebuilt from ``a`` for the basis solve and
+        # dropped with it, so between refactorizations the tableau is the
+        # only full-size array.
         nonlocal tableau, xb
-        tableau = None  # so that only one full-size tableau is alive at a time
+        tableau = None
+        full = _equality_form(a, sense, sign, art_rows)
         b_cols = full[:, basis]
-        tableau = _basis_solve(b_cols, full)
         xb = _basis_solve(b_cols, rhs - full @ nonbasic_values())
+        tableau = _basis_solve(b_cols, full)
 
-    def run_phase(cost):
+    def run_phase(cost, enter):
+        """Optimize ``cost`` over the columns below ``enter``."""
         nonlocal iterations, tableau, xb
         since_refactor = 0
         stalled = 0
@@ -417,7 +444,7 @@ def _simplex_max(c, a, sense, rhs, upper):
             eligible = ~in_basis & (
                 (~at_upper & (reduced < -_TOL)) | (at_upper & (reduced > _TOL))
             )
-            idx = np.flatnonzero(eligible)
+            idx = np.flatnonzero(eligible[:enter])
             if idx.size == 0:
                 return
             # Dantzig pricing normally; Bland's smallest-index rule takes
@@ -482,57 +509,36 @@ def _simplex_max(c, a, sense, rhs, upper):
                 reduced = cost - cost[basis] @ tableau
                 since_refactor = 0
 
-    if art_start < ntot:  # phase 1 drives the artificials to zero
+    if xb[art_rows].any():  # phase 1 drives the artificials to zero
         cost1 = np.zeros(ntot)
         cost1[art_start:] = 1.0
-        run_phase(cost1)
-        art_total = sum(xb[i] for i in range(m) if basis[i] >= art_start)
-        if art_total > _FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0))):
+        run_phase(cost1, ntot)
+        if xb[basis >= art_start].sum() > _FEAS_TOL * (1.0 + float(np.abs(rhs).max())):
             raise Infeasible("constraint rows admit no feasible point")
 
-        # Remove leftover artificials from the basis: pivot them out where the
-        # row has support on real columns, drop the row where it does not
-        # (redundant constraint).
-        drop_rows = []
-        for i in range(m):
-            if basis[i] < art_start:
-                continue
+        # Pivot leftover artificials out of the basis where the row has
+        # support on real columns.  A row with none is redundant: its
+        # artificial stays basic at zero, and no pivot goes through it.
+        for i in np.flatnonzero(basis >= art_start).tolist():
             support = np.flatnonzero(np.abs(tableau[i, :art_start]) > 1e-7)
             if support.size == 0:
-                drop_rows.append(i)
                 continue
             j = int(support[0])
-            leaving = basis[i]
-            in_basis[leaving] = False
+            in_basis[basis[i]] = False
             basis[i] = j
             in_basis[j] = True
-            entering_value = ub[j] if at_upper[j] else 0.0
+            xb[i] = ub[j] if at_upper[j] else 0.0
             at_upper[j] = False
-            xb[i] = entering_value
             _pivot(tableau, i, j)
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            tableau = tableau[keep]
-            xb = xb[keep]
-            full = full[keep]
-            rhs = rhs[keep]
-            basis = basis[keep]
-            m = len(keep)
-        # No artificial is basic any more and phase 2 never prices one, so
-        # their columns go; the refactorization rebuilds the tableau without
-        # them and cleans any residue the basis surgery left behind.
-        full = full[:, :art_start]
-        ub = ub[:art_start]
-        at_upper = at_upper[:art_start]
-        in_basis = in_basis[:art_start]
+        # Clean any residue the basis surgery left behind.
         refactorize()
 
-    cost2 = np.zeros(art_start)
+    ub[art_start:] = 0.0
+    cost2 = np.zeros(ntot)
     cost2[:n_struct] = -c  # phase 2 minimizes the negated objective
-    run_phase(cost2)
+    run_phase(cost2, art_start)
 
     values = nonbasic_values()
-    for i, var in enumerate(basis):
-        values[var] = xb[i]
+    values[basis] = xb
     x = np.clip(values[:n_struct], 0.0, upper)
     return x, float(c @ x), iterations

@@ -450,15 +450,17 @@ def loop_build_bqp(scenario, noise_seq=None) -> list[np.ndarray]:
 
 # The bounded simplex as it stood before its pivots were vectorized (a
 # per-row Python ratio test and a full-tableau outer product per pivot),
-# kept as the oracle for the current solver's pivot sequence.  Three things
+# kept as the oracle for the current solver's pivot sequence.  Four things
 # changed since.  The start puts columns at their upper bounds greedily,
 # computed here by its own per-column loop.  The slack of every row whose
 # slack column is +e_p starts basic, and only the other rows get an
-# artificial.  The tableau is rebuilt through the solver's own
-# ``_basis_solve``, which has its own test against ``np.linalg.solve``: on
-# rows that are not totally unimodular the two round differently in the
-# last ulp, and this oracle checks the ratio test and the elimination, not
-# the refactorization.
+# artificial.  When every artificial starts at zero, phase 1, the drive-out
+# and the refactorization after them are skipped, and phase 2 keeps the
+# artificials basic with upper bound 0.  The tableau is rebuilt through the
+# solver's own ``_basis_solve``, which has its own test against
+# ``np.linalg.solve``: on rows that are not totally unimodular the two
+# round differently in the last ulp, and this oracle checks the ratio test
+# and the elimination, not the refactorization.
 def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     """Maximize c'x subject to a x (rel) rhs and 0 <= x <= upper.
 
@@ -650,46 +652,52 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
                 reduced = cost - cost[basis] @ tableau
                 since_refactor = 0
 
-    run_phase(cost1, banned_from=None)
-    art_total = sum(xb[i] for i in range(m) if basis[i] >= art_start)
-    if art_total > _FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0))):
-        raise Infeasible("constraint rows admit no feasible point")
+    # Phase 1 runs only when some artificial starts above zero; when none
+    # does, the start is feasible as it stands.
+    if any(xb[i] > 0 for i in range(m) if basis[i] >= art_start):
+        run_phase(cost1, banned_from=None)
+        art_total = sum(xb[i] for i in range(m) if basis[i] >= art_start)
+        if art_total > _FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0))):
+            raise Infeasible("constraint rows admit no feasible point")
 
-    # Remove leftover artificials from the basis: pivot them out where the
-    # row has support on real columns, drop the row where it does not
-    # (redundant constraint).
-    drop_rows = []
-    for i in range(m):
-        if basis[i] < art_start:
-            continue
-        support = np.flatnonzero(np.abs(tableau[i, :art_start]) > 1e-7)
-        if support.size == 0:
-            drop_rows.append(i)
-            continue
-        j = int(support[0])
-        leaving = basis[i]
-        in_basis[leaving] = False
-        basis[i] = j
-        in_basis[j] = True
-        entering_value = ub[j] if at_upper[j] else 0.0
-        at_upper[j] = False
-        xb[i] = entering_value
-        piv = tableau[i, j]
-        tableau[i] /= piv
-        others = tableau[:, j].copy()
-        others[i] = 0.0
-        tableau -= np.outer(others, tableau[i])
-    if drop_rows:
-        keep = [i for i in range(m) if i not in drop_rows]
-        tableau = tableau[keep]
-        xb = xb[keep]
-        full = full[keep]
-        rhs = rhs[keep]
-        basis = [basis[i] for i in keep]
-        m = len(keep)
-    # Clean any residue the basis surgery left behind before optimizing.
-    refactorize()
+        # Remove leftover artificials from the basis: pivot them out where the
+        # row has support on real columns, drop the row where it does not
+        # (redundant constraint).
+        drop_rows = []
+        for i in range(m):
+            if basis[i] < art_start:
+                continue
+            support = np.flatnonzero(np.abs(tableau[i, :art_start]) > 1e-7)
+            if support.size == 0:
+                drop_rows.append(i)
+                continue
+            j = int(support[0])
+            leaving = basis[i]
+            in_basis[leaving] = False
+            basis[i] = j
+            in_basis[j] = True
+            entering_value = ub[j] if at_upper[j] else 0.0
+            at_upper[j] = False
+            xb[i] = entering_value
+            piv = tableau[i, j]
+            tableau[i] /= piv
+            others = tableau[:, j].copy()
+            others[i] = 0.0
+            tableau -= np.outer(others, tableau[i])
+        if drop_rows:
+            keep = [i for i in range(m) if i not in drop_rows]
+            tableau = tableau[keep]
+            xb = xb[keep]
+            full = full[keep]
+            rhs = rhs[keep]
+            basis = [basis[i] for i in keep]
+            m = len(keep)
+        # Clean any residue the basis surgery left behind before optimizing.
+        refactorize()
 
+    # From here on every artificial is fixed at zero: a basic one leaves on
+    # the first pivot through its row, and none enters.
+    ub[art_start:] = 0.0
     run_phase(cost2, banned_from=art_start)
 
     values = nonbasic_values()

@@ -2,6 +2,7 @@
 jammer and distance-dependent noise."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,6 +447,61 @@ class TestConstraintRows:
             )
 
 
+def stacked_rows(constraints: model.ConstraintSet, num: int) -> np.ndarray:
+    """The row matrix stacked from its blocks with ``kron``, ``tile`` and
+    ``vstack``: count rows, budget rows, extra rows."""
+    a = [np.kron(np.eye(constraints.horizon), np.ones(num))]
+    if constraints.energy is not None:
+        a.append(np.tile(np.eye(num), constraints.horizon))
+    if constraints.extra is not None:
+        a.append(constraints.extra.a)
+    return np.vstack(a)
+
+
+class TestConstraintSetRows:
+    """``ConstraintSet.rows`` fills one preallocated matrix."""
+
+    @pytest.mark.parametrize("name", [f"example{i}" for i in range(1, 8)])
+    def test_bundled_rows_equal_the_stacked_blocks(self, name):
+        scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        rows = scenario.constraints.rows(scenario.num_sensors)
+        assert np.array_equal(rows.a, stacked_rows(scenario.constraints, scenario.num_sensors))
+        assert not rows.a.flags.writeable
+
+    def test_extra_rows_with_and_without_budgets(self, rng):
+        for energy in (None, [2] * 7):
+            extra = [(rng.normal(size=21), rel, 1.0) for rel in ("<=", ">=", "=")]
+            constraints = model.ConstraintSet.build([3, 2, 4], energy=energy, extra=extra)
+            rows = constraints.rows(7)
+            assert np.array_equal(rows.a, stacked_rows(constraints, 7))
+            assert np.array_equal(rows.b[-3:], [1.0, 1.0, 1.0])
+            assert rows.sense[-3:].tolist() == [1.0, -1.0, 0.0]
+
+    def test_lp_family_rows_peak_at_their_size(self, tmp_path):
+        """The benchmark's LP family (400 sensors, 5 steps, budgets): the
+        rows equal the stacked blocks, and building them, past the cache,
+        allocates little beyond the 405 x 2,000 matrix they hold."""
+        constraints = model.load_scenario(lp_family_path(tmp_path)).constraints
+        build = model.ConstraintSet.rows.__wrapped__
+        tracemalloc.start()
+        try:
+            rows = build(constraints, 400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.a.shape == (405, 2000)
+        assert np.array_equal(rows.a, stacked_rows(constraints, 400))
+        assert peak <= 1.15 * rows.a.nbytes
+
+    def test_read_only_float_arrays_are_held_uncopied(self):
+        a = np.eye(2)
+        a.setflags(write=False)
+        writable = np.eye(2)
+        assert model.ConstraintRows(a, [1.0, 1.0], [1.0, 1.0]).a is a
+        held = model.ConstraintRows(writable, [1.0, 1.0], [1.0, 1.0]).a
+        assert held is not writable and not held.flags.writeable
+
+
 class TestSchedule:
     def test_satisfies_counts_and_budgets(self):
         cons = model.ConstraintSet.build([1, 2], energy=[1, 1, 1])
@@ -534,6 +590,29 @@ class TestRowMap:
     def test_is_block_diagonal(self):
         assert model.load_scenario("src/sensel/scenarios/example1.json").noise.is_block_diagonal
         assert not model.load_scenario("src/sensel/scenarios/example4.json").noise.is_block_diagonal
+
+    def test_block_diagonal_noise_is_not_scanned_again(self, monkeypatch):
+        """Construction found that every nonzero lies in a sensor's own
+        block; the property reads that and scans nothing."""
+        noise = model.load_scenario("src/sensel/scenarios/example3.json").noise
+        monkeypatch.setattr(np, "flatnonzero", lambda *args: pytest.fail("r_full scanned"))
+        assert noise.is_block_diagonal
+
+    def test_cross_terms_within_the_tolerance_are_scanned(self):
+        """Nonzero cross terms below 1e-12 of the largest entry still count
+        as block diagonal; larger ones do not."""
+        for cross, expected in ((1e-14, True), (1e-6, False)):
+            r = np.diag([2.0, 3.0, 4.0])
+            r[0, 2] = r[2, 0] = cross
+            assert raw_noise(r).is_block_diagonal is expected
+
+    def test_constant_h_is_one_stack_for_every_step(self):
+        scenario = model.load_scenario("src/sensel/scenarios/example3.json")
+        stacks = scenario.h_stacks
+        assert len(stacks) == scenario.horizon
+        assert all(stack is stacks[0] for stack in stacks)
+        assert np.array_equal(stacks[0], np.vstack([s.h_at(0) for s in scenario.sensors]))
+        assert not stacks[0].flags.writeable
 
     @pytest.mark.parametrize("name", ["example3", "example5"])
     def test_computed_once_per_noise_model(self, name, monkeypatch):

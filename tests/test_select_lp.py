@@ -3,6 +3,7 @@ reference solver and Boolean enumeration, greedy rounding, certificates."""
 
 import itertools
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -524,19 +525,21 @@ class TestSimplexAgainstLoopOracle:
         assert solved > 60
 
     def test_budgets_and_redundant_rows(self, rng):
-        """Redundant rows leave artificials basic at zero after phase 1, so
-        the drive-out pivots and the row drop both run."""
+        """Redundant rows on a start that leaves count rows short: phase 1
+        runs and leaves artificials basic at zero, so the drive-out pivots
+        run, and so do the oracle's row drop and the solver's artificials
+        that stay basic in their redundant rows."""
         for _ in range(12):
-            num = int(rng.integers(4, 12))
             horizon = int(rng.integers(2, 5))
-            per_step = int(rng.integers(1, num // 2 + 1))
-            budget = int(rng.integers(1, horizon + 1))
+            per_step = int(rng.integers(3, 6))
+            d = per_step // 3
+            num = d + horizon * (per_step - d) + int(rng.integers(0, 4))
             total = (np.ones(num * horizon), "=", per_step * horizon)
             first_step = (
                 np.repeat([1.0, 0.0], [num, num * (horizon - 1)]), ">=", per_step
             )
-            program = selection_program(
-                rng, num, horizon, per_step, budget, extra=[total, first_step]
+            program = short_start_program(
+                rng, num, horizon, per_step, extra=[total, first_step]
             )
             assert_same_as_loop_oracle(*program)
 
@@ -569,9 +572,10 @@ class TestGreedyStart:
         and no more rows need an artificial than from x = 0."""
         for c, a, rels, rhs, upper in degenerate_programs(rng):
             sense = senses(rels)
-            full, start_rhs, start, basis, art_start, lifted = _crash_start(
+            full, sign, start, basis, art_start, lifted = _crash_start(
                 c, a, sense, rhs, upper
             )
+            start_rhs = sign * rhs
             x0 = np.where(lifted, upper, 0.0)
             assert np.all(np.isfinite(x0)) and np.all((x0 >= 0.0) & (x0 <= upper))
             assert np.all(lifted <= (c > 0))
@@ -596,11 +600,11 @@ class TestGreedyStart:
         starts with its slack basic."""
         a = np.array([[1.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 1.0, 0.0]])
         c = np.array([2.0, 2.0, 3.0, 0.0])
-        full, start_rhs, start, basis, art_start, lifted = _crash_start(
+        full, sign, start, basis, art_start, lifted = _crash_start(
             c, a, senses(["<=", ">="]), np.array([2.0, 0.5]), np.ones(4)
         )
         assert lifted.tolist() == [False, True, True, False]
-        assert start.tolist() == [0.0, 0.5] and start_rhs.tolist() == [2.0, -0.5]
+        assert start.tolist() == [0.0, 0.5] and sign.tolist() == [1.0, -1.0]
         assert basis.tolist() == [4, 5] and full.shape == (2, art_start) == (2, 6)
 
 
@@ -649,7 +653,9 @@ class TestBasisSolve:
     def test_count_budget_bases_bit_for_bit(self, rng, monkeypatch):
         """Every basis the simplex refactorizes on an example3-shaped program
         (count and budget rows, an incidence matrix) gives exactly the
-        dense solve's tableau and basic values."""
+        dense solve's tableau and basic values.  The programs start short
+        (see ``short_start_program``), so phase 1 runs and the tableau is
+        rebuilt after it."""
         calls = []
         original = select_lp._basis_solve
 
@@ -660,9 +666,33 @@ class TestBasisSolve:
 
         monkeypatch.setattr(select_lp, "_basis_solve", checked)
         for num, per_step in ((60, 10), (30, 4)):
-            c, a, rels, rhs, upper = selection_program(rng, num, 5, per_step, 2)
-            _simplex_max(rng.uniform(0.1, 1.0, size=c.shape), a, senses(rels), rhs, upper)
+            c, a, rels, rhs, upper = short_start_program(rng, num, 5, per_step)
+            _simplex_max(c, a, senses(rels), rhs, upper)
         assert len(calls) >= 4 and all(calls)
+
+
+def short_start_program(rng, num, horizon, per_step, missing=0, extra=()):
+    """A feasible count-and-budget program whose greedy start leaves a count
+    row short, so an artificial starts above zero.  ``d`` sensors may serve
+    every step and ``horizon * (per_step - d)`` sensors one step each, which
+    the optimum needs to the last unit; the one-step sensors' step-0
+    columns cost the most, so the greedy spends ``per_step`` of them on step
+    0, and later steps run at least ``d`` sensors short.  With ``missing``
+    one-step sensors fewer the rows admit no point.  ``extra`` rows follow
+    the budget rows."""
+    d = per_step // 3
+    single = horizon * (per_step - d) - missing
+    energy = [horizon] * d + [1] * single + [0] * (num - d - single)
+    rows = model.ConstraintSet.build(
+        [per_step] * horizon, energy=energy, extra=list(extra)
+    ).rows(num)
+    c = rng.uniform(0.1, 1.0, size=(horizon, num))
+    c[0, d : d + single] += 1.0
+    c = c.reshape(-1)
+    upper = np.ones(num * horizon)
+    _, _, start, basis, art_start, _ = _crash_start(c, rows.a, rows.sense, rows.b, upper)
+    assert start[basis >= art_start].sum() >= d > 0
+    return c, rows.a, [RELATION[sense] for sense in rows.sense], rows.b, upper
 
 
 class TestPivotCount:
@@ -730,13 +760,13 @@ class TestPivotCount:
         )
         rels = ["<="] * num + [">=", ">="]
         rhs = np.array([2.0] * num + [-1.0, 0.0])
-        full, start_rhs, start, basis, art_start, lifted = _crash_start(
+        full, sign, start, basis, art_start, lifted = _crash_start(
             -np.ones(num * horizon), a, senses(rels), rhs, np.ones(num * horizon)
         )
         assert full.shape == (num + 2, art_start)
         assert basis.tolist() == list(range(num * horizon, art_start))
-        assert start_rhs.tolist() == [2.0] * num + [1.0, 0.0]
-        assert start.tolist() == start_rhs.tolist() and not lifted.any()
+        assert (sign * rhs).tolist() == [2.0] * num + [1.0, 0.0]
+        assert start.tolist() == (sign * rhs).tolist() and not lifted.any()
         x, objective, iterations = _simplex_max(
             -np.ones(num * horizon), a, senses(rels), rhs, np.ones(num * horizon)
         )
@@ -756,9 +786,9 @@ def example3_lp():
 class TestExample3Lp:
     def test_crash_basis_keeps_pivots_low(self, example3_lp):
         """The greedy start fills every count row and leaves every budget
-        slack basic, so only the 5 count rows need an artificial and the
-        solve takes about 70 pivots; the slack basis from x = 0 took 399
-        and the all-artificial start 5,690."""
+        slack basic, so only the 5 count rows need an artificial, each at
+        zero, and the solve takes about 60 pivots; the slack basis from
+        x = 0 took 399 and the all-artificial start 5,690."""
         problem, solution = example3_lp
         rows = problem.rows
         upper = np.ones(problem.c.shape[0])
@@ -785,6 +815,124 @@ class TestExample3Lp:
         )
         assert reference.status == 0
         assert solution.objective == pytest.approx(-reference.fun, rel=1e-9, abs=0)
+
+
+def lp_plan_instance(seed, k):
+    """Input ``k`` of the benchmark's ``lp_plan`` workload at ``seed``: the
+    example3 family, a 20 x 20 grid, 5 steps of 10 and a budget of 2
+    (``perfbench/workloads.py``'s ``lp_instance`` and ``derive_seed``)."""
+    instance_seed = int(np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(1)[0])
+    return model.gen_grid_scenario(
+        20, 100.0, [(5.0, 10.0), (5.0, 10.0)], seed=instance_seed,
+        model="tracking", per_step=[10] * 5, energy=2, weights=[0.2] * 5,
+        x0=[50.0, 0.0, 50.0, 0.0], p0=np.diag([100.0, 10.0, 100.0, 10.0]),
+    )
+
+
+class TestFeasibleStart:
+    """When every artificial of the crash start is at zero, phase 1 does not
+    run and the artificials stay basic, fixed at zero; otherwise phase 1
+    runs as before."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """Every ``_pivot`` and ``_basis_solve`` call, in order."""
+        log = []
+        pivot, basis_solve = select_lp._pivot, select_lp._basis_solve
+
+        def counting_pivot(tableau, row, col):
+            log.append(("pivot", row))
+            pivot(tableau, row, col)
+
+        def counting_solve(b_cols, cols):
+            log.append(("solve", None))
+            return basis_solve(b_cols, cols)
+
+        monkeypatch.setattr(select_lp, "_pivot", counting_pivot)
+        monkeypatch.setattr(select_lp, "_basis_solve", counting_solve)
+        return log
+
+    @pytest.mark.parametrize(
+        "instance", ["example3"] + [(seed, k) for seed in (1, 1302) for k in range(3)]
+    )
+    def test_selection_lps_skip_phase_one(self, instance, events):
+        """On example3 and the ``lp_plan`` inputs the greedy start fills
+        every count row, so every artificial starts at zero.  A phase 1
+        would end in a refactorization, and fewer than 200 pivots trigger
+        none, so no ``_basis_solve`` call means that no phase-1 pivot ran:
+        every pivot is a phase-2 pivot."""
+        if instance == "example3":
+            scenario = model.load_scenario(EXAMPLE3)
+        else:
+            scenario = lp_plan_instance(*instance)
+        problem = build_lp(scenario)
+        rows = problem.rows
+        _, _, start, basis, art_start, _ = _crash_start(
+            problem.c, rows.a, rows.sense, rows.b, np.ones(problem.c.shape[0])
+        )
+        assert np.count_nonzero(basis >= art_start) == problem.horizon
+        assert np.all(start[basis >= art_start] == 0.0)
+        solution = solve_lp(problem)
+        assert solution.iterations < 100
+        assert ("solve", None) not in events
+        assert 0 < len(events) <= solution.iterations
+
+    def test_solve_holds_one_tableau(self):
+        """``solve_lp`` on example3 keeps one 405 x 2,405 tableau (2,000
+        columns, 400 budget slacks, 5 artificials) and no copy of it."""
+        problem = build_lp(model.load_scenario(EXAMPLE3))
+        rows = problem.rows
+        shape = (len(rows), problem.c.shape[0] + np.count_nonzero(rows.sense) + problem.horizon)
+        assert shape == (405, 2405)
+        tracemalloc.start()
+        try:
+            solve_lp(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * shape[0] * shape[1]
+
+    def test_duplicated_count_row_keeps_an_artificial_basic(self, rng, events):
+        """A copy of step 0's count row starts, like the original, with its
+        artificial at zero.  Once a pivot goes through one of the two rows
+        the other has no support outside its artificial, which stays basic
+        at zero to the end: no pivot goes through both.  The point is
+        feasible and matches the loop oracle and HiGHS."""
+        for _ in range(10):
+            num, horizon, per_step = int(rng.integers(6, 14)), 3, 3
+            copy = (np.repeat([1.0, 0.0], [num, num * (horizon - 1)]), "=", per_step)
+            program = selection_program(rng, num, horizon, per_step, 2, extra=[copy])
+            c, a, rels, rhs, upper = program
+            _, _, start, basis, art_start, _ = _crash_start(c, a, senses(rels), rhs, upper)
+            assert basis[-1] >= art_start and np.all(start[basis >= art_start] == 0.0)
+            events.clear()
+            x, _, _ = _simplex_max(c, a, senses(rels), rhs, upper)
+            pivot_rows = {row for kind, row in events if kind == "pivot"}
+            assert not {0, len(rels) - 1} <= pivot_rows
+            assert ("solve", None) not in events
+            assert np.all(x >= 0.0) and np.all(x <= upper)
+            rows = model.ConstraintRows(a, senses(rels), rhs)
+            assert rows.meets(a @ x, 1e-9).all()
+            assert assert_same_as_loop_oracle(*program)
+            assert assert_same_as_highs(*program, trial=0)
+
+    def test_short_start_runs_phase_one(self, rng, events):
+        """A start that leaves a count row short runs phase 1 (pivots before
+        the refactorization that ends it) and then phase 2, as the loop
+        oracle does; with one one-step sensor fewer the rows admit no point
+        and phase 1 ends in ``Infeasible``."""
+        for num, per_step in ((60, 10), (30, 4)):
+            program = short_start_program(rng, num, 5, per_step)
+            events.clear()
+            assert assert_same_as_loop_oracle(*program)
+            first_solve = events.index(("solve", None))
+            assert first_solve > 0 and all(kind == "pivot" for kind, _ in events[:first_solve])
+            assert assert_same_as_highs(*program, trial=0)
+
+            c, a, rels, rhs, upper = short_start_program(rng, num, 5, per_step, missing=1)
+            with pytest.raises(Infeasible, match="admit no feasible point"):
+                _simplex_max(c, a, senses(rels), rhs, upper)
+            assert not assert_same_as_loop_oracle(c, a, rels, rhs, upper)
 
 
 class TestZeroGapWithoutExtraRows:
