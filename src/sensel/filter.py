@@ -124,7 +124,7 @@ def row_gains(scenario: Scenario, noise: NoiseModel, rows, step: int = 0) -> np.
     """Information gain H' R^-1 H of each row set of a (U, k) index array
     into the step's stack, as a (U, r, r) array, by one stacked solve."""
     h = scenario.h_stacks[step][rows]
-    r = noise.r_full[rows[:, :, None], rows[:, None, :]]
+    r = noise.entries(rows)
     return h.transpose(0, 2, 1) @ np.linalg.solve(r, h)
 
 

@@ -94,8 +94,9 @@ def psd_project(a: np.ndarray, slack: float = PSD_SLACK) -> np.ndarray:
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
+    """Smallest eigenvalue of a symmetric matrix, or of all of a stack of
+    them."""
     a = symmetrize(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0.0
-    return float(np.linalg.eigvalsh(a)[0])
+    return float(np.linalg.eigvalsh(a).min())

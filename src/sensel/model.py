@@ -44,17 +44,15 @@ def _matrix_steps(arr: np.ndarray, name: str) -> tuple[np.ndarray, ...]:
     raise InvalidMatrix(f"{name} must be a matrix or a list of matrices")
 
 
-def _size_groups(block_sizes: tuple[int, ...]) -> list[tuple[list[int], tuple]]:
+def _size_groups(block_sizes: tuple[int, ...]) -> list[tuple[list[int], np.ndarray]]:
     """Per distinct block size ``s``, ascending: the sensors whose noise
-    block is s x s, and the index that reads or writes their blocks of the
-    joint matrix as one (sensors, s, s) stack."""
+    block is s x s, and their joint rows as a (sensors, s) index array."""
     sizes = np.array(block_sizes, dtype=int)
     starts = np.cumsum(sizes) - sizes
     groups = []
     for s in sorted(set(block_sizes)):
         which = np.flatnonzero(sizes == s)
-        rows = starts[which, None] + np.arange(s)
-        groups.append((which.tolist(), (rows[:, :, None], rows[:, None, :])))
+        groups.append((which.tolist(), starts[which, None] + np.arange(s)))
     return groups
 
 
@@ -216,20 +214,27 @@ def _check_alpha1(alpha1) -> None:
 class NoiseModel:
     """Joint measurement-noise covariance with addressable per-sensor blocks.
 
-    ``r_full`` is the assembled static covariance: the block-diagonal base
-    (or an explicit joint base) plus the jammer cross terms.  When
-    ``distance_alpha1`` is set, a per-step diagonal term proportional to
-    the sensor-to-target distance is added on top; see
-    :func:`distance_noise`.  The properties below are cached: each is
-    computed on first read, once per noise model.
+    The model stores the parts it is built from: the symmetrized own
+    blocks (``base_blocks``) or an explicit joint base (``base_full``), the
+    jammer with its per-sensor gains ``betas``, and the distance term
+    ``distance_alpha1``.  When that is set, a per-step diagonal term
+    proportional to the sensor-to-target distance is added on top; see
+    :func:`distance_noise`.  The static covariance ``r_full`` is assembled
+    from the parts on first read.  A model whose nonzeros all lie in the
+    sensors' own blocks (``base_blocks`` and no active jammer) is checked,
+    and its entries read (:meth:`entries`), from its blocks, so it
+    assembles the dense matrix only for a reader that needs it: ``r_inv``,
+    ``r_chol``, the gain-form measurement stack and :func:`distance_noise`.
+    Every other model assembles it when it is made.  The properties below
+    are cached: each is computed on first read, once per noise model.
     """
 
     block_sizes: tuple[int, ...]
-    r_full: np.ndarray
     base_blocks: tuple[np.ndarray, ...] | None
     base_full: np.ndarray | None
     jammer: JammerSpec | None
     distance_alpha1: float | None
+    betas: np.ndarray | None = None
 
     def __post_init__(self):
         """The one check of a noise covariance: ``r_full`` is finite,
@@ -239,21 +244,39 @@ class NoiseModel:
         When every nonzero of ``r_full`` lies in a sensor's own block, it is
         symmetric and positive definite exactly when each block is, so the
         blocks are checked as one stack per block size instead of the whole
-        matrix, and :attr:`is_block_diagonal` reads that finding.
+        matrix, and :attr:`is_block_diagonal` reads that finding.  A
+        block-only model's fields say so, and its blocks are checked without
+        assembling ``r_full``; any other model's matrix is assembled and
+        counted.
         """
-        r = self.r_full
-        dim = sum(self.block_sizes)
-        if r.shape != (dim, dim):
-            raise InvalidMatrix(f"noise covariance shape {r.shape} != ({dim}, {dim})")
+        if (self.base_blocks is None) == (self.base_full is None):
+            raise ScenarioError("noise needs exactly one of blocks or full")
         alpha1 = self.distance_alpha1
         if alpha1 is not None:
             _check_alpha1(alpha1)
-        if not np.all(np.isfinite(r)):
+        if self._jammed:
+            if any(b != self.jammer.r0.shape[0] for b in self.block_sizes):
+                raise ScenarioError("jammer covariance dimension must match every sensor block")
+            if self.betas is None or self.betas.shape != (len(self.block_sizes),):
+                raise ScenarioError("jammer noise needs one gain per sensor")
+        groups = _size_groups(self.block_sizes)
+        if self._block_only:
+            parts = [np.array([self.base_blocks[i] for i in which]) for which, _ in groups]
+            own_blocks = True
+        else:
+            dim = self.dim
+            r = self.r_full
+            if r.shape != (dim, dim):
+                raise InvalidMatrix(f"noise covariance shape {r.shape} != ({dim}, {dim})")
+            parts = [r]
+        if not all(np.all(np.isfinite(a)) for a in parts):
             raise InvalidMatrix("noise covariance contains non-finite entries")
-        stacks = [r[ix] for _, ix in _size_groups(self.block_sizes)]
-        own_blocks = np.count_nonzero(r) == sum(map(np.count_nonzero, stacks))
+        if not self._block_only:
+            stacks = [self.entries(rows) for _, rows in groups]
+            own_blocks = np.count_nonzero(r) == sum(map(np.count_nonzero, stacks))
+            if own_blocks:
+                parts = stacks
         object.__setattr__(self, "_own_blocks", own_blocks)
-        parts = stacks if own_blocks else [r]
         if not all(np.array_equal(a, np.swapaxes(a, -1, -2)) for a in parts):
             raise InvalidMatrix("noise covariance is not symmetric")
         if alpha1 is None:
@@ -262,8 +285,11 @@ class NoiseModel:
                     np.linalg.cholesky(a)
             except np.linalg.LinAlgError:
                 raise NotPositiveDefinite("noise covariance is not positive definite") from None
-        elif linalg.min_eigenvalue(r) < -linalg.PSD_SLACK * (1.0 + np.abs(r).max()):
-            raise NotPositiveDefinite("static noise part is not positive semidefinite")
+        else:
+            lowest = min(linalg.min_eigenvalue(a) for a in parts)
+            scale = max(float(np.abs(a).max()) for a in parts)
+            if lowest < -linalg.PSD_SLACK * (1.0 + scale):
+                raise NotPositiveDefinite("static noise part is not positive semidefinite")
 
     @staticmethod
     def build(
@@ -274,24 +300,21 @@ class NoiseModel:
         distance_alpha1: float | None = None,
         sensor_positions=None,
     ) -> "NoiseModel":
-        """Assemble the static covariance from symmetrized parts;
-        construction checks it.
+        """A checked noise model from symmetrized parts.
 
         Exactly one of ``base_blocks`` / ``base_full`` must be given.  The
-        blocks are symmetrized and placed as one stack per block size.
+        blocks are symmetrized as one stack per block size.  An active
+        jammer's gains are computed from ``sensor_positions``.
         """
         block_sizes = tuple(int(b) for b in block_sizes)
         dim = sum(block_sizes)
-        if (base_blocks is None) == (base_full is None):
-            raise ScenarioError("noise needs exactly one of blocks or full")
         if base_blocks is not None:
             given = list(base_blocks)
             if len(given) != len(block_sizes):
                 raise ScenarioError("noise block sizes do not match sensors")
-            static = np.zeros((dim, dim))
             placed = [None] * len(given)
-            for which, ix in _size_groups(block_sizes):
-                s = ix[0].shape[1]
+            for which, rows in _size_groups(block_sizes):
+                s = rows.shape[1]
                 try:
                     stack = np.array([given[i] for i in which], dtype=float)
                 except ValueError:  # blocks of uneven shapes
@@ -302,36 +325,27 @@ class NoiseModel:
                         f"expected {s}x{s}"
                     )
                 stack = _frozen(linalg.symmetrize(stack))
-                static[ix] = stack
                 for i, b in zip(which, stack):
                     placed[i] = b
             base_blocks = tuple(placed)
-        else:
+        elif base_full is not None:
             base_full = _frozen(linalg.symmetrize(base_full, "noise full covariance"))
             if base_full.shape != (dim, dim):
                 raise ScenarioError(
                     f"noise full covariance shape {base_full.shape} != ({dim}, {dim})"
                 )
-            static = base_full
+        betas = None
         if jammer is not None and jammer.p0 > 0:
             if sensor_positions is None:
                 raise ScenarioError("jammer noise needs sensor positions")
-            d0 = jammer.r0.shape[0]
-            if any(b != d0 for b in block_sizes):
-                raise ScenarioError(
-                    "jammer covariance dimension must match every sensor block"
-                )
-            beta = jammer.betas(np.asarray(sensor_positions, dtype=float))
-            # Exactly symmetric: a sum of exactly symmetric terms.
-            static = static + np.kron(np.outer(beta, beta), jammer.r0)
-        static.setflags(write=False)
+            betas = _frozen(jammer.betas(np.asarray(sensor_positions, dtype=float)))
         return NoiseModel(
             block_sizes=block_sizes,
-            r_full=static,
             base_blocks=base_blocks,
             base_full=base_full,
             jammer=jammer,
             distance_alpha1=None if distance_alpha1 is None else float(distance_alpha1),
+            betas=betas,
         )
 
     @staticmethod
@@ -340,8 +354,34 @@ class NoiseModel:
         return NoiseModel.build(block_sizes, base_full=full)
 
     @property
+    def _jammed(self) -> bool:
+        return self.jammer is not None and self.jammer.p0 > 0
+
+    @property
+    def _block_only(self) -> bool:
+        """Whether the fields put every nonzero in a sensor's own block."""
+        return self.base_blocks is not None and not self._jammed
+
+    @property
     def dim(self) -> int:
-        return self.r_full.shape[0]
+        return sum(self.block_sizes)
+
+    @functools.cached_property
+    def r_full(self) -> np.ndarray:
+        """The static joint covariance, read-only: the placed own blocks
+        (or the joint base) plus the jammer's cross terms (ββ') ⊗ R0.  A
+        model without a jammer term returns ``base_full`` itself."""
+        static = self.base_full
+        if self.base_blocks is not None:
+            static = np.zeros((self.dim, self.dim))
+            for which, rows in _size_groups(self.block_sizes):
+                static[rows[:, :, None], rows[:, None, :]] = [self.base_blocks[i] for i in which]
+        if self._jammed:
+            # Exactly symmetric: a sum of exactly symmetric terms.
+            static = static + np.kron(np.outer(self.betas, self.betas), self.jammer.r0)
+        if static is not self.base_full:
+            static.setflags(write=False)
+        return static
 
     @functools.cached_property
     def offsets(self) -> np.ndarray:
@@ -354,9 +394,36 @@ class NoiseModel:
         masks, gathers and stacks read."""
         return _frozen(np.repeat(np.arange(len(self.block_sizes)), self.block_sizes), dtype=int)
 
+    @functools.cached_property
+    def _padded_blocks(self) -> np.ndarray:
+        """Every sensor's own block as one (sensors, s, s) stack, each
+        padded with zeros to the largest block size s."""
+        s = max(self.block_sizes)
+        stack = np.zeros((len(self.block_sizes), s, s))
+        for which, rows in _size_groups(self.block_sizes):
+            k = rows.shape[1]
+            stack[which, :k, :k] = [self.base_blocks[i] for i in which]
+        return stack
+
+    def entries(self, rows) -> np.ndarray:
+        """Covariance entries among each row set of a (U, k) index array
+        into the joint stack, as a (U, k, k) array: the entries
+        ``r_full[rows[:, :, None], rows[:, None, :]]``.  A block-only model
+        reads them from its own blocks, zero across sensors, without
+        assembling ``r_full``."""
+        rows = np.asarray(rows)
+        if not self._block_only:
+            return self.r_full[rows[:, :, None], rows[:, None, :]]
+        sensor = self.labels[rows]
+        local = rows - self.offsets[sensor]
+        gathered = self._padded_blocks[sensor[:, :, None], local[:, :, None], local[:, None, :]]
+        return np.where(sensor[:, :, None] == sensor[:, None, :], gathered, 0.0)
+
     def block(self, i: int, j: int) -> np.ndarray:
         off = self.offsets
-        return self.r_full[off[i] : off[i + 1], off[j] : off[j + 1]]
+        rows = np.r_[off[i] : off[i + 1], off[j] : off[j + 1]]
+        k = off[i + 1] - off[i]
+        return self.entries(rows[None])[0, :k, k:]
 
     @functools.cached_property
     def r_inv(self) -> np.ndarray:
@@ -390,8 +457,11 @@ class NoiseModel:
     @functools.cached_property
     def diagonal_only(self) -> "NoiseModel":
         """Copy with all cross-sensor blocks dropped, built from the
-        sensors' own blocks of ``r_full``."""
-        own = [self.block(i, i) for i in range(len(self.block_sizes))]
+        sensors' own blocks, one :meth:`entries` stack per block size."""
+        own = [None] * len(self.block_sizes)
+        for which, rows in _size_groups(self.block_sizes):
+            for i, b in zip(which, self.entries(rows)):
+                own[i] = b
         return NoiseModel.build(self.block_sizes, base_blocks=own)
 
 

@@ -255,16 +255,3 @@ def write_results_csv(results, path) -> None:
                     ]
                 )
 
-
-def results_equal(a: RunResult, b: RunResult) -> bool:
-    """Bit-exact comparison of the deterministic fields (timing excluded)."""
-    return (
-        a.algorithm == b.algorithm
-        and a.seed == b.seed
-        and a.runs == b.runs
-        and a.param_value == b.param_value
-        and a.gap == b.gap
-        and np.array_equal(a.rmse, b.rmse)
-        and np.array_equal(a.mean_trace_p, b.mean_trace_p)
-        and a.f3 == b.f3
-    )

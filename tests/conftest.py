@@ -10,6 +10,7 @@ import pytest
 from sensel import linalg, model, select_sdr
 from sensel.errors import Infeasible, NotConverged, NotPositiveDefinite, SenselError
 from sensel.select_lp import _FEAS_TOL, _TOL, _basis_solve
+from sensel.sim import RunResult
 
 # Each relation's slack sign in ``model.ConstraintRows``, written out here
 # independently of the package's own mapping.
@@ -705,3 +706,17 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
         values[var] = xb[i]
     x = np.clip(values[:n_struct], 0.0, upper)
     return x, float(c @ x), iterations
+
+
+def results_equal(a: RunResult, b: RunResult) -> bool:
+    """Bit-exact comparison of the deterministic fields (timing excluded)."""
+    return (
+        a.algorithm == b.algorithm
+        and a.seed == b.seed
+        and a.runs == b.runs
+        and a.param_value == b.param_value
+        and a.gap == b.gap
+        and np.array_equal(a.rmse, b.rmse)
+        and np.array_equal(a.mean_trace_p, b.mean_trace_p)
+        and a.f3 == b.f3
+    )

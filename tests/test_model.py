@@ -95,11 +95,12 @@ class TestValidation:
 
 
 def raw_noise(r_full, distance_alpha1=None) -> model.NoiseModel:
-    """A NoiseModel made from its fields, one row per sensor, without
-    ``NoiseModel.build``'s assembly and symmetrization."""
+    """A NoiseModel made from its fields, one row per sensor, with
+    ``r_full`` as its joint base and without ``NoiseModel.build``'s
+    symmetrization."""
     r_full = np.asarray(r_full, dtype=float)
     return model.NoiseModel(
-        block_sizes=(1,) * r_full.shape[0], r_full=r_full, base_blocks=None,
+        block_sizes=(1,) * r_full.shape[0], base_blocks=None,
         base_full=r_full, jammer=None, distance_alpha1=distance_alpha1,
     )
 
@@ -659,12 +660,13 @@ def loop_built_r_full(block_sizes, blocks=None, full=None, jammer=None, position
     return 0.5 * (static + static.T)
 
 
-def lp_family_path(tmp_path):
+def lp_family_path(tmp_path, energy=2):
     """A 400-sensor file of the benchmark's LP family: 20x20 grid, 2x2
-    diagonal noise blocks, 5 steps of 10, budget 2."""
+    diagonal noise blocks, 5 steps of 10, budget 2 (none when ``energy``
+    is None)."""
     scenario = model.gen_grid_scenario(
         20, 100.0, [(5.0, 10.0), (5.0, 10.0)], seed=3,
-        per_step=[10] * 5, energy=2, weights=[0.2] * 5,
+        per_step=[10] * 5, energy=energy, weights=[0.2] * 5,
         x0=[50.0, 0.0, 50.0, 0.0], p0=np.diag([100.0, 10.0, 100.0, 10.0]),
     )
     path = tmp_path / "grid400.json"
@@ -719,28 +721,28 @@ class TestBlockNoiseWork:
         full = loop_built_r_full(sizes, blocks)
         with pytest.raises(NotPositiveDefinite):
             model.NoiseModel(
-                block_sizes=sizes, r_full=full, base_blocks=None, base_full=full,
+                block_sizes=sizes, base_blocks=None, base_full=full,
                 jammer=None, distance_alpha1=None,
             )
 
     def test_check_is_chosen_from_the_matrix_not_the_fields(self, rng):
-        """A directly built model whose blocks are PD but whose cross terms
-        make the whole matrix indefinite is refused, whatever
-        ``base_blocks`` says."""
+        """A directly built joint base whose blocks are PD but whose cross
+        terms make the whole matrix indefinite is refused, although each of
+        its own blocks would pass the block-wise check."""
         sizes = (1, 2)
         blocks = (np.eye(1), np.eye(2))
         full = loop_built_r_full(sizes, blocks)
         full[0, 1] = full[1, 0] = 2.0
         with pytest.raises(NotPositiveDefinite):
             model.NoiseModel(
-                block_sizes=sizes, r_full=full, base_blocks=blocks, base_full=None,
+                block_sizes=sizes, base_blocks=None, base_full=full,
                 jammer=None, distance_alpha1=None,
             )
         full[0, 1] = 2.0
         full[1, 0] = 0.0
         with pytest.raises(InvalidMatrix, match="not symmetric"):
             model.NoiseModel(
-                block_sizes=sizes, r_full=full, base_blocks=blocks, base_full=None,
+                block_sizes=sizes, base_blocks=None, base_full=full,
                 jammer=None, distance_alpha1=None,
             )
 
@@ -749,7 +751,7 @@ class TestBlockNoiseWork:
         full[1, 2] = 0.5
         with pytest.raises(InvalidMatrix, match="not symmetric"):
             model.NoiseModel(
-                block_sizes=(1, 2), r_full=full, base_blocks=None, base_full=full,
+                block_sizes=(1, 2), base_blocks=None, base_full=full,
                 jammer=None, distance_alpha1=None,
             )
 
@@ -852,3 +854,111 @@ class TestBlockNoiseWork:
                 value[1] = float("inf")
             with pytest.raises(InvalidMatrix, match="non-finite"):
                 model.scenario_from_dict(bad)
+
+
+def dense_entries(noise, rows):
+    """The entries of ``rows``'s row sets, indexed from the dense matrix."""
+    return noise.r_full[rows[:, :, None], rows[:, None, :]]
+
+
+def row_sets(noise, rng, count=40):
+    """Random (U, k) row-index arrays into the joint stack: every sensor's
+    own rows, then sets drawn with repeats across sensors, k = 1..4."""
+    sets = [noise.offsets[:-1][:, None] + np.arange(min(noise.block_sizes))]
+    for k in range(1, 5):
+        sets.append(rng.integers(0, noise.dim, size=(count, k)))
+    return sets
+
+
+class TestNoiseParts:
+    """A noise model stores its parts; the dense ``r_full`` is assembled
+    only for a reader that needs it, and ``entries`` reads the same values
+    either way."""
+
+    def assert_entries_match(self, noise, rng):
+        for rows in row_sets(noise, rng):
+            assert np.array_equal(noise.entries(rows), dense_entries(noise, rows))
+        for i in range(len(noise.block_sizes)):
+            for j in (0, i, len(noise.block_sizes) - 1):
+                off = noise.offsets
+                assert np.array_equal(
+                    noise.block(i, j), noise.r_full[off[i] : off[i + 1], off[j] : off[j + 1]]
+                )
+
+    def test_block_entries_equal_the_dense_entries(self, rng):
+        for trial in range(30):
+            sizes = [int(n) for n in rng.integers(1, 4, size=int(rng.integers(1, 9)))]
+            blocks = [rand_spd(n, rng) + 1e-9 * rng.normal(size=(n, n)) for n in sizes]
+            noise = model.NoiseModel.build(sizes, base_blocks=blocks)
+            rows = row_sets(noise, rng)[-1]
+            entries = noise.entries(rows)
+            assert "r_full" not in vars(noise)
+            assert np.array_equal(entries, dense_entries(noise, rows))
+            self.assert_entries_match(noise, rng)
+
+    @pytest.mark.parametrize("p0", [0.0, 1e4])
+    def test_jammer_entries_equal_the_dense_entries(self, p0, rng):
+        sizes = [2] * 6
+        positions = rng.uniform(0.0, 100.0, size=(6, 2))
+        jammer = model.JammerSpec.build(p0, 1.0, 2.0, [50.0, 50.0], rand_spd(2, rng))
+        noise = model.NoiseModel.build(
+            sizes, base_blocks=[rand_spd(2, rng) for _ in sizes], jammer=jammer,
+            sensor_positions=positions,
+        )
+        self.assert_entries_match(noise, rng)
+        assert noise.is_block_diagonal == (p0 == 0.0)
+
+    def test_joint_base_entries_equal_the_dense_entries(self, rng):
+        for trial in range(10):
+            sizes = [int(n) for n in rng.integers(1, 4, size=int(rng.integers(1, 7)))]
+            self.assert_entries_match(rand_correlated_noise(sizes, rng), rng)
+
+    @pytest.mark.parametrize("name", [f"example{k}" for k in range(1, 8)])
+    def test_bundled_entries_equal_the_dense_entries(self, name, rng):
+        """Every bundled scenario's noise, and every step model of the
+        distance scenarios."""
+        from sensel.plan import planning_noise
+
+        scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        for noise in (scenario.noise, *planning_noise(scenario)):
+            self.assert_entries_match(noise, rng)
+
+    @pytest.mark.parametrize(
+        "algo, energy", [("lp", 2), ("ignore-dep", 2), ("topk", None), ("ignore-dep", None)]
+    )
+    def test_planning_uncorrelated_noise_assembles_no_dense_matrix(self, algo, energy, tmp_path):
+        """Loading and planning a 400-sensor uncorrelated scenario, and
+        scoring its schedule, read only the sensors' own blocks."""
+        from sensel.measure import OBJECTIVES, objective_value
+        from sensel.plan import planning_noise, prepare
+
+        scenario = model.load_scenario(lp_family_path(tmp_path, energy))
+        noise_seq = planning_noise(scenario)
+        plan = prepare(scenario, algo, "f3", noise_seq)
+        for kind in OBJECTIVES:
+            objective_value(kind, plan.schedule, scenario, noise_seq)
+        assert all(noise is scenario.noise for noise in noise_seq)
+        assert "r_full" not in vars(scenario.noise)
+        assert "r_full" not in vars(scenario.noise.diagonal_only)
+
+    def test_network_load_stays_below_the_dense_matrix(self, tmp_path):
+        """Loading the 400-sensor LP input peaks under 2 MB, below the
+        5.1 MB of its 800 x 800 noise matrix alone."""
+        path = lp_family_path(tmp_path)
+        model.load_scenario(path)
+        tracemalloc.start()
+        try:
+            noise = model.load_scenario(path).noise
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert noise.dim == 800
+        assert peak < 2e6 < noise.r_full.nbytes
+
+    def test_jammer_needs_one_gain_per_sensor(self):
+        jammer = model.JammerSpec.build(1e4, 1.0, 2.0, [0.0, 0.0], np.eye(2))
+        with pytest.raises(ScenarioError, match="one gain per sensor"):
+            model.NoiseModel(
+                block_sizes=(2, 2), base_blocks=(np.eye(2), np.eye(2)), base_full=None,
+                jammer=jammer, distance_alpha1=None,
+            )

@@ -13,7 +13,6 @@ from sensel.model import SelectionSchedule
 from sensel.plan import planning_noise
 from sensel.sim import (
     RunConfig,
-    results_equal,
     run_closed_loop,
     simulate_measurements,
     simulate_truth,
@@ -21,7 +20,7 @@ from sensel.sim import (
     write_results_csv,
 )
 
-from conftest import rand_scenario
+from conftest import rand_scenario, results_equal
 
 
 def tiny_tracking_scenario(num=3, horizon=2, seed=0, energy=None):
