@@ -5,10 +5,10 @@ Submodules
 linalg            pseudoinverse, SPD solves, PSD projection
 model             scenario data model, the constraint-row matrix
                   (ConstraintRows), JSON I/O, generators
-filter            prediction, updates on the selected rows, the one selection
-                  gain, covariance rollout
+filter            prediction, updates on the selected rows, selection gains,
+                  the one batched covariance rollout
 measure           information measures, the per-sensor measure table and
-                  the selection objectives (one f3 evaluator, batched)
+                  the selection objectives, each scored on a batch
 select_separable  top-k selection (greedy rounding of the measure table)
                   and the exhaustive oracle
 select_lp         LP relaxation, simplex solver, greedy rounding, certificates

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidMatrix
-from .model import DynamicSystem, NoiseModel, Scenario, SelectionSchedule
+from .model import DynamicSystem, NoiseModel, Scenario
 
 
 @dataclass(frozen=True)
@@ -141,48 +141,38 @@ def selection_gains(scenario: Scenario, noise: NoiseModel, columns, step: int = 
     array, as a (U, r, r) array: one :func:`row_gains` of the selected
     sensors' rows per count of them."""
     selected = _selected(scenario, columns)[:, noise.labels]
-    counts = np.count_nonzero(selected, axis=1)
-    gains = np.zeros((selected.shape[0], scenario.state_dim, scenario.state_dim))
+    counts = selected.sum(axis=1)
     # A set, not np.unique: numpy's hash-based unique of an int array holds
     # about 1 MB more resident memory from its first call on.
-    for k in sorted(set(counts.tolist()) - {0}):
+    sizes = set(counts.tolist())
+    if len(sizes) == 1 and 0 not in sizes:
+        # One count for all columns, a single column's included: no regrouping.
+        rows = np.nonzero(selected)[1].reshape(counts.size, -1)
+        return row_gains(scenario, noise, rows, step)
+    gains = np.zeros((selected.shape[0], scenario.state_dim, scenario.state_dim))
+    for k in sorted(sizes - {0}):
         idx = np.flatnonzero(counts == k)
         rows = np.nonzero(selected[idx])[1].reshape(idx.size, k)
         gains[idx] = row_gains(scenario, noise, rows, step)
     return gains
 
 
-def selection_gain(scenario: Scenario, noise: NoiseModel, gamma_col, step: int = 0) -> np.ndarray:
-    """Information gain of one selection column, as an r-by-r matrix: the
-    one-row-set :func:`row_gains` of its selected rows, symmetrized."""
-    rows = np.flatnonzero(_selected(scenario, gamma_col)[noise.labels])
-    if rows.size == 0:
-        return np.zeros((scenario.state_dim, scenario.state_dim))
-    return linalg.symmetrize(row_gains(scenario, noise, rows[None], step)[0])
-
-
-def covariance_rollout(
-    scenario: Scenario, schedule: SelectionSchedule, noise_seq=None
-) -> list[np.ndarray]:
-    """Posterior covariances over the horizon under a fixed schedule.
+def covariance_rollout(scenario: Scenario, step_gains) -> list[np.ndarray]:
+    """Posterior covariances over the horizon of a batch of schedules.
 
     Covariance evolution does not depend on measurement values, so this is
-    deterministic: starting from ``scenario.p0``, predict, add the selected
-    sensors' information gain, invert back.  ``noise_seq`` defaults to
-    ``scenario.noise_sequence()``.  Returns the posterior covariance after
-    each step.
+    deterministic: starting from ``scenario.p0``, each step predicts, adds
+    its information gains and inverts back.  ``step_gains`` holds each
+    step's (B, r, r) stack of symmetric selection gains, one per schedule;
+    the result holds each step's (B, r, r) posterior covariances.
     """
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
     system = scenario.system
     p = linalg.symmetrize(np.asarray(scenario.p0, dtype=float))
     out = []
-    for n in range(schedule.horizon):
+    for n, gains in enumerate(step_gains):
         f = system.f_at(n)
-        q = system.q_at(n)
-        p_pred = linalg.symmetrize(f @ p @ f.T + q)
-        gain = selection_gain(scenario, noise_seq[n], schedule.column(n), step=n)
-        p = linalg.inv_spd(linalg.inv_spd(p_pred) + gain)
+        p_pred = linalg.symmetrize(f @ p @ f.T + system.q_at(n))
+        p = linalg.inv_spd(linalg.inv_spd(p_pred) + gains)
         out.append(p)
     return out
 

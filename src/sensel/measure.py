@@ -3,14 +3,16 @@
 The per-step measure is the trace of the information gain of the selected
 sensors: for uncorrelated sensors it splits into per-sensor terms, which is
 what makes the analytic top-k selection and the LP formulation work.
-f3 has one evaluator, :func:`f3_values`, batched over schedules; f1 and f2
-read :func:`filter.covariance_rollout`.
+:func:`objective_values` scores a batch of schedules: f3 by
+:func:`f3_values`, f1 and f2 by the one batched recursion
+:func:`filter.covariance_rollout`, read by :func:`rollout_values`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .filter import covariance_rollout, row_gains, selection_gains
 from .model import Scenario, SelectionSchedule
 
@@ -43,17 +45,6 @@ def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
             gains = row_gains(scenario, noise, rows, n)
             table[idx, n] = np.trace(gains, axis1=1, axis2=2)
     return table
-
-
-def objective_f1(schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> np.ndarray:
-    """Final-step posterior covariance under the schedule."""
-    return covariance_rollout(scenario, schedule, noise_seq)[-1]
-
-
-def objective_f2(schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> np.ndarray:
-    """Average posterior covariance over the horizon."""
-    covs = covariance_rollout(scenario, schedule, noise_seq)
-    return sum(covs) / len(covs)
 
 
 def distinct_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,12 +102,35 @@ def objective_f3(schedule: SelectionSchedule, scenario: Scenario, noise_seq=None
     return float(f3_values(schedule.gamma.T[None], scenario, noise_seq)[0])
 
 
-def objective_value(kind: str, schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> float:
-    """Scalar value of objective ``kind``: the trace of f1 or f2 (to be
-    minimized) or f3 itself (to be maximized)."""
+def rollout_values(kind: str, covs) -> np.ndarray:
+    """Trace objective f1 or f2 of each schedule from its
+    :func:`filter.covariance_rollout`: f1 reads the last step's
+    covariance, f2 adds the steps' covariances in step order, starting
+    from 0, and divides by their count."""
+    total = covs[-1] if kind == "f1" else sum(covs) / len(covs)
+    return np.trace(total, axis1=1, axis2=2)
+
+
+def objective_values(kind: str, gammas: np.ndarray, scenario: Scenario, noise_seq) -> np.ndarray:
+    """Value of objective ``kind`` for each (horizon, num) 0/1 schedule of
+    a batch: the traces of f1 or f2 (to be minimized) or f3 itself (to be
+    maximized).  f3 is :func:`f3_values`; f1 and f2 take each step's
+    gains from one :func:`filter.selection_gains` of the batch's columns
+    and run one :func:`filter.covariance_rollout`."""
     if kind == "f3":
-        return objective_f3(schedule, scenario, noise_seq)
+        return f3_values(gammas, scenario, noise_seq)
     if kind not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    measure = objective_f1 if kind == "f1" else objective_f2
-    return float(np.trace(measure(schedule, scenario, noise_seq)))
+    gains = [
+        linalg.symmetrize(selection_gains(scenario, noise_seq[n], gammas[:, n], n))
+        for n in range(gammas.shape[1])
+    ]
+    return rollout_values(kind, covariance_rollout(scenario, gains))
+
+
+def objective_value(kind: str, schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> float:
+    """Value of objective ``kind`` for one schedule: the one-schedule case
+    of :func:`objective_values`."""
+    if noise_seq is None:
+        noise_seq = scenario.noise_sequence()
+    return float(objective_values(kind, schedule.gamma.T[None], scenario, noise_seq)[0])

@@ -419,12 +419,6 @@ class NoiseModel:
         gathered = self._padded_blocks[sensor[:, :, None], local[:, :, None], local[:, None, :]]
         return np.where(sensor[:, :, None] == sensor[:, None, :], gathered, 0.0)
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        off = self.offsets
-        rows = np.r_[off[i] : off[i + 1], off[j] : off[j + 1]]
-        k = off[i + 1] - off[i]
-        return self.entries(rows[None])[0, :k, k:]
-
     @functools.cached_property
     def r_inv(self) -> np.ndarray:
         """Inverse of the joint covariance, read-only; raises

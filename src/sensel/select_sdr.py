@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .errors import Infeasible, NotConverged, RoundingInfeasible
-from .measure import OBJECTIVES, distinct_rows, f3_values, objective_value
+from .measure import OBJECTIVES, objective_values
 from .model import ConstraintRows, ConstraintSet, Scenario, SelectionSchedule
 from .select_lp import build_lp, round_batch, round_energy, solve_lp
 from .select_separable import topk_schedule
@@ -479,10 +479,11 @@ def randomize_round(
     further copy.  All 2S candidates are rounded in one vectorized greedy
     pass (:func:`select_lp.round_batch`).  Candidates that run out of budgeted
     sensors or violate an extra constraint row are dropped; when none is
-    left the call raises RoundingInfeasible.  f3 (:func:`measure.f3_values`)
-    scores each step only on its distinct columns; f1 and f2 are evaluated
-    once per distinct schedule.  The best value wins, ties going to the
-    smallest ``SelectionSchedule.key()``.
+    left the call raises RoundingInfeasible.  One
+    :func:`measure.objective_values` call scores the rest: f3 on each
+    step's distinct columns, f1 and f2 by one covariance rollout of the
+    whole batch.  The best value wins, ties going to the smallest
+    ``SelectionSchedule.key()``.
 
     Deterministic for a fixed seed, and the sample stream is nested: a
     larger count extends the draws of a smaller one.
@@ -511,18 +512,8 @@ def randomize_round(
         )
     gammas = gammas[feasible]
 
-    if objective == "f3":
-        values = f3_values(gammas, scenario, noise_seq)
-        best_value = values.max()
-    else:
-        bits = np.packbits(gammas.reshape(gammas.shape[0], -1), axis=1)
-        first, inverse = distinct_rows(bits)
-        traces = np.array([
-            objective_value(objective, SelectionSchedule.build(gammas[k].T), scenario, noise_seq)
-            for k in first
-        ])
-        values = traces[inverse]
-        best_value = values.min()
+    values = objective_values(objective, gammas, scenario, noise_seq)
+    best_value = values.max() if objective == "f3" else values.min()
     # The step-major bytes of a 0/1 schedule order like its key().
     tied = np.flatnonzero(values == best_value)
     best = min(tied, key=lambda k: gammas[k].tobytes())

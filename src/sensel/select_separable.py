@@ -7,9 +7,13 @@ step, which is what the LP route's greedy rounder picks from the measure
 table and the counts alone.  The exhaustive search scores every feasible
 schedule, up to ``EXHAUSTIVE_CAP`` candidates, in fixed slices, so its
 memory depends on the slice and each step's combination count, not on
-the number of schedules.  It shares only the gain computation and the
-constraint rows with the rest of the package, and calls no solver,
-rounder or f3 evaluator, so it serves as an independent reference.
+the number of schedules.  It shares the gain computation, the constraint
+rows and the f1/f2 covariance recursion (:func:`filter.covariance_rollout`,
+read by :func:`measure.rollout_values`) with the solvers' scorer, and
+calls no solver, rounder or f3 evaluator.  The recursion's own reference
+is the gain-form filter: the test suite checks the batched rollout against
+``predict`` and ``update_kalman`` on the masked stack, schedule by
+schedule.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 
 from . import linalg
 from .errors import Infeasible, NotSeparableNoise, TooLarge, UnsupportedConstraints
-from .filter import selection_gains
-from .measure import OBJECTIVES, info_table
+from .filter import covariance_rollout, selection_gains
+from .measure import OBJECTIVES, info_table, rollout_values
 from .model import ConstraintSet, Scenario, SelectionSchedule
 from .select_lp import round_by_scores
 
@@ -73,8 +77,8 @@ def exhaustive_opt(
     Each step's gains come from one :func:`filter.selection_gains` call.
     One constraint-row product per slice drops the leaves that break a
     budget or an extra row.  f3 adds the weighted gain traces in step
-    order; f1 and f2 run the predict and information update over the
-    slice as one stack of covariances.
+    order; f1 and f2 run one :func:`filter.covariance_rollout` of the
+    slice's gathered gains.
     Ties resolve to the schedule whose step-major 0/1 vector is
     lexicographically smallest: in combination order the 0/1 vectors
     descend, so that is the tied leaf of largest index.
@@ -89,7 +93,6 @@ def exhaustive_opt(
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
     num = scenario.num_sensors
-    system = scenario.system
     rows = scenario.constraints.rows(num)
     # Each step's combinations as 0/1 rows, in itertools order.
     columns = []
@@ -121,17 +124,8 @@ def exhaustive_opt(
             for n, pick in enumerate(picks):
                 values = values + float(scenario.weights[n]) * traces[n][pick]
         else:
-            p = np.asarray(scenario.p0, dtype=float)
-            trace_sum = 0.0
-            for n, pick in enumerate(picks):
-                f = system.f_at(n)
-                p_pred = linalg.symmetrize(f @ p @ f.T + system.q_at(n))
-                p = linalg.inv_spd(linalg.inv_spd(p_pred) + gains[n][pick])
-                trace_sum = trace_sum + np.trace(p, axis1=1, axis2=2)
-            if objective == "f1":
-                values = np.trace(p, axis1=1, axis2=2)
-            else:
-                values = trace_sum / scenario.horizon
+            gathered = [gain[pick] for gain, pick in zip(gains, picks)]
+            values = rollout_values(objective, covariance_rollout(scenario, gathered))
         value = values.max() if maximize else values.min()
         if best_leaf is None or (value >= best_value if maximize else value <= best_value):
             best_leaf = leaves[keep[np.flatnonzero(values == value)[-1]]]

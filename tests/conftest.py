@@ -9,6 +9,7 @@ import pytest
 
 from sensel import linalg, model, select_sdr
 from sensel.errors import Infeasible, NotConverged, NotPositiveDefinite, SenselError
+from sensel.filter import covariance_rollout, selection_gains
 from sensel.select_lp import _FEAS_TOL, _TOL, _basis_solve
 from sensel.sim import RunResult
 
@@ -177,6 +178,40 @@ def sensor_measure(h: np.ndarray, r_block: np.ndarray) -> float:
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("noise block is not positive definite") from None
     return float(np.trace(h.T @ np.linalg.solve(r_block, h)))
+
+
+def noise_block(noise: model.NoiseModel, i: int, j: int) -> np.ndarray:
+    """Sensor i's rows by sensor j's columns of the joint noise covariance,
+    read by one ``NoiseModel.entries`` of the two sensors' rows."""
+    off = noise.offsets
+    rows = np.r_[off[i] : off[i + 1], off[j] : off[j + 1]]
+    k = off[i + 1] - off[i]
+    return noise.entries(rows[None])[0, :k, k:]
+
+
+def selection_gain(scenario, noise, gamma_col, step: int = 0) -> np.ndarray:
+    """Information gain of one selection column: ``filter.selection_gains``
+    on a one-column batch, symmetrized as the objectives use it."""
+    column = np.asarray(gamma_col)[None]
+    return linalg.symmetrize(selection_gains(scenario, noise, column, step))[0]
+
+
+def step_gains(scenario, gammas, noise_seq) -> list[np.ndarray]:
+    """Each step's symmetrized selection gains of a (B, horizon, num) 0/1
+    batch, as ``measure.objective_values`` hands them to the rollout."""
+    return [
+        linalg.symmetrize(selection_gains(scenario, noise_seq[n], gammas[:, n], n))
+        for n in range(gammas.shape[1])
+    ]
+
+
+def schedule_rollout(scenario, schedule, noise_seq=None) -> list[np.ndarray]:
+    """Posterior covariances of one schedule: ``filter.covariance_rollout``
+    of a one-schedule batch."""
+    if noise_seq is None:
+        noise_seq = scenario.noise_sequence()
+    gains = step_gains(scenario, schedule.gamma.T[None], noise_seq)
+    return [p[0] for p in covariance_rollout(scenario, gains)]
 
 
 # The lifted constraint matrix of one linear row as the SDP solver built it

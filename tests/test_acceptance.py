@@ -14,7 +14,6 @@ import numpy as np
 from sensel import linalg, measure, model
 from sensel.filter import (
     FilterState,
-    selection_gain,
     stack_measurement,
     update_gif,
     update_kalman,
@@ -33,7 +32,14 @@ from sensel.select_sdr import (
 from sensel.select_separable import exhaustive_opt, topk_schedule
 from sensel.sim import RunConfig, run_closed_loop
 
-from conftest import enumerate_feasible, rand_scenario, rand_spd, sensor_measure
+from conftest import (
+    enumerate_feasible,
+    noise_block,
+    rand_scenario,
+    rand_spd,
+    selection_gain,
+    sensor_measure,
+)
 
 EXAMPLE4 = "src/sensel/scenarios/example4.json"
 EXAMPLE7 = "src/sensel/scenarios/example7.json"
@@ -95,8 +101,6 @@ def _stepwise_regular(scenario, noise_seq=None) -> bool:
     dominant final matrix, with the per-step trace rule picking another
     schedule).
     """
-    from sensel.filter import selection_gain
-
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
     num = scenario.num_sensors
@@ -180,8 +184,8 @@ def test_c2_topk_optimality():
         _, f1_min = exhaustive_opt(scenario, "f1")
         _, f2_min = exhaustive_opt(scenario, "f2")
         schedule = topk_schedule(scenario)
-        mine_f1 = float(np.trace(measure.objective_f1(schedule, scenario)))
-        mine_f2 = float(np.trace(measure.objective_f2(schedule, scenario)))
+        mine_f1 = measure.objective_value("f1", schedule, scenario)
+        mine_f2 = measure.objective_value("f2", schedule, scenario)
         worst = max(
             worst,
             abs(mine_f1 - f1_min) / (1.0 + abs(f1_min)),
@@ -418,7 +422,7 @@ def test_c9_uncorrelated_reduction_identities():
             ))
             split = sum(
                 sensor_measure(
-                    scenario.sensors[i].h_at(n), noise_seq[n].block(i, i)
+                    scenario.sensors[i].h_at(n), noise_block(noise_seq[n], i, i)
                 )
                 for i in range(num)
                 if gamma[i, n]

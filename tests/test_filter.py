@@ -4,19 +4,35 @@ agreement, covariance monotonicity, and rollout consistency."""
 import numpy as np
 import pytest
 
-from sensel import linalg, model
+from sensel import linalg, measure, model
 from sensel.filter import (
     FilterState,
     covariance_rollout,
     predict,
-    selection_gain,
     stack_measurement,
     update_gif,
     update_kalman,
 )
 from sensel.plan import planning_noise
 
-from conftest import rand_scenario, rand_spd
+from conftest import rand_scenario, rand_spd, schedule_rollout, selection_gain, step_gains
+
+
+def per_step_h_scenario(rng, num_sensors=4, horizon=3, correlated=True):
+    """Random scenario whose sensors have 1-3 rows and a new H at every
+    step."""
+    base = rand_scenario(
+        rng, num_sensors=num_sensors, horizon=horizon, correlated=correlated,
+        meas_dims=[int(d) for d in rng.integers(1, 4, size=num_sensors)],
+    )
+    sensors = [
+        model.SensorModel.build(rng.normal(size=(horizon, s.meas_dim, 2)), s.position)
+        for s in base.sensors
+    ]
+    return model.make_scenario(
+        base.system, sensors, base.noise, base.constraints, base.weights,
+        base.x0, base.p0,
+    )
 
 
 def scalar_setup():
@@ -161,7 +177,7 @@ class TestRollout:
     def test_single_step_no_selection_is_prediction(self, rng):
         scenario = rand_scenario(rng, num_sensors=2, horizon=1)
         schedule = model.SelectionSchedule.build(np.zeros((2, 1)))
-        out = covariance_rollout(scenario, schedule, scenario.noise_sequence())
+        out = schedule_rollout(scenario, schedule)
         f = scenario.system.f_at(0)
         expected = f @ scenario.p0 @ f.T + scenario.system.q_at(0)
         np.testing.assert_allclose(out[0], expected, atol=1e-9)
@@ -169,7 +185,7 @@ class TestRollout:
     def test_single_step_all_sensors_matches_information_form(self, rng):
         scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=False)
         schedule = model.SelectionSchedule.build(np.ones((3, 1)))
-        out = covariance_rollout(scenario, schedule, scenario.noise_sequence())
+        out = schedule_rollout(scenario, schedule)
         f = scenario.system.f_at(0)
         p_pred = f @ scenario.p0 @ f.T + scenario.system.q_at(0)
         h = np.vstack([s.h_at(0) for s in scenario.sensors])
@@ -184,7 +200,7 @@ class TestRollout:
             scenario = rand_scenario(rng, num_sensors=3, horizon=4, correlated=True)
             gamma = rng.integers(0, 2, size=(3, 4))
             schedule = model.SelectionSchedule.build(gamma)
-            out = covariance_rollout(scenario, schedule, scenario.noise_sequence())
+            out = schedule_rollout(scenario, schedule)
             for p in out:
                 assert linalg.min_eigenvalue(p) > 0
 
@@ -205,18 +221,8 @@ class TestRollout:
         """Per-step H with mixed 1-3-row sensors: step n's gain uses the
         selected rows of step n's stacked H."""
         for _ in range(20):
-            base = rand_scenario(
-                rng, num_sensors=4, horizon=3, correlated=True,
-                meas_dims=[int(d) for d in rng.integers(1, 4, size=4)],
-            )
-            sensors = [
-                model.SensorModel.build(rng.normal(size=(3, s.meas_dim, 2)), s.position)
-                for s in base.sensors
-            ]
-            scenario = model.make_scenario(
-                base.system, sensors, base.noise, base.constraints, base.weights,
-                base.x0, base.p0,
-            )
+            scenario = per_step_h_scenario(rng)
+            sensors = scenario.sensors
             gamma = rng.integers(0, 2, size=4)
             rows = np.repeat(gamma, scenario.noise.block_sizes).astype(bool)
             for n in range(3):
@@ -225,3 +231,46 @@ class TestRollout:
                 reference = h.T @ np.linalg.solve(r, h) if rows.any() else np.zeros((2, 2))
                 gain = selection_gain(scenario, scenario.noise, gamma, step=n)
                 np.testing.assert_allclose(gain, reference, rtol=1e-9, atol=1e-9)
+
+    def test_batch_matches_gain_form_per_schedule(self, rng):
+        """The batched information-form rollout matches, schedule by
+        schedule, ``predict`` and the gain-form ``update_kalman`` (the
+        pseudoinverse of the masked stack) within 1e-9: the reference that
+        the objectives' one recursion is checked against."""
+        for trial in range(12):
+            scenario = per_step_h_scenario(rng, num_sensors=int(rng.integers(2, 6)))
+            noise_seq = scenario.noise_sequence()
+            gammas = rng.integers(0, 2, size=(8, 3, scenario.num_sensors))
+            covs = covariance_rollout(scenario, step_gains(scenario, gammas, noise_seq))
+            for b, gamma in enumerate(gammas):
+                state = FilterState(x=scenario.x0, p=scenario.p0)
+                for n in range(3):
+                    meas = stack_measurement(scenario, noise_seq[n], gamma[n], step=n)
+                    state = update_kalman(predict(state, scenario.system, n), meas)
+                    np.testing.assert_allclose(covs[n][b], state.p, rtol=1e-9, atol=1e-9)
+
+    def test_batch_equals_its_one_schedule_calls(self, rng):
+        """A batch's covariances and f1, f2 and f3 values are bit for bit
+        those of each of its schedules alone; repeated schedules and a
+        batch of one included."""
+        for trial in range(6):
+            scenario = per_step_h_scenario(rng, correlated=bool(trial % 2))
+            noise_seq = scenario.noise_sequence()
+            gammas = rng.integers(0, 2, size=(12, 3, scenario.num_sensors)).astype(np.int8)
+            gammas[6:9] = gammas[:3]
+            for batch in (gammas, gammas[:1]):
+                covs = covariance_rollout(scenario, step_gains(scenario, batch, noise_seq))
+                for b in range(len(batch)):
+                    alone = covariance_rollout(
+                        scenario, step_gains(scenario, batch[b : b + 1], noise_seq)
+                    )
+                    for n in range(3):
+                        assert np.array_equal(covs[n][b], alone[n][0])
+                for kind in measure.OBJECTIVES:
+                    values = measure.objective_values(kind, batch, scenario, noise_seq)
+                    assert np.array_equal(values, [
+                        measure.objective_value(
+                            kind, model.SelectionSchedule.build(gamma.T), scenario, noise_seq
+                        )
+                        for gamma in batch
+                    ])

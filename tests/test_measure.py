@@ -10,10 +10,10 @@ import pytest
 
 from sensel import linalg, measure, model
 from sensel.errors import InvalidMatrix, NotPositiveDefinite
-from sensel.filter import selection_gain, stack_measurement
+from sensel.filter import selection_gains, stack_measurement
 from sensel.model import SelectionSchedule
 
-from conftest import rand_scenario, sensor_measure
+from conftest import noise_block, rand_scenario, schedule_rollout, selection_gain, sensor_measure
 
 
 class TestSensorMeasure:
@@ -33,7 +33,7 @@ class TestSensorMeasure:
 
 
 def gain_trace(scenario, noise, gamma_col) -> float:
-    """The stack measure f3 sums: the trace of ``filter.selection_gain``."""
+    """The stack measure f3 sums: the trace of one column's selection gain."""
     return float(np.trace(selection_gain(scenario, noise, gamma_col)))
 
 
@@ -48,7 +48,7 @@ class TestGainTrace:
         scenario = model.load_scenario("src/sensel/scenarios/example2.json")
         for length in (scenario.num_sensors + 2, scenario.num_sensors - 1):
             with pytest.raises(InvalidMatrix, match="length"):
-                selection_gain(scenario, scenario.noise, [1] * length)
+                selection_gains(scenario, scenario.noise, [[1] * length])
             with pytest.raises(InvalidMatrix, match="length"):
                 stack_measurement(scenario, scenario.noise, [1] * length)
             schedule = SelectionSchedule.build(np.ones((length, scenario.horizon)))
@@ -64,7 +64,7 @@ class TestGainTrace:
             total = gain_trace(scenario, scenario.noise, gamma)
             parts = sum(
                 sensor_measure(
-                    scenario.sensors[i].h_at(0), scenario.noise.block(i, i)
+                    scenario.sensors[i].h_at(0), noise_block(scenario.noise, i, i)
                 )
                 for i in range(4)
                 if gamma[i]
@@ -102,9 +102,9 @@ class TestObjectives:
         schedule = SelectionSchedule.build(np.zeros((2, 1)))
         f = scenario.system.f_at(0)
         expected = f @ scenario.p0 @ f.T + scenario.system.q_at(0)
-        np.testing.assert_allclose(
-            measure.objective_f1(schedule, scenario), expected, atol=1e-9
-        )
+        final = schedule_rollout(scenario, schedule)[-1]
+        np.testing.assert_allclose(final, expected, atol=1e-9)
+        assert measure.objective_value("f1", schedule, scenario) == np.trace(final)
 
     def test_f3_last_step_weight_only(self, rng):
         scenario = rand_scenario(
@@ -119,14 +119,12 @@ class TestObjectives:
         assert measure.objective_f3(schedule, scenario) == pytest.approx(expected)
 
     def test_f2_is_average_of_rollout(self, rng):
-        from sensel.filter import covariance_rollout
-
         scenario = rand_scenario(rng, num_sensors=3, horizon=2, correlated=True)
         gamma = rng.integers(0, 2, size=(3, 2))
         schedule = SelectionSchedule.build(gamma)
-        covs = covariance_rollout(scenario, schedule, scenario.noise_sequence())
-        np.testing.assert_allclose(
-            measure.objective_f2(schedule, scenario), (covs[0] + covs[1]) / 2
+        covs = schedule_rollout(scenario, schedule)
+        assert measure.objective_value("f2", schedule, scenario) == np.trace(
+            (covs[0] + covs[1]) / 2
         )
 
     def test_info_table_entries(self, rng):
@@ -140,7 +138,7 @@ class TestObjectives:
         for n in range(2):
             for i in range(3):
                 expected = sensor_measure(
-                    scenario.sensors[i].h_at(n), scenario.noise.block(i, i)
+                    scenario.sensors[i].h_at(n), noise_block(scenario.noise, i, i)
                 )
                 assert table[i, n] == expected
 
@@ -148,7 +146,7 @@ class TestObjectives:
 def loop_info_table(scenario, noise_seq):
     """The table one ``sensor_measure`` call per sensor and step."""
     return np.array([
-        [sensor_measure(sensor.h_at(n), noise_seq[n].block(i, i))
+        [sensor_measure(sensor.h_at(n), noise_block(noise_seq[n], i, i))
          for n in range(scenario.horizon)]
         for i, sensor in enumerate(scenario.sensors)
     ])
@@ -212,8 +210,6 @@ class TestTraceCriterionConsistency:
         trace.  Non-regular instances are reported and skipped, since the
         step-by-step decomposition is conditional on that dominance; a
         dominant final covariance alone does not grant it."""
-        from sensel.filter import selection_gain
-
         checked = 0
         non_regular = 0
         for trial in range(40):
@@ -253,11 +249,11 @@ class TestTraceCriterionConsistency:
                 continue
             schedules = list(_enumerate_schedules(scenario))
             best_trace = min(
-                float(np.trace(measure.objective_f1(s, scenario)))
+                measure.objective_value("f1", s, scenario)
                 for s in schedules
             )
             myopic = SelectionSchedule.build(np.column_stack(myopic_cols))
-            myopic_trace = float(np.trace(measure.objective_f1(myopic, scenario)))
+            myopic_trace = measure.objective_value("f1", myopic, scenario)
             assert myopic_trace == pytest.approx(best_trace, abs=1e-9)
             checked += 1
         print(

@@ -16,7 +16,7 @@ from sensel.errors import (
     ScenarioError,
 )
 
-from conftest import rand_correlated_noise, rand_scenario, rand_spd, senses
+from conftest import noise_block, rand_correlated_noise, rand_scenario, rand_spd, senses
 
 
 def small_scenario(**overrides):
@@ -253,7 +253,7 @@ class TestGenerators:
         positions = scenario.sensor_positions()
         assert positions.min() >= 0.0 and positions.max() <= 100.0
         for i in range(40):
-            block = scenario.noise.block(i, i)
+            block = noise_block(scenario.noise, i, i)
             assert 5.0 <= block[0, 0] <= 7.0
             assert 10.0 <= block[1, 1] <= 12.0
 
@@ -303,7 +303,7 @@ class TestJammer:
         )
         after = model.apply_jammer(scenario, 1.0, 1.0, 2.0, [25.0, 30.0], np.eye(2))
         np.testing.assert_allclose(
-            after.noise.block(0, 0), np.diag([5.0, 10.0]) + np.eye(2), atol=1e-12
+            noise_block(after.noise, 0, 0), np.diag([5.0, 10.0]) + np.eye(2), atol=1e-12
         )
 
     def test_outer_product_structure(self, rng):
@@ -326,7 +326,7 @@ class TestJammer:
 
     def test_strong_jammer_gives_positive_cross_blocks(self):
         scenario = model.load_scenario("src/sensel/scenarios/example4.json")
-        block = scenario.noise.block(0, 1)
+        block = noise_block(scenario.noise, 0, 1)
         assert np.all(np.diag(block) > 0)
 
 
@@ -574,7 +574,7 @@ class TestRowMap:
     @pytest.mark.parametrize("name", ["example1", "example4", "example5", "example6"])
     def test_diagonal_only_equals_the_diagonal_block_build(self, name):
         noise = model.load_scenario(f"src/sensel/scenarios/{name}.json").noise
-        blocks = [noise.block(i, i) for i in range(len(noise.block_sizes))]
+        blocks = [noise_block(noise, i, i) for i in range(len(noise.block_sizes))]
         expected = model.NoiseModel.build(noise.block_sizes, base_blocks=blocks)
         assert np.array_equal(noise.diagonal_only.r_full, expected.r_full)
         assert noise.diagonal_only.is_block_diagonal
@@ -583,7 +583,7 @@ class TestRowMap:
         for _ in range(20):
             sizes = [int(d) for d in rng.integers(1, 4, size=int(rng.integers(1, 6)))]
             noise = rand_correlated_noise(sizes, rng)
-            blocks = [noise.block(i, i) for i in range(len(sizes))]
+            blocks = [noise_block(noise, i, i) for i in range(len(sizes))]
             expected = model.NoiseModel.build(sizes, base_blocks=blocks)
             assert np.array_equal(noise.diagonal_only.r_full, expected.r_full)
             assert noise.is_block_diagonal == (len(sizes) == 1)
@@ -788,7 +788,7 @@ class TestBlockNoiseWork:
         assert shapes == [(400, 2, 2)]
         assert stripped.base_full is None
         for i, block in enumerate(stripped.base_blocks):
-            assert np.array_equal(block, noise.block(i, i))
+            assert np.array_equal(block, noise_block(noise, i, i))
 
     @pytest.mark.parametrize("name", [f"example{k}" for k in range(1, 8)])
     def test_bundled_r_full_equals_the_loop_build(self, name):
@@ -882,7 +882,8 @@ class TestNoiseParts:
             for j in (0, i, len(noise.block_sizes) - 1):
                 off = noise.offsets
                 assert np.array_equal(
-                    noise.block(i, j), noise.r_full[off[i] : off[i + 1], off[j] : off[j + 1]]
+                    noise_block(noise, i, j),
+                    noise.r_full[off[i] : off[i + 1], off[j] : off[j + 1]],
                 )
 
     def test_block_entries_equal_the_dense_entries(self, rng):

@@ -29,6 +29,7 @@ from conftest import (
     SENSE,
     loop_round_by_scores,
     loop_simplex_max,
+    noise_block,
     rand_scenario,
     senses,
     sensor_measure,
@@ -107,7 +108,7 @@ class TestBuildLp:
         for n in range(2):
             for i in range(3):
                 expected = scenario.weights[n] * sensor_measure(
-                    scenario.sensors[i].h_at(n), scenario.noise.block(i, i)
+                    scenario.sensors[i].h_at(n), noise_block(scenario.noise, i, i)
                 )
                 assert c[n * 3 + i] == expected
 

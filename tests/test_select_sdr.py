@@ -10,7 +10,7 @@ import pytest
 
 from sensel import linalg, measure, model
 from sensel.errors import NotConverged, RoundingInfeasible
-from sensel.filter import selection_gain, stack_measurement
+from sensel.filter import stack_measurement
 from sensel.plan import planning_noise
 from sensel.select_lp import build_lp
 from sensel.select_sdr import (
@@ -41,9 +41,11 @@ from conftest import (
     lifted_row_matrix,
     loop_build_bqp,
     loop_round_by_scores,
+    noise_block,
     rand_correlated_noise,
     rand_scenario,
     rand_spd,
+    selection_gain,
     sensor_measure,
     with_random_extra_row,
 )
@@ -71,8 +73,7 @@ def loop_randomize_round(sdp_solution, scenario, s_count, seed, objective):
                 for n in range(horizon)
                 if weights[n] != 0.0
             )
-        fn = measure.objective_f1 if objective == "f1" else measure.objective_f2
-        return float(np.trace(fn(schedule, scenario, noise_seq)))
+        return measure.objective_value(objective, schedule, scenario, noise_seq)
 
     maximize = objective == "f3"
     best_gamma, best_value, best_key = None, -np.inf if maximize else np.inf, None
@@ -173,7 +174,7 @@ class TestBuildBqp:
             block = bqp.b_blocks[n]
             measures = [
                 sensor_measure(
-                    scenario.sensors[i].h_at(n), scenario.noise.block(i, i)
+                    scenario.sensors[i].h_at(n), noise_block(scenario.noise, i, i)
                 )
                 for i in range(4)
             ]
@@ -677,12 +678,10 @@ class TestRandomizeRound:
         )
         solution = solve_sdp(build_sdp(build_bqp(scenario)))
         rounded = randomize_round(solution, scenario, 30, seed=3, objective="f1")
-        trace_best = float(
-            np.trace(measure.objective_f1(rounded.schedule, scenario))
-        )
+        trace_best = measure.objective_value("f1", rounded.schedule, scenario)
         assert rounded.objective == pytest.approx(trace_best)
         exhaustive_best = min(
-            float(np.trace(measure.objective_f1(s, scenario)))
+            measure.objective_value("f1", s, scenario)
             for s in enumerate_feasible(scenario)
         )
         assert rounded.objective >= exhaustive_best - 1e-12
@@ -734,7 +733,7 @@ class TestRandomizeRound:
     def test_f3_values_match_per_column_gain_loop(self, rng):
         """The batched f3 (stacked solves over each step's distinct
         columns) is bit for bit the step-order sum of
-        ``filter.selection_gain`` traces, one column at a time; mixed
+        one-column ``filter.selection_gains`` traces; mixed
         measurement dimensions, a weight-0 step and empty columns included."""
         for trial in range(6):
             num, horizon = 6, 3

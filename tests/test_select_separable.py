@@ -14,6 +14,7 @@ from conftest import (
     enumerate_feasible,
     loop_enumerate_feasible,
     rand_scenario,
+    selection_gain,
     with_random_extra_row,
 )
 
@@ -125,7 +126,6 @@ class TestExhaustive:
         import itertools
 
         from sensel import linalg
-        from sensel.filter import selection_gain
 
         checked = 0
         skipped = 0
@@ -167,8 +167,8 @@ class TestExhaustive:
             schedule = topk_schedule(scenario)
             _, f1_min = exhaustive_opt(scenario, "f1")
             _, f2_min = exhaustive_opt(scenario, "f2")
-            mine_f1 = float(np.trace(measure.objective_f1(schedule, scenario)))
-            mine_f2 = float(np.trace(measure.objective_f2(schedule, scenario)))
+            mine_f1 = measure.objective_value("f1", schedule, scenario)
+            mine_f2 = measure.objective_value("f2", schedule, scenario)
             assert mine_f1 == pytest.approx(f1_min, abs=1e-9)
             assert mine_f2 == pytest.approx(f2_min, abs=1e-9)
             checked += 1
@@ -200,7 +200,7 @@ class TestExhaustive:
             x0=[50.0, 50.0], p0=10.0 * np.eye(2),
         )
         schedule = topk_schedule(scenario)
-        mine = float(np.trace(measure.objective_f1(schedule, scenario)))
+        mine = measure.objective_value("f1", schedule, scenario)
         _, best = exhaustive_opt(scenario, "f1")
         assert mine == pytest.approx(best, abs=1e-9)
 
@@ -216,15 +216,14 @@ class TestExhaustive:
 
         problem = build_lp(scenario)
         rounded = round_energy(solve_lp(problem), scenario, problem)
-        lp_f1 = float(np.trace(measure.objective_f1(rounded.schedule, scenario)))
+        lp_f1 = measure.objective_value("f1", rounded.schedule, scenario)
         assert value <= lp_f1 + 1e-12
 
     def test_matches_scored_enumeration(self):
         """Random instances with budgets, extra rows and correlated noise:
         the oracle returns the best of every feasible schedule scored by
-        ``measure.objective_value``, ties to the smallest ``key()``; f1 and
-        f3 to the bit, f2 (a sum of traces against the trace of a sum)
-        within 1e-12 relative."""
+        ``measure.objective_value``, ties to the smallest ``key()``, all
+        three objectives to the bit."""
         rng = np.random.default_rng(606)
         checked = 0
         for _ in range(60):
@@ -258,10 +257,7 @@ class TestExhaustive:
                 )
                 schedule, value = exhaustive_opt(scenario, objective)
                 assert schedule.key() == key
-                if objective == "f2":
-                    assert value == pytest.approx(ranked, rel=1e-12, abs=0.0)
-                else:
-                    assert value == sign * ranked
+                assert value == sign * ranked
             checked += bool(feasible)
         assert checked >= 50
 

@@ -8,7 +8,7 @@ import pytest
 
 from sensel import model
 from sensel.errors import ScenarioError
-from sensel.filter import StackedMeasurement, covariance_rollout, stack_measurement
+from sensel.filter import StackedMeasurement, stack_measurement
 from sensel.model import SelectionSchedule
 from sensel.plan import planning_noise
 from sensel.sim import (
@@ -20,7 +20,7 @@ from sensel.sim import (
     write_results_csv,
 )
 
-from conftest import rand_scenario, results_equal
+from conftest import noise_block, rand_scenario, results_equal, schedule_rollout
 
 
 def tiny_tracking_scenario(num=3, horizon=2, seed=0, energy=None):
@@ -165,7 +165,7 @@ class TestSimulateMeasurements:
         # compare a sensor pair block against the model; the absolute
         # tolerance is a few sampling standard deviations of a covariance
         # estimate at this variance level and draw count
-        expected = scenario.noise.block(0, 7)
+        expected = noise_block(scenario.noise, 0, 7)
         got = sample_cov[0:2, 14:16]
         level = np.sqrt(sample_cov[0, 0] * sample_cov[14, 14] / len(draws))
         np.testing.assert_allclose(got, expected, rtol=0.1, atol=5 * level)
@@ -181,7 +181,7 @@ class TestClosedLoop:
         from sensel.select_separable import topk_schedule
 
         schedule = topk_schedule(scenario)
-        covs = covariance_rollout(scenario, schedule, scenario.noise_sequence())
+        covs = schedule_rollout(scenario, schedule)
         np.testing.assert_allclose(
             result.mean_trace_p, [float(np.trace(p)) for p in covs], atol=1e-10
         )
@@ -318,19 +318,30 @@ class TestStudyScoring:
 
     @staticmethod
     def _count_f3(monkeypatch):
-        """Record f3 evaluations made inside ``randomize_round`` and those
-        made anywhere else (``objective_f3`` reaches ``measure.f3_values``)."""
+        """Record f3 evaluations (calls of ``measure.f3_values``) made
+        inside ``randomize_round``'s ``objective_values`` call and those
+        made anywhere else."""
         from sensel import measure, select_sdr
 
         calls = {"inside": 0, "outside": 0}
-        for module, where in ((select_sdr, "inside"), (measure, "outside")):
-            f3_values = module.f3_values
-            monkeypatch.setattr(
-                module, "f3_values",
-                lambda *args, where=where, f3_values=f3_values: (
-                    calls.update({where: calls[where] + 1}) or f3_values(*args)
-                ),
-            )
+        rounding = []
+        f3_values = measure.f3_values
+        objective_values = select_sdr.objective_values
+
+        def counted_f3(*args):
+            where = "inside" if rounding else "outside"
+            calls[where] += 1
+            return f3_values(*args)
+
+        def scoring(*args):
+            rounding.append(True)
+            try:
+                return objective_values(*args)
+            finally:
+                rounding.pop()
+
+        monkeypatch.setattr(measure, "f3_values", counted_f3)
+        monkeypatch.setattr(select_sdr, "objective_values", scoring)
         return calls
 
     @pytest.mark.parametrize("algorithm", ["topk", "lp", "ignore-dep"])
