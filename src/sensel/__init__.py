@@ -2,11 +2,11 @@
 
 Submodules
 ----------
-linalg            pseudoinverse, SPD solves, PSD projection
+linalg            pseudoinverse, SPD inverse, PSD projection
 model             scenario data model, the constraint-row matrix
                   (ConstraintRows), JSON I/O, generators
 filter            prediction, updates on the selected rows, selection gains,
-                  the one batched covariance rollout
+                  one posterior step for the update and the batched rollout
 measure           information measures, the per-sensor measure table and
                   the selection objectives, each scored on a batch
 select_separable  top-k selection (greedy rounding of the measure table)

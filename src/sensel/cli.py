@@ -50,16 +50,6 @@ def _resolve_scenario(arg: str) -> Scenario:
     )
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SENSEL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _schedule_json(schedule: SelectionSchedule) -> list[list[int]]:
     return [
         sorted(int(i) for i in np.flatnonzero(schedule.column(n)))
@@ -208,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     for p in (p_sim, p_sweep):
         p.add_argument("--runs", type=_int_at_least(1), default=1)
-        p.add_argument("--threads", type=_int_at_least(1), default=_default_threads())
+        # argparse parses a string default too: a bad SENSEL_THREADS exits 2.
+        p.add_argument("--threads", type=_int_at_least(1),
+                       default=os.environ.get("SENSEL_THREADS") or str(os.cpu_count() or 1))
     return parser
 
 

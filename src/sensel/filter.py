@@ -2,10 +2,10 @@
 
 Two equivalent update forms are provided: the gain form, which applies the
 Moore-Penrose pseudoinverse to the (singular) innovation covariance of the
-masked measurement stack, and the information form, which inverts only the
-noise blocks of the selected sensors.  Their agreement is the core
-correctness property of this module and is enforced by the test suite.
-All functions are pure; covariances are re-symmetrized after every update.
+masked measurement stack, and the information form, whose :func:`posterior`
+step the f1/f2 rollout shares.  Their agreement is enforced by the test
+suite.  All functions are pure; covariances are re-symmetrized after every
+update.
 
 Every step's joint stack has one row layout: ``noise.labels`` names the
 sensor of each row and ``scenario.h_stacks[n]`` holds the rows of H, so
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidMatrix
+from .errors import InvalidMatrix, NotPositiveDefinite
 from .model import DynamicSystem, NoiseModel, Scenario
 
 
@@ -101,22 +101,32 @@ def update_kalman(state_pred: FilterState, meas: StackedMeasurement) -> FilterSt
     return FilterState(x=x, p=p)
 
 
-def update_gif(state_pred: FilterState, meas: StackedMeasurement) -> FilterState:
-    """Measurement update in information form.
+def posterior(p_prior, gains) -> np.ndarray:
+    """Symmetrized posterior (P^-1 + G)^-1 of a prior P, or of a stack of
+    them, and symmetric gains G.  One Cholesky factor P = L L' tests the
+    prior (NotPositiveDefinite) and gives L (I + L' G L)^-1 L', whose inner
+    matrix has every eigenvalue >= 1 (Anderson and Moore 1979)."""
+    try:
+        low = np.linalg.cholesky(p_prior)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("prior covariance is not positive definite") from None
+    low_t = np.swapaxes(low, -1, -2)
+    inner = np.eye(low.shape[-1]) + low_t @ gains @ low
+    # b of a's full shape: numpy < 2.0 reads a b one dimension short as vectors.
+    return linalg.symmetrize(low @ np.linalg.solve(inner, np.broadcast_to(low_t, inner.shape)))
 
-    Equivalent to :func:`update_kalman`; the pseudoinverse of the masked
-    noise covariance reduces to inverting the selected sensors' block, so
-    only the selected rows of ``h``, ``r`` and ``z`` are read.
-    """
+
+def update_gif(state_pred: FilterState, meas: StackedMeasurement) -> FilterState:
+    """Measurement update in information form, equivalent to
+    :func:`update_kalman`: it reads only the selected rows of ``h``, ``r``
+    and ``z``, takes :func:`row_gains`'s gain on a batch of one and the
+    rollout's :func:`posterior`, and moves x by P H' R^-1 (z - H x)."""
     sel = meas.row_mask
     if not np.any(sel):
         return state_pred
-    info_pred = linalg.inv_spd(state_pred.p)
-    h_sel = meas.h[sel]
-    r_inv = linalg.inv_spd(meas.r[np.ix_(sel, sel)])
-    gain = h_sel.T @ r_inv @ h_sel
-    p = linalg.inv_spd(info_pred + gain)
-    x = p @ (info_pred @ state_pred.x + h_sel.T @ (r_inv @ meas.z[sel]))
+    h, r = meas.h[sel], meas.r[np.ix_(sel, sel)]
+    p = posterior(state_pred.p, linalg.symmetrize(h.T[None] @ np.linalg.solve(r[None], h[None])))[0]
+    x = state_pred.x + p @ (h.T @ np.linalg.solve(r, meas.z[sel] - h @ state_pred.x))
     return FilterState(x=x, p=p)
 
 
@@ -161,18 +171,17 @@ def covariance_rollout(scenario: Scenario, step_gains) -> list[np.ndarray]:
     """Posterior covariances over the horizon of a batch of schedules.
 
     Covariance evolution does not depend on measurement values, so this is
-    deterministic: starting from ``scenario.p0``, each step predicts, adds
-    its information gains and inverts back.  ``step_gains`` holds each
-    step's (B, r, r) stack of symmetric selection gains, one per schedule;
-    the result holds each step's (B, r, r) posterior covariances.
+    deterministic: from ``scenario.p0``, each step predicts and takes the
+    :func:`posterior` that :func:`update_gif` takes.  ``step_gains`` holds
+    each step's (B, r, r) stack of symmetric selection gains, one per
+    schedule; the result holds each step's (B, r, r) posterior covariances.
     """
     system = scenario.system
     p = linalg.symmetrize(np.asarray(scenario.p0, dtype=float))
     out = []
     for n, gains in enumerate(step_gains):
         f = system.f_at(n)
-        p_pred = linalg.symmetrize(f @ p @ f.T + system.q_at(n))
-        p = linalg.inv_spd(linalg.inv_spd(p_pred) + gains)
+        p = posterior(linalg.symmetrize(f @ p @ f.T + system.q_at(n)), gains)
         out.append(p)
     return out
 

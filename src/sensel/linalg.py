@@ -63,17 +63,16 @@ def pinv(a: np.ndarray) -> np.ndarray:
 
 
 def inv_spd(a: np.ndarray) -> np.ndarray:
-    """Inverse of a positive definite matrix, or of each of a stack of
-    them, symmetrized; ``a`` is symmetrized first and one Cholesky
-    factorization tests it."""
+    """Inverse of a positive definite matrix, symmetrized; ``a`` is
+    symmetrized first and one Cholesky factorization tests it."""
     a = symmetrize(check_finite(a, "inv_spd input"), "inv_spd input")
+    if a.ndim != 2:
+        raise InvalidMatrix(f"inv_spd expects a 2-d matrix, got shape {a.shape}")
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("matrix is not positive definite") from None
-    # An identity of a's own shape: numpy before 2.0 reads a b of one
-    # dimension less than a as a stack of vectors.
-    return symmetrize(np.linalg.solve(a, np.broadcast_to(np.eye(a.shape[-1]), a.shape)))
+    return symmetrize(np.linalg.solve(a, np.eye(a.shape[0])))
 
 
 def psd_project(a: np.ndarray, slack: float = PSD_SLACK) -> np.ndarray:

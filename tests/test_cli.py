@@ -272,6 +272,20 @@ class TestThreadsDefault:
         )
         assert args.threads == 2
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_malformed_env_is_a_usage_error(self, monkeypatch, capsys, value):
+        from sensel.cli import build_parser
+
+        monkeypatch.setenv("SENSEL_THREADS", value)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["simulate", "x.json", "--algo", "topk"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["simulate", "x.json", "--algo", "topk", "--threads", "2"]
+        )
+        assert args.threads == 2
+
 
 class TestSimulate:
     def test_csv_written(self, small_scenario_path, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sensel import linalg, measure, model
+from sensel.errors import NotPositiveDefinite
 from sensel.filter import (
     FilterState,
     covariance_rollout,
@@ -100,10 +101,12 @@ class TestUpdates:
 
     @pytest.mark.parametrize("name", ["example4", "example7"])
     def test_information_update_reads_the_selected_rows(self, name, rng):
-        """Bit for bit the information update written out from the selected
+        """Bit for bit the posterior step written out from the selected
         rows of ``r_full`` and ``h_stacks[step]``, under a jammer's
-        correlated noise (example4) and per-step distance noise (example7).
-        The simulator's CSVs rest on these bits."""
+        correlated noise (example4) and per-step distance noise (example7):
+        the gain H' R^-1 H by one solve on a batch of one, P = L (I + L' G
+        L)^-1 L' from the prior's Cholesky factor, and x moved by P H' R^-1
+        times the innovation.  The simulator's CSVs rest on these bits."""
         scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
         noise_seq = planning_noise(scenario)
         r = scenario.state_dim
@@ -116,12 +119,28 @@ class TestUpdates:
             out = update_gif(state, stack_measurement(scenario, noise, gamma, step=n, z=z))
             rows = np.flatnonzero(np.repeat(gamma, noise.block_sizes))
             h = scenario.h_stacks[n][rows]
-            r_inv = linalg.inv_spd(noise.r_full[np.ix_(rows, rows)])
-            info_pred = linalg.inv_spd(state.p)
-            p = linalg.inv_spd(info_pred + h.T @ r_inv @ h)
-            x = p @ (info_pred @ state.x + h.T @ (r_inv @ z[rows]))
+            r_sel = noise.r_full[np.ix_(rows, rows)]
+            gain = linalg.symmetrize(h.T[None] @ np.linalg.solve(r_sel[None], h[None]))
+            low = np.linalg.cholesky(state.p)
+            inner = np.eye(r) + low.T @ gain @ low
+            p = linalg.symmetrize(low @ np.linalg.solve(inner, low.T[None]))[0]
+            x = state.x + p @ (h.T @ np.linalg.solve(r_sel, z[rows] - h @ state.x))
             assert np.array_equal(out.p, p)
             assert np.array_equal(out.x, x)
+
+    def test_prior_not_positive_definite_raises(self, rng, monkeypatch):
+        """An indefinite prior is a typed error in the filter update and in
+        the rollout, which share the posterior step.  A loaded scenario's
+        P0 and Q are positive definite, so the rollout is handed a negative
+        Q."""
+        scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
+        meas = stack_measurement(scenario, scenario.noise, [1, 1, 1])
+        with pytest.raises(NotPositiveDefinite):
+            update_gif(FilterState(x=np.zeros(2), p=np.diag([1.0, -1.0])), meas)
+        gains = step_gains(scenario, np.ones((2, 1, 3)), scenario.noise_sequence())
+        monkeypatch.setattr(model.DynamicSystem, "q_at", lambda self, n: -1e3 * np.eye(2))
+        with pytest.raises(NotPositiveDefinite):
+            covariance_rollout(scenario, gains)
 
 
 class TestEquivalence:
@@ -248,6 +267,36 @@ class TestRollout:
                     meas = stack_measurement(scenario, noise_seq[n], gamma[n], step=n)
                     state = update_kalman(predict(state, scenario.system, n), meas)
                     np.testing.assert_allclose(covs[n][b], state.p, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["example4", "example7", None])
+    def test_filter_steps_equal_the_rollout(self, name, rng):
+        """``predict`` + ``update_gif`` over a feasible schedule gives, step
+        by step, bit for bit the covariance that ``covariance_rollout``
+        scores for it: example4's and example7's planning noise, and random
+        scenarios with a new H at every step.  Every step selects at least
+        one sensor."""
+        if name is None:
+            cases = [per_step_h_scenario(rng, num_sensors=int(rng.integers(2, 6)))
+                     for _ in range(10)]
+        else:
+            cases = [model.load_scenario(f"src/sensel/scenarios/{name}.json")] * 10
+        for scenario in cases:
+            noise_seq = planning_noise(scenario) if name else scenario.noise_sequence()
+            constraints = scenario.constraints
+            budget = np.array(constraints.energy or [scenario.horizon] * scenario.num_sensors)
+            gamma = np.zeros((scenario.horizon, scenario.num_sensors), dtype=np.int8)
+            for n, m in enumerate(constraints.per_step):
+                pick = rng.choice(np.flatnonzero(budget > 0), size=m, replace=False)
+                gamma[n, pick] = 1
+                budget[pick] -= 1
+            assert gamma.any(axis=1).all()
+            assert model.SelectionSchedule.build(gamma.T).satisfies(constraints)
+            covs = covariance_rollout(scenario, step_gains(scenario, gamma[None], noise_seq))
+            state = FilterState(x=scenario.x0, p=scenario.p0)
+            for n in range(scenario.horizon):
+                meas = stack_measurement(scenario, noise_seq[n], gamma[n], step=n)
+                state = update_gif(predict(state, scenario.system, n), meas)
+                assert np.array_equal(state.p, covs[n][0]), n
 
     def test_batch_equals_its_one_schedule_calls(self, rng):
         """A batch's covariances and f1, f2 and f3 values are bit for bit
