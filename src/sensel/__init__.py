@@ -5,8 +5,8 @@ Submodules
 linalg            pseudoinverse, SPD inverse, PSD projection
 model             scenario data model, the constraint-row matrix
                   (ConstraintRows), JSON I/O, generators
-filter            prediction, updates on the selected rows, selection gains,
-                  one posterior step for the update and the batched rollout
+filter            prediction, the masked-stack and selected-row updates,
+                  selection gains, one posterior step for update and rollout
 measure           information measures, the per-sensor measure table and
                   the selection objectives, each scored on a batch
 select_separable  top-k selection (greedy rounding of the measure table)

@@ -1,11 +1,12 @@
 """State estimation under sensor selection.
 
-Two equivalent update forms are provided: the gain form, which applies the
-Moore-Penrose pseudoinverse to the (singular) innovation covariance of the
-masked measurement stack, and the information form, whose :func:`posterior`
-step the f1/f2 rollout shares.  Their agreement is enforced by the test
-suite.  All functions are pure; covariances are re-symmetrized after every
-update.
+Two equivalent update forms take a step's 0/1 selection column and raw
+all-sensor measurement: the gain form, which applies the Moore-Penrose
+pseudoinverse to the (singular) innovation covariance of the masked stack
+(:func:`masked_model`), and the information form, which reads only the
+selected rows and whose :func:`posterior` step the f1/f2 rollout shares.
+Their agreement is enforced by the test suite.  All functions are pure;
+covariances are re-symmetrized after every update.
 
 Every step's joint stack has one row layout: ``noise.labels`` names the
 sensor of each row and ``scenario.h_stacks[n]`` holds the rows of H, so
@@ -31,51 +32,6 @@ class FilterState:
     p: np.ndarray
 
 
-@dataclass(frozen=True)
-class StackedMeasurement:
-    """One step's all-sensor stack: ``h`` and ``r`` are the step's
-    ``scenario.h_stacks[step]`` and ``noise.r_full`` by reference,
-    ``row_mask`` flags the selected sensors' rows and ``z`` is zero on the
-    others.  The gain form's masked ``h_tilde`` and ``r_tilde`` (the model
-    on selected rows and columns, zero elsewhere) are built when read.
-    """
-
-    z: np.ndarray
-    row_mask: np.ndarray
-    h: np.ndarray
-    r: np.ndarray
-
-    @property
-    def h_tilde(self) -> np.ndarray:
-        return np.where(self.row_mask[:, None], self.h, 0.0)
-
-    @property
-    def r_tilde(self) -> np.ndarray:
-        return np.where(np.outer(self.row_mask, self.row_mask), self.r, 0.0)
-
-
-def stack_measurement(
-    scenario: Scenario, noise: NoiseModel, gamma_col, step: int = 0, z=None
-) -> StackedMeasurement:
-    """The stack for one step's selection column.
-
-    ``z`` carries raw per-sensor measurements for the full stack; they are
-    masked here.  Omitted ``z`` yields a zero vector (enough for covariance
-    work).
-    """
-    gamma = np.asarray(gamma_col).astype(bool)
-    if gamma.shape != (scenario.num_sensors,):
-        raise InvalidMatrix("selection column length does not match sensors")
-    row_mask = gamma[noise.labels]
-    if z is None:
-        z_masked = np.zeros(noise.dim)
-    else:
-        z_masked = np.where(row_mask, np.asarray(z, dtype=float), 0.0)
-    return StackedMeasurement(
-        z=z_masked, row_mask=row_mask, h=scenario.h_stacks[step], r=noise.r_full
-    )
-
-
 def predict(state: FilterState, system: DynamicSystem, step: int = 0) -> FilterState:
     """Time update: x <- F x, P <- F P F' + Q."""
     f = system.f_at(step)
@@ -86,17 +42,29 @@ def predict(state: FilterState, system: DynamicSystem, step: int = 0) -> FilterS
     )
 
 
-def update_kalman(state_pred: FilterState, meas: StackedMeasurement) -> FilterState:
-    """Measurement update in gain form.
+def masked_model(scenario: Scenario, noise: NoiseModel, column, step: int = 0):
+    """The gain form's masked all-sensor model of one selection column:
+    the row mask, and H and R kept on the selected rows (and, for R,
+    columns) and zero elsewhere."""
+    mask = _selected(scenario, column)[noise.labels]
+    h = np.where(mask[:, None], scenario.h_stacks[step], 0.0)
+    return mask, h, np.where(np.outer(mask, mask), noise.r_full, 0.0)
+
+
+def update_kalman(
+    state_pred: FilterState, scenario: Scenario, noise: NoiseModel, column, z, step: int = 0
+) -> FilterState:
+    """Measurement update in gain form, on the all-sensor stack masked to
+    the selected rows of the raw measurement ``z``.
 
     The innovation covariance of the masked stack is rank-deficient
     whenever some sensors are unselected, so the gain uses its
     pseudoinverse instead of an inverse.
     """
-    h = meas.h_tilde
-    s = h @ state_pred.p @ h.T + meas.r_tilde
+    mask, h, r = masked_model(scenario, noise, column, step)
+    s = h @ state_pred.p @ h.T + r
     k = state_pred.p @ h.T @ linalg.pinv(linalg.symmetrize(s))
-    x = state_pred.x + k @ (meas.z - h @ state_pred.x)
+    x = state_pred.x + k @ (np.where(mask, z, 0.0) - h @ state_pred.x)
     p = linalg.symmetrize((np.eye(state_pred.p.shape[0]) - k @ h) @ state_pred.p)
     return FilterState(x=x, p=p)
 
@@ -116,17 +84,20 @@ def posterior(p_prior, gains) -> np.ndarray:
     return linalg.symmetrize(low @ np.linalg.solve(inner, np.broadcast_to(low_t, inner.shape)))
 
 
-def update_gif(state_pred: FilterState, meas: StackedMeasurement) -> FilterState:
+def update_gif(
+    state_pred: FilterState, scenario: Scenario, noise: NoiseModel, column, z, step: int = 0
+) -> FilterState:
     """Measurement update in information form, equivalent to
-    :func:`update_kalman`: it reads only the selected rows of ``h``, ``r``
-    and ``z``, takes :func:`row_gains`'s gain on a batch of one and the
-    rollout's :func:`posterior`, and moves x by P H' R^-1 (z - H x)."""
-    sel = meas.row_mask
-    if not np.any(sel):
-        return state_pred
-    h, r = meas.h[sel], meas.r[np.ix_(sel, sel)]
-    p = posterior(state_pred.p, linalg.symmetrize(h.T[None] @ np.linalg.solve(r[None], h[None])))[0]
-    x = state_pred.x + p @ (h.T @ np.linalg.solve(r, meas.z[sel] - h @ state_pred.x))
+    :func:`update_kalman`: it reads only the selected rows of the step's
+    H, of the noise (:meth:`NoiseModel.entries`) and of the raw
+    measurement ``z``, takes :func:`row_gains`'s gain on a batch of one
+    and the rollout's :func:`posterior`, and moves x by P H' R^-1 (z - H x).
+    An empty selection takes the posterior of a zero gain."""
+    rows = np.flatnonzero(_selected(scenario, column)[noise.labels])
+    h = scenario.h_stacks[step][rows]
+    p = posterior(state_pred.p, linalg.symmetrize(row_gains(scenario, noise, rows[None], step)))[0]
+    r = noise.entries(rows[None])[0]
+    x = state_pred.x + p @ (h.T @ np.linalg.solve(r, np.asarray(z)[rows] - h @ state_pred.x))
     return FilterState(x=x, p=p)
 
 

@@ -224,7 +224,7 @@ class NoiseModel:
     sensors' own blocks (``base_blocks`` and no active jammer) is checked,
     and its entries read (:meth:`entries`), from its blocks, so it
     assembles the dense matrix only for a reader that needs it: ``r_inv``,
-    ``r_chol``, the gain-form measurement stack and :func:`distance_noise`.
+    ``r_chol``, the gain-form reference update and :func:`distance_noise`.
     Every other model assembles it when it is made.  The properties below
     are cached: each is computed on first read, once per noise model.
     """

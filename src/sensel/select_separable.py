@@ -12,8 +12,8 @@ rows and the f1/f2 covariance recursion (:func:`filter.covariance_rollout`,
 read by :func:`measure.rollout_values`) with the solvers' scorer, and
 calls no solver, rounder or f3 evaluator.  The recursion's own reference
 is the gain-form filter: the test suite checks the batched rollout against
-``predict`` and ``update_kalman`` on the masked stack, schedule by
-schedule.
+``predict`` and ``update_kalman``, which masks the all-sensor stack to
+each step's selection, schedule by schedule.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Monte Carlo harness: truth generation, measurement synthesis, closed-loop
 selection plus filtering, and RMSE aggregation.
 
+Each step draws every sensor's raw measurement; the filter reads the
+selected sensors' rows of it.
+
 Randomness comes from counter-based Philox streams derived per run from the
 master seed, so results are reproducible across platforms and independent
 of worker scheduling.  Monte Carlo runs are embarrassingly parallel; the
@@ -17,9 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ScenarioError
-from .filter import FilterState, StackedMeasurement, predict, stack_measurement, update_gif
+from .filter import FilterState, predict, update_gif
 from .measure import objective_f3
-from .model import Scenario, SelectionSchedule, apply_jammer
+from .model import Scenario, apply_jammer
 from .plan import ALGORITHMS, Plan, planning_noise, prepare
 
 SWEEP_PARAMS = ("jammer_power", "m_per_step", "s_count")
@@ -85,28 +88,21 @@ def simulate_truth(scenario: Scenario, n_steps: int, seed) -> np.ndarray:
     return np.array(out)
 
 
-def simulate_measurements(
-    truth: np.ndarray,
-    scenario: Scenario,
-    schedule: SelectionSchedule,
-    seed,
-    noise_seq=None,
-) -> list[StackedMeasurement]:
-    """Masked measurement stacks for steps 1..N of a truth trajectory.
+def simulate_measurements(truth: np.ndarray, scenario: Scenario, seed, noise_seq=None) -> np.ndarray:
+    """Raw all-sensor measurements for steps 1..N of a truth trajectory,
+    as an (N, dim) array.
 
-    The joint noise vector is drawn from the full (possibly correlated)
-    covariance first and masked afterwards, so cross-sensor correlation
-    survives the selection.
+    Every step's joint noise vector is drawn from the full (possibly
+    correlated) covariance, so cross-sensor correlation survives whatever
+    selection the filter reads.
     """
     rng = _rng(seed)
     if noise_seq is None:
         noise_seq = scenario.noise_sequence()
-    out = []
-    for n in range(schedule.horizon):
+    out = np.empty((len(truth) - 1, scenario.noise.dim))
+    for n, x in enumerate(truth[1:]):
         noise = noise_seq[n]
-        z_full = scenario.h_stacks[n] @ truth[n + 1]
-        z_full = z_full + noise.r_chol @ rng.standard_normal(noise.dim)
-        out.append(stack_measurement(scenario, noise, schedule.column(n), step=n, z=z_full))
+        out[n] = scenario.h_stacks[n] @ x + noise.r_chol @ rng.standard_normal(noise.dim)
     return out
 
 
@@ -133,16 +129,14 @@ def _single_run(config: RunConfig, plan: Plan, run: int, f3: float | None):
     else:
         schedule = plan.schedule
     truth = simulate_truth(scenario, horizon, _run_seed(config.seed, run, 1))
-    measurements = simulate_measurements(
-        truth, scenario, schedule, _run_seed(config.seed, run, 2), noise_seq
-    )
+    z = simulate_measurements(truth, scenario, _run_seed(config.seed, run, 2), noise_seq)
     pos = list(scenario.position_indices)
     state = FilterState(x=np.asarray(scenario.x0), p=np.asarray(scenario.p0))
     sq_err = np.zeros(horizon)
     trace_p = np.zeros(horizon)
     for n in range(horizon):
         state = predict(state, scenario.system, step=n)
-        state = update_gif(state, measurements[n])
+        state = update_gif(state, scenario, noise_seq[n], schedule.column(n), z[n], step=n)
         err = state.x[pos] - truth[n + 1][pos]
         sq_err[n] = float(err @ err)
         trace_p[n] = float(np.trace(state.p))

@@ -14,7 +14,6 @@ import numpy as np
 from sensel import linalg, measure, model
 from sensel.filter import (
     FilterState,
-    stack_measurement,
     update_gif,
     update_kalman,
 )
@@ -71,9 +70,8 @@ def test_c1_update_equivalence():
             x=rng.normal(size=state_dim), p=rand_spd(state_dim, rng)
         )
         z = rng.normal(size=scenario.noise.dim)
-        meas = stack_measurement(scenario, scenario.noise, gamma, z=z)
-        a = update_kalman(state, meas)
-        b = update_gif(state, meas)
+        a = update_kalman(state, scenario, scenario.noise, gamma, z)
+        b = update_gif(state, scenario, scenario.noise, gamma, z)
         worst_x = max(
             worst_x,
             np.linalg.norm(a.x - b.x) / (1.0 + np.linalg.norm(a.x)),

@@ -235,22 +235,17 @@ class TestOnePlanner:
         out = tmp_path / "sel.json"
         argv = [str(path), "--algo", algo, "--objective", "f1"]
         assert main(["select", *argv, "--out", str(out)]) == 0
-        simulated = []
-        original = sim.simulate_measurements
+        filtered = []
+        original = sim.update_gif
 
-        def recording(truth, scenario, schedule, *rest):
-            simulated.append(schedule)
-            return original(truth, scenario, schedule, *rest)
+        def recording(state, scenario, noise, column, *rest, **kw):
+            filtered.append(np.flatnonzero(column).tolist())
+            return original(state, scenario, noise, column, *rest, **kw)
 
-        monkeypatch.setattr(sim, "simulate_measurements", recording)
+        monkeypatch.setattr(sim, "update_gif", recording)
         assert main(["simulate", *argv, "--runs", "2", "--threads", "1"]) == 0
         selected = json.loads(out.read_text())["schedule"]
-        assert len(simulated) == 2
-        for schedule in simulated:
-            assert [
-                np.flatnonzero(schedule.column(n)).tolist()
-                for n in range(schedule.horizon)
-            ] == selected
+        assert filtered == selected * 2
 
 
 class TestThreadsDefault:

@@ -9,8 +9,9 @@ from sensel.errors import NotPositiveDefinite
 from sensel.filter import (
     FilterState,
     covariance_rollout,
+    masked_model,
+    posterior,
     predict,
-    stack_measurement,
     update_gif,
     update_kalman,
 )
@@ -62,23 +63,43 @@ class TestPredict:
 
 class TestUpdates:
     def test_empty_selection_is_noop_both_forms(self, rng):
+        """No selected sensor leaves x as it is.  The gain form leaves P
+        too; the information form takes the posterior of a zero gain, the
+        rollout's step, which is P to rounding."""
         scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
         state = FilterState(x=rng.normal(size=2), p=rand_spd(2, rng))
-        meas = stack_measurement(
-            scenario, scenario.noise, [0, 0, 0], z=rng.normal(size=scenario.noise.dim)
-        )
-        for updater in (update_kalman, update_gif):
-            out = updater(state, meas)
-            np.testing.assert_array_equal(out.x, state.x)
-            np.testing.assert_allclose(out.p, state.p, atol=1e-15)
+        z = rng.normal(size=scenario.noise.dim)
+        kalman = update_kalman(state, scenario, scenario.noise, [0, 0, 0], z)
+        gif = update_gif(state, scenario, scenario.noise, [0, 0, 0], z)
+        np.testing.assert_array_equal(kalman.x, state.x)
+        np.testing.assert_array_equal(gif.x, state.x)
+        np.testing.assert_allclose(kalman.p, state.p, atol=1e-15)
+        assert np.array_equal(gif.p, posterior(state.p, np.zeros((1, 2, 2)))[0])
+
+    def test_update_reads_only_the_selected_rows(self, rng):
+        """The information form reads the selected rows of ``z`` and of the
+        noise model only: new values on the unselected rows leave its
+        output bit for bit, and a block-only noise model is read from its
+        blocks, never assembling the dense ``r_full``."""
+        for _ in range(20):
+            scenario = rand_scenario(rng, num_sensors=4, horizon=1, correlated=False)
+            noise = scenario.noise
+            gamma = rng.permutation([1, 0, int(rng.integers(0, 2)), int(rng.integers(0, 2))])
+            state = FilterState(x=rng.normal(size=2), p=rand_spd(2, rng))
+            z = rng.normal(size=noise.dim)
+            moved = np.where(gamma[noise.labels] == 1, z, rng.normal(size=noise.dim))
+            a = update_gif(state, scenario, noise, gamma, z)
+            b = update_gif(state, scenario, noise, gamma, moved)
+            assert np.array_equal(a.x, b.x)
+            assert np.array_equal(a.p, b.p)
+            assert "r_full" not in vars(noise)
 
     def test_scalar_posterior_half(self):
         """Unit prior, unit noise, scalar measurement: posterior variance 1/2."""
         scenario = scalar_setup()
         state = FilterState(x=np.array([0.0]), p=np.array([[1.0]]))
-        meas = stack_measurement(scenario, scenario.noise, [1], z=np.array([1.0]))
         for updater in (update_kalman, update_gif):
-            out = updater(state, meas)
+            out = updater(state, scenario, scenario.noise, [1], np.array([1.0]))
             np.testing.assert_allclose(out.p, [[0.5]], atol=1e-12)
             np.testing.assert_allclose(out.x, [0.5], atol=1e-12)
 
@@ -89,13 +110,12 @@ class TestUpdates:
         dim = scenario.noise.dim
         state = FilterState(x=rng.normal(size=2), p=rand_spd(2, rng))
         z = rng.normal(size=dim)
-        meas = stack_measurement(scenario, scenario.noise, [1, 1, 1], z=z)
         h = np.vstack([s.h_at(0) for s in scenario.sensors])
         r = scenario.noise.r_full
         info = np.linalg.inv(state.p) + h.T @ np.linalg.inv(r) @ h
         p_ref = np.linalg.inv(info)
         x_ref = p_ref @ (np.linalg.inv(state.p) @ state.x + h.T @ np.linalg.inv(r) @ z)
-        out = update_kalman(state, meas)
+        out = update_kalman(state, scenario, scenario.noise, [1, 1, 1], z)
         np.testing.assert_allclose(out.p, p_ref, atol=1e-10)
         np.testing.assert_allclose(out.x, x_ref, atol=1e-10)
 
@@ -116,7 +136,7 @@ class TestUpdates:
             gamma[int(rng.integers(scenario.num_sensors))] = 1
             state = FilterState(x=rng.normal(size=r), p=rand_spd(r, rng))
             z = rng.normal(size=noise.dim)
-            out = update_gif(state, stack_measurement(scenario, noise, gamma, step=n, z=z))
+            out = update_gif(state, scenario, noise, gamma, z, step=n)
             rows = np.flatnonzero(np.repeat(gamma, noise.block_sizes))
             h = scenario.h_stacks[n][rows]
             r_sel = noise.r_full[np.ix_(rows, rows)]
@@ -134,9 +154,9 @@ class TestUpdates:
         P0 and Q are positive definite, so the rollout is handed a negative
         Q."""
         scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
-        meas = stack_measurement(scenario, scenario.noise, [1, 1, 1])
+        prior = FilterState(x=np.zeros(2), p=np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefinite):
-            update_gif(FilterState(x=np.zeros(2), p=np.diag([1.0, -1.0])), meas)
+            update_gif(prior, scenario, scenario.noise, [1, 1, 1], np.zeros(scenario.noise.dim))
         gains = step_gains(scenario, np.ones((2, 1, 3)), scenario.noise_sequence())
         monkeypatch.setattr(model.DynamicSystem, "q_at", lambda self, n: -1e3 * np.eye(2))
         with pytest.raises(NotPositiveDefinite):
@@ -157,9 +177,8 @@ class TestEquivalence:
             gamma = rng.integers(0, 2, size=num)
             state = FilterState(x=rng.normal(size=r), p=rand_spd(r, rng))
             z = rng.normal(size=scenario.noise.dim)
-            meas = stack_measurement(scenario, scenario.noise, gamma, z=z)
-            a = update_kalman(state, meas)
-            b = update_gif(state, meas)
+            a = update_kalman(state, scenario, scenario.noise, gamma, z)
+            b = update_gif(state, scenario, scenario.noise, gamma, z)
             x_scale = 1.0 + np.linalg.norm(a.x)
             p_scale = np.linalg.norm(a.p)
             assert np.linalg.norm(a.x - b.x) <= 1e-8 * x_scale, trial
@@ -183,12 +202,9 @@ class TestMonotonicity:
             extra = gamma.copy()
             extra[off[int(rng.integers(0, len(off)))]] = 1
             state = FilterState(x=np.zeros(r), p=rand_spd(r, rng))
-            p_small = update_gif(
-                state, stack_measurement(scenario, scenario.noise, gamma)
-            ).p
-            p_large = update_gif(
-                state, stack_measurement(scenario, scenario.noise, extra)
-            ).p
+            z = np.zeros(scenario.noise.dim)
+            p_small = update_gif(state, scenario, scenario.noise, gamma, z).p
+            p_large = update_gif(state, scenario, scenario.noise, extra, z).p
             assert linalg.min_eigenvalue(p_small - p_large) >= -1e-9
 
 
@@ -229,10 +245,8 @@ class TestRollout:
         for _ in range(30):
             scenario = rand_scenario(rng, num_sensors=4, horizon=1, correlated=True)
             gamma = rng.integers(0, 2, size=4)
-            meas = stack_measurement(scenario, scenario.noise, gamma)
-            reference = (
-                meas.h_tilde.T @ linalg.pinv(meas.r_tilde) @ meas.h_tilde
-            )
+            _, h, r = masked_model(scenario, scenario.noise, gamma)
+            reference = h.T @ linalg.pinv(r) @ h
             gain = selection_gain(scenario, scenario.noise, gamma)
             np.testing.assert_allclose(gain, reference, atol=1e-9)
 
@@ -264,8 +278,9 @@ class TestRollout:
             for b, gamma in enumerate(gammas):
                 state = FilterState(x=scenario.x0, p=scenario.p0)
                 for n in range(3):
-                    meas = stack_measurement(scenario, noise_seq[n], gamma[n], step=n)
-                    state = update_kalman(predict(state, scenario.system, n), meas)
+                    z = np.zeros(scenario.noise.dim)
+                    state = predict(state, scenario.system, n)
+                    state = update_kalman(state, scenario, noise_seq[n], gamma[n], z, step=n)
                     np.testing.assert_allclose(covs[n][b], state.p, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("name", ["example4", "example7", None])
@@ -273,8 +288,9 @@ class TestRollout:
         """``predict`` + ``update_gif`` over a feasible schedule gives, step
         by step, bit for bit the covariance that ``covariance_rollout``
         scores for it: example4's and example7's planning noise, and random
-        scenarios with a new H at every step.  Every step selects at least
-        one sensor."""
+        scenarios with a new H at every step.  Over three or more steps the
+        schedule with its middle step emptied is checked too: an empty step
+        takes the posterior of a zero gain in both."""
         if name is None:
             cases = [per_step_h_scenario(rng, num_sensors=int(rng.integers(2, 6)))
                      for _ in range(10)]
@@ -291,12 +307,19 @@ class TestRollout:
                 budget[pick] -= 1
             assert gamma.any(axis=1).all()
             assert model.SelectionSchedule.build(gamma.T).satisfies(constraints)
-            covs = covariance_rollout(scenario, step_gains(scenario, gamma[None], noise_seq))
-            state = FilterState(x=scenario.x0, p=scenario.p0)
-            for n in range(scenario.horizon):
-                meas = stack_measurement(scenario, noise_seq[n], gamma[n], step=n)
-                state = update_gif(predict(state, scenario.system, n), meas)
-                assert np.array_equal(state.p, covs[n][0]), n
+            gammas = gamma[None]
+            if scenario.horizon >= 3:
+                emptied = gamma.copy()
+                emptied[scenario.horizon // 2] = 0
+                gammas = np.stack([gamma, emptied])
+            covs = covariance_rollout(scenario, step_gains(scenario, gammas, noise_seq))
+            z = np.zeros(scenario.noise.dim)
+            for b, schedule in enumerate(gammas):
+                state = FilterState(x=scenario.x0, p=scenario.p0)
+                for n in range(scenario.horizon):
+                    state = predict(state, scenario.system, n)
+                    state = update_gif(state, scenario, noise_seq[n], schedule[n], z, step=n)
+                    assert np.array_equal(state.p, covs[n][b]), (b, n)
 
     def test_batch_equals_its_one_schedule_calls(self, rng):
         """A batch's covariances and f1, f2 and f3 values are bit for bit

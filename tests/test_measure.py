@@ -10,7 +10,7 @@ import pytest
 
 from sensel import linalg, measure, model
 from sensel.errors import InvalidMatrix, NotPositiveDefinite
-from sensel.filter import selection_gains, stack_measurement
+from sensel.filter import FilterState, masked_model, selection_gains, update_gif, update_kalman
 from sensel.model import SelectionSchedule
 
 from conftest import noise_block, rand_scenario, schedule_rollout, selection_gain, sensor_measure
@@ -46,11 +46,14 @@ class TestGainTrace:
         """A column or schedule of the wrong length is refused; a longer one
         used to be cut to the network and score all nine of example2."""
         scenario = model.load_scenario("src/sensel/scenarios/example2.json")
+        state = FilterState(x=scenario.x0, p=scenario.p0)
+        z = np.zeros(scenario.noise.dim)
         for length in (scenario.num_sensors + 2, scenario.num_sensors - 1):
             with pytest.raises(InvalidMatrix, match="length"):
                 selection_gains(scenario, scenario.noise, [[1] * length])
-            with pytest.raises(InvalidMatrix, match="length"):
-                stack_measurement(scenario, scenario.noise, [1] * length)
+            for update in (update_kalman, update_gif):
+                with pytest.raises(InvalidMatrix, match="length"):
+                    update(state, scenario, scenario.noise, [1] * length, z)
             schedule = SelectionSchedule.build(np.ones((length, scenario.horizon)))
             with pytest.raises(InvalidMatrix, match="length"):
                 measure.objective_f3(schedule, scenario)
@@ -77,11 +80,9 @@ class TestGainTrace:
         for _ in range(30):
             scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
             gamma = rng.integers(0, 2, size=3)
-            meas = stack_measurement(scenario, scenario.noise, gamma)
+            _, h, r = masked_model(scenario, scenario.noise, gamma)
             value = gain_trace(scenario, scenario.noise, gamma)
-            oracle = float(
-                np.trace(meas.h_tilde.T @ linalg.pinv(meas.r_tilde) @ meas.h_tilde)
-            )
+            oracle = float(np.trace(h.T @ linalg.pinv(r) @ h))
             assert value == pytest.approx(oracle, abs=1e-9, rel=1e-9)
 
     def test_scale_inverse_in_noise(self, rng):
@@ -112,10 +113,8 @@ class TestObjectives:
         )
         gamma = rng.integers(0, 2, size=(3, 3))
         schedule = SelectionSchedule.build(gamma)
-        meas = stack_measurement(
-            scenario, scenario.noise, schedule.column(2), step=2
-        )
-        expected = np.trace(meas.h_tilde.T @ linalg.pinv(meas.r_tilde) @ meas.h_tilde)
+        _, h, r = masked_model(scenario, scenario.noise, schedule.column(2), step=2)
+        expected = np.trace(h.T @ linalg.pinv(r) @ h)
         assert measure.objective_f3(schedule, scenario) == pytest.approx(expected)
 
     def test_f2_is_average_of_rollout(self, rng):

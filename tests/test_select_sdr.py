@@ -10,7 +10,7 @@ import pytest
 
 from sensel import linalg, measure, model
 from sensel.errors import NotConverged, RoundingInfeasible
-from sensel.filter import stack_measurement
+from sensel.filter import masked_model
 from sensel.plan import planning_noise
 from sensel.select_lp import build_lp
 from sensel.select_sdr import (
@@ -189,8 +189,8 @@ class TestBuildBqp:
             bqp = build_bqp(scenario)
             gamma = rng.integers(0, 2, size=num).astype(float)
             t_full = np.linalg.inv(scenario.noise.r_full)
-            meas = stack_measurement(scenario, scenario.noise, gamma)
-            expected = float(np.trace(meas.h_tilde.T @ t_full @ meas.h_tilde))
+            _, h, _ = masked_model(scenario, scenario.noise, gamma)
+            expected = float(np.trace(h.T @ t_full @ h))
             quad = -float(gamma @ bqp.b_blocks[0] @ gamma)
             assert quad == pytest.approx(expected, abs=1e-9, rel=1e-9)
 

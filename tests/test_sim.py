@@ -8,9 +8,6 @@ import pytest
 
 from sensel import model
 from sensel.errors import ScenarioError
-from sensel.filter import StackedMeasurement, stack_measurement
-from sensel.model import SelectionSchedule
-from sensel.plan import planning_noise
 from sensel.sim import (
     RunConfig,
     run_closed_loop,
@@ -71,15 +68,6 @@ class TestSimulateTruth:
 
 
 class TestSimulateMeasurements:
-    def test_unselected_blocks_zero(self, rng):
-        scenario = tiny_tracking_scenario()
-        schedule = SelectionSchedule.build([[1, 0], [0, 0], [0, 1]])
-        truth = simulate_truth(scenario, 2, seed=1)
-        out = simulate_measurements(truth, scenario, schedule, seed=2)
-        assert np.all(out[0].z[2:] == 0.0)
-        assert np.all(out[0].z[:2] != 0.0)
-        assert np.all(out[1].z[:4] == 0.0)
-
     def test_noiseless_limit_reproduces_h_x(self):
         scenario = tiny_tracking_scenario()
         scaled = model.NoiseModel.build(
@@ -89,14 +77,14 @@ class TestSimulateMeasurements:
         import dataclasses
 
         quiet = dataclasses.replace(scenario, noise=scaled)
-        schedule = SelectionSchedule.build(np.ones((3, 2), dtype=np.int8))
         truth = simulate_truth(quiet, 2, seed=3)
-        out = simulate_measurements(truth, quiet, schedule, seed=4)
+        out = simulate_measurements(truth, quiet, seed=4)
+        assert out.shape == (2, quiet.noise.dim)
         for n in range(2):
             expected = np.concatenate(
                 [s.h_at(n) @ truth[n + 1] for s in quiet.sensors]
             )
-            np.testing.assert_allclose(out[n].z, expected, atol=1e-4)
+            np.testing.assert_allclose(out[n], expected, atol=1e-4)
 
     def test_noiseless_limit_follows_per_step_h(self, rng):
         base = tiny_tracking_scenario()
@@ -109,58 +97,22 @@ class TestSimulateMeasurements:
             model.NoiseModel.build([2] * 3, base_blocks=[1e-12 * np.eye(2)] * 3),
             base.constraints, base.weights, base.x0, base.p0,
         )
-        schedule = SelectionSchedule.build(np.ones((3, 2), dtype=np.int8))
         truth = simulate_truth(quiet, 2, seed=3)
-        out = simulate_measurements(truth, quiet, schedule, seed=4)
+        out = simulate_measurements(truth, quiet, seed=4)
         for n in range(2):
             expected = np.concatenate([s.h_at(n) @ truth[n + 1] for s in sensors])
-            np.testing.assert_allclose(out[n].z, expected, atol=1e-4)
-            np.testing.assert_array_equal(
-                out[n].h_tilde, np.vstack([s.h_at(n) for s in sensors])
-            )
-
-    def test_stack_holds_the_model_by_reference(self):
-        """A step's stack is the step's H and noise covariance themselves,
-        with no network-size copy."""
-        scenario = model.load_scenario("src/sensel/scenarios/example7.json")
-        noise_seq = planning_noise(scenario)
-        gamma = np.ones(scenario.num_sensors, dtype=np.int8)
-        for n in range(scenario.horizon):
-            meas = stack_measurement(scenario, noise_seq[n], gamma, step=n)
-            assert meas.r is noise_seq[n].r_full
-            assert meas.h is scenario.h_stacks[n]
-
-    def test_study_builds_no_masked_stack(self, monkeypatch):
-        """A closed-loop study reads the selected rows only: it never builds
-        the masked ``h_tilde`` or ``r_tilde``."""
-        reads = []
-        for name in ("h_tilde", "r_tilde"):
-            build = vars(StackedMeasurement)[name].fget
-            monkeypatch.setattr(
-                StackedMeasurement, name,
-                property(lambda meas, name=name, build=build: reads.append(name) or build(meas)),
-            )
-        scenario = model.load_scenario("src/sensel/scenarios/example4.json")
-        config = RunConfig(scenario=scenario, algorithm="ignore-dep", runs=2, seed=3)
-        assert np.all(np.isfinite(run_closed_loop(config).rmse))
-        assert reads == []
-        masked = stack_measurement(scenario, scenario.noise, np.ones(scenario.num_sensors)).r_tilde
-        assert reads == ["r_tilde"]
-        assert np.array_equal(masked, scenario.noise.r_full)
+            np.testing.assert_allclose(out[n], expected, atol=1e-4)
 
     def test_jammer_correlation_matches_mixing_structure(self):
         """Empirical cross-sensor covariance over many draws approaches the
         outer-product mixing model."""
         scenario = model.load_scenario("src/sensel/scenarios/example4.json")
-        schedule = SelectionSchedule.build(
-            np.ones((scenario.num_sensors, 1), dtype=np.int8)
-        )
         truth = np.tile(scenario.x0, (2, 1))
         draws = []
         base = np.concatenate([s.h_at(0) @ truth[1] for s in scenario.sensors])
         for seed in range(4000):
-            out = simulate_measurements(truth, scenario, schedule, seed=seed)
-            draws.append(out[0].z - base)
+            out = simulate_measurements(truth, scenario, seed=seed)
+            draws.append(out[0] - base)
         sample_cov = np.cov(np.array(draws).T)
         # compare a sensor pair block against the model; the absolute
         # tolerance is a few sampling standard deviations of a covariance
@@ -243,11 +195,13 @@ class TestNoiseFactor:
         cached = vars(model.NoiseModel)["r_chol"]
         compute = cached.func
         monkeypatch.setattr(cached, "func", lambda noise: computed.append(noise) or compute(noise))
-        stack = sim.stack_measurement
-        monkeypatch.setattr(
-            sim, "stack_measurement",
-            lambda scenario, noise, *args, **kw: used.append(noise) or stack(scenario, noise, *args, **kw),
-        )
+        update = sim.update_gif
+
+        def recording(state, scenario, noise, *rest, **kw):
+            used.append(noise)
+            return update(state, scenario, noise, *rest, **kw)
+
+        monkeypatch.setattr(sim, "update_gif", recording)
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(
             np.linalg, "cholesky", lambda a: orders.append(np.shape(a)[-1]) or cholesky(a)
