@@ -29,7 +29,7 @@ from .errors import (
 from .measure import OBJECTIVES, objective_value
 from .model import Scenario, SelectionSchedule, load_scenario
 from .plan import ALGORITHMS, planning_noise, prepare
-from .select_sdr import bqp_objective, build_bqp, build_sdp, relaxation_bound
+from .select_sdr import bqp_objective
 from .sim import RunConfig, run_closed_loop, sweep, write_results_csv
 
 BUNDLED = tuple(f"example{i}" for i in range(1, 8))
@@ -71,13 +71,11 @@ def cmd_select(args) -> int:
     elif schedule is None:  # sdr: draw the schedule for this seed
         rounded = plan.draw(args.samples, args.seed)
         schedule = rounded.schedule
-        # Rebuild the quadratic problem and its relaxation to certify the draw.
-        bqp = build_bqp(scenario, plan.noise_seq)
         payload = {
             "sdp_objective": plan.sdp_solution.objective,
             "duality_gap": plan.sdp_solution.gap,
-            "relaxation_bound": relaxation_bound(plan.sdp_solution, build_sdp(bqp)),
-            "bqp_objective": bqp_objective(bqp, schedule),
+            "relaxation_bound": plan.bound,
+            "bqp_objective": bqp_objective(plan.bqp, schedule),
             "samples": rounded.samples,
             "best_objective": rounded.objective,
         }

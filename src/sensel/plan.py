@@ -5,8 +5,8 @@ name, with the label the results CSV gives it.  ``prepare`` runs
 everything about planning that does not depend on a random seed and
 returns a :class:`Plan`: a fixed schedule for the deterministic
 algorithms (with the rounding certificate for ``lp``), or for ``sdr`` the
-relaxation solution, from which :meth:`Plan.draw` rounds a schedule per
-seed.
+quadratic problem, its relaxation's solution and lower bound, from which
+:meth:`Plan.draw` rounds a schedule per seed.
 
 The selectors are looked up in this module's globals at call time, never
 kept in a table or a default argument, so rebinding a selector's name
@@ -22,11 +22,13 @@ from .filter import open_loop_predictions
 from .model import Scenario, SelectionSchedule
 from .select_lp import Certificate, build_lp, certify, round_energy, solve_lp
 from .select_sdr import (
+    BqpProblem,
     SdpSolution,
     SdrRounding,
     build_bqp,
     build_sdp,
     randomize_round,
+    relaxation_bound,
     select_ignore_dependence,
     solve_sdp,
 )
@@ -52,7 +54,7 @@ def planning_noise(scenario: Scenario):
 @dataclass(frozen=True)
 class Plan:
     """A prepared selection: ``schedule`` is set for the deterministic
-    algorithms, ``sdp_solution`` for ``sdr``."""
+    algorithms; ``bqp``, ``sdp_solution`` and its ``bound`` for ``sdr``."""
 
     algorithm: str
     objective: str
@@ -61,7 +63,9 @@ class Plan:
     seconds: float
     schedule: SelectionSchedule | None = None
     certificate: Certificate | None = None
+    bqp: BqpProblem | None = None
     sdp_solution: SdpSolution | None = None
+    bound: float | None = None
 
     @property
     def label(self) -> str:
@@ -87,7 +91,7 @@ def prepare(scenario: Scenario, algorithm: str, objective: str, noise_seq) -> Pl
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}")
     started = time.perf_counter()
-    schedule = certificate = solution = None
+    schedule = certificate = bqp = solution = bound = None
     if algorithm == "topk":
         schedule = topk_schedule(scenario, noise_seq)
     elif algorithm == "lp":
@@ -100,12 +104,15 @@ def prepare(scenario: Scenario, algorithm: str, objective: str, noise_seq) -> Pl
     elif algorithm == "exhaustive":
         schedule, _ = exhaustive_opt(scenario, objective, noise_seq=noise_seq)
     else:  # sdr
-        solution = solve_sdp(build_sdp(build_bqp(scenario, noise_seq)))
+        bqp = build_bqp(scenario, noise_seq)
+        sdp = build_sdp(bqp)
+        solution = solve_sdp(sdp)
+        bound = relaxation_bound(solution, sdp)
         # Factor the sampling covariance once, here, so that every draw (and
         # every worker process the plan is shipped to) reuses it.
         _ = solution.sampling_factor
     return Plan(
         algorithm=algorithm, objective=objective, scenario=scenario,
-        noise_seq=noise_seq, seconds=time.perf_counter() - started,
-        schedule=schedule, certificate=certificate, sdp_solution=solution,
+        noise_seq=noise_seq, seconds=time.perf_counter() - started, schedule=schedule,
+        certificate=certificate, bqp=bqp, sdp_solution=solution, bound=bound,
     )

@@ -18,7 +18,9 @@ from the two constraint shapes, a unit-diagonal entry of one block and a
 lifted linear row diag(a_n) + a_n e' + e a_n' summed over the blocks.  Its
 Newton system is never assembled: the unit-diagonal rows of each step form
 one positive definite k x k block W_n∘W_n, which is eliminated step by
-step, leaving one dense system in the p linear rows.
+step, leaving one dense system in the p linear rows.  Each block's scaling
+W_n takes one Cholesky factor and one eigendecomposition, with no SVD and
+no triangular inverse, and its frames give both step lengths at once.
 """
 
 from __future__ import annotations
@@ -267,21 +269,41 @@ def _newton_solve(factors, h: np.ndarray) -> np.ndarray:
     return np.concatenate([dy_lin, (lv_inv.transpose(0, 2, 1) @ back).ravel()])
 
 
-def _max_psd_step(chol_inv: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha with every X_n + alpha*Delta_n still PSD, given the
-    inverses of the factors L_n of X_n = L_n L_n'."""
-    inner = chol_inv @ delta @ chol_inv.transpose(0, 2, 1)
-    lam_min = float(np.linalg.eigvalsh(linalg.symmetrize(inner))[:, 0].min())
-    if lam_min >= 0.0:
-        return np.inf
-    return -1.0 / lam_min
+def _nt_scaling(x: np.ndarray, z: np.ndarray):
+    """Nesterov-Todd scaling of every block pair (X_n, Z_n) from one
+    Cholesky Z = Lz Lz' and one eigendecomposition Lz' X Lz = U Λ² U'.
+    With R = X Lz U Λ^-3/2, whose inverse is Λ^-1/2 U' Lz', R' Z R =
+    R^-1 X R^-T = Λ; so W = R R' satisfies W Z W = X and Z^-1 = R Λ^-1 R'.
+    Returns W, Z^-1 and the (2N, k, k) stack of the primal frames Lz U Λ^-1
+    over the dual frames R Λ^-1/2 that :func:`_psd_step_lengths` reads.
+    Raises LinAlgError when a block of X or Z is not positive definite."""
+    lz = np.linalg.cholesky(z)
+    lam2, u = np.linalg.eigh(lz.transpose(0, 2, 1) @ x @ lz)
+    if not (lam2[:, 0] > 0.0).all():
+        raise np.linalg.LinAlgError("X is not positive definite")
+    lz_u = lz @ u
+    x_lz_u = x @ lz_u
+    r = x_lz_u / lam2[:, None, :] ** 0.75
+    dual = x_lz_u / lam2[:, None, :]
+    frames = np.concatenate([lz_u / np.sqrt(lam2)[:, None, :], dual])
+    return r @ r.transpose(0, 2, 1), dual @ dual.transpose(0, 2, 1), frames
+
+
+def _psd_step_lengths(frames: np.ndarray, dx: np.ndarray, dz: np.ndarray):
+    """Largest alphas with every X_n + alpha*ΔX_n, and every Z_n +
+    alpha*ΔZ_n, still PSD: minus the inverse smallest eigenvalue of
+    Λ^-1 (Lz U)' ΔX (Lz U) Λ^-1 and of Λ^-1/2 R' ΔZ R Λ^-1/2, both read
+    from one stacked eigvalsh over the frames of :func:`_nt_scaling`."""
+    inner = frames.transpose(0, 2, 1) @ np.concatenate([dx, dz]) @ frames
+    lam_min = np.linalg.eigvalsh(linalg.symmetrize(inner))[:, 0]
+    horizon = dx.shape[0]
+    lows = (float(lam_min[:horizon].min()), float(lam_min[horizon:].min()))
+    return tuple(np.inf if low >= 0.0 else -1.0 / low for low in lows)
 
 
 def _max_pos_step(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+    return float(np.min(-v[neg] / dv[neg], initial=np.inf))
 
 
 def _sdp_ipm(c, a_hat, sigma_sign, b):
@@ -296,15 +318,18 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
     The rows are the p linear rows, whose padded coefficients are ``a_hat``
     (p, N, k), then the N*k unit-diagonal rows; ``sigma_sign`` (each row's
     slack sign, 0 on equalities) and ``b`` cover all p + N*k rows.
-    :func:`_operator`, :func:`_adjoint` and :func:`_schur` give
-    their closed forms.  Every block is scaled on its own.  The Newton
-    matrix of order p + N*k is never formed: each iteration factors its N
-    diagonal blocks and the p x p complement (:func:`_eliminate`) and
-    solves every direction by block substitution (:func:`_newton_solve`),
-    so no matrix of order above max(p, k) is factored or inverted.  An
-    affine predictor probe chooses the centering weight each iteration;
-    when the recentered step still stalls at the cone boundary, a full
-    centering step is taken instead.
+    :func:`_operator`, :func:`_adjoint` and :func:`_schur` give their
+    closed forms.  Every block is scaled on its own: W_n comes from one
+    Cholesky factor of Z_n and one eigendecomposition (:func:`_nt_scaling`),
+    and both step lengths of a direction are read in the scaled frames from
+    one stacked eigvalsh (:func:`_psd_step_lengths`).  The Newton matrix of
+    order p + N*k is never formed: each iteration factors its N diagonal
+    blocks and the p x p complement (:func:`_eliminate`) and solves every
+    direction by block substitution (:func:`_newton_solve`), so no matrix
+    of order above max(p, k) is factored or inverted.  An affine predictor
+    probe chooses the centering weight each iteration; when the recentered
+    step still stalls at the cone boundary, a full centering step is taken
+    instead.
     """
     horizon, k, _ = c.shape
     order = horizon * k
@@ -313,17 +338,12 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
     ineq = sigma_sign != 0.0
     n_ineq = int(ineq.sum())
 
-    def transpose(a):
-        return a.transpose(0, 2, 1)
-
     scale = max(1.0, float(np.abs(b).max(initial=0.0)), float(np.abs(c).max()))
     x = np.tile(np.eye(k) * scale, (horizon, 1, 1))
     z = x.copy()
     y = np.zeros(m)
-    s = np.full(m, scale)
-    w = np.full(m, scale)
-    s[~ineq] = 0.0
-    w[~ineq] = 0.0
+    s = np.where(ineq, scale, 0.0)
+    w = s.copy()
 
     c_norm = 1.0 + float(np.linalg.norm(c))
     b_norm = 1.0 + float(np.linalg.norm(b))
@@ -334,8 +354,7 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
         mu = (float(np.vdot(x, z)) + float(s[ineq] @ w[ineq])) / (order + max(n_ineq, 1))
         rp = b - _operator(a_hat, x) - sigma_sign * s
         rd = c - _adjoint(a_hat, y) - z
-        rdl = -sigma_sign * y - w  # dual residual on slack coordinates
-        rdl[~ineq] = 0.0
+        rdl = np.where(ineq, -sigma_sign * y - w, 0.0)  # dual residual on slack coordinates
 
         pobj = float(np.vdot(c, x))
         dobj = float(b @ y)
@@ -345,18 +364,14 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
         err = max(pinf, dinf, relgap)
         if err < best_err:
             best_err = err
-            best = SdpSolution(
-                blocks=x, objective=pobj, gap=relgap, iterations=iteration,
-            )
+            best = SdpSolution(blocks=x, objective=pobj, gap=relgap, iterations=iteration)
         if err <= _TOL:
             return best
         if float(np.abs(y).max(initial=0.0)) > 1e12 * scale:
             raise Infeasible("dual iterates diverge; constraint rows look infeasible")
 
-        # Nesterov-Todd scaling point W_n = R_n R_n' with W_n Z_n W_n = X_n.
         try:
-            lx = np.linalg.cholesky(x)
-            lz = np.linalg.cholesky(z)
+            big_w, z_inv, frames = _nt_scaling(x, z)
         except np.linalg.LinAlgError:
             # An iterate slid onto the cone boundary (typically a relaxation
             # with no strict interior); report the best point found so far.
@@ -365,12 +380,6 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
                 f"with error {best_err:.2e}",
                 solution=best,
             ) from None
-        lx_inv = np.linalg.inv(lx)
-        lz_inv = np.linalg.inv(lz)
-        _, lam, vt = np.linalg.svd(transpose(lz) @ lx)
-        r_mat = lx @ transpose(vt) / np.sqrt(lam)[:, None, :]
-        big_w = r_mat @ transpose(r_mat)
-        z_inv = transpose(lz_inv) @ lz_inv
 
         # The Newton matrix is [[G11 + Diag(s/w), D'], [D, V]] + ridge*I;
         # the unit-diagonal rows are equalities, so s/w covers the first p.
@@ -396,51 +405,36 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
 
         w_rd_w = big_w @ rd @ big_w
 
-        def solve_direction(rc_mat, rc_slack):
-            h = (
-                rp
-                - _operator(a_hat, rc_mat - w_rd_w)
-                - sigma_sign * (rc_slack - s * rdl) / np.where(ineq, w, 1.0)
-            )
+        def step(target):
+            """Newton direction toward X_n Z_n = target*I and s w = target,
+            with its primal and dual step lengths."""
+            rc_mat = target * z_inv - x
+            rc_slack = np.where(ineq, target - s * w, 0.0)
+            h = rp - _operator(a_hat, rc_mat - w_rd_w)
+            h = h - sigma_sign * (rc_slack - s * rdl) / np.where(ineq, w, 1.0)
             dy = _newton_solve(factors, h)
             dz = linalg.symmetrize(rd - _adjoint(a_hat, dy))
             dx = linalg.symmetrize(rc_mat - big_w @ dz @ big_w)
-            dw = rdl - sigma_sign * dy
-            dw[~ineq] = 0.0
-            ds = (rc_slack - s * dw) / np.where(ineq, w, 1.0)
-            ds[~ineq] = 0.0
-            return dx, dy, dz, ds, dw
-
-        def step_lengths(dx, dz, ds, dw):
-            a_p = min(
-                1.0, 0.98 * min(_max_psd_step(lx_inv, dx), _max_pos_step(s[ineq], ds[ineq]))
-            )
-            a_d = min(
-                1.0, 0.98 * min(_max_psd_step(lz_inv, dz), _max_pos_step(w[ineq], dw[ineq]))
-            )
-            return a_p, a_d
+            dw = np.where(ineq, rdl - sigma_sign * dy, 0.0)
+            ds = np.where(ineq, (rc_slack - s * dw) / np.where(ineq, w, 1.0), 0.0)
+            psd_p, psd_d = _psd_step_lengths(frames, dx, dz)
+            a_p = min(1.0, 0.98 * min(psd_p, _max_pos_step(s[ineq], ds[ineq])))
+            a_d = min(1.0, 0.98 * min(psd_d, _max_pos_step(w[ineq], dw[ineq])))
+            return dx, dy, dz, ds, dw, a_p, a_d
 
         # Predictor: pure Newton toward complementarity zero, used only to
         # pick the centering weight for the actual step.
-        dx_a, dy_a, dz_a, ds_a, dw_a = solve_direction(-x, -s * w)
-        alpha_p, alpha_d = step_lengths(dx_a, dz_a, ds_a, dw_a)
+        dx, dy, dz, ds, dw, alpha_p, alpha_d = step(0.0)
         mu_aff = (
-            float(np.vdot(x + alpha_p * dx_a, z + alpha_d * dz_a))
-            + float((s + alpha_p * ds_a)[ineq] @ (w + alpha_d * dw_a)[ineq])
+            float(np.vdot(x + alpha_p * dx, z + alpha_d * dz))
+            + float((s + alpha_p * ds)[ineq] @ (w + alpha_d * dw)[ineq])
         ) / (order + max(n_ineq, 1))
         center = min(1.0, (max(mu_aff, 0.0) / mu) ** 3)
-
-        rc_mat = center * mu * z_inv - x
-        rc_slack = np.where(ineq, center * mu - s * w, 0.0)
-        dx, dy, dz, ds, dw = solve_direction(rc_mat, rc_slack)
-        alpha_p, alpha_d = step_lengths(dx, dz, ds, dw)
+        dx, dy, dz, ds, dw, alpha_p, alpha_d = step(center * mu)
         if min(alpha_p, alpha_d) < 0.05:
             # Iterates drifted toward the cone boundary: take a pure
             # centering step instead of crawling along it.
-            rc_mat = mu * z_inv - x
-            rc_slack = np.where(ineq, mu - s * w, 0.0)
-            dx, dy, dz, ds, dw = solve_direction(rc_mat, rc_slack)
-            alpha_p, alpha_d = step_lengths(dx, dz, ds, dw)
+            dx, dy, dz, ds, dw, alpha_p, alpha_d = step(mu)
 
         x = linalg.symmetrize(x + alpha_p * dx)
         s = s + alpha_p * ds

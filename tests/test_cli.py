@@ -7,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from sensel import model, sim
+from sensel import cli, model, plan, select_sdr, sim
 from sensel.cli import build_parser, main
 from sensel.plan import ALGORITHMS, planning_noise
-from sensel.select_sdr import bqp_objective, build_bqp
+from sensel.select_sdr import bqp_objective, build_bqp, build_sdp, relaxation_bound, solve_sdp
 
 
 def save_small_scenario(path, energy):
@@ -95,6 +95,33 @@ class TestSelect:
         assert payload["bqp_objective"] == pytest.approx(bqp_value, rel=1e-12)
         bound = payload["relaxation_bound"]
         assert bound <= payload["bqp_objective"] + 1e-6 * (1 + abs(bound))
+
+    def test_sdr_certificate_reuses_the_solved_problem(self, monkeypatch, tmp_path):
+        """One ``select --algo sdr`` builds the quadratic problem once: the
+        certificate reads the planned problem and bound, and they equal
+        what a fresh rebuild of the problem and its relaxation gives."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build_bqp(*args, **kwargs)
+
+        for module in (cli, plan, select_sdr):
+            monkeypatch.setattr(module, "build_bqp", counted, raising=False)
+        out = tmp_path / "sdr.json"
+        argv = ["select", "example4", "--algo", "sdr", "--seed", "3", "--samples", "50"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        payload = json.loads(out.read_text())
+        scenario = model.load_scenario("src/sensel/scenarios/example4.json")
+        bqp = build_bqp(scenario, planning_noise(scenario))
+        sdp = build_sdp(bqp)
+        assert payload["relaxation_bound"] == relaxation_bound(solve_sdp(sdp), sdp)
+        gamma = np.zeros((scenario.num_sensors, scenario.horizon), dtype=np.int8)
+        for n, chosen in enumerate(payload["schedule"]):
+            gamma[chosen, n] = 1
+        assert payload["bqp_objective"] == bqp_objective(bqp, model.SelectionSchedule.build(gamma))
 
     def test_exhaustive_too_large_maps_to_exit_2(self, tmp_path):
         scenario = model.load_scenario("src/sensel/scenarios/example3.json")

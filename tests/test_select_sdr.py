@@ -18,7 +18,9 @@ from sensel.select_sdr import (
     _adjoint,
     _eliminate,
     _newton_solve,
+    _nt_scaling,
     _operator,
+    _psd_step_lengths,
     _schur,
     bqp_objective,
     build_bqp,
@@ -34,6 +36,7 @@ from conftest import (
     RELATION,
     dense_adjoint,
     dense_cost,
+    dense_max_psd_step,
     dense_operator,
     dense_schur,
     dense_solve_sdp,
@@ -415,6 +418,90 @@ class TestClosedForms:
                 dy = _newton_solve(_eliminate(linear, coupling, big_v, ridge), h)
                 dense = np.linalg.solve(gram + ridge * np.eye(m), h)
                 assert np.linalg.norm(dy - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def spd_with_eigenvalues(rng, eigenvalues):
+    """A symmetric matrix with the given eigenvalues and a random basis."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues),) * 2))
+    return linalg.symmetrize((q * eigenvalues) @ q.T)
+
+
+def scaling_stacks(rng):
+    """Pairs of PD block stacks (X, Z), three blocks each, of every order
+    from 2 to 21, then one ill-conditioned pair of order 8 shaped like a
+    late iterate near the central path: X's eigenvalues spread over six
+    decades, and X Z within 10% of 1e-6 I."""
+    for k in range(2, 22):
+        yield (
+            np.array([rand_spd(k, rng) for _ in range(3)]),
+            np.array([rand_spd(k, rng) for _ in range(3)]),
+        )
+    spread = np.logspace(-6, 0, 8)
+    pairs = []
+    for _ in range(3):
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        near_mu = 1e-6 * rng.uniform(1.0, 1.1, 8)
+        pairs.append([linalg.symmetrize((q * e) @ q.T) for e in (spread, near_mu / spread)])
+    yield tuple(np.array(stack) for stack in zip(*pairs))
+
+
+class TestNtScaling:
+    """The scaling of :func:`_nt_scaling` and the step lengths read in its
+    frames, against their definitions and the dense reference."""
+
+    def test_scaling_meets_its_definition(self, rng):
+        """W Z W = X; with Λ² the eigenvalues of X Z and R the dual frame
+        times Λ^1/2, R R' = W and R' Z R = R^-1 X R^-T = Λ; Z^-1 Z = I;
+        and W is the matrix-root form of the Nesterov-Todd point."""
+
+        def close(a, b, tol=1e-9):
+            assert np.linalg.norm(a - b) <= tol * np.linalg.norm(b)
+
+        for x, z in scaling_stacks(rng):
+            horizon, k, _ = x.shape
+            big_w, z_inv, frames = _nt_scaling(x, z)
+            assert frames.shape == (2 * horizon, k, k)
+            for n in range(horizon):
+                w_n, x_n, z_n = big_w[n], x[n], z[n]
+                lam = np.sqrt(np.sort(np.linalg.eigvals(x_n @ z_n).real))
+                r = frames[horizon + n] * np.sqrt(lam)
+                close(w_n @ z_n @ w_n, x_n)
+                close(r @ r.T, w_n)
+                close(r.T @ z_n @ r, np.diag(lam))
+                r_inv_x = np.linalg.solve(r, x_n)
+                close(np.linalg.solve(r, r_inv_x.T), np.diag(lam))
+                close(z_inv[n] @ z_n, np.eye(k))
+                close(w_n, nt_scaling(x_n, z_n), tol=1e-7)
+
+    def test_step_lengths_match_the_dense_reference(self, rng):
+        """Both stacked step lengths equal the smallest over the blocks of
+        ``conftest.dense_max_psd_step`` on the same direction: random
+        symmetric directions, and a PSD direction, whose step is infinite."""
+        for x, z in scaling_stacks(rng):
+            horizon, k, _ = x.shape
+            _, _, frames = _nt_scaling(x, z)
+            dx = linalg.symmetrize(rng.normal(size=(horizon, k, k)))
+            spd = np.array([rand_spd(k, rng) for _ in range(horizon)])
+            for delta_x, delta_z in ((dx, -spd), (spd, dx), (-spd, -spd)):
+                expected = [
+                    min(dense_max_psd_step(np.linalg.cholesky(a), d) for a, d in zip(m, delta))
+                    for m, delta in ((x, delta_x), (z, delta_z))
+                ]
+                assert _psd_step_lengths(frames, delta_x, delta_z) == pytest.approx(
+                    expected, rel=1e-9
+                )
+            assert _psd_step_lengths(frames, spd, spd) == (np.inf, np.inf)
+
+    @pytest.mark.parametrize("side", ["x", "z"])
+    def test_iterate_outside_the_cone_is_reported(self, rng, side):
+        """An X block with one negative eigenvalue (Z positive definite, so
+        Z's Cholesky factor exists), or a Z block with one, raises
+        LinAlgError, which the solver reports as NotConverged."""
+        x = np.array([rand_spd(5, rng) for _ in range(3)])
+        z = np.array([rand_spd(5, rng) for _ in range(3)])
+        (x if side == "x" else z)[1] = spd_with_eigenvalues(rng, [-1e-3, 1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            _nt_scaling(x, z)
 
 
 class TestSolveSdp:
