@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-linalg            pseudoinverse, SPD inverse, PSD projection
+linalg            pseudoinverse, SPD inverse
 model             scenario data model, the constraint-row matrix
                   (ConstraintRows), JSON I/O, generators
 filter            prediction, the masked-stack and selected-row updates,

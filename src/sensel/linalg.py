@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidMatrix, NotPSD, NotPositiveDefinite
+from .errors import InvalidMatrix, NotPositiveDefinite
 
 # Relative cutoff below which singular values are treated as zero.
 DEFAULT_PINV_TOL = 1e-12
 
-# Eigenvalues down to -PSD_SLACK * (1 + scale) are accepted as zero; SDP
-# solvers routinely return marginally indefinite iterates.
+# Eigenvalues down to -PSD_SLACK * (1 + scale) are accepted as zero: a
+# covariance read from a file or assembled in floating point can be
+# marginally indefinite.
 PSD_SLACK = 1e-9
 
 
@@ -34,17 +35,6 @@ def symmetrize(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
     return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
-def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
-    a = check_finite(a, name)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidMatrix(f"{name} must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    asym = float(np.abs(a - a.T).max()) if a.size else 0.0
-    if asym > 1e-8 * scale:
-        raise InvalidMatrix(f"{name} is not symmetric")
-    return symmetrize(a)
 
 
 def pinv(a: np.ndarray) -> np.ndarray:
@@ -73,23 +63,6 @@ def inv_spd(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("matrix is not positive definite") from None
     return symmetrize(np.linalg.solve(a, np.eye(a.shape[0])))
-
-
-def psd_project(a: np.ndarray, slack: float = PSD_SLACK) -> np.ndarray:
-    """Clip negative eigenvalues of a nearly-PSD symmetric matrix to zero.
-
-    Eigenvalues below ``-slack * (1 + max|a|)`` raise NotPSD instead of
-    being clipped silently.
-    """
-    a = _require_symmetric(a, "psd_project input")
-    if a.size == 0:
-        return a.copy()
-    w, v = np.linalg.eigh(a)
-    floor = -slack * (1.0 + float(np.abs(a).max()))
-    if w[0] < floor:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below PSD tolerance {floor:.3e}")
-    w = np.clip(w, 0.0, None)
-    return symmetrize((v * w) @ v.T)
 
 
 def min_eigenvalue(a: np.ndarray) -> float:

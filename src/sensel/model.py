@@ -34,6 +34,21 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _integers(values, name: str) -> tuple[int, ...]:
+    """``values`` as ints; a non-integral entry such as 1.7 raises
+    ScenarioError instead of being truncated."""
+    out = []
+    for i, v in enumerate(values):
+        try:
+            m = int(v)
+        except (TypeError, ValueError, OverflowError):
+            m = None
+        if m is None or m != v:
+            raise ScenarioError(f"{name}[{i}]={v!r} is not an integer")
+        out.append(m)
+    return tuple(out)
+
+
 def _matrix_steps(arr: np.ndarray, name: str) -> tuple[np.ndarray, ...]:
     """Split a read-only constant matrix, or per-step stack of matrices,
     into its steps (views of ``arr``)."""
@@ -530,8 +545,8 @@ class ConstraintSet:
         except KeyError:
             raise ScenarioError(f"constraint relation must be one of {tuple(_SENSE)}") from None
         return ConstraintSet(
-            per_step=tuple(int(m) for m in per_step),
-            energy=None if energy is None else tuple(int(m) for m in energy),
+            per_step=_integers(per_step, "per_step"),
+            energy=None if energy is None else _integers(energy, "energy"),
             extra=ConstraintRows(
                 [a for a, _, _ in extra], sense, [b for _, _, b in extra]
             ) if extra else None,
@@ -573,6 +588,8 @@ class ConstraintSet:
         return ConstraintRows(a, np.concatenate(sense), np.concatenate(b))
 
     def validate(self, num_sensors: int) -> None:
+        if not self.per_step:
+            raise ScenarioError("per_step is empty: the horizon needs at least one step")
         for n, m in enumerate(self.per_step):
             if not 0 < m <= num_sensors:
                 raise PerStepCountOutOfRange(
@@ -764,7 +781,7 @@ def make_scenario(
         x0=_frozen(linalg.check_finite(x0, "x0")),
         p0=_frozen(linalg.symmetrize(linalg.check_finite(p0, "P0"), "P0")),
         seed=int(seed),
-        position_indices=tuple(int(i) for i in position_indices),
+        position_indices=_integers(position_indices, "position_indices"),
     )
 
 
@@ -903,9 +920,9 @@ def _build_generated(
     sensors = SensorModel.build_all([h] * num, positions)
     noise = NoiseModel.build([h.shape[0]] * num, base_blocks=blocks)
     if np.isscalar(per_step):
-        per_step = [int(per_step)]
+        per_step = [per_step]
     if energy is not None and np.isscalar(energy):
-        energy = [int(energy)] * num
+        energy = [energy] * num
     constraints = ConstraintSet.build(per_step, energy=energy)
     n = constraints.horizon
     if weights is None:

@@ -5,7 +5,7 @@ is a Boolean quadratic form.  Lifting the +/-1 reformulation to a unit-
 diagonal PSD matrix variable gives a semidefinite program whose optimum
 lower-bounds every feasible schedule; sampling Gaussian vectors with that
 matrix as covariance and rounding each one greedily recovers good feasible
-schedules.
+schedules (Luo, Ma, So, Ye and Zhang 2010).
 
 The lifted cost and every constraint row touch only the step blocks, the
 diagonal and the border column of the shared corner ``e``: the sparsity is
@@ -20,7 +20,10 @@ Newton system is never assembled: the unit-diagonal rows of each step form
 one positive definite k x k block W_n∘W_n, which is eliminated step by
 step, leaving one dense system in the p linear rows.  Each block's scaling
 W_n takes one Cholesky factor and one eigendecomposition, with no SVD and
-no triangular inverse, and its frames give both step lengths at once.
+no triangular inverse, and its frames give both step lengths at once.  No
+dense lifted matrix is formed for rounding either: the draws' covariance,
+the blocks' maximum-determinant completion, is factored from the N per-step
+Schur complements.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import Infeasible, NotConverged, RoundingInfeasible
+from .errors import Infeasible, NotConverged, NotPSD, RoundingInfeasible
 from .measure import OBJECTIVES, objective_values
 from .model import ConstraintRows, ConstraintSet, Scenario, SelectionSchedule
 from .select_lp import build_lp, round_batch, round_energy, solve_lp
@@ -93,31 +96,31 @@ class SdpSolution:
     iterations: int
 
     @cached_property
-    def x(self) -> np.ndarray:
-        """The dense lifted matrix: the maximum-determinant completion of
-        the blocks, which is the limit of the dense central path.  Off the
-        blocks X[i, j] = X[i, e] X[j, e] / X_ee.  The blocks' corners all
-        equal 1 to the solver's tolerance; X_ee takes the largest of them,
-        which keeps the completion PSD whenever every block is."""
+    def sampling_factor(self) -> np.ndarray:
+        """The (dim, N*L) factor M, built once per solution, whose M'M is
+        the blocks' maximum-determinant completion on the sensors: each
+        X_n[:L, :L] on the diagonal, b_i b_j / c off it (b the border, c the
+        largest corner).  Given the corner the steps are independent: M's
+        last row is b / sqrt(c), and its diagonal block n is F_n', where
+        F_n F_n' is the Schur complement X_n[:L, :L] - b_n b_n' / c, PSD as
+        c is at least every block's corner, with its eigenvalues clipped at
+        zero.  One below -1e-6 (1 + max|complement|) raises NotPSD."""
         horizon, k, _ = self.blocks.shape
         num = k - 1
-        border = self.blocks[:, :num, num].ravel()
+        border = self.blocks[:, :num, num]
         corner = float(self.blocks[:, num, num].max())
-        x = np.empty((horizon * num + 1,) * 2)
-        x[:-1, :-1] = np.outer(border, border) / corner
-        for n, block in enumerate(self.blocks):
-            x[n * num : (n + 1) * num, n * num : (n + 1) * num] = block[:num, :num]
-        x[:-1, -1] = border
-        x[-1, :-1] = border
-        x[-1, -1] = corner
-        return x
-
-    @cached_property
-    def sampling_factor(self) -> np.ndarray:
-        """Cholesky factor of the PSD-projected lifted matrix: the
-        covariance of the randomization draws, computed once per solution."""
-        cov = linalg.psd_project(self.x, slack=1e-6) + 1e-12 * np.eye(self.x.shape[0])
-        return np.linalg.cholesky(cov)
+        schur = self.blocks[:, :num, :num] - border[:, :, None] * border[:, None, :] / corner
+        lam, vec = np.linalg.eigh(schur)
+        floor = -1e-6 * (1.0 + float(np.abs(schur).max()))
+        if lam[:, 0].min() < floor:
+            raise NotPSD(f"sampling covariance eigenvalue {lam[:, 0].min():.3e} below {floor:.3e}")
+        # Row i of F_n' is eigenvector i scaled by its clipped root.
+        f_t = (vec * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]).transpose(0, 2, 1)
+        factor = np.zeros((horizon * num + 1, horizon * num))
+        steps = np.arange(horizon)
+        factor[:-1].reshape(horizon, num, horizon, num)[steps, :, steps] = f_t
+        factor[-1] = border.ravel() / np.sqrt(corner)
+        return factor
 
 
 @dataclass(frozen=True)
@@ -458,16 +461,17 @@ def randomize_round(
 ) -> SdrRounding:
     """Sample schedules from the lifted solution and keep the best one.
 
-    Each draw is a zero-mean Gaussian vector with the PSD-projected lifted
-    matrix as covariance (factored once per solution, see
-    ``SdpSolution.sampling_factor``); its leading entries rank the sensors
-    per step and are rounded greedily to a schedule.  Both the drawn vector and its
+    Each draw is a standard normal vector of the lifted dimension times the
+    per-step block factor (``SdpSolution.sampling_factor``): a zero-mean
+    Gaussian vector over the sensors whose covariance is the blocks'
+    maximum-determinant completion.  Its entries rank the sensors per step
+    and are rounded greedily to a schedule.  Both the drawn vector and its
     negation are rounded (the lifting is sign-symmetric), so each draw
     yields two candidates, interleaved as (+draw 0, -draw 0, +draw 1, ...).
 
     The work is batched: all ``s_count`` draws come from one generator
     call.  One (S, 2, N*L) buffer holds the candidates' scores: the product
-    of the draws with the factor's leading rows is written into its
+    of the draws with the factor, one GEMM, is written into its
     ``[:, 0]`` half and the negation into its ``[:, 1]`` half, so that the
     buffer read as (2S, N, L) is the interleaved order above with no
     further copy.  All 2S candidates are rounded in one vectorized greedy
@@ -491,11 +495,11 @@ def randomize_round(
     num = scenario.num_sensors
     horizon = scenario.horizon
     nl = num * horizon
-    low = sdp_solution.sampling_factor
+    factor = sdp_solution.sampling_factor
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
     signed = np.empty((int(s_count), 2, nl))
-    np.matmul(rng.standard_normal((int(s_count), low.shape[0])), low[:nl].T, out=signed[:, 0])
+    np.matmul(rng.standard_normal((int(s_count), factor.shape[0])), factor, out=signed[:, 0])
     np.negative(signed[:, 0], out=signed[:, 1])
     gammas, feasible = round_batch(
         signed.reshape(-1, horizon, num), scenario.constraints, scenario.weights

@@ -253,6 +253,25 @@ def dense_cost(sdp) -> np.ndarray:
     return c
 
 
+def dense_completion(blocks: np.ndarray) -> np.ndarray:
+    """Reference: the dense lifted matrix that the per-step blocks (N, k, k)
+    complete to, by maximum determinant.  Each step's block sits on the
+    pattern, and off it X[i, j] = X[i, e] X[j, e] / X_ee.  X_ee is the
+    largest corner, which keeps the completion PSD whenever every block is."""
+    horizon, k, _ = blocks.shape
+    num = k - 1
+    border = blocks[:, :num, num].ravel()
+    corner = float(blocks[:, num, num].max())
+    x = np.empty((horizon * num + 1,) * 2)
+    x[:-1, :-1] = np.outer(border, border) / corner
+    for n, block in enumerate(blocks):
+        x[n * num : (n + 1) * num, n * num : (n + 1) * num] = block[:num, :num]
+    x[:-1, -1] = border
+    x[-1, :-1] = border
+    x[-1, -1] = corner
+    return x
+
+
 def dense_solve_sdp(sdp) -> DenseSolution:
     """Solve the relaxation over one dense unit-diagonal PSD matrix."""
     a_hat = np.array([np.append(a, 0.0) for a in sdp.rows.a]).reshape(-1, sdp.dim)

@@ -298,7 +298,8 @@ def test_c5_sdr_lower_bound():
         bqp = build_bqp(scenario)
         sdp = build_sdp(bqp)
         solution = solve_sdp(sdp)
-        worst_diag = max(worst_diag, float(np.abs(np.diag(solution.x) - 1).max()))
+        diagonal = np.diagonal(solution.blocks, axis1=1, axis2=2)
+        worst_diag = max(worst_diag, float(np.abs(diagonal - 1).max()))
         best = min(
             bqp_objective(bqp, s)
             for s in enumerate_feasible(scenario)

@@ -171,6 +171,24 @@ class TestSelect:
         assert main(["select", str(path), "--algo", algo]) == 1
         assert "constraint rows contain non-finite entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("per_step, weights, message", [
+        pytest.param([], [], "horizon needs at least one step", id="empty"),
+        pytest.param([1.7], [1.0], "is not an integer", id="fractional"),
+    ])
+    @pytest.mark.parametrize("algo", ["lp", "sdr"])
+    def test_bad_horizon_exit_1(self, algo, per_step, weights, message, tmp_path, capsys):
+        """An empty or fractional per-step count list is a ScenarioError at
+        load: no empty schedule, no truncation, no traceback."""
+        data = json.loads(open("src/sensel/scenarios/example1.json").read())
+        data["constraints"]["per_step"] = per_step
+        data["weights"] = weights
+        path = tmp_path / "horizon.json"
+        path.write_text(json.dumps(data))
+        assert main(["select", str(path), "--algo", algo]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("matrix", ["R0", "noise block", "P0"])
     def test_non_square_matrix_exit_1(self, matrix, tmp_path, capsys):
         """A non-square matrix is a shape error at load.  Broadcast against

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sensel import linalg
-from sensel.errors import InvalidMatrix, NotPSD, NotPositiveDefinite
+from sensel.errors import InvalidMatrix, NotPositiveDefinite
 
 from conftest import rand_spd
 
@@ -92,14 +92,3 @@ class TestSymmetrize:
         transpose (which turns a 1x2 matrix into a 2x2 one)."""
         with pytest.raises(InvalidMatrix, match="R0 must be square"):
             linalg.symmetrize(np.ones(shape), "R0")
-
-
-class TestPsdProject:
-    def test_clips_slightly_negative(self):
-        a = np.diag([1.0, -1e-10])
-        out = linalg.psd_project(a)
-        assert linalg.min_eigenvalue(out) >= 0.0
-
-    def test_rejects_clearly_indefinite(self):
-        with pytest.raises(NotPSD):
-            linalg.psd_project(np.diag([1.0, -0.5]))

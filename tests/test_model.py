@@ -185,6 +185,34 @@ class TestJsonRoundTrip:
         np.testing.assert_array_equal(rows.sense[2:], senses(["<=", "=", ">=", ">="]))
         np.testing.assert_array_equal(rows.b[2:], [1.0, 1.0, 0.5, -2.0])
 
+    def test_empty_horizon_rejected_at_load(self, tmp_path):
+        """``per_step`` needs at least one step: an empty horizon would plan
+        an empty schedule, or fail inside the SDR route."""
+        data = model.scenario_to_dict(small_scenario())
+        data["constraints"]["per_step"] = []
+        data["weights"] = []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match="horizon needs at least one step"):
+            model.load_scenario(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param(("constraints", "per_step"), [1.7, 1], r"per_step\[0\]=1.7", id="per_step"),
+        pytest.param(("constraints", "energy"), [2, 1.5], r"energy\[1\]=1.5", id="energy"),
+        pytest.param((None, "position_indices"), [0, 2.5], r"position_indices\[1\]=2.5",
+                     id="position_indices"),
+    ])
+    def test_non_integral_entry_rejected_at_load(self, tmp_path, field, value, message):
+        """Counts, budgets and position indices are integers: 1.7 is
+        refused, not truncated to 1."""
+        data = model.scenario_to_dict(small_scenario())
+        section, key = field
+        (data if section is None else data[section])[key] = value
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match=message):
+            model.load_scenario(path)
+
     def test_parse_error_mentions_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

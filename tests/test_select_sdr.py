@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from sensel import linalg, measure, model
-from sensel.errors import NotConverged, RoundingInfeasible
+from sensel.errors import NotConverged, NotPSD, RoundingInfeasible
 from sensel.filter import masked_model
 from sensel.plan import planning_noise
 from sensel.select_lp import build_lp
 from sensel.select_sdr import (
     _TOL,
+    SdpSolution,
     _adjoint,
     _eliminate,
     _newton_solve,
@@ -35,6 +36,7 @@ from sensel.select_separable import exhaustive_opt, topk_schedule
 from conftest import (
     RELATION,
     dense_adjoint,
+    dense_completion,
     dense_cost,
     dense_max_psd_step,
     dense_operator,
@@ -56,14 +58,12 @@ from conftest import (
 
 def loop_randomize_round(sdp_solution, scenario, s_count, seed, objective):
     """Reference: the per-sample loop that the batched randomization
-    replaced (one draw, two greedy roundings and their evaluation at a
-    time).  Returns (gamma, value)."""
+    replaced (one draw through the same sampling factor, two greedy
+    roundings and their evaluation at a time).  Returns (gamma, value)."""
     noise_seq = scenario.noise_sequence()
     num = scenario.num_sensors
     horizon = scenario.horizon
-    nl = num * horizon
-    cov = linalg.psd_project(sdp_solution.x, slack=1e-6) + 1e-12 * np.eye(sdp_solution.x.shape[0])
-    low = np.linalg.cholesky(cov)
+    factor = sdp_solution.sampling_factor
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     weights = np.asarray(scenario.weights, dtype=float)
 
@@ -81,7 +81,7 @@ def loop_randomize_round(sdp_solution, scenario, s_count, seed, objective):
     maximize = objective == "f3"
     best_gamma, best_value, best_key = None, -np.inf if maximize else np.inf, None
     for _ in range(int(s_count)):
-        eta = (low @ rng.standard_normal(cov.shape[0]))[:nl]
+        eta = rng.standard_normal(factor.shape[0]) @ factor
         for signed in (eta, -eta):
             gamma = loop_round_by_scores(
                 signed.reshape(horizon, num).T, scenario.constraints, weights
@@ -512,7 +512,7 @@ class TestSolveSdp:
         zeroed = replace(sdp, c_blocks=np.zeros_like(sdp.c_blocks), rows=no_rows, ones_quad=0.0)
         solution = solve_sdp(zeroed)
         assert solution.objective == pytest.approx(0.0, abs=1e-6)
-        np.testing.assert_allclose(np.diag(solution.x), 1.0, atol=1e-6)
+        np.testing.assert_allclose(np.diagonal(solution.blocks, axis1=1, axis2=2), 1.0, atol=1e-6)
 
     def test_toy_relaxation_bounds_enumeration(self):
         scenario = two_sensor_scalar(0.7)
@@ -534,7 +534,7 @@ class TestSolveSdp:
         solution = solve_sdp(sdp)
         best = min(bqp_objective(bqp, s) for s in enumerate_feasible(scenario))
         assert relaxation_bound(solution, sdp) <= best + 1e-6 * (1 + abs(best))
-        np.testing.assert_allclose(np.diag(solution.x), 1.0, atol=1e-6)
+        np.testing.assert_allclose(np.diagonal(solution.blocks, axis1=1, axis2=2), 1.0, atol=1e-6)
 
     def test_peak_memory_holds_no_constraint_stack(self):
         """Solving example5 (dim 126, 30 linear rows) allocates a few
@@ -564,7 +564,8 @@ class TestSolveSdp:
             sdp = build_sdp(bqp)
             solution = solve_sdp(sdp)
             assert solution.gap <= 1e-6
-            np.testing.assert_allclose(np.diag(solution.x), 1.0, atol=1e-6)
+            diagonal = np.diagonal(solution.blocks, axis1=1, axis2=2)
+            np.testing.assert_allclose(diagonal, 1.0, atol=1e-6)
             best = min(bqp_objective(bqp, s) for s in enumerate_feasible(scenario))
             assert relaxation_bound(solution, sdp) <= best + 1e-6 * (1 + abs(best))
 
@@ -583,10 +584,10 @@ def jammer_instance(seed, per_step=(2,) * 5, energy=2):
 
 
 def assert_completed_blocks(solution, sdp):
-    """The dense X is the completion of the blocks: unit diagonal, PSD,
-    the blocks on the pattern, x_e x_e' / X_ee off it, and tr(C X) equal
-    to the reported objective."""
-    x = solution.x
+    """The dense X completed from the blocks has a unit diagonal, is PSD,
+    holds the blocks on the pattern and x_e x_e' / X_ee off it, and tr(C X)
+    equals the reported objective."""
+    x = dense_completion(solution.blocks)
     horizon, k, _ = solution.blocks.shape
     num = k - 1
     assert x.shape == (sdp.dim, sdp.dim)
@@ -712,6 +713,80 @@ class TestBlockSolver:
             rounded = randomize_round(solution, scenario, 100, seed, noise_seq=noise_seq)
             assert not rounded.schedule.gamma[3].any()
             assert rounded.schedule.satisfies(scenario.constraints)
+
+
+def synthetic_solution(schur, border, corner=1.0):
+    """One-step SdpSolution whose block has the given Schur complement
+    X[:L, :L] - b b' / c, border b and corner c."""
+    border = np.asarray(border, dtype=float)
+    block = np.block([
+        [schur + np.outer(border, border) / corner, border[:, None]],
+        [border[None, :], np.array([[corner]])],
+    ])
+    return SdpSolution(blocks=block[None], objective=0.0, gap=0.0, iterations=1)
+
+
+class TestSamplingFactor:
+    """The (dim, N*L) factor M built from the blocks against the dense
+    maximum-determinant completion (``conftest.dense_completion``)."""
+
+    @staticmethod
+    def assert_factor_completes(solution):
+        factor = solution.sampling_factor
+        horizon, k, _ = solution.blocks.shape
+        assert factor.shape == (horizon * (k - 1) + 1, horizon * (k - 1))
+        dense = dense_completion(solution.blocks)[:-1, :-1]
+        assert np.abs(factor.T @ factor - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("name", ["example4", "example5", "example6", "example7"])
+    def test_bundled_factor_equals_the_dense_completion(self, name):
+        scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        solution = solve_sdp(build_sdp(build_bqp(scenario, planning_noise(scenario))))
+        self.assert_factor_completes(solution)
+
+    def test_random_factor_equals_the_dense_completion(self, rng):
+        for _ in range(10):
+            num = int(rng.integers(2, 6))
+            horizon = int(rng.integers(1, 4))
+            scenario = rand_scenario(
+                rng, num_sensors=num, horizon=horizon, correlated=True,
+                per_step=[int(rng.integers(1, num)) for _ in range(horizon)],
+            )
+            self.assert_factor_completes(solve_sdp(build_sdp(build_bqp(scenario))))
+
+    def test_clips_slightly_negative(self):
+        """A Schur eigenvalue of -1e-10 is clipped to zero, not rejected."""
+        border = np.array([0.3, -0.2])
+        factor = synthetic_solution(np.diag([1.0, -1e-10]), border).sampling_factor
+        np.testing.assert_array_equal(factor[-1], border)
+        schur = factor[:-1].T @ factor[:-1]
+        np.testing.assert_allclose(schur, np.diag([1.0, 0.0]), atol=1e-12)
+        assert linalg.min_eigenvalue(schur) >= -1e-15
+
+    def test_rejects_clearly_indefinite(self):
+        with pytest.raises(NotPSD):
+            _ = synthetic_solution(np.diag([1.0, -0.5]), [0.3, -0.2]).sampling_factor
+
+    def test_samples_no_matrix_above_the_block_order(self, monkeypatch):
+        """Sampling from a solution of the generated SDR family (N = 5
+        blocks of L = 20 sensors, dim 101) eigendecomposes or factors no
+        matrix of order above L: the dense lifted matrix is never formed."""
+        scenario = jammer_instance(1)
+        noise_seq = planning_noise(scenario)
+        solution = solve_sdp(build_sdp(build_bqp(scenario, noise_seq)))
+        # A first rounding, on a copy with its own factor cache, fills the
+        # noise models' caches; only the sampling is counted below.
+        randomize_round(replace(solution), scenario, 20, 0, noise_seq=noise_seq)
+        orders = []
+        for name in ("eigh", "eigvalsh", "cholesky", "svd"):
+            def recorded(a, *args, _call=getattr(np.linalg, name), **kwargs):
+                orders.append(np.shape(a)[-1])
+                return _call(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        rounded = randomize_round(solution, scenario, 20, 0, noise_seq=noise_seq)
+        monkeypatch.undo()
+        assert rounded.schedule.satisfies(scenario.constraints)
+        assert orders and max(orders) <= scenario.num_sensors == 20
 
 
 class TestRandomizeRound:

@@ -5,9 +5,12 @@ The network is ``gen_uniform_scenario`` with ``--sensors`` sensors over
 600 m (seed 1), 5 steps of ``--per-step`` and a budget of 2, under
 example4's jammer: the ``sdr_plan`` benchmark family at network scale.  The
 relaxation is built as ``sensel select --algo sdr`` builds it and solved
-once.  One JSON line goes to stdout: seconds, iterations, duality gap,
-objective and the process's peak RSS.  The exit code is 1 when the solver
-does not converge or the gap is above the solver's tolerance.
+once; then the sampling factor is built and one 100-sample f3 rounding
+(seed 1) is drawn from it.  One JSON line goes to stdout: the solve's
+seconds, iterations, duality gap and objective, the factor's and the
+rounding's seconds, the best f3, and the process's peak RSS.  The exit code
+is 1 when the solver does not converge or the gap is above the solver's
+tolerance.
 
     PYTHONPATH=src python tools/sdp_scale.py --sensors 120 --per-step 12
 """
@@ -24,7 +27,9 @@ import numpy as np
 from sensel import model
 from sensel.errors import NotConverged
 from sensel.plan import planning_noise
-from sensel.select_sdr import _TOL, build_bqp, build_sdp, solve_sdp
+from sensel.select_sdr import _TOL, build_bqp, build_sdp, randomize_round, solve_sdp
+
+ROUND_SAMPLES = 100
 
 
 def jammer_network(sensors: int, per_step: int) -> model.Scenario:
@@ -44,22 +49,33 @@ def main() -> int:
     parser.add_argument("--per-step", type=int, default=12)
     args = parser.parse_args()
     scenario = jammer_network(args.sensors, args.per_step)
-    sdp = build_sdp(build_bqp(scenario, planning_noise(scenario)))
+    noise_seq = planning_noise(scenario)
+    sdp = build_sdp(build_bqp(scenario, noise_seq))
     started = time.perf_counter()
     try:
         solution = solve_sdp(sdp)
     except NotConverged as exc:
         print(f"not converged: {exc}", file=sys.stderr)
         return 1
+    solve_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    _ = solution.sampling_factor
+    factor_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    rounded = randomize_round(solution, scenario, ROUND_SAMPLES, 1, noise_seq=noise_seq)
+    round_seconds = time.perf_counter() - started
     record = {
         "sensors": args.sensors,
         "per_step": args.per_step,
         "dim": sdp.dim,
         "rows": len(sdp.rows),
-        "seconds": round(time.perf_counter() - started, 3),
+        "seconds": round(solve_seconds, 3),
         "iterations": solution.iterations,
         "gap": solution.gap,
         "objective": solution.objective,
+        "factor_seconds": round(factor_seconds, 4),
+        "round_seconds": round(round_seconds, 4),
+        "best_f3": rounded.objective,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     print(json.dumps(record))
