@@ -34,19 +34,21 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool (JSON ``true`` equals 1) or a non-integral
+    value such as 1.7 raises ScenarioError instead of being truncated."""
+    try:
+        m = None if isinstance(value, (bool, np.bool_)) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        m = None
+    if m is None or m != value:
+        raise ScenarioError(f"{name}={value!r} is not an integer")
+    return m
+
+
 def _integers(values, name: str) -> tuple[int, ...]:
-    """``values`` as ints; a non-integral entry such as 1.7 raises
-    ScenarioError instead of being truncated."""
-    out = []
-    for i, v in enumerate(values):
-        try:
-            m = int(v)
-        except (TypeError, ValueError, OverflowError):
-            m = None
-        if m is None or m != v:
-            raise ScenarioError(f"{name}[{i}]={v!r} is not an integer")
-        out.append(m)
-    return tuple(out)
+    """Each of ``values`` through :func:`_integer`."""
+    return tuple(_integer(v, f"{name}[{i}]") for i, v in enumerate(values))
 
 
 def _matrix_steps(arr: np.ndarray, name: str) -> tuple[np.ndarray, ...]:
@@ -1117,7 +1119,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             _get(data, "weights"),
             _get(data, "x0"),
             _get(data, "P0"),
-            seed=int(data.get("seed", 0)),
+            seed=_integer(_get(data, "seed"), "seed"),
             position_indices=data.get("position_indices"),
         )
     except (KeyError, TypeError, ValueError) as exc:

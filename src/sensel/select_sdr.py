@@ -20,9 +20,12 @@ Newton system is never assembled: the unit-diagonal rows of each step form
 one positive definite k x k block W_n∘W_n, which is eliminated step by
 step, leaving one dense system in the p linear rows.  Each block's scaling
 W_n takes one Cholesky factor and one eigendecomposition, with no SVD and
-no triangular inverse, and its frames give both step lengths at once.  No
-dense lifted matrix is formed for rounding either: the draws' covariance,
-the blocks' maximum-determinant completion, is factored from the N per-step
+no triangular inverse, and its frames give both step lengths at once.  Each
+iteration solves for two directions with one factorization: an affine
+predictor, then Mehrotra's corrector, which recenters it and subtracts its
+second-order term (Mehrotra 1992; Todd, Toh and Tütüncü 1998).  No dense
+lifted matrix is formed for rounding either: the draws' covariance, the
+blocks' maximum-determinant completion, is factored from the N per-step
 Schur complements.
 """
 
@@ -254,7 +257,7 @@ def _eliminate(linear: np.ndarray, coupling: np.ndarray, big_v: np.ndarray, ridg
     horizon, k, p = coupling.shape
     lv_inv = np.linalg.inv(np.linalg.cholesky(big_v + ridge * np.eye(k)))
     c_stack = (lv_inv @ coupling).reshape(horizon * k, p)
-    schur = linalg.symmetrize(linear - c_stack.T @ c_stack) + ridge * np.eye(p)
+    schur = _symmetrize(linear - c_stack.T @ c_stack) + ridge * np.eye(p)
     return lv_inv, c_stack, np.linalg.inv(np.linalg.cholesky(schur))
 
 
@@ -272,36 +275,61 @@ def _newton_solve(factors, h: np.ndarray) -> np.ndarray:
     return np.concatenate([dy_lin, (lv_inv.transpose(0, 2, 1) @ back).ravel()])
 
 
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """``linalg.symmetrize`` without its conversion and shape check, for the
+    square stacks the interior-point loop builds itself."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
 def _nt_scaling(x: np.ndarray, z: np.ndarray):
     """Nesterov-Todd scaling of every block pair (X_n, Z_n) from one
     Cholesky Z = Lz Lz' and one eigendecomposition Lz' X Lz = U Λ² U'.
     With R = X Lz U Λ^-3/2, whose inverse is Λ^-1/2 U' Lz', R' Z R =
     R^-1 X R^-T = Λ; so W = R R' satisfies W Z W = X and Z^-1 = R Λ^-1 R'.
-    Returns W, Z^-1 and the (2N, k, k) stack of the primal frames Lz U Λ^-1
-    over the dual frames R Λ^-1/2 that :func:`_psd_step_lengths` reads.
-    Raises LinAlgError when a block of X or Z is not positive definite."""
+    Returns W, Z^-1, the (2N, k, k) stack of the primal frames Lz U Λ^-1
+    over the dual frames R Λ^-1/2 that :func:`_psd_step_lengths` reads,
+    and the (N, k) eigenvalues Λ of the scaled point.  Raises LinAlgError
+    when a block of X or Z is not positive definite."""
     lz = np.linalg.cholesky(z)
     lam2, u = np.linalg.eigh(lz.transpose(0, 2, 1) @ x @ lz)
     if not (lam2[:, 0] > 0.0).all():
         raise np.linalg.LinAlgError("X is not positive definite")
+    lam = np.sqrt(lam2)
     lz_u = lz @ u
     x_lz_u = x @ lz_u
     r = x_lz_u / lam2[:, None, :] ** 0.75
     dual = x_lz_u / lam2[:, None, :]
-    frames = np.concatenate([lz_u / np.sqrt(lam2)[:, None, :], dual])
-    return r @ r.transpose(0, 2, 1), dual @ dual.transpose(0, 2, 1), frames
+    frames = np.concatenate([lz_u / lam[:, None, :], dual])
+    return r @ r.transpose(0, 2, 1), dual @ dual.transpose(0, 2, 1), frames, lam
 
 
 def _psd_step_lengths(frames: np.ndarray, dx: np.ndarray, dz: np.ndarray):
     """Largest alphas with every X_n + alpha*ΔX_n, and every Z_n +
     alpha*ΔZ_n, still PSD: minus the inverse smallest eigenvalue of
     Λ^-1 (Lz U)' ΔX (Lz U) Λ^-1 and of Λ^-1/2 R' ΔZ R Λ^-1/2, both read
-    from one stacked eigvalsh over the frames of :func:`_nt_scaling`."""
-    inner = frames.transpose(0, 2, 1) @ np.concatenate([dx, dz]) @ frames
-    lam_min = np.linalg.eigvalsh(linalg.symmetrize(inner))[:, 0]
+    from one stacked eigvalsh over the frames of :func:`_nt_scaling`.
+    Also returns that symmetrized (2N, k, k) stack: Λ^-1/2 D Λ^-1/2 for
+    the scaled directions D_X = R^-1 ΔX R^-T over D_Z = R' ΔZ R."""
+    inner = _symmetrize(frames.transpose(0, 2, 1) @ np.concatenate([dx, dz]) @ frames)
+    lam_min = np.linalg.eigvalsh(inner)[:, 0]
     horizon = dx.shape[0]
     lows = (float(lam_min[:horizon].min()), float(lam_min[horizon:].min()))
-    return tuple(np.inf if low >= 0.0 else -1.0 / low for low in lows)
+    psd_p, psd_d = (np.inf if low >= 0.0 else -1.0 / low for low in lows)
+    return psd_p, psd_d, inner
+
+
+def _second_order(frames: np.ndarray, lam: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Mehrotra's second-order term R [(D_X D_Z + D_Z D_X) ./ (λ_i + λ_j)] R'
+    of an affine direction, from the frames and Λ of :func:`_nt_scaling`
+    and the scaled stack ``inner`` of :func:`_psd_step_lengths`.  With
+    D = Λ^1/2 inner Λ^1/2 and R = (dual frame) Λ^1/2 it is the dual frame
+    times λ_i λ_j (P + P')_ij / (λ_i + λ_j) times its transpose, where
+    P = inner_X Λ inner_Z."""
+    horizon = lam.shape[0]
+    p = (inner[:horizon] * lam[:, None, :]) @ inner[horizon:]
+    pair = lam[:, :, None] * lam[:, None, :] / (lam[:, :, None] + lam[:, None, :])
+    dual = frames[horizon:]
+    return dual @ ((p + p.transpose(0, 2, 1)) * pair) @ dual.transpose(0, 2, 1)
 
 
 def _max_pos_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -329,10 +357,14 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
     order p + N*k is never formed: each iteration factors its N diagonal
     blocks and the p x p complement (:func:`_eliminate`) and solves every
     direction by block substitution (:func:`_newton_solve`), so no matrix
-    of order above max(p, k) is factored or inverted.  An affine predictor
-    probe chooses the centering weight each iteration; when the recentered
-    step still stalls at the cone boundary, a full centering step is taken
-    instead.
+    of order above max(p, k) is factored or inverted.  Each iteration is
+    Mehrotra's predictor-corrector: the affine predictor toward X Z = 0
+    chooses the centering weight sigma = (mu_aff / mu)^3, and the step
+    taken aims at X Z = sigma mu I less the predictor's second-order term,
+    R [(D_X D_Z + D_Z D_X) ./ (λ_i + λ_j)] R' in the scaled frame
+    (:func:`_second_order`) and ds*dw on the slacks, with the same
+    factorization.  When that step still stalls at the cone boundary, a
+    pure centering step is taken instead.
     """
     horizon, k, _ = c.shape
     order = horizon * k
@@ -374,7 +406,7 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
             raise Infeasible("dual iterates diverge; constraint rows look infeasible")
 
         try:
-            big_w, z_inv, frames = _nt_scaling(x, z)
+            big_w, z_inv, frames, lam = _nt_scaling(x, z)
         except np.linalg.LinAlgError:
             # An iterate slid onto the cone boundary (typically a relaxation
             # with no strict interior); report the best point found so far.
@@ -387,7 +419,7 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
         # The Newton matrix is [[G11 + Diag(s/w), D'], [D, V]] + ridge*I;
         # the unit-diagonal rows are equalities, so s/w covers the first p.
         linear, coupling, big_v = _schur(a_hat, big_w)
-        linear = linalg.symmetrize(linear) + np.diag(
+        linear = _symmetrize(linear) + np.diag(
             np.divide(s[:p], w[:p], out=np.zeros(p), where=ineq[:p])
         )
         ridge = 1e-13 * (
@@ -408,41 +440,47 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
 
         w_rd_w = big_w @ rd @ big_w
 
-        def step(target):
+        def step(target, second_mat=0.0, second_slack=0.0):
             """Newton direction toward X_n Z_n = target*I and s w = target,
-            with its primal and dual step lengths."""
-            rc_mat = target * z_inv - x
-            rc_slack = np.where(ineq, target - s * w, 0.0)
+            less the second-order terms ``second_mat`` (of
+            :func:`_second_order`) and ``second_slack`` (ds*dw) of an affine
+            direction, with its primal and dual step lengths and the scaled
+            stack of :func:`_psd_step_lengths`."""
+            rc_mat = target * z_inv - x - second_mat
+            rc_slack = np.where(ineq, target - s * w - second_slack, 0.0)
             h = rp - _operator(a_hat, rc_mat - w_rd_w)
             h = h - sigma_sign * (rc_slack - s * rdl) / np.where(ineq, w, 1.0)
             dy = _newton_solve(factors, h)
-            dz = linalg.symmetrize(rd - _adjoint(a_hat, dy))
-            dx = linalg.symmetrize(rc_mat - big_w @ dz @ big_w)
+            dz = _symmetrize(rd - _adjoint(a_hat, dy))
+            dx = _symmetrize(rc_mat - big_w @ dz @ big_w)
             dw = np.where(ineq, rdl - sigma_sign * dy, 0.0)
             ds = np.where(ineq, (rc_slack - s * dw) / np.where(ineq, w, 1.0), 0.0)
-            psd_p, psd_d = _psd_step_lengths(frames, dx, dz)
+            psd_p, psd_d, inner = _psd_step_lengths(frames, dx, dz)
             a_p = min(1.0, 0.98 * min(psd_p, _max_pos_step(s[ineq], ds[ineq])))
             a_d = min(1.0, 0.98 * min(psd_d, _max_pos_step(w[ineq], dw[ineq])))
-            return dx, dy, dz, ds, dw, a_p, a_d
+            return dx, dy, dz, ds, dw, a_p, a_d, inner
 
-        # Predictor: pure Newton toward complementarity zero, used only to
-        # pick the centering weight for the actual step.
-        dx, dy, dz, ds, dw, alpha_p, alpha_d = step(0.0)
+        # Predictor: pure Newton toward complementarity zero.  Its progress
+        # picks the centering weight, and its second-order terms correct the
+        # step actually taken (Mehrotra's predictor-corrector).
+        dx, dy, dz, ds, dw, alpha_p, alpha_d, inner = step(0.0)
         mu_aff = (
             float(np.vdot(x + alpha_p * dx, z + alpha_d * dz))
             + float((s + alpha_p * ds)[ineq] @ (w + alpha_d * dw)[ineq])
         ) / (order + max(n_ineq, 1))
         center = min(1.0, (max(mu_aff, 0.0) / mu) ** 3)
-        dx, dy, dz, ds, dw, alpha_p, alpha_d = step(center * mu)
+        dx, dy, dz, ds, dw, alpha_p, alpha_d, _ = step(
+            center * mu, _second_order(frames, lam, inner), ds * dw
+        )
         if min(alpha_p, alpha_d) < 0.05:
             # Iterates drifted toward the cone boundary: take a pure
             # centering step instead of crawling along it.
-            dx, dy, dz, ds, dw, alpha_p, alpha_d = step(mu)
+            dx, dy, dz, ds, dw, alpha_p, alpha_d, _ = step(mu)
 
-        x = linalg.symmetrize(x + alpha_p * dx)
+        x = _symmetrize(x + alpha_p * dx)
         s = s + alpha_p * ds
         y = y + alpha_d * dy
-        z = linalg.symmetrize(z + alpha_d * dz)
+        z = _symmetrize(z + alpha_d * dz)
         w = w + alpha_d * dw
 
     raise NotConverged(

@@ -189,6 +189,35 @@ class TestSelect:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("path, value, message", [
+        pytest.param(("seed",), 1.5, "seed=1.5 is not an integer", id="fractional-seed"),
+        pytest.param(("seed",), None, "missing field scenario.seed", id="no-seed"),
+        pytest.param(("constraints", "per_step", 0), True, "per_step[0]=True", id="true-count"),
+        pytest.param(("constraints", "energy", 4), False, "energy[4]=False", id="false-budget"),
+        pytest.param(("position_indices", 1), True, "position_indices[1]=True",
+                     id="true-position-index"),
+    ])
+    def test_schema_integer_violation_exit_1(self, path, value, message, tmp_path, capsys):
+        """The schema's integers are the loader's: a fractional seed is not
+        truncated, JSON true and false are not counts, budgets or position
+        indices (although true == 1), and the required seed has no
+        default."""
+        data = json.loads(open("src/sensel/scenarios/example2.json").read())
+        *parents, key = path
+        target = data
+        for part in parents:
+            target = target[part]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        scenario = tmp_path / "integers.json"
+        scenario.write_text(json.dumps(data))
+        assert main(["select", str(scenario), "--algo", "lp"]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("matrix", ["R0", "noise block", "P0"])
     def test_non_square_matrix_exit_1(self, matrix, tmp_path, capsys):
         """A non-square matrix is a shape error at load.  Broadcast against

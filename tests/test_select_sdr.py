@@ -12,7 +12,7 @@ from sensel import linalg, measure, model
 from sensel.errors import NotConverged, NotPSD, RoundingInfeasible
 from sensel.filter import masked_model
 from sensel.plan import planning_noise
-from sensel.select_lp import build_lp
+from sensel.select_lp import build_lp, solve_lp
 from sensel.select_sdr import (
     _TOL,
     SdpSolution,
@@ -23,6 +23,7 @@ from sensel.select_sdr import (
     _operator,
     _psd_step_lengths,
     _schur,
+    _second_order,
     bqp_objective,
     build_bqp,
     build_sdp,
@@ -445,6 +446,23 @@ def scaling_stacks(rng):
     yield tuple(np.array(stack) for stack in zip(*pairs))
 
 
+def scaled_directions(x, z, dx, dz):
+    """Dense D_X = R^-1 ΔX R^-T and D_Z = R' ΔZ R, per block, with R = X^1/2
+    V Λ^-1/2 from the eigendecomposition X^1/2 Z X^1/2 = V Λ² V' (the NT
+    frame: R' Z R = R^-1 X R^-T = Λ, eigenvalues ascending).  Returns
+    them with Λ."""
+    out = []
+    for x_n, z_n, dx_n, dz_n in zip(x, z, dx, dz):
+        lam_x, vec_x = np.linalg.eigh(x_n)
+        root = (vec_x * np.sqrt(lam_x)) @ vec_x.T
+        lam2, v = np.linalg.eigh(root @ z_n @ root)
+        lam = np.sqrt(lam2)
+        r = root @ v / np.sqrt(lam)
+        r_inv_dx = np.linalg.solve(r, dx_n)
+        out.append((np.linalg.solve(r, r_inv_dx.T), r.T @ dz_n @ r, lam))
+    return [np.array(stack) for stack in zip(*out)]
+
+
 class TestNtScaling:
     """The scaling of :func:`_nt_scaling` and the step lengths read in its
     frames, against their definitions and the dense reference."""
@@ -459,27 +477,31 @@ class TestNtScaling:
 
         for x, z in scaling_stacks(rng):
             horizon, k, _ = x.shape
-            big_w, z_inv, frames = _nt_scaling(x, z)
+            big_w, z_inv, frames, lam = _nt_scaling(x, z)
             assert frames.shape == (2 * horizon, k, k)
+            assert lam.shape == (horizon, k)
             for n in range(horizon):
                 w_n, x_n, z_n = big_w[n], x[n], z[n]
-                lam = np.sqrt(np.sort(np.linalg.eigvals(x_n @ z_n).real))
-                r = frames[horizon + n] * np.sqrt(lam)
+                close(lam[n], np.sqrt(np.sort(np.linalg.eigvals(x_n @ z_n).real)))
+                r = frames[horizon + n] * np.sqrt(lam[n])
                 close(w_n @ z_n @ w_n, x_n)
                 close(r @ r.T, w_n)
-                close(r.T @ z_n @ r, np.diag(lam))
+                close(r.T @ z_n @ r, np.diag(lam[n]))
                 r_inv_x = np.linalg.solve(r, x_n)
-                close(np.linalg.solve(r, r_inv_x.T), np.diag(lam))
+                close(np.linalg.solve(r, r_inv_x.T), np.diag(lam[n]))
                 close(z_inv[n] @ z_n, np.eye(k))
                 close(w_n, nt_scaling(x_n, z_n), tol=1e-7)
 
     def test_step_lengths_match_the_dense_reference(self, rng):
         """Both stacked step lengths equal the smallest over the blocks of
         ``conftest.dense_max_psd_step`` on the same direction: random
-        symmetric directions, and a PSD direction, whose step is infinite."""
+        symmetric directions, and a PSD direction, whose step is infinite.
+        The returned stack is exactly symmetric and equals Λ^-1/2 D Λ^-1/2
+        for D_X = R^-1 ΔX R^-T over D_Z = R' ΔZ R, R the dual frame times
+        Λ^1/2."""
         for x, z in scaling_stacks(rng):
             horizon, k, _ = x.shape
-            _, _, frames = _nt_scaling(x, z)
+            _, _, frames, lam = _nt_scaling(x, z)
             dx = linalg.symmetrize(rng.normal(size=(horizon, k, k)))
             spd = np.array([rand_spd(k, rng) for _ in range(horizon)])
             for delta_x, delta_z in ((dx, -spd), (spd, dx), (-spd, -spd)):
@@ -487,10 +509,19 @@ class TestNtScaling:
                     min(dense_max_psd_step(np.linalg.cholesky(a), d) for a, d in zip(m, delta))
                     for m, delta in ((x, delta_x), (z, delta_z))
                 ]
-                assert _psd_step_lengths(frames, delta_x, delta_z) == pytest.approx(
-                    expected, rel=1e-9
-                )
-            assert _psd_step_lengths(frames, spd, spd) == (np.inf, np.inf)
+                psd_p, psd_d, inner = _psd_step_lengths(frames, delta_x, delta_z)
+                assert (psd_p, psd_d) == pytest.approx(expected, rel=1e-9)
+                assert np.array_equal(inner, inner.transpose(0, 2, 1))
+                r = frames[horizon:] * np.sqrt(lam)[:, None, :]
+                r_inv_dx = np.linalg.solve(r, delta_x)
+                dense = np.concatenate([
+                    np.linalg.solve(r, r_inv_dx.transpose(0, 2, 1)),
+                    r.transpose(0, 2, 1) @ delta_z @ r,
+                ])
+                root = np.sqrt(np.concatenate([lam, lam]))
+                scaled = root[:, :, None] * inner * root[:, None, :]
+                assert np.linalg.norm(scaled - dense) <= 1e-7 * np.linalg.norm(dense)
+            assert _psd_step_lengths(frames, spd, spd)[:2] == (np.inf, np.inf)
 
     @pytest.mark.parametrize("side", ["x", "z"])
     def test_iterate_outside_the_cone_is_reported(self, rng, side):
@@ -502,6 +533,58 @@ class TestNtScaling:
         (x if side == "x" else z)[1] = spd_with_eigenvalues(rng, [-1e-3, 1.0, 2.0, 3.0, 4.0])
         with pytest.raises(np.linalg.LinAlgError):
             _nt_scaling(x, z)
+
+
+class TestMehrotraCorrector:
+    """The corrected complementarity right side that :func:`_sdp_ipm`'s
+    ``step`` builds, target Z^-1 - X - :func:`_second_order`, against the
+    scaled Newton equation it linearizes."""
+
+    def test_corrected_direction_solves_the_scaled_equation(self, rng):
+        """A direction with ΔX + W ΔZ W equal to that right side (how
+        ``step`` sets ΔX from ΔZ) has, in the NT frame of
+        :func:`scaled_directions`, D_X + D_Z = M with
+        Λ M + M Λ = 2σμ I - 2Λ² - (D_Xa D_Za + D_Za D_Xa), the affine
+        directions' second-order term; M comes from a dense Kronecker
+        solve of that Lyapunov equation, whatever ΔZ is."""
+        for x, z in scaling_stacks(rng):
+            horizon, k, _ = x.shape
+            big_w, z_inv, frames, lam = _nt_scaling(x, z)
+            dx_aff, dz_aff, dz = (
+                linalg.symmetrize(rng.normal(size=(horizon, k, k))) for _ in range(3)
+            )
+            target = float(rng.uniform(0.1, 1.0)) * float(np.mean(lam**2))
+            inner = _psd_step_lengths(frames, dx_aff, dz_aff)[2]
+            rc_mat = target * z_inv - x - _second_order(frames, lam, inner)
+            dx = rc_mat - big_w @ dz @ big_w
+            d_xa, d_za, lam_dense = scaled_directions(x, z, dx_aff, dz_aff)
+            d_x, d_z, _ = scaled_directions(x, z, dx, dz)
+            eye = np.eye(k)
+            for n in range(horizon):
+                lam_n = np.diag(lam_dense[n])
+                rhs = 2.0 * target * eye - 2.0 * lam_n @ lam_n - (
+                    d_xa[n] @ d_za[n] + d_za[n] @ d_xa[n]
+                )
+                lyapunov = np.kron(eye, lam_n) + np.kron(lam_n, eye)
+                m = np.linalg.solve(lyapunov, rhs.ravel()).reshape(k, k)
+                got = d_x[n] + d_z[n]
+                assert np.linalg.norm(got - m) <= 1e-7 * np.linalg.norm(m)
+
+    def test_zero_affine_direction_leaves_the_centered_step(self, rng):
+        """Zero affine directions give an exactly zero second-order term,
+        so the corrected right sides equal the centered step's target Z^-1
+        - X and target - s w bit for bit."""
+        for x, z in scaling_stacks(rng):
+            _, z_inv, frames, lam = _nt_scaling(x, z)
+            zeros = np.zeros_like(x)
+            inner = _psd_step_lengths(frames, zeros, zeros)[2]
+            term = _second_order(frames, lam, inner)
+            assert not term.any()
+            target = float(rng.uniform(0.1, 1.0))
+            assert np.array_equal(target * z_inv - x - term, target * z_inv - x)
+            s, w = rng.uniform(0.1, 1.0, size=(2, 5))
+            ds, dw = np.zeros((2, 5))
+            assert np.array_equal(target - s * w - ds * dw, target - s * w)
 
 
 class TestSolveSdp:
@@ -713,6 +796,65 @@ class TestBlockSolver:
             rounded = randomize_round(solution, scenario, 100, seed, noise_seq=noise_seq)
             assert not rounded.schedule.gamma[3].any()
             assert rounded.schedule.satisfies(scenario.constraints)
+
+
+def lp_reference_instances(rng):
+    """Random scenarios whose relaxation is exactly an LP: 1- to 3-row
+    sensors under full per-sensor noise blocks (block-diagonal noise),
+    per-sensor budgets on every second, a zero step weight on every third,
+    and 0-3 extra rows of the senses <=, >=, = in turn.  Every row is met
+    by the uniform point g = m_n / L, strictly inside the box, with slack
+    on the inequalities, so both relaxations have a strictly feasible
+    point."""
+    for trial in range(24):
+        num = int(rng.integers(3, 7))
+        horizon = int(rng.integers(1, 4))
+        per_step = [int(rng.integers(1, num)) for _ in range(horizon)]
+        uniform = np.repeat(np.array(per_step) / num, num)
+        energy = None
+        if trial % 2:
+            floor = sum(per_step) // num
+            energy = [floor + 1 + int(rng.integers(0, 2)) for _ in range(num)]
+        weights = rng.uniform(0.1, 1.0, size=horizon)
+        if trial % 3 == 1:
+            weights[int(rng.integers(horizon))] = 0.0
+        sizes = [int(d) for d in rng.integers(1, 4, size=num)]
+        scenario = rand_scenario(
+            rng, num_sensors=num, horizon=horizon, state_dim=3, meas_dims=sizes,
+            per_step=per_step, energy=energy, weights=weights,
+        )
+        noise = model.NoiseModel.build(sizes, base_blocks=[rand_spd(d, rng) for d in sizes])
+        extra = []
+        for relation in ("<=", ">=", "=")[: trial % 4]:
+            a = rng.integers(-2, 3, size=num * horizon).astype(float)
+            slack = {"<=": 1.0, ">=": -1.0, "=": 0.0}[relation] * rng.uniform(0.1, 1.0)
+            extra.append((a, relation, float(a @ uniform) + slack))
+        yield replace(scenario, noise=noise, constraints=model.ConstraintSet.build(
+            per_step, energy=energy, extra=extra,
+        ))
+
+
+class TestLpReference:
+    """Under block-diagonal noise every B_n is diagonal, so the lifted cost
+    and every lifted row read only the border x_n = X_n[:L, e]; any x in
+    [-1, 1] meeting the rows extends to the feasible block [[x x' +
+    Diag(1 - x²), x], [x', 1]].  The relaxation's optimum is then exactly
+    the LP relaxation's, mapped to ±1 variables: -4 f_lp - ones_quad."""
+
+    def test_relaxation_equals_the_lp_optimum(self, rng):
+        """On :func:`lp_reference_instances` the two optima agree within
+        the solver's tolerance in its own relative-gap normalization."""
+        senses = set()
+        for scenario in lp_reference_instances(rng):
+            if scenario.constraints.extra is not None:
+                senses.update(scenario.constraints.extra.sense)
+            sdp = build_sdp(build_bqp(scenario))
+            solution = solve_sdp(sdp)
+            lifted = -4.0 * solve_lp(build_lp(scenario)).objective - sdp.ones_quad
+            assert abs(solution.objective - lifted) <= _TOL * (
+                1.0 + abs(solution.objective) + abs(lifted)
+            )
+        assert senses == {-1.0, 0.0, 1.0}
 
 
 def synthetic_solution(schur, border, corner=1.0):
