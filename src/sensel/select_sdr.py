@@ -45,6 +45,7 @@ from .select_separable import topk_schedule
 
 _TOL = 1e-7
 _MAX_ITER = 200
+_START_CLIP = 0.05
 
 
 @dataclass(frozen=True)
@@ -337,6 +338,34 @@ def _max_pos_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(np.min(-v[neg] / dv[neg], initial=np.inf))
 
 
+def _primal_start(a_hat: np.ndarray, sigma_sign: np.ndarray, b: np.ndarray, scale: float):
+    """The interior point's primal start, from the rows of :func:`_sdp_ipm`.
+
+    x = 2g - 1 for the selection g nearest 1/2 that meets every equality
+    row, which is g_n = m_n / L in every step when the counts are the only
+    equalities.  A lifted row reads sum a + 2 a'x at a unit-diagonal point,
+    so x is the least-norm solution of a'x = (b - sum a) / 2 over the
+    linear equality rows.  x is clipped to |x| <= 1 - _START_CLIP: a step
+    that selects every sensor has x = 1, whose lift is singular, and the
+    iteration repairs the clipped rows.  Each step's block is then [[x x' +
+    Diag(1 - x²), x], [x', 1]], positive definite with a unit diagonal (I
+    when x = 0).  Returns those (N, k, k) blocks and the slacks: an
+    inequality row's residual at the blocks where it is positive, ``scale``
+    on a row the point does not meet strictly, 0 on the equalities.
+    """
+    p, horizon, k = a_hat.shape
+    a = a_hat[:, :, :-1].reshape(p, horizon * (k - 1))
+    eq = sigma_sign[:p] == 0.0
+    x, *_ = np.linalg.lstsq(a[eq], (b[:p][eq] - a[eq].sum(axis=1)) / 2.0, rcond=None)
+    x = np.clip(x, _START_CLIP - 1.0, 1.0 - _START_CLIP).reshape(horizon, k - 1)
+    blocks = np.zeros((horizon, k, k))
+    blocks[:, :-1, :-1] = x[:, :, None] * x[:, None, :]
+    blocks[:, :-1, -1] = blocks[:, -1, :-1] = x
+    blocks[:, np.arange(k), np.arange(k)] = 1.0
+    residual = sigma_sign * (b - _operator(a_hat, blocks))
+    return blocks, np.where(sigma_sign != 0.0, np.where(residual > 0.0, residual, scale), 0.0)
+
+
 def _sdp_ipm(c, a_hat, sigma_sign, b):
     """Primal-dual path-following with Nesterov-Todd scaling over the
     blocks of the chordal relaxation.
@@ -350,7 +379,10 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
     (p, N, k), then the N*k unit-diagonal rows; ``sigma_sign`` (each row's
     slack sign, 0 on equalities) and ``b`` cover all p + N*k rows.
     :func:`_operator`, :func:`_adjoint` and :func:`_schur` give their
-    closed forms.  Every block is scaled on its own: W_n comes from one
+    closed forms.  The primal start meets the rows where it can
+    (:func:`_primal_start`), so the first iterations do not spend
+    themselves on primal feasibility; the dual start is Z_n = scale*I and
+    w = scale.  Every block is scaled on its own: W_n comes from one
     Cholesky factor of Z_n and one eigendecomposition (:func:`_nt_scaling`),
     and both step lengths of a direction are read in the scaled frames from
     one stacked eigvalsh (:func:`_psd_step_lengths`).  The Newton matrix of
@@ -374,11 +406,10 @@ def _sdp_ipm(c, a_hat, sigma_sign, b):
     n_ineq = int(ineq.sum())
 
     scale = max(1.0, float(np.abs(b).max(initial=0.0)), float(np.abs(c).max()))
-    x = np.tile(np.eye(k) * scale, (horizon, 1, 1))
-    z = x.copy()
+    x, s = _primal_start(a_hat, sigma_sign, b, scale)
+    z = np.tile(np.eye(k) * scale, (horizon, 1, 1))
     y = np.zeros(m)
-    s = np.where(ineq, scale, 0.0)
-    w = s.copy()
+    w = np.where(ineq, scale, 0.0)
 
     c_norm = 1.0 + float(np.linalg.norm(c))
     b_norm = 1.0 + float(np.linalg.norm(b))

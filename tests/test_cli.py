@@ -3,6 +3,7 @@
 import argparse
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ class TestSelect:
         for n, chosen in enumerate(payload["schedule"]):
             gamma[chosen, n] = 1
         assert payload["bqp_objective"] == bqp_objective(bqp, model.SelectionSchedule.build(gamma))
+
+    @pytest.mark.parametrize("name", ["example4", "example5"])
+    def test_sdr_step_that_selects_every_sensor(self, name, tmp_path):
+        """A first step that selects all 25 sensors, which the loader
+        allows, and no budgets: the solve meets its tolerance and the
+        schedule takes every sensor there.  The solver's start clips that
+        step inside the box; on example5 the start from a multiple of I
+        raised NotConverged."""
+        scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        every = [scenario.num_sensors, *scenario.constraints.per_step[1:]]
+        path = tmp_path / "every.json"
+        model.save_scenario(replace(scenario, constraints=model.ConstraintSet.build(every)), path)
+        out = tmp_path / "sdr.json"
+        argv = ["select", str(path), "--algo", "sdr", "--seed", "7", "--samples", "50"]
+        assert main(argv + ["--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["duality_gap"] <= select_sdr._TOL
+        assert payload["schedule"][0] == list(range(scenario.num_sensors))
 
     def test_exhaustive_too_large_maps_to_exit_2(self, tmp_path):
         scenario = model.load_scenario("src/sensel/scenarios/example3.json")

@@ -8,12 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sensel import linalg, measure, model
+from sensel import linalg, measure, model, select_sdr
 from sensel.errors import NotConverged, NotPSD, RoundingInfeasible
 from sensel.filter import masked_model
 from sensel.plan import planning_noise
 from sensel.select_lp import build_lp, solve_lp
 from sensel.select_sdr import (
+    _START_CLIP,
     _TOL,
     SdpSolution,
     _adjoint,
@@ -21,6 +22,7 @@ from sensel.select_sdr import (
     _newton_solve,
     _nt_scaling,
     _operator,
+    _primal_start,
     _psd_step_lengths,
     _schur,
     _second_order,
@@ -855,6 +857,169 @@ class TestLpReference:
                 1.0 + abs(solution.objective) + abs(lifted)
             )
         assert senses == {-1.0, 0.0, 1.0}
+
+
+def solve_recording_start(monkeypatch, sdp):
+    """Solve ``sdp`` and return the solution with the primal start, blocks
+    and slacks, that :func:`_primal_start` handed the interior point."""
+    starts = []
+
+    def recorded(*args):
+        starts.append(_primal_start(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(select_sdr, "_primal_start", recorded)
+    solution = solve_sdp(sdp)
+    monkeypatch.undo()
+    assert len(starts) == 1
+    return solution, starts[0]
+
+
+def uniform_border(scenario):
+    """x = 2 m_n / L - 1 in every step: the uniform selection in +/-1."""
+    per_step = np.asarray(scenario.constraints.per_step, dtype=float)
+    return np.repeat(2.0 * per_step / scenario.num_sensors - 1.0, scenario.num_sensors)
+
+
+class TestPrimalStart:
+    """The interior point starts from the selection nearest 1/2 that meets
+    every equality row, lifted to one positive definite unit-diagonal block
+    per step; each inequality row's slack is its residual there, or the
+    dual start's scale where the point does not meet the row strictly."""
+
+    @staticmethod
+    def check_start(sdp, start):
+        """The blocks are positive definite with an exactly unit diagonal
+        and the equality rows hold to rounding.  Every inequality slack is
+        positive: the row's residual where that is positive, the same
+        value on every row the point does not meet strictly.  Returns the
+        border x and whether each inequality row is met strictly."""
+        blocks, slack = start
+        rows = sdp.rows
+        horizon, k, _ = blocks.shape
+        assert np.array_equal(np.diagonal(blocks, axis1=1, axis2=2), np.ones((horizon, k)))
+        assert float(np.linalg.eigvalsh(blocks)[:, 0].min()) > 0.0
+        x = blocks[:, :-1, -1].ravel()
+        # In 0/1 variables g = (x + 1) / 2 a lifted row reads a'g (sense) (b + sum a) / 4.
+        lhs = rows.a @ ((x + 1.0) / 2.0)
+        rhs = (rows.b + rows.a.sum(axis=1)) / 4.0
+        eq = rows.sense == 0.0
+        tol = 1e-12 * (1.0 + float(np.abs(rows.a).sum(axis=1).max(initial=0.0)))
+        np.testing.assert_allclose(lhs[eq], rhs[eq], rtol=0.0, atol=tol)
+        p = len(rows)
+        assert not slack[:p][eq].any() and not slack[p:].any()
+        ineq_slack = slack[:p][~eq]
+        assert (ineq_slack > 0.0).all()
+        residual = 4.0 * rows.sense[~eq] * (rhs - lhs)[~eq]
+        met = residual > 0.0
+        np.testing.assert_allclose(ineq_slack[met], residual[met], rtol=1e-12, atol=tol)
+        assert len(set(ineq_slack[~met])) <= 1
+        return x, met
+
+    @pytest.mark.parametrize("seed", [1, 1302])
+    def test_sdr_plan_family_starts_at_the_uniform_selection(self, monkeypatch, seed):
+        """The generated SDR family (5 steps of 2 of 20, budget 2): the
+        start is x = 2 * 2/20 - 1 everywhere and meets every budget row
+        strictly."""
+        scenario = jammer_instance(seed)
+        sdp = build_sdp(build_bqp(scenario, planning_noise(scenario)))
+        solution, start = solve_recording_start(monkeypatch, sdp)
+        x, met = self.check_start(sdp, start)
+        np.testing.assert_allclose(x, uniform_border(scenario), rtol=0.0, atol=1e-14)
+        assert met.size == 20 and met.all()
+        assert solution.gap <= _TOL
+
+    def test_lp_reference_instances_start_at_the_uniform_selection(self, monkeypatch, rng):
+        """The uniform point meets every row of :func:`lp_reference_instances`,
+        extra equalities included, so it is also the nearest point to 1/2
+        that meets the equalities: the start, with every inequality met
+        strictly."""
+        for scenario in lp_reference_instances(rng):
+            sdp = build_sdp(build_bqp(scenario))
+            solution, start = solve_recording_start(monkeypatch, sdp)
+            x, met = self.check_start(sdp, start)
+            np.testing.assert_allclose(x, uniform_border(scenario), rtol=0.0, atol=1e-12)
+            assert met.all()
+            assert solution.gap <= _TOL
+
+    def test_exhausted_budgets_hold_as_equalities(self, monkeypatch):
+        """Four of 20 sensors in each of 5 steps against budgets of one:
+        ``build_sdp`` makes the budgets equalities, which with the counts
+        form a rank-deficient system; the start meets all of them."""
+        sdp = build_sdp(build_bqp(jammer_instance(0, per_step=(4,) * 5, energy=[1] * 20)))
+        solution, start = solve_recording_start(monkeypatch, sdp)
+        x, met = self.check_start(sdp, start)
+        assert met.size == 0
+        np.testing.assert_allclose(x, 2.0 * 4 / 20 - 1.0, rtol=0.0, atol=1e-12)
+        assert solution.gap <= _TOL
+
+    def test_budget_row_the_uniform_point_violates(self, monkeypatch, rng):
+        """Six sensors, steps of 3 and 4, budgets (2, 2, 2, 1, 1, 2): the
+        uniform point spends 1/2 + 2/3 of sensors 3 and 4, over their
+        budget of 1 by 1/6, a lifted residual of -2/3.  Those rows keep the
+        fallback slack, and the solve still meets its tolerance."""
+        scenario = rand_scenario(
+            rng, num_sensors=6, horizon=2, correlated=True,
+            per_step=[3, 4], energy=[2, 2, 2, 1, 1, 2],
+        )
+        bqp = build_bqp(scenario)
+        sdp = build_sdp(bqp)
+        solution, start = solve_recording_start(monkeypatch, sdp)
+        x, met = self.check_start(sdp, start)
+        np.testing.assert_allclose(x, uniform_border(scenario), rtol=0.0, atol=1e-14)
+        assert list(met) == [True, True, True, False, False, True]
+        assert solution.gap <= _TOL
+        best = min(bqp_objective(bqp, s) for s in enumerate_feasible(scenario))
+        assert relaxation_bound(solution, sdp) <= best + 1e-6 * (1 + abs(best))
+
+    def test_extra_ge_row_the_uniform_point_violates(self, monkeypatch):
+        """example5 plus sum_n g_0n >= 1, which the uniform point (0.4)
+        misses: the row keeps the fallback slack, every rounded schedule
+        uses sensor 0, and the solve still meets its tolerance."""
+        scenario = model.load_scenario("src/sensel/scenarios/example5.json")
+        cons = scenario.constraints
+        a = np.zeros(scenario.num_sensors * scenario.horizon)
+        a[0 :: scenario.num_sensors] = 1.0
+        scenario = replace(scenario, constraints=model.ConstraintSet.build(
+            cons.per_step, energy=cons.energy, extra=[(a, ">=", 1.0)],
+        ))
+        noise_seq = planning_noise(scenario)
+        sdp = build_sdp(build_bqp(scenario, noise_seq))
+        solution, start = solve_recording_start(monkeypatch, sdp)
+        x, met = self.check_start(sdp, start)
+        np.testing.assert_allclose(x, uniform_border(scenario), rtol=0.0, atol=1e-14)
+        assert met[:-1].all() and not met[-1]
+        assert solution.gap <= _TOL
+        rounded = randomize_round(solution, scenario, 100, 0, noise_seq=noise_seq)
+        assert rounded.schedule.gamma[0].any()
+
+    def test_step_that_selects_every_sensor_is_clipped(self, monkeypatch):
+        """example5 with a first step of all 25 sensors: there g = 1, whose
+        lift is singular, so the start holds x = 1 - _START_CLIP in that
+        step and the uniform point elsewhere.  The clipped count row is
+        missed by the start and met by the solution."""
+        scenario = model.load_scenario("src/sensel/scenarios/example5.json")
+        cons = scenario.constraints
+        scenario = replace(scenario, constraints=model.ConstraintSet.build(
+            [25, *cons.per_step[1:]], energy=cons.energy,
+        ))
+        sdp = build_sdp(build_bqp(scenario, planning_noise(scenario)))
+        solution, (blocks, _) = solve_recording_start(monkeypatch, sdp)
+        assert np.array_equal(np.diagonal(blocks, axis1=1, axis2=2), np.ones((5, 26)))
+        assert float(np.linalg.eigvalsh(blocks)[:, 0].min()) > 0.0
+        expected = uniform_border(scenario).reshape(5, 25)
+        expected[0] = 1.0 - _START_CLIP
+        np.testing.assert_allclose(blocks[:, :-1, -1], expected, rtol=0.0, atol=1e-12)
+        assert solution.gap <= _TOL
+        np.testing.assert_allclose(solution.blocks[0, :-1, -1], 1.0, atol=1e-3)
+
+    def test_no_rows_start_at_the_identity(self, monkeypatch):
+        scenario = two_sensor_scalar(0.2)
+        sdp = build_sdp(build_bqp(scenario))
+        no_rows = model.ConstraintRows(np.zeros((0, 2)), [], [])
+        _, (blocks, slack) = solve_recording_start(monkeypatch, replace(sdp, rows=no_rows))
+        assert np.array_equal(blocks, np.eye(3)[None])
+        assert not slack.any()
 
 
 def synthetic_solution(schur, border, corner=1.0):
