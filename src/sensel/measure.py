@@ -67,23 +67,30 @@ def distinct_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], inverse
 
 
+def packed_columns(gammas: np.ndarray) -> np.ndarray:
+    """The (B, horizon, bytes) uint8 packing of a batch of (horizon, num)
+    0/1 schedules that :func:`distinct_rows` reads, one step's column per
+    row.  The columns of every step are packed by one ``np.packbits`` over
+    the batch, each padded with zeros to whole bytes first, which gives the
+    bytes that packing each step alone would give."""
+    batch, horizon, num = gammas.shape
+    padded = np.zeros((batch, horizon, -(-num // 8) * 8), dtype=bool)
+    padded[:, :, :num] = gammas
+    return np.packbits(padded.reshape(batch, -1), axis=1).reshape(batch, horizon, -1)
+
+
 def f3_values(gammas: np.ndarray, scenario: Scenario, noise_seq) -> np.ndarray:
     """Weighted f3 sum of each (horizon, num) 0/1 schedule in a batch.
 
     Each step's gain traces come from one :func:`filter.selection_gains`
-    of its distinct selection columns.
-    The columns of every step are packed by one ``np.packbits`` over the
-    batch, each padded with zeros to whole bytes first, which gives the
-    bytes that packing each step alone would give.  The weighted terms are
-    added step by step in step order, starting from 0.0, and steps of
-    weight 0 are skipped.
+    of its distinct selection columns (:func:`packed_columns`).  The
+    weighted terms are added step by step in step order, starting from
+    0.0, and steps of weight 0 are skipped.
     """
     weights = np.asarray(scenario.weights, dtype=float)
     batch, horizon, num = gammas.shape
     totals = np.zeros(batch)
-    padded = np.zeros((batch, horizon, -(-num // 8) * 8), dtype=bool)
-    padded[:, :, :num] = gammas
-    packed = np.packbits(padded.reshape(batch, -1), axis=1).reshape(batch, horizon, -1)
+    packed = packed_columns(gammas)
     for n in range(horizon):
         if weights[n] == 0.0:
             continue
@@ -114,18 +121,22 @@ def rollout_values(kind: str, covs) -> np.ndarray:
 def objective_values(kind: str, gammas: np.ndarray, scenario: Scenario, noise_seq) -> np.ndarray:
     """Value of objective ``kind`` for each (horizon, num) 0/1 schedule of
     a batch: the traces of f1 or f2 (to be minimized) or f3 itself (to be
-    maximized).  f3 is :func:`f3_values`; f1 and f2 take each step's
-    gains from one :func:`filter.selection_gains` of the batch's columns
-    and run one :func:`filter.covariance_rollout`."""
+    maximized).  f3 is :func:`f3_values`.  f1 and f2 run one
+    :func:`filter.covariance_rollout` of the batch's distinct schedules,
+    taking each step's gains from one :func:`filter.selection_gains` of
+    their distinct columns, and gather the values back over the batch."""
     if kind == "f3":
         return f3_values(gammas, scenario, noise_seq)
     if kind not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    gains = [
-        linalg.symmetrize(selection_gains(scenario, noise_seq[n], gammas[:, n], n))
-        for n in range(gammas.shape[1])
-    ]
-    return rollout_values(kind, covariance_rollout(scenario, gains))
+    packed = packed_columns(gammas)
+    first, inverse = distinct_rows(packed.reshape(len(packed), -1))
+    gains = []
+    for n in range(gammas.shape[1]):
+        columns, column_of = distinct_rows(packed[first, n])
+        step = selection_gains(scenario, noise_seq[n], gammas[first[columns], n], n)
+        gains.append(linalg.symmetrize(step)[column_of])
+    return rollout_values(kind, covariance_rollout(scenario, gains))[inverse]
 
 
 def objective_value(kind: str, schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> float:

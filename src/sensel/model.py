@@ -35,7 +35,7 @@ def _frozen(a, dtype=float) -> np.ndarray:
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; a bool (JSON ``true`` equals 1) or a non-integral
+    """``value`` as an int; a bool (``True`` equals 1) or a non-integral
     value such as 1.7 raises ScenarioError instead of being truncated."""
     try:
         m = None if isinstance(value, (bool, np.bool_)) else int(value)
@@ -689,7 +689,7 @@ class Scenario:
         n = self.constraints.horizon
         if self.weights.shape != (n,):
             raise ScenarioError(
-                f"weights length {self.weights.shape[0]} != horizon {n}"
+                f"weights shape {self.weights.shape} != ({n},), one per step"
             )
         for name, steps in (("F", self.system.f), ("Q", self.system.q)):
             if len(steps) not in (1, n):
@@ -1067,10 +1067,42 @@ def save_scenario(scenario: Scenario, path=None) -> str:
     return text
 
 
-def _get(obj: dict, field: str, where: str = "scenario"):
-    if field not in obj or obj[field] is None:
+# The optional fields whose schema type includes null, which reads as absent.
+_NULLABLE = frozenset({"blocks", "full", "jammer", "distance_alpha1", "energy"})
+
+
+def _get(obj, field: str, where: str = "scenario", optional: bool = False):
+    """Field ``field`` of the JSON object ``obj`` at ``where``: the loader's
+    one reader of a scenario's fields.  ``obj`` must be an object.  A
+    missing or null field raises ScenarioError unless it is ``optional``;
+    then a missing one, or a null one the schema lets be null, reads as
+    None."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be an object")
+    value = obj.get(field)
+    if value is None and not optional:
         raise ScenarioError(f"missing field {where}.{field}")
-    return obj[field]
+    if value is None and field in obj and field not in _NULLABLE:
+        raise ScenarioError(f"{where}.{field} is null")
+    return value
+
+
+def _boolean_path(value) -> str | None:
+    """Where in a parsed JSON document its first boolean is, as
+    ``.field[index]...=True``, or None when it holds none."""
+    if isinstance(value, bool):
+        return f"={value!r}"
+    if isinstance(value, dict):
+        pairs, fmt = value.items(), ".{}"
+    elif isinstance(value, list):
+        pairs, fmt = enumerate(value), "[{}]"
+    else:
+        return None
+    for key, item in pairs:
+        tail = _boolean_path(item)
+        if tail is not None:
+            return fmt.format(key) + tail
+    return None
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -1085,8 +1117,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError("state_dim does not match the F matrix")
         noise_json = _get(data, "noise")
         jammer = None
-        if noise_json.get("jammer") is not None:
-            j = noise_json["jammer"]
+        j = _get(noise_json, "jammer", "noise", optional=True)
+        if j is not None:
             jammer = JammerSpec.build(
                 _get(j, "p0", "noise.jammer"),
                 _get(j, "alpha", "noise.jammer"),
@@ -1096,19 +1128,22 @@ def scenario_from_dict(data: dict) -> Scenario:
             )
         noise = NoiseModel.build(
             [s.meas_dim for s in sensors],
-            base_blocks=noise_json.get("blocks"),
-            base_full=noise_json.get("full"),
+            base_blocks=_get(noise_json, "blocks", "noise", optional=True),
+            base_full=_get(noise_json, "full", "noise", optional=True),
             jammer=jammer,
-            distance_alpha1=noise_json.get("distance_alpha1"),
+            distance_alpha1=_get(noise_json, "distance_alpha1", "noise", optional=True),
             sensor_positions=np.array([s.position for s in sensors]),
         )
         cons_json = _get(data, "constraints")
+        linear = _get(cons_json, "linear", "constraints", optional=True)
+        if not isinstance(linear, (list, type(None))):
+            raise ScenarioError("constraints.linear must be an array")
         constraints = ConstraintSet.build(
             _get(cons_json, "per_step", "constraints"),
-            energy=cons_json.get("energy"),
+            energy=_get(cons_json, "energy", "constraints", optional=True),
             extra=[
                 tuple(_get(row, key, f"constraints.linear[{p}]") for key in ("a", "relation", "b"))
-                for p, row in enumerate(cons_json.get("linear") or [])
+                for p, row in enumerate(linear or [])
             ],
         )
         return make_scenario(
@@ -1120,7 +1155,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             _get(data, "x0"),
             _get(data, "P0"),
             seed=_integer(_get(data, "seed"), "seed"),
-            position_indices=data.get("position_indices"),
+            position_indices=_get(data, "position_indices", optional=True),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
@@ -1139,4 +1174,10 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be a JSON object")
+    # The schema types no field as boolean, and JSON true and false are
+    # not numbers, although Python reads True as 1.  A document holds one
+    # only if its text spells one, so most documents skip the search.
+    found = _boolean_path(data) if "true" in text or "false" in text else None
+    if found is not None:
+        raise ScenarioError(f"{path}: scenario{found} is a boolean, not a number")
     return scenario_from_dict(data)

@@ -101,30 +101,34 @@ class SdpSolution:
 
     @cached_property
     def sampling_factor(self) -> np.ndarray:
-        """The (dim, N*L) factor M, built once per solution, whose M'M is
-        the blocks' maximum-determinant completion on the sensors: each
+        """The (sum_n r_n + 1, N*L) factor M, built once per solution, whose
+        M'M is the blocks' maximum-determinant completion on the sensors,
+        each r_n the numerical rank of step n's Schur complement: each
         X_n[:L, :L] on the diagonal, b_i b_j / c off it (b the border, c the
         largest corner).  Given the corner the steps are independent: M's
-        last row is b / sqrt(c), and its diagonal block n is F_n', where
-        F_n F_n' is the Schur complement X_n[:L, :L] - b_n b_n' / c, PSD as
-        c is at least every block's corner, with its eigenvalues clipped at
-        zero.  One below -1e-6 (1 + max|complement|) raises NotPSD."""
+        last row is b / sqrt(c), and above it step n has one row per
+        eigenvector of its Schur complement X_n[:L, :L] - b_n b_n' / c (PSD
+        as c is at least every block's corner), scaled by the root of its
+        eigenvalue, in the step's columns.  An eigenvalue within the band
+        1e-6 (1 + max|complement|) of zero counts as zero and has no row, so
+        a draw spends no normal on the interior point's residue; one below
+        minus the band raises NotPSD."""
         horizon, k, _ = self.blocks.shape
         num = k - 1
         border = self.blocks[:, :num, num]
         corner = float(self.blocks[:, num, num].max())
         schur = self.blocks[:, :num, :num] - border[:, :, None] * border[:, None, :] / corner
         lam, vec = np.linalg.eigh(schur)
-        floor = -1e-6 * (1.0 + float(np.abs(schur).max()))
-        if lam[:, 0].min() < floor:
-            raise NotPSD(f"sampling covariance eigenvalue {lam[:, 0].min():.3e} below {floor:.3e}")
+        band = 1e-6 * (1.0 + float(np.abs(schur).max()))
+        if lam[:, 0].min() < -band:
+            raise NotPSD(f"sampling covariance eigenvalue {lam[:, 0].min():.3e} below {-band:.3e}")
         # Row i of F_n' is eigenvector i scaled by its clipped root.
         f_t = (vec * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]).transpose(0, 2, 1)
         factor = np.zeros((horizon * num + 1, horizon * num))
         steps = np.arange(horizon)
         factor[:-1].reshape(horizon, num, horizon, num)[steps, :, steps] = f_t
         factor[-1] = border.ravel() / np.sqrt(corner)
-        return factor
+        return factor[np.append(lam.ravel() > band, True)]
 
 
 @dataclass(frozen=True)
@@ -530,11 +534,13 @@ def randomize_round(
 ) -> SdrRounding:
     """Sample schedules from the lifted solution and keep the best one.
 
-    Each draw is a standard normal vector of the lifted dimension times the
-    per-step block factor (``SdpSolution.sampling_factor``): a zero-mean
-    Gaussian vector over the sensors whose covariance is the blocks'
-    maximum-determinant completion.  Its entries rank the sensors per step
-    and are rounded greedily to a schedule.  Both the drawn vector and its
+    Each draw is a standard normal vector, one entry per row of the
+    per-step block factor (``SdpSolution.sampling_factor``: the Schur
+    complements' numerical rank plus the border row), times that factor:
+    a zero-mean Gaussian vector over the sensors whose covariance is the
+    blocks' maximum-determinant completion, its Schur eigenvalues within
+    the factor's band of zero set to zero.  Its entries rank the sensors
+    per step and are rounded greedily to a schedule.  Both the drawn vector and its
     negation are rounded (the lifting is sign-symmetric), so each draw
     yields two candidates, interleaved as (+draw 0, -draw 0, +draw 1, ...).
 

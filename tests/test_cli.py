@@ -476,3 +476,106 @@ class TestSweep:
             "--runs", "1", "--threads", "1",
         ])
         assert code == 0
+
+
+SCHEMA_KEYWORDS = ("required", "type", "minItems", "maxItems", "minimum", "exclusiveMinimum", "enum")
+# Keys that shape the walk or only annotate it, and state no rule.
+SCHEMA_STRUCTURE = {"$schema", "title", "description", "properties", "items", "definitions", "$ref"}
+# One value of each JSON type, for breaking a "type" keyword.
+JSON_VALUES = {
+    "null": None, "boolean": True, "integer": 1, "number": 1.5,
+    "string": "x", "array": [], "object": {},
+}
+
+
+def schema_sites(schema, node, path=()):
+    """(instance path, keyword, node) for every rule the schema states; an
+    ``items`` rule is walked at its array's first element."""
+    if "$ref" in node:
+        name = node["$ref"].rsplit("/", 1)[1]
+        node = {**schema["definitions"][name], **node}
+    for keyword in node:
+        if keyword not in SCHEMA_STRUCTURE:
+            yield path, keyword, node
+    for field, sub in node.get("properties", {}).items():
+        yield from schema_sites(schema, sub, path + (field,))
+    if "items" in node:
+        yield from schema_sites(schema, node["items"], path + (0,))
+
+
+def schema_violations(keyword, node, value):
+    """(label, replacement) pairs, each of which breaks ``keyword`` of
+    ``node`` when put in place of ``value``, a value that meets it."""
+    if keyword == "required":
+        return [(f"no {field}", {k: v for k, v in value.items() if k != field})
+                for field in node["required"]]
+    if keyword == "type":
+        allowed = {node["type"]} if isinstance(node["type"], str) else set(node["type"])
+        if "number" in allowed:
+            allowed.add("integer")
+        return [(kind, bad) for kind, bad in JSON_VALUES.items() if kind not in allowed]
+    if keyword == "minItems":
+        return [("short", value[: node["minItems"] - 1])]
+    if keyword == "maxItems":
+        return [("long", value + value[-1:] * (node["maxItems"] + 1 - len(value)))]
+    if keyword == "minimum":
+        return [("below", node["minimum"] - 1)]
+    if keyword == "exclusiveMinimum":
+        return [("at bound", node["exclusiveMinimum"])]
+    if keyword == "enum":
+        return [("outside", "".join(map(str, node["enum"])))]
+    raise AssertionError(f"the schema walker cannot break keyword {keyword!r}")
+
+
+class TestSchemaContract:
+    def test_every_schema_rule_is_the_loaders(self, tmp_path, capsys):
+        """Walk scenario.schema.json and break each of its rules in turn on
+        example7, with one linear row added so that every optional field is
+        present, or on the same scenario with its noise given as one full
+        matrix: every mutation must exit 1 through ``cli.main`` with no
+        traceback.  A keyword the walker does not know, or a rule no base
+        reaches, fails the test."""
+        schema = json.loads(open("src/sensel/scenario.schema.json").read())
+        blocked = json.loads(open("src/sensel/scenarios/example7.json").read())
+        nl = len(blocked["sensors"]) * len(blocked["constraints"]["per_step"])
+        blocked["constraints"]["linear"] = [
+            {"a": [1.0] + [0.0] * (nl - 1), "relation": "<=", "b": 1.0}
+        ]
+        full = json.loads(json.dumps(blocked))
+        full["noise"]["full"] = model.load_scenario(
+            "src/sensel/scenarios/example7.json"
+        ).noise.r_full.tolist()
+        full["noise"]["blocks"] = None
+        path = tmp_path / "mutated.json"
+
+        def exit_code(document):
+            path.write_text(json.dumps(document))
+            code = main(["select", str(path), "--algo", "ignore-dep", "--out", str(tmp_path / "o")])
+            return code, capsys.readouterr().err
+
+        def at(document, where):
+            for key in where:
+                if isinstance(document, dict) and document.get(key) is not None:
+                    document = document[key]
+                elif isinstance(document, list) and len(document) > key:
+                    document = document[key]
+                else:
+                    return None
+            return document
+
+        for base in (blocked, full):
+            assert exit_code(base)[0] == 0
+        keywords, failures = set(), []
+        for where, keyword, node in schema_sites(schema, schema):
+            keywords.add(keyword)
+            base = next((b for b in (blocked, full) if at(b, where) is not None), None)
+            assert base is not None, f"no base scenario reaches {where} for {keyword!r}"
+            for label, bad in schema_violations(keyword, node, at(base, where)):
+                holder = {"root": json.loads(json.dumps(base))}
+                *parents, key = ("root",) + where
+                at(holder, parents)[key] = bad
+                code, err = exit_code(holder["root"])
+                if code != 1 or "Traceback" in err:
+                    failures.append((where, keyword, label, code, err))
+        assert keywords == set(SCHEMA_KEYWORDS)
+        assert not failures

@@ -323,14 +323,20 @@ class TestRollout:
 
     def test_batch_equals_its_one_schedule_calls(self, rng):
         """A batch's covariances and f1, f2 and f3 values are bit for bit
-        those of each of its schedules alone; repeated schedules and a
-        batch of one included."""
+        those of each of its schedules alone; repeated schedules, a batch
+        of one, and a batch whose distinct schedules share columns and
+        repeat in no order included."""
         for trial in range(6):
             scenario = per_step_h_scenario(rng, correlated=bool(trial % 2))
             noise_seq = scenario.noise_sequence()
             gammas = rng.integers(0, 2, size=(12, 3, scenario.num_sensors)).astype(np.int8)
             gammas[6:9] = gammas[:3]
-            for batch in (gammas, gammas[:1]):
+            # Every step's column of ``mixed`` is one of two, combined into
+            # up to eight distinct schedules, each repeated.
+            picks = rng.integers(0, 2, size=(20, 3))
+            mixed = gammas[picks, np.arange(3)]
+            assert len({g.tobytes() for g in mixed}) < len(mixed)
+            for batch in (gammas, gammas[:1], mixed):
                 covs = covariance_rollout(scenario, step_gains(scenario, batch, noise_seq))
                 for b in range(len(batch)):
                     alone = covariance_rollout(

@@ -1033,17 +1033,40 @@ def synthetic_solution(schur, border, corner=1.0):
     return SdpSolution(blocks=block[None], objective=0.0, gap=0.0, iterations=1)
 
 
+def band_of(schur):
+    """The sampling factor's band around zero for a Schur complement."""
+    return 1e-6 * (1.0 + float(np.abs(schur).max()))
+
+
 class TestSamplingFactor:
-    """The (dim, N*L) factor M built from the blocks against the dense
-    maximum-determinant completion (``conftest.dense_completion``)."""
+    """The (sum_n r_n + 1, N*L) factor M built from the blocks against the
+    dense maximum-determinant completion (``conftest.dense_completion``)
+    whose Schur eigenvalues within the band of zero are set to zero; r_n
+    counts step n's eigenvalues above the band."""
 
     @staticmethod
     def assert_factor_completes(solution):
         factor = solution.sampling_factor
         horizon, k, _ = solution.blocks.shape
-        assert factor.shape == (horizon * (k - 1) + 1, horizon * (k - 1))
-        dense = dense_completion(solution.blocks)[:-1, :-1]
-        assert np.abs(factor.T @ factor - dense).max() <= 1e-12 * np.abs(dense).max()
+        num = k - 1
+        dense = dense_completion(solution.blocks)
+        border, corner = dense[:-1, -1], dense[-1, -1]
+        # Given the corner the completion's Schur complement is block
+        # diagonal, one block per step.
+        schur = dense[:-1, :-1] - np.outer(border, border) / corner
+        steps = [slice(n * num, (n + 1) * num) for n in range(horizon)]
+        band = band_of(np.array([schur[s, s] for s in steps]))
+        reference = np.outer(border, border) / corner
+        ranks = []
+        for s in steps:
+            lam, vec = np.linalg.eigh(schur[s, s])
+            assert lam.min() >= -band
+            kept = lam > band
+            ranks.append(int(kept.sum()))
+            reference[s, s] += (vec[:, kept] * lam[kept]) @ vec[:, kept].T
+        assert factor.shape == (sum(ranks) + 1, horizon * num)
+        assert np.abs(factor.T @ factor - reference).max() <= 1e-12 * np.abs(dense).max()
+        return ranks
 
     @pytest.mark.parametrize("name", ["example4", "example5", "example6", "example7"])
     def test_bundled_factor_equals_the_dense_completion(self, name):
@@ -1073,6 +1096,25 @@ class TestSamplingFactor:
     def test_rejects_clearly_indefinite(self):
         with pytest.raises(NotPSD):
             _ = synthetic_solution(np.diag([1.0, -0.5]), [0.3, -0.2]).sampling_factor
+
+    @pytest.mark.parametrize("ratio, rows", [(0.5, 2), (2.0, 3)], ids=["half", "twice"])
+    def test_row_per_eigenvalue_above_the_band(self, ratio, rows):
+        """An eigenvalue at half the band gets no row; one at twice the
+        band keeps its row, of squared norm that eigenvalue."""
+        border = np.array([0.3, -0.2])
+        small = ratio * band_of(np.eye(2))
+        factor = synthetic_solution(np.diag([1.0, small]), border).sampling_factor
+        assert factor.shape == (rows, 2)
+        np.testing.assert_array_equal(factor[-1], border)
+        self.assert_factor_completes(synthetic_solution(np.diag([1.0, small]), border))
+        if rows == 3:
+            np.testing.assert_allclose(factor[0] @ factor[0], small, rtol=1e-9)
+
+    def test_rank_zero_step_leaves_the_border_row(self):
+        border = np.array([0.3, -0.2, 0.5])
+        solution = synthetic_solution(np.zeros((3, 3)), border, corner=4.0)
+        np.testing.assert_array_equal(solution.sampling_factor, border[None] / 2.0)
+        assert self.assert_factor_completes(solution) == [0]
 
     def test_samples_no_matrix_above_the_block_order(self, monkeypatch):
         """Sampling from a solution of the generated SDR family (N = 5

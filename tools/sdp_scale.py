@@ -7,10 +7,11 @@ example4's jammer: the ``sdr_plan`` benchmark family at network scale.  The
 relaxation is built as ``sensel select --algo sdr`` builds it and solved
 once; then the sampling factor is built and one 100-sample f3 rounding
 (seed 1) is drawn from it.  One JSON line goes to stdout: the solve's
-seconds, iterations, duality gap and objective, the factor's and the
-rounding's seconds, the best f3, and the process's peak RSS.  The exit code
-is 1 when the solver does not converge or the gap is above the solver's
-tolerance.
+seconds, iterations, duality gap and objective, the factor's seconds and
+rows (the sampling covariance's numerical rank plus the border row, so
+each draw's count of normals), the rounding's seconds, the best f3, and
+the process's peak RSS.  The exit code is 1 when the solver does not
+converge or the gap is above the solver's tolerance.
 
     PYTHONPATH=src python tools/sdp_scale.py --sensors 120 --per-step 12
 """
@@ -59,7 +60,7 @@ def main() -> int:
         return 1
     solve_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    _ = solution.sampling_factor
+    factor_rows = solution.sampling_factor.shape[0]
     factor_seconds = time.perf_counter() - started
     started = time.perf_counter()
     rounded = randomize_round(solution, scenario, ROUND_SAMPLES, 1, noise_seq=noise_seq)
@@ -74,6 +75,7 @@ def main() -> int:
         "gap": solution.gap,
         "objective": solution.objective,
         "factor_seconds": round(factor_seconds, 4),
+        "factor_rows": factor_rows,
         "round_seconds": round(round_seconds, 4),
         "best_f3": rounded.objective,
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
