@@ -28,7 +28,7 @@ from .errors import (
 )
 from .measure import OBJECTIVES, objective_value
 from .model import Scenario, SelectionSchedule, load_scenario
-from .plan import ALGORITHMS, planning_noise, prepare
+from .plan import ALGORITHMS, prepare
 from .select_sdr import bqp_objective
 from .sim import RunConfig, run_closed_loop, sweep, write_results_csv
 
@@ -59,7 +59,7 @@ def _schedule_json(schedule: SelectionSchedule) -> list[list[int]]:
 
 def cmd_select(args) -> int:
     scenario = _resolve_scenario(args.scenario)
-    plan = prepare(scenario, args.algo, args.objective, planning_noise(scenario))
+    plan = prepare(scenario, args.algo, args.objective)
     schedule = plan.schedule
     if plan.certificate is not None:
         report = plan.certificate
@@ -84,7 +84,7 @@ def cmd_select(args) -> int:
             f"{rounded.objective:.6g} (sdp gap {plan.sdp_solution.gap:.2e})"
         )
     else:
-        value = objective_value(args.objective, schedule, scenario, plan.noise_seq)
+        value = objective_value(args.objective, schedule, scenario)
         payload = {"algo": args.algo, "objective": args.objective, "value": value}
         print(f"{args.algo}: {args.objective}={value:.6g}")
     payload["schedule"] = _schedule_json(schedule)

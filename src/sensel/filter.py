@@ -8,9 +8,10 @@ selected rows and whose :func:`posterior` step the f1/f2 rollout shares.
 Their agreement is enforced by the test suite.  All functions are pure;
 covariances are re-symmetrized after every update.
 
-Every step's joint stack has one row layout: ``noise.labels`` names the
-sensor of each row and ``scenario.h_stacks[n]`` holds the rows of H, so
-the functions below take the scenario and read both.
+Step n's joint stack has one row layout: the step's noise model
+``scenario.step_noise[n]`` names the sensor of each row (``labels``) and
+``scenario.h_stacks[n]`` holds the rows of H, so the functions below take
+the scenario and the step and read both.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidMatrix, NotPositiveDefinite
-from .model import DynamicSystem, NoiseModel, Scenario
+from .model import DynamicSystem, Scenario
 
 
 @dataclass(frozen=True)
@@ -42,17 +43,18 @@ def predict(state: FilterState, system: DynamicSystem, step: int = 0) -> FilterS
     )
 
 
-def masked_model(scenario: Scenario, noise: NoiseModel, column, step: int = 0):
+def masked_model(scenario: Scenario, column, step: int = 0):
     """The gain form's masked all-sensor model of one selection column:
-    the row mask, and H and R kept on the selected rows (and, for R,
-    columns) and zero elsewhere."""
+    the row mask, and the step's H and R kept on the selected rows (and,
+    for R, columns) and zero elsewhere."""
+    noise = scenario.step_noise[step]
     mask = _selected(scenario, column)[noise.labels]
     h = np.where(mask[:, None], scenario.h_stacks[step], 0.0)
     return mask, h, np.where(np.outer(mask, mask), noise.r_full, 0.0)
 
 
 def update_kalman(
-    state_pred: FilterState, scenario: Scenario, noise: NoiseModel, column, z, step: int = 0
+    state_pred: FilterState, scenario: Scenario, column, z, step: int = 0
 ) -> FilterState:
     """Measurement update in gain form, on the all-sensor stack masked to
     the selected rows of the raw measurement ``z``.
@@ -61,7 +63,7 @@ def update_kalman(
     whenever some sensors are unselected, so the gain uses its
     pseudoinverse instead of an inverse.
     """
-    mask, h, r = masked_model(scenario, noise, column, step)
+    mask, h, r = masked_model(scenario, column, step)
     s = h @ state_pred.p @ h.T + r
     k = state_pred.p @ h.T @ linalg.pinv(linalg.symmetrize(s))
     x = state_pred.x + k @ (np.where(mask, z, 0.0) - h @ state_pred.x)
@@ -85,7 +87,7 @@ def posterior(p_prior, gains) -> np.ndarray:
 
 
 def update_gif(
-    state_pred: FilterState, scenario: Scenario, noise: NoiseModel, column, z, step: int = 0
+    state_pred: FilterState, scenario: Scenario, column, z, step: int = 0
 ) -> FilterState:
     """Measurement update in information form, equivalent to
     :func:`update_kalman`: it reads only the selected rows of the step's
@@ -93,19 +95,20 @@ def update_gif(
     measurement ``z``, takes :func:`row_gains`'s gain on a batch of one
     and the rollout's :func:`posterior`, and moves x by P H' R^-1 (z - H x).
     An empty selection takes the posterior of a zero gain."""
+    noise = scenario.step_noise[step]
     rows = np.flatnonzero(_selected(scenario, column)[noise.labels])
     h = scenario.h_stacks[step][rows]
-    p = posterior(state_pred.p, linalg.symmetrize(row_gains(scenario, noise, rows[None], step)))[0]
+    p = posterior(state_pred.p, linalg.symmetrize(row_gains(scenario, rows[None], step)))[0]
     r = noise.entries(rows[None])[0]
     x = state_pred.x + p @ (h.T @ np.linalg.solve(r, np.asarray(z)[rows] - h @ state_pred.x))
     return FilterState(x=x, p=p)
 
 
-def row_gains(scenario: Scenario, noise: NoiseModel, rows, step: int = 0) -> np.ndarray:
+def row_gains(scenario: Scenario, rows, step: int = 0) -> np.ndarray:
     """Information gain H' R^-1 H of each row set of a (U, k) index array
     into the step's stack, as a (U, r, r) array, by one stacked solve."""
     h = scenario.h_stacks[step][rows]
-    r = noise.entries(rows)
+    r = scenario.step_noise[step].entries(rows)
     return h.transpose(0, 2, 1) @ np.linalg.solve(r, h)
 
 
@@ -117,11 +120,11 @@ def _selected(scenario: Scenario, columns) -> np.ndarray:
     return selected
 
 
-def selection_gains(scenario: Scenario, noise: NoiseModel, columns, step: int = 0) -> np.ndarray:
+def selection_gains(scenario: Scenario, columns, step: int = 0) -> np.ndarray:
     """Information gain H' R+ H of each 0/1 selection column of a (U, num)
     array, as a (U, r, r) array: one :func:`row_gains` of the selected
     sensors' rows per count of them."""
-    selected = _selected(scenario, columns)[:, noise.labels]
+    selected = _selected(scenario, columns)[:, scenario.step_noise[step].labels]
     counts = selected.sum(axis=1)
     # A set, not np.unique: numpy's hash-based unique of an int array holds
     # about 1 MB more resident memory from its first call on.
@@ -129,12 +132,12 @@ def selection_gains(scenario: Scenario, noise: NoiseModel, columns, step: int = 
     if len(sizes) == 1 and 0 not in sizes:
         # One count for all columns, a single column's included: no regrouping.
         rows = np.nonzero(selected)[1].reshape(counts.size, -1)
-        return row_gains(scenario, noise, rows, step)
+        return row_gains(scenario, rows, step)
     gains = np.zeros((selected.shape[0], scenario.state_dim, scenario.state_dim))
     for k in sorted(sizes - {0}):
         idx = np.flatnonzero(counts == k)
         rows = np.nonzero(selected[idx])[1].reshape(idx.size, k)
-        gains[idx] = row_gains(scenario, noise, rows, step)
+        gains[idx] = row_gains(scenario, rows, step)
     return gains
 
 

@@ -5,7 +5,9 @@ sensors: for uncorrelated sensors it splits into per-sensor terms, which is
 what makes the analytic top-k selection and the LP formulation work.
 :func:`objective_values` scores a batch of schedules: f3 by
 :func:`f3_values`, f1 and f2 by the one batched recursion
-:func:`filter.covariance_rollout`, read by :func:`rollout_values`.
+:func:`filter.covariance_rollout`, read by :func:`rollout_values`.  Each
+reads step n's noise where the filter does, from ``scenario.step_noise[n]``,
+so a measure takes the scenario and nothing else about the noise.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from .model import Scenario, SelectionSchedule
 OBJECTIVES = ("f1", "f2", "f3")
 
 
-def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
+def info_table(scenario: Scenario) -> np.ndarray:
     """Unweighted per-sensor measures, sensors by steps.
 
-    Entry (i, n) is trace(H_i' R_ii^-1 H_i) at step n, using the diagonal
-    noise block of sensor i.  Top-k ranks each step's sensors by it; the
-    LP route weights it by the step weights to get its objective.
+    Entry (i, n) is trace(H_i' R_ii^-1 H_i) at step n, using sensor i's
+    diagonal block of the step's noise ``scenario.step_noise[n]``.  Top-k
+    ranks each step's sensors by it; the LP route weights it by the step
+    weights to get its objective.
 
     Each step takes one :func:`filter.row_gains` per measurement
     dimension, on each sensor's own rows, and one stacked trace.
@@ -32,17 +35,15 @@ def info_table(scenario: Scenario, noise_seq=None) -> np.ndarray:
     and every one a step uses (all but the static part of a distance
     model) is positive definite, and so is each of its diagonal blocks.
     """
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
     sensors = scenario.sensors
     dims = np.array([sensor.meas_dim for sensor in sensors])
     groups = [(d, np.flatnonzero(dims == d)) for d in np.unique(dims)]
     table = np.zeros((len(sensors), scenario.horizon))
+    offsets = scenario.noise.offsets
     for n in range(scenario.horizon):
-        noise = noise_seq[n]
         for d, idx in groups:
-            rows = noise.offsets[idx][:, None] + np.arange(d)
-            gains = row_gains(scenario, noise, rows, n)
+            rows = offsets[idx][:, None] + np.arange(d)
+            gains = row_gains(scenario, rows, n)
             table[idx, n] = np.trace(gains, axis1=1, axis2=2)
     return table
 
@@ -79,7 +80,7 @@ def packed_columns(gammas: np.ndarray) -> np.ndarray:
     return np.packbits(padded.reshape(batch, -1), axis=1).reshape(batch, horizon, -1)
 
 
-def f3_values(gammas: np.ndarray, scenario: Scenario, noise_seq) -> np.ndarray:
+def f3_values(gammas: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Weighted f3 sum of each (horizon, num) 0/1 schedule in a batch.
 
     Each step's gain traces come from one :func:`filter.selection_gains`
@@ -95,18 +96,16 @@ def f3_values(gammas: np.ndarray, scenario: Scenario, noise_seq) -> np.ndarray:
         if weights[n] == 0.0:
             continue
         first, inverse = distinct_rows(packed[:, n])
-        gains = selection_gains(scenario, noise_seq[n], gammas[first, n], n)
+        gains = selection_gains(scenario, gammas[first, n], n)
         traces = np.trace(gains, axis1=1, axis2=2)
         totals = totals + float(weights[n]) * traces[inverse]
     return totals
 
 
-def objective_f3(schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> float:
+def objective_f3(schedule: SelectionSchedule, scenario: Scenario) -> float:
     """Weighted sum over steps of the information-gain trace: the
     single-schedule case of :func:`f3_values`."""
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
-    return float(f3_values(schedule.gamma.T[None], scenario, noise_seq)[0])
+    return float(f3_values(schedule.gamma.T[None], scenario)[0])
 
 
 def rollout_values(kind: str, covs) -> np.ndarray:
@@ -118,7 +117,7 @@ def rollout_values(kind: str, covs) -> np.ndarray:
     return np.trace(total, axis1=1, axis2=2)
 
 
-def objective_values(kind: str, gammas: np.ndarray, scenario: Scenario, noise_seq) -> np.ndarray:
+def objective_values(kind: str, gammas: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Value of objective ``kind`` for each (horizon, num) 0/1 schedule of
     a batch: the traces of f1 or f2 (to be minimized) or f3 itself (to be
     maximized).  f3 is :func:`f3_values`.  f1 and f2 run one
@@ -126,7 +125,7 @@ def objective_values(kind: str, gammas: np.ndarray, scenario: Scenario, noise_se
     taking each step's gains from one :func:`filter.selection_gains` of
     their distinct columns, and gather the values back over the batch."""
     if kind == "f3":
-        return f3_values(gammas, scenario, noise_seq)
+        return f3_values(gammas, scenario)
     if kind not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
     packed = packed_columns(gammas)
@@ -134,14 +133,12 @@ def objective_values(kind: str, gammas: np.ndarray, scenario: Scenario, noise_se
     gains = []
     for n in range(gammas.shape[1]):
         columns, column_of = distinct_rows(packed[first, n])
-        step = selection_gains(scenario, noise_seq[n], gammas[first[columns], n], n)
+        step = selection_gains(scenario, gammas[first[columns], n], n)
         gains.append(linalg.symmetrize(step)[column_of])
     return rollout_values(kind, covariance_rollout(scenario, gains))[inverse]
 
 
-def objective_value(kind: str, schedule: SelectionSchedule, scenario: Scenario, noise_seq=None) -> float:
+def objective_value(kind: str, schedule: SelectionSchedule, scenario: Scenario) -> float:
     """Value of objective ``kind`` for one schedule: the one-schedule case
     of :func:`objective_values`."""
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
-    return float(objective_values(kind, schedule.gamma.T[None], scenario, noise_seq)[0])
+    return float(objective_values(kind, schedule.gamma.T[None], scenario)[0])

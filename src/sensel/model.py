@@ -161,10 +161,6 @@ class SensorModel:
             raise InvalidMatrix("sensor position must be a 2-vector")
 
     @staticmethod
-    def build(h, position) -> "SensorModel":
-        return SensorModel.build_all([h], [position])[0]
-
-    @staticmethod
     def build_all(hs, positions) -> tuple["SensorModel", ...]:
         """One sensor per (H, position) pair, with one finiteness check over
         every sensor's H and position."""
@@ -468,12 +464,16 @@ class NoiseModel:
     @functools.cached_property
     def diagonal_only(self) -> "NoiseModel":
         """Copy with all cross-sensor blocks dropped, built from the
-        sensors' own blocks, one :meth:`entries` stack per block size."""
+        sensors' own blocks, one :meth:`entries` stack per block size.  The
+        distance term is kept: it is diagonal, so dropping the cross terms
+        before adding it gives the entries that dropping them after gives."""
         own = [None] * len(self.block_sizes)
         for which, rows in _size_groups(self.block_sizes):
             for i, b in zip(which, self.entries(rows)):
                 own[i] = b
-        return NoiseModel.build(self.block_sizes, base_blocks=own)
+        return NoiseModel.build(
+            self.block_sizes, base_blocks=own, distance_alpha1=self.distance_alpha1
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -741,21 +741,20 @@ class Scenario:
             for n in range(self.horizon)
         )
 
-    def noise_sequence(self, predicted_states=None) -> tuple[NoiseModel, ...]:
-        """Per-step noise models over the horizon.
-
-        State-dependent scenarios need the predicted states; static
-        scenarios return the same model for every step.
-        """
-        if self.noise.distance_alpha1 is None:
+    @functools.cached_property
+    def step_noise(self) -> tuple[NoiseModel, ...]:
+        """The noise model of each step over the horizon, the one per-step
+        noise that planning, simulation and filtering share: ``noise`` at
+        every step, or with a distance term, :func:`distance_noise` at the
+        open-loop predicted states (:func:`filter.open_loop_predictions`).
+        Built on first use."""
+        alpha1 = self.noise.distance_alpha1
+        if alpha1 is None:
             return (self.noise,) * self.horizon
-        if predicted_states is None:
-            raise ScenarioError(
-                "state-dependent noise needs predicted states for each step"
-            )
-        return tuple(
-            distance_noise(self, predicted_states, self.noise.distance_alpha1)
-        )
+        from .filter import open_loop_predictions  # filter imports this module
+
+        predictions = open_loop_predictions(self.system, self.x0, self.horizon)
+        return tuple(distance_noise(self, predictions, alpha1))
 
 
 def make_scenario(
@@ -879,8 +878,12 @@ def random_walk_system(q_diag=(5.0, 10.0)) -> DynamicSystem:
 # Scenario generators
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+def philox(seed) -> np.random.Generator:
+    """The one random generator: Philox seeded by an int or a
+    ``SeedSequence``."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(int(seed))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _default_state(model: str, state_dim: int):
@@ -910,7 +913,7 @@ def _build_generated(
         h = np.eye(2)
     else:
         raise ScenarioError(f"unknown generator model {model!r}")
-    rng = _rng(seed)
+    rng = philox(seed)
     ranges = [(float(lo), float(hi)) for lo, hi in noise_ranges]
     if len(ranges) != h.shape[0]:
         raise ScenarioError(
@@ -987,7 +990,7 @@ def gen_uniform_scenario(
     """Sensors placed i.i.d. uniformly over [0, area]^2; seeded."""
     if num_sensors < 1:
         raise ScenarioError("need at least one sensor")
-    rng = _rng(int(seed) ^ 0x5E25)  # placement stream distinct from noise stream
+    rng = philox(int(seed) ^ 0x5E25)  # placement stream distinct from noise stream
     positions = rng.uniform(0.0, float(area), size=(int(num_sensors), 2))
     return _build_generated(
         positions, noise_ranges, seed, model, per_step, energy, weights,

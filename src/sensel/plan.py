@@ -6,7 +6,9 @@ everything about planning that does not depend on a random seed and
 returns a :class:`Plan`: a fixed schedule for the deterministic
 algorithms (with the rounding certificate for ``lp``), or for ``sdr`` the
 quadratic problem, its relaxation's solution and lower bound, from which
-:meth:`Plan.draw` rounds a schedule per seed.
+:meth:`Plan.draw` rounds a schedule per seed.  Every selector reads the
+per-step noise from the scenario (``Scenario.step_noise``), the models
+the simulator draws and filters with, so a plan needs nothing else.
 
 The selectors are looked up in this module's globals at call time, never
 kept in a table or a default argument, so rebinding a selector's name
@@ -18,7 +20,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .filter import open_loop_predictions
 from .model import Scenario, SelectionSchedule
 from .select_lp import Certificate, build_lp, certify, round_energy, solve_lp
 from .select_sdr import (
@@ -44,13 +45,6 @@ ALGORITHMS = {
 }
 
 
-def planning_noise(scenario: Scenario):
-    """Per-step noise models at the open-loop predicted states: the one
-    noise sequence that planning, simulation and filtering share."""
-    predictions = open_loop_predictions(scenario.system, scenario.x0, scenario.horizon)
-    return scenario.noise_sequence(predictions)
-
-
 @dataclass(frozen=True)
 class Plan:
     """A prepared selection: ``schedule`` is set for the deterministic
@@ -59,7 +53,6 @@ class Plan:
     algorithm: str
     objective: str
     scenario: Scenario
-    noise_seq: tuple
     seconds: float
     schedule: SelectionSchedule | None = None
     certificate: Certificate | None = None
@@ -78,33 +71,32 @@ class Plan:
     def draw(self, samples: int, seed: int) -> SdrRounding:
         """Best of ``samples`` randomized roundings of the relaxation."""
         return randomize_round(
-            self.sdp_solution, self.scenario, samples, seed,
-            objective=self.objective, noise_seq=self.noise_seq,
+            self.sdp_solution, self.scenario, samples, seed, objective=self.objective
         )
 
 
-def prepare(scenario: Scenario, algorithm: str, objective: str, noise_seq) -> Plan:
-    """Plan ``algorithm`` on ``scenario`` under the per-step noise models
-    ``noise_seq`` (see :func:`planning_noise`).  ``objective`` (f1, f2 or
-    f3) steers ``exhaustive`` and ``sdr``.  ``Plan.seconds`` times the
-    planning."""
+def prepare(scenario: Scenario, algorithm: str, objective: str) -> Plan:
+    """Plan ``algorithm`` on ``scenario``.  ``objective`` (f1, f2 or f3)
+    steers ``exhaustive`` and ``sdr``.  ``Plan.seconds`` times the
+    planning, the scenario's per-step noise included when this plan is the
+    first to read it."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}")
     started = time.perf_counter()
     schedule = certificate = bqp = solution = bound = None
     if algorithm == "topk":
-        schedule = topk_schedule(scenario, noise_seq)
+        schedule = topk_schedule(scenario)
     elif algorithm == "lp":
-        problem = build_lp(scenario, noise_seq)
+        problem = build_lp(scenario)
         rounded = round_energy(solve_lp(problem), scenario, problem)
         schedule = rounded.schedule
         certificate = certify(rounded, problem)
     elif algorithm == "ignore-dep":
-        schedule = select_ignore_dependence(scenario, noise_seq)
+        schedule = select_ignore_dependence(scenario)
     elif algorithm == "exhaustive":
-        schedule, _ = exhaustive_opt(scenario, objective, noise_seq=noise_seq)
+        schedule, _ = exhaustive_opt(scenario, objective)
     else:  # sdr
-        bqp = build_bqp(scenario, noise_seq)
+        bqp = build_bqp(scenario)
         sdp = build_sdp(bqp)
         solution = solve_sdp(sdp)
         bound = relaxation_bound(solution, sdp)
@@ -113,6 +105,6 @@ def prepare(scenario: Scenario, algorithm: str, objective: str, noise_seq) -> Pl
         _ = solution.sampling_factor
     return Plan(
         algorithm=algorithm, objective=objective, scenario=scenario,
-        noise_seq=noise_seq, seconds=time.perf_counter() - started, schedule=schedule,
+        seconds=time.perf_counter() - started, schedule=schedule,
         certificate=certificate, bqp=bqp, sdp_solution=solution, bound=bound,
     )

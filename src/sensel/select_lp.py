@@ -105,22 +105,20 @@ class Certificate:
         }
 
 
-def build_lp(scenario: Scenario, noise_seq=None) -> LpProblem:
+def build_lp(scenario: Scenario) -> LpProblem:
     """LP relaxation of the weighted-information selection problem.
 
     Variables are the step-major selection vector.  Rows: one equality per
     step (select exactly the required count), one inequality per sensor
     when energy budgets are present, then any extra scenario rows.
     """
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
-    for n, noise in enumerate(noise_seq):
+    for n, noise in enumerate(scenario.step_noise):
         if not noise.is_block_diagonal:
             raise NotSeparableNoise(
                 f"step {n} noise is correlated; use the semidefinite route"
             )
     num = scenario.num_sensors
-    c = (info_table(scenario, noise_seq) * scenario.weights).T.reshape(-1)
+    c = (info_table(scenario) * scenario.weights).T.reshape(-1)
     return LpProblem(
         c=c, rows=scenario.constraints.rows(num), num_sensors=num,
         horizon=scenario.horizon,

@@ -31,7 +31,7 @@ Schur complements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +39,7 @@ import numpy as np
 from . import linalg
 from .errors import Infeasible, NotConverged, NotPSD, RoundingInfeasible
 from .measure import OBJECTIVES, objective_values
-from .model import ConstraintRows, ConstraintSet, Scenario, SelectionSchedule
+from .model import ConstraintRows, ConstraintSet, Scenario, SelectionSchedule, philox
 from .select_lp import build_lp, round_batch, round_energy, solve_lp
 from .select_separable import topk_schedule
 
@@ -141,23 +141,20 @@ class SdrRounding:
     samples: int
 
 
-def build_bqp(scenario: Scenario, noise_seq=None) -> BqpProblem:
+def build_bqp(scenario: Scenario) -> BqpProblem:
     """Quadratic coefficients from the full inverse noise covariance.
 
     Entry (i, s) of a step's matrix is minus the trace coupling
     trace(H_i' T_is H_s) of sensors i and s through block (i, s) of the
-    inverse joint covariance T; the quadratic form in the 0/1 selection
-    vector then equals minus the step's information proxy, so minimizing
-    the weighted sum maximizes information.  Each step is one product:
+    inverse T of the step's joint covariance (``scenario.step_noise``);
+    the quadratic form in the 0/1 selection vector then equals minus the
+    step's information proxy, so minimizing the weighted sum maximizes
+    information.  Each step is one product:
     the block sums of T ∘ (H H') over the sensors' rows, with H the step's
     ``scenario.h_stacks`` entry.
     """
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
     blocks = []
-    for n in range(scenario.horizon):
-        noise = noise_seq[n]
-        h = scenario.h_stacks[n]
+    for noise, h in zip(scenario.step_noise, scenario.h_stacks):
         starts = noise.offsets[:-1]
         row_sums = np.add.reduceat(noise.r_inv * (h @ h.T), starts, axis=0)
         blocks.append(-linalg.symmetrize(np.add.reduceat(row_sums, starts, axis=1)))
@@ -530,7 +527,6 @@ def randomize_round(
     s_count: int,
     seed: int,
     objective: str = "f3",
-    noise_seq=None,
 ) -> SdrRounding:
     """Sample schedules from the lifted solution and keep the best one.
 
@@ -565,13 +561,11 @@ def randomize_round(
         raise ValueError("need at least one randomization sample")
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
     num = scenario.num_sensors
     horizon = scenario.horizon
     nl = num * horizon
     factor = sdp_solution.sampling_factor
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    rng = philox(seed)
 
     signed = np.empty((int(s_count), 2, nl))
     np.matmul(rng.standard_normal((int(s_count), factor.shape[0])), factor, out=signed[:, 0])
@@ -585,7 +579,7 @@ def randomize_round(
         )
     gammas = gammas[feasible]
 
-    values = objective_values(objective, gammas, scenario, noise_seq)
+    values = objective_values(objective, gammas, scenario)
     best_value = values.max() if objective == "f3" else values.min()
     # The step-major bytes of a 0/1 schedule order like its key().
     tied = np.flatnonzero(values == best_value)
@@ -598,17 +592,14 @@ def randomize_round(
     )
 
 
-def select_ignore_dependence(scenario: Scenario, noise_seq=None) -> SelectionSchedule:
+def select_ignore_dependence(scenario: Scenario) -> SelectionSchedule:
     """Baseline that drops cross-sensor correlation and selects as if
     the noise were block-diagonal: analytic top-k when the constraints are
-    per-step counts only, the LP route otherwise."""
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
-    stripped = tuple(noise.diagonal_only for noise in noise_seq)
+    per-step counts only, the LP route otherwise, on the scenario with its
+    noise's cross-sensor blocks dropped (:attr:`NoiseModel.diagonal_only`)."""
+    stripped = replace(scenario, noise=scenario.noise.diagonal_only)
     cons = scenario.constraints
     if cons.energy is None and not cons.extra:
-        return topk_schedule(scenario, stripped)
-    problem = build_lp(scenario, noise_seq=stripped)
-    solution = solve_lp(problem)
-    rounded = round_energy(solution, scenario, problem)
-    return rounded.schedule
+        return topk_schedule(stripped)
+    problem = build_lp(stripped)
+    return round_energy(solve_lp(problem), stripped, problem).schedule

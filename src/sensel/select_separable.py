@@ -35,21 +35,19 @@ EXHAUSTIVE_CAP = 10_000_000
 _SLICE = 4096
 
 
-def topk_schedule(scenario: Scenario, noise_seq=None) -> SelectionSchedule:
+def topk_schedule(scenario: Scenario) -> SelectionSchedule:
     """Greedy rounding of the unweighted measure table under the per-step
     counts alone: each step's largest measures, ties to the lower index.
 
     Raises NotSeparableNoise on correlated noise at any step, and
     UnsupportedConstraints when the schedule breaks a budget or extra row.
     """
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
-    if not all(noise.is_block_diagonal for noise in noise_seq):
+    if not all(noise.is_block_diagonal for noise in scenario.step_noise):
         raise NotSeparableNoise(
             "sensor noises are correlated; top-k selection does not apply"
         )
     counts = ConstraintSet.build(scenario.constraints.per_step)
-    schedule = round_by_scores(info_table(scenario, noise_seq), counts, scenario.weights)
+    schedule = round_by_scores(info_table(scenario), counts, scenario.weights)
     if not schedule.satisfies(scenario.constraints):
         raise UnsupportedConstraints(
             "the top-k schedule violates an energy budget or an extra "
@@ -64,9 +62,7 @@ def _schedule_count(scenario: Scenario) -> int:
     )
 
 
-def exhaustive_opt(
-    scenario: Scenario, objective: str = "f1", noise_seq=None
-) -> tuple[SelectionSchedule, float]:
+def exhaustive_opt(scenario: Scenario, objective: str = "f1") -> tuple[SelectionSchedule, float]:
     """Best feasible schedule by brute-force enumeration.
 
     Minimizes the trace objectives f1 and f2, maximizes the information
@@ -90,8 +86,6 @@ def exhaustive_opt(
         raise TooLarge(
             f"{total} candidate schedules exceed the cap of {EXHAUSTIVE_CAP}"
         )
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
     num = scenario.num_sensors
     rows = scenario.constraints.rows(num)
     # Each step's combinations as 0/1 rows, in itertools order.
@@ -102,7 +96,7 @@ def exhaustive_opt(
         np.put_along_axis(column, chosen, 1, axis=1)
         columns.append(column)
     gains = [
-        linalg.symmetrize(selection_gains(scenario, noise_seq[n], column, n))
+        linalg.symmetrize(selection_gains(scenario, column, n))
         for n, column in enumerate(columns)
     ]
     traces = [np.trace(gain, axis1=1, axis2=2) for gain in gains]

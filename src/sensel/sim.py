@@ -1,8 +1,9 @@
 """Monte Carlo harness: truth generation, measurement synthesis, closed-loop
 selection plus filtering, and RMSE aggregation.
 
-Each step draws every sensor's raw measurement; the filter reads the
-selected sensors' rows of it.
+Each step draws every sensor's raw measurement from the step's noise
+model (``Scenario.step_noise``), the one the planner and the filter read;
+the filter reads the selected sensors' rows of it.
 
 Randomness comes from counter-based Philox streams derived per run from the
 master seed, so results are reproducible across platforms and independent
@@ -22,8 +23,8 @@ import numpy as np
 from .errors import ScenarioError
 from .filter import FilterState, predict, update_gif
 from .measure import objective_f3
-from .model import Scenario, apply_jammer
-from .plan import ALGORITHMS, Plan, planning_noise, prepare
+from .model import Scenario, apply_jammer, philox
+from .plan import ALGORITHMS, Plan, prepare
 
 SWEEP_PARAMS = ("jammer_power", "m_per_step", "s_count")
 
@@ -65,12 +66,6 @@ class RunResult:
     param_value: float | None = None
 
 
-def _rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def simulate_truth(scenario: Scenario, n_steps: int, seed) -> np.ndarray:
     """True trajectory (n_steps + 1 rows, row 0 is the initial state).
 
@@ -78,7 +73,7 @@ def simulate_truth(scenario: Scenario, n_steps: int, seed) -> np.ndarray:
     model covariance through its cached Cholesky factor
     (``DynamicSystem.q_chol``).
     """
-    rng = _rng(seed)
+    rng = philox(seed)
     system = scenario.system
     x = np.asarray(scenario.x0, dtype=float)
     out = [x]
@@ -88,7 +83,7 @@ def simulate_truth(scenario: Scenario, n_steps: int, seed) -> np.ndarray:
     return np.array(out)
 
 
-def simulate_measurements(truth: np.ndarray, scenario: Scenario, seed, noise_seq=None) -> np.ndarray:
+def simulate_measurements(truth: np.ndarray, scenario: Scenario, seed) -> np.ndarray:
     """Raw all-sensor measurements for steps 1..N of a truth trajectory,
     as an (N, dim) array.
 
@@ -96,12 +91,10 @@ def simulate_measurements(truth: np.ndarray, scenario: Scenario, seed, noise_seq
     correlated) covariance, so cross-sensor correlation survives whatever
     selection the filter reads.
     """
-    rng = _rng(seed)
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
+    rng = philox(seed)
     out = np.empty((len(truth) - 1, scenario.noise.dim))
     for n, x in enumerate(truth[1:]):
-        noise = noise_seq[n]
+        noise = scenario.step_noise[n]
         out[n] = scenario.h_stacks[n] @ x + noise.r_chol @ rng.standard_normal(noise.dim)
     return out
 
@@ -118,25 +111,24 @@ def _single_run(config: RunConfig, plan: Plan, run: int, f3: float | None):
     maximizes f3."""
     scenario = config.scenario
     horizon = scenario.horizon
-    noise_seq = plan.noise_seq
     if plan.schedule is None:
         rounding = plan.draw(config.s_count, _run_seed(config.seed, run, 0))
         schedule = rounding.schedule
         if rounding.objective_kind == "f3":
             f3 = rounding.objective
         else:
-            f3 = objective_f3(schedule, scenario, noise_seq)
+            f3 = objective_f3(schedule, scenario)
     else:
         schedule = plan.schedule
     truth = simulate_truth(scenario, horizon, _run_seed(config.seed, run, 1))
-    z = simulate_measurements(truth, scenario, _run_seed(config.seed, run, 2), noise_seq)
+    z = simulate_measurements(truth, scenario, _run_seed(config.seed, run, 2))
     pos = list(scenario.position_indices)
     state = FilterState(x=np.asarray(scenario.x0), p=np.asarray(scenario.p0))
     sq_err = np.zeros(horizon)
     trace_p = np.zeros(horizon)
     for n in range(horizon):
         state = predict(state, scenario.system, step=n)
-        state = update_gif(state, scenario, noise_seq[n], schedule.column(n), z[n], step=n)
+        state = update_gif(state, scenario, schedule.column(n), z[n], step=n)
         err = state.x[pos] - truth[n + 1][pos]
         sq_err[n] = float(err @ err)
         trace_p[n] = float(np.trace(state.p))
@@ -148,15 +140,14 @@ def run_closed_loop(config: RunConfig) -> RunResult:
 
     The schedule is planned for the whole horizon up front, using open-loop
     state predictions where the noise depends on the target position; the
-    same per-step noise models drive planning, simulation, and filtering.
+    scenario's per-step noise models (``Scenario.step_noise``) drive
+    planning, simulation, and filtering.
     Deterministic for a fixed config (timing aside).
     """
     scenario = config.scenario
     horizon = scenario.horizon
-    plan = prepare(scenario, config.algorithm, config.objective, planning_noise(scenario))
-    fixed_f3 = None if plan.schedule is None else objective_f3(
-        plan.schedule, scenario, plan.noise_seq
-    )
+    plan = prepare(scenario, config.algorithm, config.objective)
+    fixed_f3 = None if plan.schedule is None else objective_f3(plan.schedule, scenario)
 
     sq_err = np.zeros((config.runs, horizon))
     trace_p = np.zeros((config.runs, horizon))

@@ -56,12 +56,10 @@ def rand_scenario(
     ]
     f = np.eye(state_dim) + 0.1 * rng.normal(size=(state_dim, state_dim))
     system = model.DynamicSystem.build(f, rand_spd(state_dim, rng))
-    sensors = [
-        model.SensorModel.build(
-            rng.normal(size=(n, state_dim)), rng.uniform(0.0, 100.0, size=2)
-        )
-        for n in sizes
-    ]
+    hs, positions = zip(
+        *[(rng.normal(size=(n, state_dim)), rng.uniform(0.0, 100.0, size=2)) for n in sizes]
+    )
+    sensors = model.SensorModel.build_all(hs, positions)
     noise = (
         rand_correlated_noise(sizes, rng)
         if correlated
@@ -189,28 +187,26 @@ def noise_block(noise: model.NoiseModel, i: int, j: int) -> np.ndarray:
     return noise.entries(rows[None])[0, :k, k:]
 
 
-def selection_gain(scenario, noise, gamma_col, step: int = 0) -> np.ndarray:
+def selection_gain(scenario, gamma_col, step: int = 0) -> np.ndarray:
     """Information gain of one selection column: ``filter.selection_gains``
     on a one-column batch, symmetrized as the objectives use it."""
     column = np.asarray(gamma_col)[None]
-    return linalg.symmetrize(selection_gains(scenario, noise, column, step))[0]
+    return linalg.symmetrize(selection_gains(scenario, column, step))[0]
 
 
-def step_gains(scenario, gammas, noise_seq) -> list[np.ndarray]:
+def step_gains(scenario, gammas) -> list[np.ndarray]:
     """Each step's symmetrized selection gains of a (B, horizon, num) 0/1
     batch, as ``measure.objective_values`` hands them to the rollout."""
     return [
-        linalg.symmetrize(selection_gains(scenario, noise_seq[n], gammas[:, n], n))
+        linalg.symmetrize(selection_gains(scenario, gammas[:, n], n))
         for n in range(gammas.shape[1])
     ]
 
 
-def schedule_rollout(scenario, schedule, noise_seq=None) -> list[np.ndarray]:
+def schedule_rollout(scenario, schedule) -> list[np.ndarray]:
     """Posterior covariances of one schedule: ``filter.covariance_rollout``
     of a one-schedule batch."""
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
-    gains = step_gains(scenario, schedule.gamma.T[None], noise_seq)
+    gains = step_gains(scenario, schedule.gamma.T[None])
     return [p[0] for p in covariance_rollout(scenario, gains)]
 
 
@@ -482,14 +478,12 @@ def dense_sdp_ipm(c, a_hat, rels, b):
 # The quadratic coefficients as ``select_sdr.build_bqp`` computed them
 # before each step became one product: one ``np.trace`` per sensor pair,
 # kept unchanged as the reference for the block sums.
-def loop_build_bqp(scenario, noise_seq=None) -> list[np.ndarray]:
+def loop_build_bqp(scenario) -> list[np.ndarray]:
     """Per-step matrices B_n with B_n[i, s] = -trace(H_i' T_is H_s)."""
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
     num = scenario.num_sensors
     blocks = []
     for n in range(scenario.horizon):
-        noise = noise_seq[n]
+        noise = scenario.step_noise[n]
         t_full = linalg.inv_spd(noise.r_full)
         off = noise.offsets
         h = [scenario.sensors[i].h_at(n) for i in range(num)]

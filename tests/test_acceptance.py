@@ -70,8 +70,8 @@ def test_c1_update_equivalence():
             x=rng.normal(size=state_dim), p=rand_spd(state_dim, rng)
         )
         z = rng.normal(size=scenario.noise.dim)
-        a = update_kalman(state, scenario, scenario.noise, gamma, z)
-        b = update_gif(state, scenario, scenario.noise, gamma, z)
+        a = update_kalman(state, scenario, gamma, z)
+        b = update_gif(state, scenario, gamma, z)
         worst_x = max(
             worst_x,
             np.linalg.norm(a.x - b.x) / (1.0 + np.linalg.norm(a.x)),
@@ -89,7 +89,7 @@ def test_c1_update_equivalence():
     )
 
 
-def _stepwise_regular(scenario, noise_seq=None) -> bool:
+def _stepwise_regular(scenario) -> bool:
     """True when, at every step, the selection with the largest gain trace
     dominates every alternative in the semidefinite order.
 
@@ -99,15 +99,13 @@ def _stepwise_regular(scenario, noise_seq=None) -> bool:
     dominant final matrix, with the per-step trace rule picking another
     schedule).
     """
-    if noise_seq is None:
-        noise_seq = scenario.noise_sequence()
     num = scenario.num_sensors
     for n, m in enumerate(scenario.constraints.per_step):
         gains = []
         for combo in itertools.combinations(range(num), m):
             col = np.zeros(num, dtype=np.int8)
             col[list(combo)] = 1
-            gains.append(selection_gain(scenario, noise_seq[n], col, n))
+            gains.append(selection_gain(scenario, col, n))
         traces = [float(np.trace(g)) for g in gains]
         best = int(np.argmax(traces))
         scale = 1.0 + abs(traces[best])
@@ -145,10 +143,9 @@ def _c2_instance(rng):
         )
         h = rng.normal(size=(2, state_dim))
         base = np.diag(rng.uniform(0.5, 2.0, size=2))
-        sensors = [
-            model.SensorModel.build(h, rng.uniform(0, 100, 2))
-            for _ in range(num)
-        ]
+        sensors = model.SensorModel.build_all(
+            [h] * num, [rng.uniform(0, 100, 2) for _ in range(num)]
+        )
         noise = model.NoiseModel.build(
             [2] * num,
             base_blocks=[float(rng.uniform(0.5, 5.0)) * base for _ in range(num)],
@@ -414,14 +411,11 @@ def test_c9_uncorrelated_reduction_identities():
         )
         gamma = rng.integers(0, 2, size=(num, horizon))
         schedule = SelectionSchedule.build(gamma)
-        noise_seq = scenario.noise_sequence()
         for n in range(horizon):
-            stacked = float(np.trace(
-                selection_gain(scenario, noise_seq[n], schedule.column(n), step=n)
-            ))
+            stacked = float(np.trace(selection_gain(scenario, schedule.column(n), step=n)))
             split = sum(
                 sensor_measure(
-                    scenario.sensors[i].h_at(n), noise_block(noise_seq[n], i, i)
+                    scenario.sensors[i].h_at(n), noise_block(scenario.step_noise[n], i, i)
                 )
                 for i in range(num)
                 if gamma[i, n]

@@ -4,14 +4,18 @@ import argparse
 import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sensel import cli, model, plan, select_sdr, sim
 from sensel.cli import build_parser, main
-from sensel.plan import ALGORITHMS, planning_noise
+from sensel.errors import NotSeparableNoise
+from sensel.plan import ALGORITHMS
 from sensel.select_sdr import bqp_objective, build_bqp, build_sdp, relaxation_bound, solve_sdp
+
+from conftest import noise_block, sensor_measure
 
 
 def save_small_scenario(path, energy):
@@ -19,7 +23,7 @@ def save_small_scenario(path, energy):
     system = model.tracking_system(1.0)
     h = model.position_h()
     rng = np.random.default_rng(5)
-    sensors = [model.SensorModel.build(h, rng.uniform(0, 100, 2)) for _ in range(4)]
+    sensors = model.SensorModel.build_all([h] * 4, [rng.uniform(0, 100, 2) for _ in range(4)])
     noise = model.NoiseModel.build(
         [2] * 4, base_blocks=[np.diag(rng.uniform(5, 10, 2)) for _ in range(4)]
     )
@@ -91,7 +95,7 @@ class TestSelect:
         gamma = np.zeros((scenario.num_sensors, scenario.horizon), dtype=np.int8)
         for n, chosen in enumerate(payload["schedule"]):
             gamma[chosen, n] = 1
-        bqp = build_bqp(scenario, planning_noise(scenario))
+        bqp = build_bqp(scenario)
         bqp_value = bqp_objective(bqp, model.SelectionSchedule.build(gamma))
         assert payload["bqp_objective"] == pytest.approx(bqp_value, rel=1e-12)
         bound = payload["relaxation_bound"]
@@ -116,7 +120,7 @@ class TestSelect:
         monkeypatch.undo()
         payload = json.loads(out.read_text())
         scenario = model.load_scenario("src/sensel/scenarios/example4.json")
-        bqp = build_bqp(scenario, planning_noise(scenario))
+        bqp = build_bqp(scenario)
         sdp = build_sdp(bqp)
         assert payload["relaxation_bound"] == relaxation_bound(solve_sdp(sdp), sdp)
         gamma = np.zeros((scenario.num_sensors, scenario.horizon), dtype=np.int8)
@@ -331,14 +335,87 @@ class TestOnePlanner:
         filtered = []
         original = sim.update_gif
 
-        def recording(state, scenario, noise, column, *rest, **kw):
+        def recording(state, scenario, column, *rest, **kw):
             filtered.append(np.flatnonzero(column).tolist())
-            return original(state, scenario, noise, column, *rest, **kw)
+            return original(state, scenario, column, *rest, **kw)
 
         monkeypatch.setattr(sim, "update_gif", recording)
         assert main(["simulate", *argv, "--runs", "2", "--threads", "1"]) == 0
         selected = json.loads(out.read_text())["schedule"]
         assert filtered == selected * 2
+
+
+def _schedule(payload, scenario) -> model.SelectionSchedule:
+    gamma = np.zeros((scenario.num_sensors, scenario.horizon), dtype=np.int8)
+    for n, chosen in enumerate(payload["schedule"]):
+        gamma[chosen, n] = 1
+    return model.SelectionSchedule.build(gamma)
+
+
+def readme_quick_start() -> list[str]:
+    """The Python blocks of the README's quick start, in order."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    return [block.split("```", 1)[0] for block in section.split("```python\n")[1:]]
+
+
+@pytest.mark.parametrize("name", ["example6", "example7"])
+class TestScenarioOnlyCalls:
+    """On the distance-noise scenarios, the library called with the scenario
+    alone computes what ``sensel select`` plans: every call reads the
+    per-step noise from the scenario, none takes it as an argument."""
+
+    def test_measures_and_baseline_match_select(self, name, tmp_path):
+        from sensel.filter import open_loop_predictions
+        from sensel.measure import info_table, objective_f3, objective_value
+
+        scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        predictions = open_loop_predictions(scenario.system, scenario.x0, scenario.horizon)
+        steps = model.distance_noise(scenario, predictions, scenario.noise.distance_alpha1)
+        expected = [
+            [sensor_measure(sensor.h_at(n), noise_block(steps[n], i, i)) for n in range(len(steps))]
+            for i, sensor in enumerate(scenario.sensors)
+        ]
+        assert np.array_equal(info_table(scenario), expected)
+        schedule = select_sdr.select_ignore_dependence(scenario)
+        for kind in ("f1", "f2", "f3"):
+            out = tmp_path / f"{kind}.json"
+            argv = ["select", name, "--algo", "ignore-dep", "--objective", kind]
+            assert main(argv + ["--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            assert _schedule(payload, scenario).key() == schedule.key()
+            assert objective_value(kind, schedule, scenario) == payload["value"]
+            if kind == "f3":
+                assert objective_f3(schedule, scenario) == payload["value"]
+
+    def test_bqp_matches_select(self, name, tmp_path):
+        scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        bqp = build_bqp(scenario)
+        planned = plan.prepare(scenario, "sdr", "f3").bqp
+        assert all(map(np.array_equal, bqp.b_blocks, planned.b_blocks))
+        out = tmp_path / "sdr.json"
+        argv = ["select", name, "--algo", "sdr", "--samples", "30", "--seed", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert bqp_objective(bqp, _schedule(payload, scenario)) == payload["bqp_objective"]
+
+    def test_readme_quick_start(self, name, tmp_path):
+        """The LP block refuses the correlated noise as ``select --algo lp``
+        does; the SDR block draws the schedule ``select --algo sdr`` draws."""
+        lp_block, sdr_block = readme_quick_start()
+        assert "example3.json" in lp_block and "example4.json" in sdr_block
+        namespace = {}
+        with pytest.raises(NotSeparableNoise):
+            exec(lp_block.replace("example3.json", f"{name}.json"), namespace)
+        assert main(["select", name, "--algo", "lp"]) == 2
+        exec(sdr_block.replace("example4.json", f"{name}.json"), namespace)
+        out = tmp_path / "sdr.json"
+        argv = ["select", name, "--algo", "sdr", "--samples", "100", "--seed", "7"]
+        assert main(argv + ["--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        best = namespace["best"]
+        assert best.schedule.key() == _schedule(payload, namespace["scenario"]).key()
+        assert best.objective == payload["best_objective"]
 
 
 class TestThreadsDefault:

@@ -15,7 +15,6 @@ from sensel.filter import (
     update_gif,
     update_kalman,
 )
-from sensel.plan import planning_noise
 
 from conftest import rand_scenario, rand_spd, schedule_rollout, selection_gain, step_gains
 
@@ -27,10 +26,10 @@ def per_step_h_scenario(rng, num_sensors=4, horizon=3, correlated=True):
         rng, num_sensors=num_sensors, horizon=horizon, correlated=correlated,
         meas_dims=[int(d) for d in rng.integers(1, 4, size=num_sensors)],
     )
-    sensors = [
-        model.SensorModel.build(rng.normal(size=(horizon, s.meas_dim, 2)), s.position)
-        for s in base.sensors
-    ]
+    sensors = model.SensorModel.build_all(
+        [rng.normal(size=(horizon, s.meas_dim, 2)) for s in base.sensors],
+        [s.position for s in base.sensors],
+    )
     return model.make_scenario(
         base.system, sensors, base.noise, base.constraints, base.weights,
         base.x0, base.p0,
@@ -40,10 +39,10 @@ def per_step_h_scenario(rng, num_sensors=4, horizon=3, correlated=True):
 def scalar_setup():
     """One-dimensional system with a single unit sensor."""
     system = model.DynamicSystem.build([[1.0]], [[1.0]])
-    sensor = model.SensorModel.build([[1.0]], [0.0, 0.0])
+    sensors = model.SensorModel.build_all([[[1.0]]], [[0.0, 0.0]])
     noise = model.NoiseModel.build([1], base_blocks=[[[1.0]]])
     return model.make_scenario(
-        system, [sensor], noise, model.ConstraintSet.build([1]), [1.0], [0.0], [[1.0]]
+        system, sensors, noise, model.ConstraintSet.build([1]), [1.0], [0.0], [[1.0]]
     )
 
 
@@ -69,8 +68,8 @@ class TestUpdates:
         scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
         state = FilterState(x=rng.normal(size=2), p=rand_spd(2, rng))
         z = rng.normal(size=scenario.noise.dim)
-        kalman = update_kalman(state, scenario, scenario.noise, [0, 0, 0], z)
-        gif = update_gif(state, scenario, scenario.noise, [0, 0, 0], z)
+        kalman = update_kalman(state, scenario, [0, 0, 0], z)
+        gif = update_gif(state, scenario, [0, 0, 0], z)
         np.testing.assert_array_equal(kalman.x, state.x)
         np.testing.assert_array_equal(gif.x, state.x)
         np.testing.assert_allclose(kalman.p, state.p, atol=1e-15)
@@ -88,8 +87,8 @@ class TestUpdates:
             state = FilterState(x=rng.normal(size=2), p=rand_spd(2, rng))
             z = rng.normal(size=noise.dim)
             moved = np.where(gamma[noise.labels] == 1, z, rng.normal(size=noise.dim))
-            a = update_gif(state, scenario, noise, gamma, z)
-            b = update_gif(state, scenario, noise, gamma, moved)
+            a = update_gif(state, scenario, gamma, z)
+            b = update_gif(state, scenario, gamma, moved)
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.p, b.p)
             assert "r_full" not in vars(noise)
@@ -99,7 +98,7 @@ class TestUpdates:
         scenario = scalar_setup()
         state = FilterState(x=np.array([0.0]), p=np.array([[1.0]]))
         for updater in (update_kalman, update_gif):
-            out = updater(state, scenario, scenario.noise, [1], np.array([1.0]))
+            out = updater(state, scenario, [1], np.array([1.0]))
             np.testing.assert_allclose(out.p, [[0.5]], atol=1e-12)
             np.testing.assert_allclose(out.x, [0.5], atol=1e-12)
 
@@ -115,7 +114,7 @@ class TestUpdates:
         info = np.linalg.inv(state.p) + h.T @ np.linalg.inv(r) @ h
         p_ref = np.linalg.inv(info)
         x_ref = p_ref @ (np.linalg.inv(state.p) @ state.x + h.T @ np.linalg.inv(r) @ z)
-        out = update_kalman(state, scenario, scenario.noise, [1, 1, 1], z)
+        out = update_kalman(state, scenario, [1, 1, 1], z)
         np.testing.assert_allclose(out.p, p_ref, atol=1e-10)
         np.testing.assert_allclose(out.x, x_ref, atol=1e-10)
 
@@ -128,15 +127,14 @@ class TestUpdates:
         L)^-1 L' from the prior's Cholesky factor, and x moved by P H' R^-1
         times the innovation.  The simulator's CSVs rest on these bits."""
         scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
-        noise_seq = planning_noise(scenario)
         r = scenario.state_dim
         for n in range(scenario.horizon):
-            noise = noise_seq[n]
+            noise = scenario.step_noise[n]
             gamma = rng.integers(0, 2, size=scenario.num_sensors)
             gamma[int(rng.integers(scenario.num_sensors))] = 1
             state = FilterState(x=rng.normal(size=r), p=rand_spd(r, rng))
             z = rng.normal(size=noise.dim)
-            out = update_gif(state, scenario, noise, gamma, z, step=n)
+            out = update_gif(state, scenario, gamma, z, step=n)
             rows = np.flatnonzero(np.repeat(gamma, noise.block_sizes))
             h = scenario.h_stacks[n][rows]
             r_sel = noise.r_full[np.ix_(rows, rows)]
@@ -156,8 +154,8 @@ class TestUpdates:
         scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
         prior = FilterState(x=np.zeros(2), p=np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefinite):
-            update_gif(prior, scenario, scenario.noise, [1, 1, 1], np.zeros(scenario.noise.dim))
-        gains = step_gains(scenario, np.ones((2, 1, 3)), scenario.noise_sequence())
+            update_gif(prior, scenario, [1, 1, 1], np.zeros(scenario.noise.dim))
+        gains = step_gains(scenario, np.ones((2, 1, 3)))
         monkeypatch.setattr(model.DynamicSystem, "q_at", lambda self, n: -1e3 * np.eye(2))
         with pytest.raises(NotPositiveDefinite):
             covariance_rollout(scenario, gains)
@@ -177,8 +175,8 @@ class TestEquivalence:
             gamma = rng.integers(0, 2, size=num)
             state = FilterState(x=rng.normal(size=r), p=rand_spd(r, rng))
             z = rng.normal(size=scenario.noise.dim)
-            a = update_kalman(state, scenario, scenario.noise, gamma, z)
-            b = update_gif(state, scenario, scenario.noise, gamma, z)
+            a = update_kalman(state, scenario, gamma, z)
+            b = update_gif(state, scenario, gamma, z)
             x_scale = 1.0 + np.linalg.norm(a.x)
             p_scale = np.linalg.norm(a.p)
             assert np.linalg.norm(a.x - b.x) <= 1e-8 * x_scale, trial
@@ -203,8 +201,8 @@ class TestMonotonicity:
             extra[off[int(rng.integers(0, len(off)))]] = 1
             state = FilterState(x=np.zeros(r), p=rand_spd(r, rng))
             z = np.zeros(scenario.noise.dim)
-            p_small = update_gif(state, scenario, scenario.noise, gamma, z).p
-            p_large = update_gif(state, scenario, scenario.noise, extra, z).p
+            p_small = update_gif(state, scenario, gamma, z).p
+            p_large = update_gif(state, scenario, extra, z).p
             assert linalg.min_eigenvalue(p_small - p_large) >= -1e-9
 
 
@@ -245,9 +243,9 @@ class TestRollout:
         for _ in range(30):
             scenario = rand_scenario(rng, num_sensors=4, horizon=1, correlated=True)
             gamma = rng.integers(0, 2, size=4)
-            _, h, r = masked_model(scenario, scenario.noise, gamma)
+            _, h, r = masked_model(scenario, gamma)
             reference = h.T @ linalg.pinv(r) @ h
-            gain = selection_gain(scenario, scenario.noise, gamma)
+            gain = selection_gain(scenario, gamma)
             np.testing.assert_allclose(gain, reference, atol=1e-9)
 
     def test_selection_gain_reads_each_steps_h(self, rng):
@@ -262,7 +260,7 @@ class TestRollout:
                 h = np.vstack([s.h_at(n) for s in sensors])[rows]
                 r = scenario.noise.r_full[np.ix_(rows, rows)]
                 reference = h.T @ np.linalg.solve(r, h) if rows.any() else np.zeros((2, 2))
-                gain = selection_gain(scenario, scenario.noise, gamma, step=n)
+                gain = selection_gain(scenario, gamma, step=n)
                 np.testing.assert_allclose(gain, reference, rtol=1e-9, atol=1e-9)
 
     def test_batch_matches_gain_form_per_schedule(self, rng):
@@ -272,22 +270,21 @@ class TestRollout:
         the objectives' one recursion is checked against."""
         for trial in range(12):
             scenario = per_step_h_scenario(rng, num_sensors=int(rng.integers(2, 6)))
-            noise_seq = scenario.noise_sequence()
             gammas = rng.integers(0, 2, size=(8, 3, scenario.num_sensors))
-            covs = covariance_rollout(scenario, step_gains(scenario, gammas, noise_seq))
+            covs = covariance_rollout(scenario, step_gains(scenario, gammas))
             for b, gamma in enumerate(gammas):
                 state = FilterState(x=scenario.x0, p=scenario.p0)
                 for n in range(3):
                     z = np.zeros(scenario.noise.dim)
                     state = predict(state, scenario.system, n)
-                    state = update_kalman(state, scenario, noise_seq[n], gamma[n], z, step=n)
+                    state = update_kalman(state, scenario, gamma[n], z, step=n)
                     np.testing.assert_allclose(covs[n][b], state.p, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("name", ["example4", "example7", None])
     def test_filter_steps_equal_the_rollout(self, name, rng):
         """``predict`` + ``update_gif`` over a feasible schedule gives, step
         by step, bit for bit the covariance that ``covariance_rollout``
-        scores for it: example4's and example7's planning noise, and random
+        scores for it: example4's and example7's per-step noise, and random
         scenarios with a new H at every step.  Over three or more steps the
         schedule with its middle step emptied is checked too: an empty step
         takes the posterior of a zero gain in both."""
@@ -297,7 +294,6 @@ class TestRollout:
         else:
             cases = [model.load_scenario(f"src/sensel/scenarios/{name}.json")] * 10
         for scenario in cases:
-            noise_seq = planning_noise(scenario) if name else scenario.noise_sequence()
             constraints = scenario.constraints
             budget = np.array(constraints.energy or [scenario.horizon] * scenario.num_sensors)
             gamma = np.zeros((scenario.horizon, scenario.num_sensors), dtype=np.int8)
@@ -312,13 +308,13 @@ class TestRollout:
                 emptied = gamma.copy()
                 emptied[scenario.horizon // 2] = 0
                 gammas = np.stack([gamma, emptied])
-            covs = covariance_rollout(scenario, step_gains(scenario, gammas, noise_seq))
+            covs = covariance_rollout(scenario, step_gains(scenario, gammas))
             z = np.zeros(scenario.noise.dim)
             for b, schedule in enumerate(gammas):
                 state = FilterState(x=scenario.x0, p=scenario.p0)
                 for n in range(scenario.horizon):
                     state = predict(state, scenario.system, n)
-                    state = update_gif(state, scenario, noise_seq[n], schedule[n], z, step=n)
+                    state = update_gif(state, scenario, schedule[n], z, step=n)
                     assert np.array_equal(state.p, covs[n][b]), (b, n)
 
     def test_batch_equals_its_one_schedule_calls(self, rng):
@@ -328,7 +324,6 @@ class TestRollout:
         repeat in no order included."""
         for trial in range(6):
             scenario = per_step_h_scenario(rng, correlated=bool(trial % 2))
-            noise_seq = scenario.noise_sequence()
             gammas = rng.integers(0, 2, size=(12, 3, scenario.num_sensors)).astype(np.int8)
             gammas[6:9] = gammas[:3]
             # Every step's column of ``mixed`` is one of two, combined into
@@ -337,18 +332,16 @@ class TestRollout:
             mixed = gammas[picks, np.arange(3)]
             assert len({g.tobytes() for g in mixed}) < len(mixed)
             for batch in (gammas, gammas[:1], mixed):
-                covs = covariance_rollout(scenario, step_gains(scenario, batch, noise_seq))
+                covs = covariance_rollout(scenario, step_gains(scenario, batch))
                 for b in range(len(batch)):
-                    alone = covariance_rollout(
-                        scenario, step_gains(scenario, batch[b : b + 1], noise_seq)
-                    )
+                    alone = covariance_rollout(scenario, step_gains(scenario, batch[b : b + 1]))
                     for n in range(3):
                         assert np.array_equal(covs[n][b], alone[n][0])
                 for kind in measure.OBJECTIVES:
-                    values = measure.objective_values(kind, batch, scenario, noise_seq)
+                    values = measure.objective_values(kind, batch, scenario)
                     assert np.array_equal(values, [
                         measure.objective_value(
-                            kind, model.SelectionSchedule.build(gamma.T), scenario, noise_seq
+                            kind, model.SelectionSchedule.build(gamma.T), scenario
                         )
                         for gamma in batch
                     ])

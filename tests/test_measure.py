@@ -32,15 +32,15 @@ class TestSensorMeasure:
             sensor_measure(np.eye(2), np.zeros((2, 2)))
 
 
-def gain_trace(scenario, noise, gamma_col) -> float:
+def gain_trace(scenario, gamma_col) -> float:
     """The stack measure f3 sums: the trace of one column's selection gain."""
-    return float(np.trace(selection_gain(scenario, noise, gamma_col)))
+    return float(np.trace(selection_gain(scenario, gamma_col)))
 
 
 class TestGainTrace:
     def test_empty_selection(self, rng):
         scenario = rand_scenario(rng, num_sensors=2, horizon=1)
-        assert gain_trace(scenario, scenario.noise, [0, 0]) == 0.0
+        assert gain_trace(scenario, [0, 0]) == 0.0
 
     def test_wrong_length_selection_rejected(self):
         """A column or schedule of the wrong length is refused; a longer one
@@ -50,10 +50,10 @@ class TestGainTrace:
         z = np.zeros(scenario.noise.dim)
         for length in (scenario.num_sensors + 2, scenario.num_sensors - 1):
             with pytest.raises(InvalidMatrix, match="length"):
-                selection_gains(scenario, scenario.noise, [[1] * length])
+                selection_gains(scenario, [[1] * length])
             for update in (update_kalman, update_gif):
                 with pytest.raises(InvalidMatrix, match="length"):
-                    update(state, scenario, scenario.noise, [1] * length, z)
+                    update(state, scenario, [1] * length, z)
             schedule = SelectionSchedule.build(np.ones((length, scenario.horizon)))
             with pytest.raises(InvalidMatrix, match="length"):
                 measure.objective_f3(schedule, scenario)
@@ -64,7 +64,7 @@ class TestGainTrace:
         for _ in range(30):
             scenario = rand_scenario(rng, num_sensors=4, horizon=1, correlated=False)
             gamma = rng.integers(0, 2, size=4)
-            total = gain_trace(scenario, scenario.noise, gamma)
+            total = gain_trace(scenario, gamma)
             parts = sum(
                 sensor_measure(
                     scenario.sensors[i].h_at(0), noise_block(scenario.noise, i, i)
@@ -80,8 +80,8 @@ class TestGainTrace:
         for _ in range(30):
             scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
             gamma = rng.integers(0, 2, size=3)
-            _, h, r = masked_model(scenario, scenario.noise, gamma)
-            value = gain_trace(scenario, scenario.noise, gamma)
+            _, h, r = masked_model(scenario, gamma)
+            value = gain_trace(scenario, gamma)
             oracle = float(np.trace(h.T @ linalg.pinv(r) @ h))
             assert value == pytest.approx(oracle, abs=1e-9, rel=1e-9)
 
@@ -90,10 +90,10 @@ class TestGainTrace:
         scenario = rand_scenario(rng, num_sensors=3, horizon=1, correlated=True)
         gamma = np.array([1, 0, 1])
         noise = scenario.noise
-        base = gain_trace(scenario, noise, gamma)
+        base = gain_trace(scenario, gamma)
         for c in (0.25, 2.0, 10.0):
             scaled_noise = model.NoiseModel.from_full(c * noise.r_full, noise.block_sizes)
-            scaled = gain_trace(scenario, scaled_noise, gamma)
+            scaled = gain_trace(replace(scenario, noise=scaled_noise), gamma)
             assert scaled == pytest.approx(base / c, rel=1e-10)
 
 
@@ -113,7 +113,7 @@ class TestObjectives:
         )
         gamma = rng.integers(0, 2, size=(3, 3))
         schedule = SelectionSchedule.build(gamma)
-        _, h, r = masked_model(scenario, scenario.noise, schedule.column(2), step=2)
+        _, h, r = masked_model(scenario, schedule.column(2), step=2)
         expected = np.trace(h.T @ linalg.pinv(r) @ h)
         assert measure.objective_f3(schedule, scenario) == pytest.approx(expected)
 
@@ -142,10 +142,10 @@ class TestObjectives:
                 assert table[i, n] == expected
 
 
-def loop_info_table(scenario, noise_seq):
+def loop_info_table(scenario):
     """The table one ``sensor_measure`` call per sensor and step."""
     return np.array([
-        [sensor_measure(sensor.h_at(n), noise_block(noise_seq[n], i, i))
+        [sensor_measure(sensor.h_at(n), noise_block(scenario.step_noise[n], i, i))
          for n in range(scenario.horizon)]
         for i, sensor in enumerate(scenario.sensors)
     ])
@@ -161,31 +161,31 @@ class TestBatchedInfoTable:
                 rng, num_sensors=7, horizon=3, meas_dims=[1, 2, 2, 1, 3, 1, 2],
                 correlated=correlated,
             )
-            noise_seq = scenario.noise_sequence()
-            assert np.array_equal(
-                measure.info_table(scenario), loop_info_table(scenario, noise_seq)
-            )
+            assert np.array_equal(measure.info_table(scenario), loop_info_table(scenario))
 
     def test_per_step_h(self, rng):
         scenario = rand_scenario(rng, num_sensors=5, horizon=4, meas_dims=[2, 1, 2, 2, 1])
-        sensors = tuple(
-            model.SensorModel.build(
-                rng.normal(size=(4, sensor.meas_dim, 2)), sensor.position
-            )
-            for sensor in scenario.sensors
+        sensors = model.SensorModel.build_all(
+            [rng.normal(size=(4, sensor.meas_dim, 2)) for sensor in scenario.sensors],
+            [sensor.position for sensor in scenario.sensors],
         )
         scenario = replace(scenario, sensors=sensors)
         table = measure.info_table(scenario)
-        assert np.array_equal(table, loop_info_table(scenario, scenario.noise_sequence()))
+        assert np.array_equal(table, loop_info_table(scenario))
         assert len(np.unique(table[0])) == 4  # the steps really differ
 
     def test_state_dependent_noise(self, rng):
+        """A distance term: each step's table reads that step's noise."""
         scenario = rand_scenario(rng, num_sensors=6, horizon=3, meas_dims=[1, 2] * 3)
-        states = [rng.uniform(0.0, 100.0, size=2) for _ in range(3)]
-        noise_seq = model.distance_noise(scenario, states, 0.5)
-        table = measure.info_table(scenario, noise_seq)
-        assert np.array_equal(table, loop_info_table(scenario, noise_seq))
+        noise = model.NoiseModel.build(
+            scenario.noise.block_sizes, base_blocks=scenario.noise.base_blocks,
+            distance_alpha1=0.5,
+        )
+        distant = replace(scenario, noise=noise, x0=rng.uniform(0.0, 100.0, size=2))
+        table = measure.info_table(distant)
+        assert np.array_equal(table, loop_info_table(distant))
         assert not np.array_equal(table, measure.info_table(scenario))
+        assert not np.array_equal(table[:, 0], table[:, 1])
 
 
 def _enumerate_schedules(scenario):
@@ -220,7 +220,6 @@ class TestTraceCriterionConsistency:
                 correlated=bool(rng.integers(0, 2)),
                 per_step=[int(rng.integers(1, num))] * horizon,
             )
-            noise_seq = scenario.noise_sequence()
             myopic_cols = []
             regular = True
             for n in range(horizon):
@@ -230,9 +229,7 @@ class TestTraceCriterionConsistency:
                 ):
                     col = np.zeros(num, dtype=np.int8)
                     col[list(combo)] = 1
-                    gains.append(
-                        (selection_gain(scenario, noise_seq[n], col, n), col)
-                    )
+                    gains.append((selection_gain(scenario, col, n), col))
                 traces_n = [float(np.trace(g)) for g, _ in gains]
                 top = int(np.argmax(traces_n))
                 scale = 1.0 + abs(traces_n[top])

@@ -3,6 +3,7 @@ jammer and distance-dependent noise."""
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,10 +24,7 @@ def small_scenario(**overrides):
     """Two-sensor tracking scenario used as an editing base."""
     system = model.tracking_system(1.0)
     h = model.position_h()
-    sensors = [
-        model.SensorModel.build(h, [0.0, 0.0]),
-        model.SensorModel.build(h, [100.0, 0.0]),
-    ]
+    sensors = model.SensorModel.build_all([h, h], [[0.0, 0.0], [100.0, 0.0]])
     noise = model.NoiseModel.build(
         [2, 2], base_blocks=[np.diag([5.0, 10.0]), np.diag([6.0, 11.0])]
     )
@@ -323,10 +321,10 @@ class TestJammer:
         """A sensor at the jammer position with unit parameters gains
         exactly the jammer covariance on its own block."""
         system = model.tracking_system()
-        sensor = model.SensorModel.build(model.position_h(), [25.0, 30.0])
+        sensors = model.SensorModel.build_all([model.position_h()], [[25.0, 30.0]])
         noise = model.NoiseModel.build([2], base_blocks=[np.diag([5.0, 10.0])])
         scenario = model.make_scenario(
-            system, [sensor], noise, model.ConstraintSet.build([1]),
+            system, sensors, noise, model.ConstraintSet.build([1]),
             [1.0], np.zeros(4), np.eye(4),
         )
         after = model.apply_jammer(scenario, 1.0, 1.0, 2.0, [25.0, 30.0], np.eye(2))
@@ -362,12 +360,12 @@ class TestDistanceNoise:
     def test_diagonal_value(self):
         """alpha1 = 0.05 at 100 m adds 5 on each diagonal entry."""
         system = model.tracking_system()
-        sensor = model.SensorModel.build(model.position_h(), [0.0, 0.0])
+        sensors = model.SensorModel.build_all([model.position_h()], [[0.0, 0.0]])
         noise = model.NoiseModel.build(
             [2], base_blocks=[np.diag([1.0, 1.0])], distance_alpha1=0.05,
         )
         scenario = model.make_scenario(
-            system, [sensor], noise, model.ConstraintSet.build([1]),
+            system, sensors, noise, model.ConstraintSet.build([1]),
             [1.0], np.zeros(4), np.eye(4),
         )
         state = np.array([100.0, 0.0, 0.0, 0.0])
@@ -378,12 +376,12 @@ class TestDistanceNoise:
 
     def test_zero_distance_keeps_static_part_only(self):
         system = model.tracking_system()
-        sensor = model.SensorModel.build(model.position_h(), [10.0, 20.0])
+        sensors = model.SensorModel.build_all([model.position_h()], [[10.0, 20.0]])
         noise = model.NoiseModel.build(
             [2], base_blocks=[np.diag([3.0, 4.0])], distance_alpha1=0.05,
         )
         scenario = model.make_scenario(
-            system, [sensor], noise, model.ConstraintSet.build([1]),
+            system, sensors, noise, model.ConstraintSet.build([1]),
             [1.0], np.zeros(4), np.eye(4),
         )
         state = np.array([10.0, 0.0, 20.0, 0.0])  # target on top of the sensor
@@ -392,12 +390,12 @@ class TestDistanceNoise:
 
     def test_zero_distance_without_static_noise_rejected(self):
         system = model.tracking_system()
-        sensor = model.SensorModel.build(model.position_h(), [10.0, 20.0])
+        sensors = model.SensorModel.build_all([model.position_h()], [[10.0, 20.0]])
         noise = model.NoiseModel.build(
             [2], base_blocks=[np.zeros((2, 2))], distance_alpha1=0.05,
         )
         scenario = model.make_scenario(
-            system, [sensor], noise, model.ConstraintSet.build([1]),
+            system, sensors, noise, model.ConstraintSet.build([1]),
             [1.0], np.zeros(4), np.eye(4),
         )
         state = np.array([10.0, 0.0, 20.0, 0.0])
@@ -427,16 +425,19 @@ class TestDistanceNoise:
             model.distance_noise(scenario, states, alpha1)
 
     def test_bundled_state_dependent_scenario_assembles(self):
-        scenario = model.load_scenario("src/sensel/scenarios/example6.json")
+        """The per-step noise is the distance term at the open-loop
+        predicted states, built once per scenario."""
         from sensel.filter import open_loop_predictions
 
-        predictions = open_loop_predictions(
-            scenario.system, scenario.x0, scenario.horizon
-        )
-        seq = scenario.noise_sequence(predictions)
+        scenario = model.load_scenario("src/sensel/scenarios/example6.json")
+        seq = scenario.step_noise
         assert len(seq) == scenario.horizon
-        for noise in seq:
+        assert scenario.step_noise is seq
+        predictions = open_loop_predictions(scenario.system, scenario.x0, scenario.horizon)
+        expected = model.distance_noise(scenario, predictions, scenario.noise.distance_alpha1)
+        for noise, reference in zip(seq, expected, strict=True):
             assert np.all(np.linalg.eigvalsh(noise.r_full) > 0)
+            assert np.array_equal(noise.r_full, reference.r_full)
 
 
 class TestConstraintRows:
@@ -578,10 +579,10 @@ class TestRowMap:
 
     def test_h_stacks_are_lazy_read_only_and_per_step(self, rng):
         base = rand_scenario(rng, num_sensors=3, horizon=3, meas_dims=[1, 3, 2])
-        sensors = [
-            model.SensorModel.build(rng.normal(size=(3, s.meas_dim, 2)), s.position)
-            for s in base.sensors
-        ]
+        sensors = model.SensorModel.build_all(
+            [rng.normal(size=(3, s.meas_dim, 2)) for s in base.sensors],
+            [s.position for s in base.sensors],
+        )
         scenario = model.make_scenario(
             base.system, sensors, base.noise, base.constraints, base.weights,
             base.x0, base.p0,
@@ -663,7 +664,7 @@ class TestRowMap:
         assert scenario.horizon > 1
         select_ignore_dependence(scenario)
         assert counts == {"is_block_diagonal": 1, "diagonal_only": 1}
-        stripped = [noise.diagonal_only for noise in scenario.noise_sequence()]
+        stripped = [noise.diagonal_only for noise in scenario.step_noise]
         assert all(copy is stripped[0] for copy in stripped)
         assert counts == {"is_block_diagonal": 1, "diagonal_only": 1}
 
@@ -783,24 +784,42 @@ class TestBlockNoiseWork:
                 jammer=None, distance_alpha1=None,
             )
 
-    @pytest.mark.parametrize("name", [f"example{k}" for k in range(1, 8)] + ["jammer400"])
+    @pytest.mark.parametrize(
+        "name", [f"example{k}" for k in range(1, 8)] + ["jammer400", "jammer400-distance"]
+    )
     def test_diagonal_only_equals_the_masked_copy(self, name):
         """Gathering the sensors' own blocks gives bit for bit the copy that
         masked every cross entry of ``r_full`` to 0 and rebuilt the model
-        from the full matrix; every step model of a distance scenario too."""
-        from sensel.plan import planning_noise
-
-        if name == "jammer400":
+        from the full matrix; every step model of a distance scenario too.
+        The copy keeps the distance term, and stripping the static part
+        before the diagonal distance term is added gives each step's
+        entries bit for bit as stripping the step's model does: the
+        scenario ignore-dep plans on."""
+        if name.startswith("jammer400"):
             scenario = jammer_network()
         else:
             scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
-        for noise in {id(n): n for n in planning_noise(scenario)}.values():
+        if name == "jammer400-distance":
+            noise = scenario.noise
+            distant = model.NoiseModel.build(
+                noise.block_sizes, base_blocks=noise.base_blocks, jammer=noise.jammer,
+                distance_alpha1=0.05, sensor_positions=scenario.sensor_positions(),
+            )
+            scenario = replace(scenario, noise=distant)
+        for noise in {id(n): n for n in scenario.step_noise}.values():
             own = noise.labels[:, None] == noise.labels[None, :]
             masked = model.NoiseModel.from_full(
                 np.where(own, noise.r_full, 0.0), noise.block_sizes
             )
             assert np.array_equal(noise.diagonal_only.r_full, masked.r_full)
             assert noise.diagonal_only.block_sizes == noise.block_sizes
+        alpha1 = scenario.noise.distance_alpha1
+        stripped = replace(scenario, noise=scenario.noise.diagonal_only)
+        assert stripped.noise.distance_alpha1 == alpha1
+        if alpha1 is not None:
+            steps = zip(stripped.step_noise, scenario.step_noise, strict=True)
+            for before, after in steps:
+                assert np.array_equal(before.r_full, after.diagonal_only.r_full)
 
     def test_diagonal_only_is_built_from_the_own_blocks(self, monkeypatch):
         """The copy is assembled from the 400 own blocks, with no masked
@@ -946,10 +965,8 @@ class TestNoiseParts:
     def test_bundled_entries_equal_the_dense_entries(self, name, rng):
         """Every bundled scenario's noise, and every step model of the
         distance scenarios."""
-        from sensel.plan import planning_noise
-
         scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
-        for noise in (scenario.noise, *planning_noise(scenario)):
+        for noise in (scenario.noise, *scenario.step_noise):
             self.assert_entries_match(noise, rng)
 
     @pytest.mark.parametrize(
@@ -959,14 +976,13 @@ class TestNoiseParts:
         """Loading and planning a 400-sensor uncorrelated scenario, and
         scoring its schedule, read only the sensors' own blocks."""
         from sensel.measure import OBJECTIVES, objective_value
-        from sensel.plan import planning_noise, prepare
+        from sensel.plan import prepare
 
         scenario = model.load_scenario(lp_family_path(tmp_path, energy))
-        noise_seq = planning_noise(scenario)
-        plan = prepare(scenario, algo, "f3", noise_seq)
+        plan = prepare(scenario, algo, "f3")
         for kind in OBJECTIVES:
-            objective_value(kind, plan.schedule, scenario, noise_seq)
-        assert all(noise is scenario.noise for noise in noise_seq)
+            objective_value(kind, plan.schedule, scenario)
+        assert all(noise is scenario.noise for noise in scenario.step_noise)
         assert "r_full" not in vars(scenario.noise)
         assert "r_full" not in vars(scenario.noise.diagonal_only)
 

@@ -63,7 +63,7 @@ def count_rule_feasible(scores, constraints, weights) -> np.ndarray:
 def measures_scenario(values, per_step, horizon=1, energy=None, weights=None):
     num = len(values)
     system = model.DynamicSystem.build([[1.0]], [[1.0]])
-    sensors = [model.SensorModel.build([[1.0]], [float(i), 0.0]) for i in range(num)]
+    sensors = model.SensorModel.build_all([[[1.0]]] * num, [[float(i), 0.0] for i in range(num)])
     noise = model.NoiseModel.build([1] * num, base_blocks=[[[1.0 / v]] for v in values])
     if weights is None:
         weights = np.ones(horizon)

@@ -11,7 +11,6 @@ import pytest
 from sensel import linalg, measure, model, select_sdr
 from sensel.errors import NotConverged, NotPSD, RoundingInfeasible
 from sensel.filter import masked_model
-from sensel.plan import planning_noise
 from sensel.select_lp import build_lp, solve_lp
 from sensel.select_sdr import (
     _START_CLIP,
@@ -50,7 +49,6 @@ from conftest import (
     loop_build_bqp,
     loop_round_by_scores,
     noise_block,
-    rand_correlated_noise,
     rand_scenario,
     rand_spd,
     selection_gain,
@@ -63,7 +61,6 @@ def loop_randomize_round(sdp_solution, scenario, s_count, seed, objective):
     """Reference: the per-sample loop that the batched randomization
     replaced (one draw through the same sampling factor, two greedy
     roundings and their evaluation at a time).  Returns (gamma, value)."""
-    noise_seq = scenario.noise_sequence()
     num = scenario.num_sensors
     horizon = scenario.horizon
     factor = sdp_solution.sampling_factor
@@ -73,13 +70,11 @@ def loop_randomize_round(sdp_solution, scenario, s_count, seed, objective):
     def evaluate(schedule):
         if objective == "f3":
             return sum(
-                float(weights[n]) * float(np.trace(selection_gain(
-                    scenario, noise_seq[n], schedule.column(n), n
-                )))
+                float(weights[n]) * float(np.trace(selection_gain(scenario, schedule.column(n), n)))
                 for n in range(horizon)
                 if weights[n] != 0.0
             )
-        return measure.objective_value(objective, schedule, scenario, noise_seq)
+        return measure.objective_value(objective, schedule, scenario)
 
     maximize = objective == "f3"
     best_gamma, best_value, best_key = None, -np.inf if maximize else np.inf, None
@@ -102,10 +97,7 @@ def loop_randomize_round(sdp_solution, scenario, s_count, seed, objective):
 def two_sensor_scalar(rho):
     """Two scalar sensors with unit maps and correlation rho."""
     system = model.DynamicSystem.build([[1.0]], [[1.0]])
-    sensors = [
-        model.SensorModel.build([[1.0]], [0.0, 0.0]),
-        model.SensorModel.build([[1.0]], [10.0, 0.0]),
-    ]
+    sensors = model.SensorModel.build_all([[[1.0]]] * 2, [[0.0, 0.0], [10.0, 0.0]])
     noise = model.NoiseModel.from_full([[1.0, rho], [rho, 1.0]], [1, 1])
     return model.make_scenario(
         system, sensors, noise, model.ConstraintSet.build([1]),
@@ -119,9 +111,9 @@ def per_step_h_scenario(rng, num, horizon, correlated):
         rng, num_sensors=num, horizon=horizon, state_dim=3, correlated=correlated,
         meas_dims=[int(d) for d in rng.integers(1, 4, size=num)],
     )
-    sensors = tuple(
-        model.SensorModel.build(rng.normal(size=(horizon, s.meas_dim, 3)), s.position)
-        for s in scenario.sensors
+    sensors = model.SensorModel.build_all(
+        [rng.normal(size=(horizon, s.meas_dim, 3)) for s in scenario.sensors],
+        [s.position for s in scenario.sensors],
     )
     return replace(scenario, sensors=sensors)
 
@@ -130,24 +122,26 @@ class TestBuildBqp:
     @pytest.mark.parametrize("name", ["example4", "example5", "example6", "example7"])
     def test_bundled_blocks_equal_the_pairwise_loop(self, name):
         scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
-        noise_seq = planning_noise(scenario)
-        blocks = build_bqp(scenario, noise_seq).b_blocks
-        for block, expected in zip(blocks, loop_build_bqp(scenario, noise_seq), strict=True):
+        blocks = build_bqp(scenario).b_blocks
+        for block, expected in zip(blocks, loop_build_bqp(scenario), strict=True):
             assert np.array_equal(block, expected)
 
     def test_random_blocks_match_the_pairwise_loop(self, rng):
         """Mixed 1-3-row sensors, per-step H, and correlated noise that
-        differs per step."""
-        for trial in range(40):
+        differs per step: a distance term on a correlated static model."""
+        for _ in range(40):
             num = int(rng.integers(1, 7))
             horizon = int(rng.integers(1, 4))
-            scenario = per_step_h_scenario(rng, num, horizon, correlated=trial % 2 == 0)
-            noise_seq = [scenario.noise] + [
-                rand_correlated_noise(scenario.noise.block_sizes, rng)
-                for _ in range(horizon - 1)
-            ]
-            blocks = build_bqp(scenario, noise_seq).b_blocks
-            for block, expected in zip(blocks, loop_build_bqp(scenario, noise_seq), strict=True):
+            scenario = per_step_h_scenario(rng, num, horizon, correlated=True)
+            noise = model.NoiseModel.build(
+                scenario.noise.block_sizes, base_full=scenario.noise.base_full,
+                distance_alpha1=float(rng.uniform(0.01, 0.1)),
+            )
+            scenario = replace(scenario, noise=noise)
+            steps = scenario.step_noise
+            assert all(not np.array_equal(a.r_full, steps[0].r_full) for a in steps[1:])
+            blocks = build_bqp(scenario).b_blocks
+            for block, expected in zip(blocks, loop_build_bqp(scenario), strict=True):
                 np.testing.assert_allclose(block, expected, rtol=1e-12, atol=0.0)
                 assert np.array_equal(block, block.T)
 
@@ -195,7 +189,7 @@ class TestBuildBqp:
             bqp = build_bqp(scenario)
             gamma = rng.integers(0, 2, size=num).astype(float)
             t_full = np.linalg.inv(scenario.noise.r_full)
-            _, h, _ = masked_model(scenario, scenario.noise, gamma)
+            _, h, _ = masked_model(scenario, gamma)
             expected = float(np.trace(h.T @ t_full @ h))
             quad = -float(gamma @ bqp.b_blocks[0] @ gamma)
             assert quad == pytest.approx(expected, abs=1e-9, rel=1e-9)
@@ -710,7 +704,7 @@ class TestBlockSolver:
     @pytest.mark.parametrize("name", ["example2", "example4", "example5", "example6"])
     def test_bundled_objectives_match_dense(self, name):
         scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
-        sdp = build_sdp(build_bqp(scenario, planning_noise(scenario)))
+        sdp = build_sdp(build_bqp(scenario))
         self.check_against_dense(sdp, dense_solve_sdp(sdp))
 
     def test_jammer_family_matches_dense(self):
@@ -791,11 +785,10 @@ class TestBlockSolver:
             cons.per_step, energy=cons.energy,
             extra=[(a, "<=", 0.0)],
         ))
-        noise_seq = planning_noise(scenario)
-        solution = solve_sdp(build_sdp(build_bqp(scenario, noise_seq)))
+        solution = solve_sdp(build_sdp(build_bqp(scenario)))
         assert solution.gap <= _TOL
         for seed in range(5):
-            rounded = randomize_round(solution, scenario, 100, seed, noise_seq=noise_seq)
+            rounded = randomize_round(solution, scenario, 100, seed)
             assert not rounded.schedule.gamma[3].any()
             assert rounded.schedule.satisfies(scenario.constraints)
 
@@ -922,7 +915,7 @@ class TestPrimalStart:
         start is x = 2 * 2/20 - 1 everywhere and meets every budget row
         strictly."""
         scenario = jammer_instance(seed)
-        sdp = build_sdp(build_bqp(scenario, planning_noise(scenario)))
+        sdp = build_sdp(build_bqp(scenario))
         solution, start = solve_recording_start(monkeypatch, sdp)
         x, met = self.check_start(sdp, start)
         np.testing.assert_allclose(x, uniform_border(scenario), rtol=0.0, atol=1e-14)
@@ -983,14 +976,13 @@ class TestPrimalStart:
         scenario = replace(scenario, constraints=model.ConstraintSet.build(
             cons.per_step, energy=cons.energy, extra=[(a, ">=", 1.0)],
         ))
-        noise_seq = planning_noise(scenario)
-        sdp = build_sdp(build_bqp(scenario, noise_seq))
+        sdp = build_sdp(build_bqp(scenario))
         solution, start = solve_recording_start(monkeypatch, sdp)
         x, met = self.check_start(sdp, start)
         np.testing.assert_allclose(x, uniform_border(scenario), rtol=0.0, atol=1e-14)
         assert met[:-1].all() and not met[-1]
         assert solution.gap <= _TOL
-        rounded = randomize_round(solution, scenario, 100, 0, noise_seq=noise_seq)
+        rounded = randomize_round(solution, scenario, 100, 0)
         assert rounded.schedule.gamma[0].any()
 
     def test_step_that_selects_every_sensor_is_clipped(self, monkeypatch):
@@ -1003,7 +995,7 @@ class TestPrimalStart:
         scenario = replace(scenario, constraints=model.ConstraintSet.build(
             [25, *cons.per_step[1:]], energy=cons.energy,
         ))
-        sdp = build_sdp(build_bqp(scenario, planning_noise(scenario)))
+        sdp = build_sdp(build_bqp(scenario))
         solution, (blocks, _) = solve_recording_start(monkeypatch, sdp)
         assert np.array_equal(np.diagonal(blocks, axis1=1, axis2=2), np.ones((5, 26)))
         assert float(np.linalg.eigvalsh(blocks)[:, 0].min()) > 0.0
@@ -1071,7 +1063,7 @@ class TestSamplingFactor:
     @pytest.mark.parametrize("name", ["example4", "example5", "example6", "example7"])
     def test_bundled_factor_equals_the_dense_completion(self, name):
         scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
-        solution = solve_sdp(build_sdp(build_bqp(scenario, planning_noise(scenario))))
+        solution = solve_sdp(build_sdp(build_bqp(scenario)))
         self.assert_factor_completes(solution)
 
     def test_random_factor_equals_the_dense_completion(self, rng):
@@ -1121,18 +1113,17 @@ class TestSamplingFactor:
         blocks of L = 20 sensors, dim 101) eigendecomposes or factors no
         matrix of order above L: the dense lifted matrix is never formed."""
         scenario = jammer_instance(1)
-        noise_seq = planning_noise(scenario)
-        solution = solve_sdp(build_sdp(build_bqp(scenario, noise_seq)))
+        solution = solve_sdp(build_sdp(build_bqp(scenario)))
         # A first rounding, on a copy with its own factor cache, fills the
         # noise models' caches; only the sampling is counted below.
-        randomize_round(replace(solution), scenario, 20, 0, noise_seq=noise_seq)
+        randomize_round(replace(solution), scenario, 20, 0)
         orders = []
         for name in ("eigh", "eigvalsh", "cholesky", "svd"):
             def recorded(a, *args, _call=getattr(np.linalg, name), **kwargs):
                 orders.append(np.shape(a)[-1])
                 return _call(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, recorded)
-        rounded = randomize_round(solution, scenario, 20, 0, noise_seq=noise_seq)
+        rounded = randomize_round(solution, scenario, 20, 0)
         monkeypatch.undo()
         assert rounded.schedule.satisfies(scenario.constraints)
         assert orders and max(orders) <= scenario.num_sensors == 20
@@ -1255,7 +1246,6 @@ class TestRandomizeRound:
                 meas_dims=[1, 2, 3, 1, 2, 1], correlated=bool(trial % 2),
                 per_step=[2] * horizon, weights=weights,
             )
-            noise_seq = scenario.noise_sequence()
             gammas = rng.integers(0, 2, size=(40, horizon, num)).astype(np.int8)
             gammas[:3, 1] = 0  # empty selections
             gammas[20:30] = gammas[:10]  # repeated columns
@@ -1264,12 +1254,10 @@ class TestRandomizeRound:
                 total = 0.0
                 for n in range(horizon):
                     if weights[n] != 0.0:
-                        gain = selection_gain(scenario, noise_seq[n], gamma[n], n)
+                        gain = selection_gain(scenario, gamma[n], n)
                         total = total + float(weights[n]) * float(np.trace(gain))
                 expected.append(total)
-            np.testing.assert_array_equal(
-                measure.f3_values(gammas, scenario, noise_seq), expected
-            )
+            np.testing.assert_array_equal(measure.f3_values(gammas, scenario), expected)
 
     def test_extra_row_met_or_rounding_infeasible(self, rng):
         """With a random extra row the result meets every row and stays

@@ -24,7 +24,7 @@ def scenario_with_measures(values, per_step, rng, horizon=1, energy=None, weight
     (sensor i has H = 1 and noise 1/value)."""
     num = len(values)
     system = model.DynamicSystem.build([[1.0]], [[1.0]])
-    sensors = [model.SensorModel.build([[1.0]], [float(i), 0.0]) for i in range(num)]
+    sensors = model.SensorModel.build_all([[[1.0]]] * num, [[float(i), 0.0] for i in range(num)])
     blocks = [[[1.0 / v]] for v in values]
     noise = model.NoiseModel.build([1] * num, base_blocks=blocks)
     return model.make_scenario(
@@ -140,7 +140,6 @@ class TestExhaustive:
                 per_step=[int(rng.integers(1, num))] * horizon,
                 state_dim=state_dim,
             )
-            noise_seq = scenario.noise_sequence()
             regular = True
             for n in range(horizon):
                 gains = []
@@ -149,9 +148,7 @@ class TestExhaustive:
                 ):
                     col = np.zeros(num, dtype=np.int8)
                     col[list(combo)] = 1
-                    gains.append(
-                        selection_gain(scenario, noise_seq[n], col, n)
-                    )
+                    gains.append(selection_gain(scenario, col, n))
                 traces = [float(np.trace(g)) for g in gains]
                 top = int(np.argmax(traces))
                 scale = 1.0 + abs(traces[top])

@@ -24,9 +24,7 @@ def tiny_tracking_scenario(num=3, horizon=2, seed=0, energy=None):
     system = model.tracking_system(1.0)
     h = model.position_h()
     rng = np.random.default_rng(seed)
-    sensors = [
-        model.SensorModel.build(h, rng.uniform(0, 100, 2)) for _ in range(num)
-    ]
+    sensors = model.SensorModel.build_all([h] * num, [rng.uniform(0, 100, 2) for _ in range(num)])
     blocks = [np.diag(rng.uniform(5, 10, 2)) for _ in range(num)]
     noise = model.NoiseModel.build([2] * num, base_blocks=blocks)
     return model.make_scenario(
@@ -40,10 +38,10 @@ def tiny_tracking_scenario(num=3, horizon=2, seed=0, energy=None):
 class TestSimulateTruth:
     def test_nearly_deterministic_with_tiny_noise(self):
         system = model.DynamicSystem.build(np.eye(2), 1e-18 * np.eye(2))
-        sensor = model.SensorModel.build(np.eye(2), [0.0, 0.0])
+        sensors = model.SensorModel.build_all([np.eye(2)], [[0.0, 0.0]])
         noise = model.NoiseModel.build([2], base_blocks=[np.eye(2)])
         scenario = model.make_scenario(
-            system, [sensor], noise, model.ConstraintSet.build([1]),
+            system, sensors, noise, model.ConstraintSet.build([1]),
             [1.0], [3.0, 4.0], np.eye(2),
         )
         truth = simulate_truth(scenario, 5, seed=0)
@@ -88,10 +86,10 @@ class TestSimulateMeasurements:
 
     def test_noiseless_limit_follows_per_step_h(self, rng):
         base = tiny_tracking_scenario()
-        sensors = [
-            model.SensorModel.build(rng.normal(size=(2, 2, 4)), s.position)
-            for s in base.sensors
-        ]
+        sensors = model.SensorModel.build_all(
+            [rng.normal(size=(2, 2, 4)) for _ in base.sensors],
+            [s.position for s in base.sensors],
+        )
         quiet = model.make_scenario(
             base.system, sensors,
             model.NoiseModel.build([2] * 3, base_blocks=[1e-12 * np.eye(2)] * 3),
@@ -197,9 +195,9 @@ class TestNoiseFactor:
         monkeypatch.setattr(cached, "func", lambda noise: computed.append(noise) or compute(noise))
         update = sim.update_gif
 
-        def recording(state, scenario, noise, *rest, **kw):
-            used.append(noise)
-            return update(state, scenario, noise, *rest, **kw)
+        def recording(state, scenario, column, z, step):
+            used.append(scenario.step_noise[step])
+            return update(state, scenario, column, z, step=step)
 
         monkeypatch.setattr(sim, "update_gif", recording)
         cholesky = np.linalg.cholesky
@@ -301,7 +299,7 @@ class TestStudyScoring:
     @pytest.mark.parametrize("algorithm", ["topk", "lp", "ignore-dep"])
     def test_fixed_schedule_scored_once(self, algorithm, monkeypatch):
         from sensel.measure import objective_f3
-        from sensel.plan import planning_noise, prepare
+        from sensel.plan import prepare
 
         calls = self._count_f3(monkeypatch)
         scenario = tiny_tracking_scenario(num=4, horizon=3)
@@ -311,8 +309,7 @@ class TestStudyScoring:
                 RunConfig(scenario=scenario, algorithm=algorithm, runs=runs, seed=4)
             )
             assert calls == {"inside": 0, "outside": 1}
-        plan = prepare(scenario, algorithm, "f3", planning_noise(scenario))
-        value = objective_f3(plan.schedule, scenario, plan.noise_seq)
+        value = objective_f3(prepare(scenario, algorithm, "f3").schedule, scenario)
         assert result.f3 == np.full(3, value).mean()
 
     @pytest.mark.parametrize("objective", ["f3", "f1"])
@@ -321,7 +318,7 @@ class TestStudyScoring:
         value it reuses is bit for bit ``objective_f3`` of the drawn
         schedule; an f1 study scores each drawn schedule's f3 once."""
         from sensel.measure import objective_f3
-        from sensel.plan import planning_noise, prepare
+        from sensel.plan import prepare
         from sensel.sim import _run_seed
 
         calls = self._count_f3(monkeypatch)
@@ -335,9 +332,9 @@ class TestStudyScoring:
             assert calls == {"inside": 3, "outside": 0}
         else:
             assert calls == {"inside": 0, "outside": 3}
-        plan = prepare(scenario, "sdr", objective, planning_noise(scenario))
+        plan = prepare(scenario, "sdr", objective)
         values = [
-            objective_f3(plan.draw(20, _run_seed(6, run, 0)).schedule, scenario, plan.noise_seq)
+            objective_f3(plan.draw(20, _run_seed(6, run, 0)).schedule, scenario)
             for run in range(3)
         ]
         assert result.f3 == np.array(values).mean()

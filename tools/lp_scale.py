@@ -25,7 +25,6 @@ import time
 import numpy as np
 
 from sensel import model
-from sensel.plan import planning_noise
 from sensel.select_lp import build_lp, certify, round_energy, solve_lp
 
 SENSORS = 2000
@@ -38,14 +37,13 @@ def main() -> int:
         model="tracking", per_step=[PER_STEP] * 5, energy=2, weights=[0.2] * 5,
         x0=[600.0, -20.0, 200.0, 0.0], p0=np.diag([100.0, 10.0, 100.0, 10.0]),
     )
-    noise_seq = planning_noise(scenario)
     started = time.perf_counter()
-    problem = build_lp(scenario, noise_seq)
+    problem = build_lp(scenario)
     solution = solve_lp(problem)
     rounded = round_energy(solution, scenario, problem)
     report = certify(rounded, problem)
     seconds = time.perf_counter() - started
-    dense = any("r_full" in vars(noise) for noise in (scenario.noise, *noise_seq))
+    dense = any("r_full" in vars(noise) for noise in (scenario.noise, *scenario.step_noise))
     gamma = np.ascontiguousarray(rounded.schedule.gamma, dtype=np.int8)
     record = {
         "sensors": SENSORS,

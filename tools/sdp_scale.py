@@ -27,7 +27,6 @@ import numpy as np
 
 from sensel import model
 from sensel.errors import NotConverged
-from sensel.plan import planning_noise
 from sensel.select_sdr import _TOL, build_bqp, build_sdp, randomize_round, solve_sdp
 
 ROUND_SAMPLES = 100
@@ -50,8 +49,7 @@ def main() -> int:
     parser.add_argument("--per-step", type=int, default=12)
     args = parser.parse_args()
     scenario = jammer_network(args.sensors, args.per_step)
-    noise_seq = planning_noise(scenario)
-    sdp = build_sdp(build_bqp(scenario, noise_seq))
+    sdp = build_sdp(build_bqp(scenario))
     started = time.perf_counter()
     try:
         solution = solve_sdp(sdp)
@@ -63,7 +61,7 @@ def main() -> int:
     factor_rows = solution.sampling_factor.shape[0]
     factor_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    rounded = randomize_round(solution, scenario, ROUND_SAMPLES, 1, noise_seq=noise_seq)
+    rounded = randomize_round(solution, scenario, ROUND_SAMPLES, 1)
     round_seconds = time.perf_counter() - started
     record = {
         "sensors": args.sensors,
