@@ -197,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_sim, p_sweep):
         p.add_argument("--runs", type=_int_at_least(1), default=1)
         # argparse parses a string default too: a bad SENSEL_THREADS exits 2.
+        # One worker by default: on two cores a second one made studies slower.
         p.add_argument("--threads", type=_int_at_least(1),
-                       default=os.environ.get("SENSEL_THREADS") or str(os.cpu_count() or 1))
+                       default=os.environ.get("SENSEL_THREADS") or "1")
     return parser
 
 

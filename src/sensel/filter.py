@@ -34,11 +34,12 @@ class FilterState:
 
 
 def predict(state: FilterState, system: DynamicSystem, step: int = 0) -> FilterState:
-    """Time update: x <- F x, P <- F P F' + Q."""
+    """Time update: x <- F x, P <- F P F' + Q, of one state or of a stack
+    of them (x of shape (..., r), P of shape (..., r, r))."""
     f = system.f_at(step)
     q = system.q_at(step)
     return FilterState(
-        x=f @ state.x,
+        x=(f @ np.asarray(state.x)[..., None])[..., 0],
         p=linalg.symmetrize(f @ state.p @ f.T + q),
     )
 
@@ -92,16 +93,34 @@ def update_gif(
     """Measurement update in information form, equivalent to
     :func:`update_kalman`: it reads only the selected rows of the step's
     H, of the noise (:meth:`NoiseModel.entries`) and of the raw
-    measurement ``z``, takes :func:`row_gains`'s gain on a batch of one
-    and the rollout's :func:`posterior`, and moves x by P H' R^-1 (z - H x).
-    An empty selection takes the posterior of a zero gain."""
+    measurement ``z``, takes :func:`row_gains`'s gain and the rollout's
+    :func:`posterior`, and moves x by P H' R^-1 (z - H x).  An empty
+    selection takes the posterior of a zero gain.
+
+    One state or a stack of them: x of shape (..., r) and P of shape
+    (..., r, r), with a selection column (..., num) and a raw measurement
+    (..., dim) per state.  The states are grouped by their count of
+    selected rows, as :func:`selection_gains` groups columns, and each
+    group takes one stacked gain, posterior and solve; every state's
+    result is bit for bit the one it gets alone.
+    """
     noise = scenario.step_noise[step]
-    rows = np.flatnonzero(_selected(scenario, column)[noise.labels])
-    h = scenario.h_stacks[step][rows]
-    p = posterior(state_pred.p, linalg.symmetrize(row_gains(scenario, rows[None], step)))[0]
-    r = noise.entries(rows[None])[0]
-    x = state_pred.x + p @ (h.T @ np.linalg.solve(r, np.asarray(z)[rows] - h @ state_pred.x))
-    return FilterState(x=x, p=p)
+    x_pred = np.asarray(state_pred.x, dtype=float)
+    shape = x_pred.shape
+    x_pred = x_pred.reshape(-1, shape[-1])
+    p_pred = np.asarray(state_pred.p, dtype=float).reshape(-1, shape[-1], shape[-1])
+    selected = _selected(scenario, column)[..., noise.labels].reshape(-1, noise.dim)
+    z = np.asarray(z).reshape(-1, noise.dim)
+    x = np.empty_like(x_pred)
+    p = np.empty_like(p_pred)
+    for idx, rows in _row_groups(selected):
+        h = scenario.h_stacks[step][rows]
+        prior = x_pred[idx]
+        p[idx] = posterior(p_pred[idx], linalg.symmetrize(row_gains(scenario, rows, step)))
+        innovation = np.take_along_axis(z[idx], rows, axis=1)[..., None] - h @ prior[..., None]
+        step_x = np.swapaxes(h, -1, -2) @ np.linalg.solve(noise.entries(rows), innovation)
+        x[idx] = prior + (p[idx] @ step_x)[..., 0]
+    return FilterState(x=x.reshape(shape), p=p.reshape(shape + shape[-1:]))
 
 
 def row_gains(scenario: Scenario, rows, step: int = 0) -> np.ndarray:
@@ -120,24 +139,37 @@ def _selected(scenario: Scenario, columns) -> np.ndarray:
     return selected
 
 
+def _row_groups(selected: np.ndarray) -> list[tuple]:
+    """The rows of a (B, n) boolean array grouped by their count of true
+    entries, as (index, (G, count) array of each row's true columns)
+    pairs: one group of all B, indexed by a full slice, when every count
+    is equal (a single row's included), else one per count, in increasing
+    count."""
+    counts = selected.sum(axis=1)
+    # A set, not np.unique: numpy's hash-based unique of an int array holds
+    # about 1 MB more resident memory from its first call on.
+    sizes = set(counts.tolist())
+    if len(sizes) == 1:
+        return [(slice(None), np.nonzero(selected)[1].reshape(counts.size, sizes.pop()))]
+    groups = []
+    for k in sorted(sizes):
+        idx = np.flatnonzero(counts == k)
+        groups.append((idx, np.nonzero(selected[idx])[1].reshape(idx.size, k)))
+    return groups
+
+
 def selection_gains(scenario: Scenario, columns, step: int = 0) -> np.ndarray:
     """Information gain H' R+ H of each 0/1 selection column of a (U, num)
     array, as a (U, r, r) array: one :func:`row_gains` of the selected
     sensors' rows per count of them."""
     selected = _selected(scenario, columns)[:, scenario.step_noise[step].labels]
-    counts = selected.sum(axis=1)
-    # A set, not np.unique: numpy's hash-based unique of an int array holds
-    # about 1 MB more resident memory from its first call on.
-    sizes = set(counts.tolist())
-    if len(sizes) == 1 and 0 not in sizes:
-        # One count for all columns, a single column's included: no regrouping.
-        rows = np.nonzero(selected)[1].reshape(counts.size, -1)
-        return row_gains(scenario, rows, step)
+    groups = _row_groups(selected)
+    if len(groups) == 1 and groups[0][1].shape[1]:
+        return row_gains(scenario, groups[0][1], step)
     gains = np.zeros((selected.shape[0], scenario.state_dim, scenario.state_dim))
-    for k in sorted(sizes - {0}):
-        idx = np.flatnonzero(counts == k)
-        rows = np.nonzero(selected[idx])[1].reshape(idx.size, k)
-        gains[idx] = row_gains(scenario, rows, step)
+    for idx, rows in groups:
+        if rows.shape[1]:
+            gains[idx] = row_gains(scenario, rows, step)
     return gains
 
 

@@ -52,15 +52,16 @@ def distinct_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deduplicate the rows of a (B, k) uint8 array, for any width k: 0/1
     rows packed by ``np.packbits`` along their last axis.
 
-    Each row is padded into 64-bit words, and one stable ``lexsort`` of the
-    words groups equal rows.  Returns the index of each distinct row's
-    first occurrence and the index of each row's distinct row.
+    One stable ``lexsort`` of the bytes, each column a contiguous uint8
+    key (which numpy sorts by radix), groups equal rows; each row padded
+    into 64-bit words marks where a group starts.  Returns the index of
+    each distinct row's first occurrence and the index of each row's
+    distinct row.
     """
+    order = np.lexsort(np.ascontiguousarray(packed.T))
     words = np.zeros((packed.shape[0], max(1, -(-packed.shape[1] // 8)) * 8), dtype=np.uint8)
     words[:, :packed.shape[1]] = packed
-    words = words.view(np.uint64)
-    order = np.lexsort(words.T)
-    ranked = words[order]
+    ranked = words.view(np.uint64)[order]
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     inverse = np.empty(order.size, dtype=np.intp)

@@ -154,7 +154,10 @@ def round_batch(
     Each step builds one key, the scores with -inf at the sensors out of
     budget, and every pick sets its entry to -inf.  Scores are finite, so a
     pick lands on -inf exactly when fewer than the count of sensors had
-    budget left, and that marks the candidate infeasible.
+    budget left, and that marks the candidate infeasible.  The key, the
+    budgets and the schedules are row-major, so each pick reads and writes
+    them through one 1-D array of flat indices, the candidate's row offset
+    plus the picked sensor.
     """
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
@@ -166,16 +169,23 @@ def round_batch(
     budgets = np.tile(np.asarray(energy, dtype=np.int64), (batch, 1))
     gammas = np.zeros((batch, horizon, num), dtype=np.int8)
     feasible = np.ones(batch, dtype=bool)
-    rows = np.arange(batch)
+    # Flat views of the (B, num) key and budgets and the (B, horizon, num)
+    # schedules, and each candidate's row offset into them.
+    flat_budgets = budgets.reshape(-1)
+    flat_gammas = gammas.reshape(-1)
+    offsets = np.arange(batch) * num
     for n in order:
         key = np.where(budgets > 0, scores[:, n], -np.inf)
+        flat_key = key.reshape(-1)
+        step_offsets = offsets * horizon + n * num
         for _ in range(constraints.per_step[n]):
             # argmax returns the first maximum, the lower index on a tie.
             pick = key.argmax(axis=1)
-            feasible &= key[rows, pick] > -np.inf
-            key[rows, pick] = -np.inf
-            gammas[rows, n, pick] = 1
-            budgets[rows, pick] -= 1
+            at = offsets + pick
+            feasible &= flat_key[at] > -np.inf
+            flat_key[at] = -np.inf
+            flat_gammas[step_offsets + pick] = 1
+            flat_budgets[at] -= 1
     extra = constraints.extra
     if extra is not None:
         feasible &= extra.meets(gammas.reshape(batch, -1) @ extra.a.T).all(axis=1)

@@ -7,9 +7,12 @@ the filter reads the selected sensors' rows of it.
 
 Randomness comes from counter-based Philox streams derived per run from the
 master seed, so results are reproducible across platforms and independent
-of worker scheduling.  Monte Carlo runs are embarrassingly parallel; the
-per-run outputs land in preallocated arrays indexed by run, which makes the
-aggregation order-independent.
+of worker scheduling.  A study runs array-at-a-time: every run draws its
+schedule, truth and measurements on its own streams, then one stacked
+``predict`` and one stacked ``update_gif`` per step filter all the runs,
+each bit for bit as it would be filtered alone.  Worker processes each
+take a contiguous block of runs; the per-run outputs land in preallocated
+arrays indexed by run, which makes the aggregation order-independent.
 """
 
 from __future__ import annotations
@@ -104,35 +107,51 @@ def _run_seed(master_seed: int, run: int, stream: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _single_run(config: RunConfig, plan: Plan, run: int, f3: float | None):
-    """One run: squared position errors and trace(P) per step, and the f3
-    of its schedule.  ``f3`` is the fixed schedule's value, scored once
-    per study; a drawn schedule reuses its rounding's value when the plan
-    maximizes f3."""
+def _run_block(config: RunConfig, plan: Plan, runs: range, fixed_f3: float | None):
+    """A contiguous block of runs: their squared position errors and
+    trace(P) per step, as (R, horizon) arrays, and the f3 of each run's
+    schedule.  ``fixed_f3`` is the fixed schedule's value, scored once per
+    study; a drawn schedule reuses its rounding's value when the plan
+    maximizes f3.
+
+    Every run first draws its schedule, then its truth and measurements,
+    each on the run's own Philox seed; then one stacked :func:`predict`
+    and one stacked :func:`update_gif` per step filter all the runs."""
     scenario = config.scenario
     horizon = scenario.horizon
     if plan.schedule is None:
-        rounding = plan.draw(config.s_count, _run_seed(config.seed, run, 0))
-        schedule = rounding.schedule
-        if rounding.objective_kind == "f3":
-            f3 = rounding.objective
-        else:
-            f3 = objective_f3(schedule, scenario)
+        schedules, f3 = [], []
+        for run in runs:
+            rounding = plan.draw(config.s_count, _run_seed(config.seed, run, 0))
+            schedules.append(rounding.schedule)
+            if rounding.objective_kind == "f3":
+                f3.append(rounding.objective)
+            else:
+                f3.append(objective_f3(rounding.schedule, scenario))
     else:
-        schedule = plan.schedule
-    truth = simulate_truth(scenario, horizon, _run_seed(config.seed, run, 1))
-    z = simulate_measurements(truth, scenario, _run_seed(config.seed, run, 2))
+        schedules, f3 = [plan.schedule] * len(runs), [fixed_f3] * len(runs)
+    truth = np.array(
+        [simulate_truth(scenario, horizon, _run_seed(config.seed, run, 1)) for run in runs]
+    )
+    z = np.array([
+        simulate_measurements(path, scenario, _run_seed(config.seed, run, 2))
+        for path, run in zip(truth, runs)
+    ])
+    gammas = np.array([schedule.gamma for schedule in schedules])
     pos = list(scenario.position_indices)
-    state = FilterState(x=np.asarray(scenario.x0), p=np.asarray(scenario.p0))
-    sq_err = np.zeros(horizon)
-    trace_p = np.zeros(horizon)
+    state = FilterState(
+        x=np.tile(np.asarray(scenario.x0, dtype=float), (len(runs), 1)),
+        p=np.tile(np.asarray(scenario.p0, dtype=float), (len(runs), 1, 1)),
+    )
+    sq_err = np.zeros((len(runs), horizon))
+    trace_p = np.zeros((len(runs), horizon))
     for n in range(horizon):
         state = predict(state, scenario.system, step=n)
-        state = update_gif(state, scenario, schedule.column(n), z[n], step=n)
-        err = state.x[pos] - truth[n + 1][pos]
-        sq_err[n] = float(err @ err)
-        trace_p[n] = float(np.trace(state.p))
-    return sq_err, trace_p, f3
+        state = update_gif(state, scenario, gammas[:, :, n], z[:, n], step=n)
+        err = state.x[:, pos] - truth[:, n + 1, pos]
+        sq_err[:, n] = (err[:, None, :] @ err[:, :, None])[:, 0, 0]
+        trace_p[:, n] = np.trace(state.p, axis1=1, axis2=2)
+    return sq_err, trace_p, np.array(f3, dtype=float)
 
 
 def run_closed_loop(config: RunConfig) -> RunResult:
@@ -141,32 +160,28 @@ def run_closed_loop(config: RunConfig) -> RunResult:
     The schedule is planned for the whole horizon up front, using open-loop
     state predictions where the noise depends on the target position; the
     scenario's per-step noise models (``Scenario.step_noise``) drive
-    planning, simulation, and filtering.
+    planning, simulation, and filtering.  The runs are split into
+    ``threads`` contiguous blocks, at most one per run; each block is
+    filtered as one stack (:func:`_run_block`), in a worker process when
+    there are several blocks.  Results land by run index, so the output is
+    the same at any thread count.
     Deterministic for a fixed config (timing aside).
     """
     scenario = config.scenario
-    horizon = scenario.horizon
     plan = prepare(scenario, config.algorithm, config.objective)
     fixed_f3 = None if plan.schedule is None else objective_f3(plan.schedule, scenario)
 
-    sq_err = np.zeros((config.runs, horizon))
-    trace_p = np.zeros((config.runs, horizon))
-    f3 = np.zeros(config.runs)
-
-    def store(run, result):
-        sq_err[run], trace_p[run], f3[run] = result
-
-    if config.threads > 1 and config.runs > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            futures = {
-                pool.submit(_single_run, config, plan, run, fixed_f3): run
-                for run in range(config.runs)
-            }
-            for future, run in futures.items():
-                store(run, future.result())
+    workers = min(config.threads, config.runs)
+    bounds = [config.runs * k // workers for k in range(workers + 1)]
+    blocks = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_block, config, plan, runs, fixed_f3) for runs in blocks]
+            results = [future.result() for future in futures]
     else:
-        for run in range(config.runs):
-            store(run, _single_run(config, plan, run, fixed_f3))
+        results = [_run_block(config, plan, blocks[0], fixed_f3)]
+    # The blocks are in run order, so each run's row lands at its index.
+    sq_err, trace_p, f3 = (np.concatenate(parts) for parts in zip(*results))
 
     return RunResult(
         algorithm=plan.label,

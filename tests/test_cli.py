@@ -332,17 +332,21 @@ class TestOnePlanner:
         out = tmp_path / "sel.json"
         argv = [str(path), "--algo", algo, "--objective", "f1"]
         assert main(["select", *argv, "--out", str(out)]) == 0
-        filtered = []
+        # One stacked update per step filters every run: read each run's
+        # column out of it.
+        filtered = [[], []]
         original = sim.update_gif
 
-        def recording(state, scenario, column, *rest, **kw):
-            filtered.append(np.flatnonzero(column).tolist())
-            return original(state, scenario, column, *rest, **kw)
+        def recording(state, scenario, columns, *rest, **kw):
+            assert np.shape(columns) == (2, scenario.num_sensors)
+            for run, column in enumerate(columns):
+                filtered[run].append(np.flatnonzero(column).tolist())
+            return original(state, scenario, columns, *rest, **kw)
 
         monkeypatch.setattr(sim, "update_gif", recording)
         assert main(["simulate", *argv, "--runs", "2", "--threads", "1"]) == 0
         selected = json.loads(out.read_text())["schedule"]
-        assert filtered == selected * 2
+        assert filtered == [selected] * 2
 
 
 def _schedule(payload, scenario) -> model.SelectionSchedule:
@@ -419,6 +423,16 @@ class TestScenarioOnlyCalls:
 
 
 class TestThreadsDefault:
+    def test_one_worker_without_env_var(self, monkeypatch):
+        from sensel.cli import build_parser
+
+        monkeypatch.delenv("SENSEL_THREADS", raising=False)
+        for command in ("simulate", "sweep"):
+            argv = [command, "x.json", "--algo", "topk"]
+            if command == "sweep":
+                argv += ["--param", "s_count", "--values", "5"]
+            assert build_parser().parse_args(argv).threads == 1
+
     def test_env_var_fallback(self, monkeypatch):
         from sensel.cli import build_parser
 

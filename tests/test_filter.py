@@ -161,6 +161,55 @@ class TestUpdates:
             covariance_rollout(scenario, gains)
 
 
+class TestStackedUpdates:
+    """A stack of states takes one predict and one update_gif per step, and
+    every state's result is bit for bit its own single-state call."""
+
+    @pytest.mark.parametrize("correlated", [False, True])
+    def test_stack_equals_per_state_calls(self, correlated, rng):
+        scenario = rand_scenario(
+            rng, num_sensors=5, horizon=3, state_dim=3, meas_dims=[1, 2, 3, 1, 2],
+            correlated=correlated,
+        )
+        runs, r = 6, scenario.state_dim
+        columns = rng.integers(0, 2, size=(runs, scenario.horizon, 5)).astype(np.int8)
+        # Step 0: runs selecting 1, 2 and 3 rows, and one selecting none;
+        # step 2: no run selects anything.
+        columns[:4, 0] = np.eye(5, dtype=np.int8)[[0, 1, 2, 2]]
+        columns[3, 0] = 0
+        columns[:, 2] = 0
+        rows = np.array(scenario.noise.block_sizes) @ columns[:, 0].T
+        assert len(set(rows.tolist())) > 2 and 0 in rows
+        z = rng.normal(size=(runs, scenario.horizon, scenario.noise.dim))
+        stack = FilterState(
+            x=rng.normal(size=(runs, r)), p=np.array([rand_spd(r, rng) for _ in range(runs)])
+        )
+        alone = [FilterState(x=stack.x[i], p=stack.p[i]) for i in range(runs)]
+        for n in range(scenario.horizon):
+            stack = predict(stack, scenario.system, n)
+            alone = [predict(state, scenario.system, n) for state in alone]
+            self._assert_same(stack, alone)
+            grid = update_gif(
+                FilterState(x=stack.x.reshape(2, 3, r), p=stack.p.reshape(2, 3, r, r)),
+                scenario, columns[:, n].reshape(2, 3, 5), z[:, n].reshape(2, 3, -1), step=n,
+            )
+            stack = update_gif(stack, scenario, columns[:, n], z[:, n], step=n)
+            alone = [
+                update_gif(state, scenario, columns[i, n], z[i, n], step=n)
+                for i, state in enumerate(alone)
+            ]
+            self._assert_same(stack, alone)
+            assert np.array_equal(grid.x.reshape(runs, r), stack.x)
+            assert np.array_equal(grid.p.reshape(runs, r, r), stack.p)
+
+    @staticmethod
+    def _assert_same(stack, alone):
+        assert stack.x.shape == (len(alone), alone[0].x.shape[0])
+        for i, state in enumerate(alone):
+            assert np.array_equal(stack.x[i], state.x), i
+            assert np.array_equal(stack.p[i], state.p), i
+
+
 class TestEquivalence:
     def test_forms_agree_on_random_instances(self, rng):
         """Gain form and information form agree for random systems, mixed

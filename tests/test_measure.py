@@ -151,6 +151,29 @@ def loop_info_table(scenario):
     ])
 
 
+class TestDistinctRows:
+    def test_groups_rows_as_numpy_unique(self, rng):
+        """On packed rows of 1-70 bytes with many duplicates (and rows one
+        bit apart), the grouping is ``np.unique(axis=0)``'s, the distinct
+        rows rebuild the input, and each group's index is its first
+        occurrence."""
+        for width in (1, 2, 7, 8, 9, 16, 33, 64, 70, *rng.integers(1, 71, size=6)):
+            pool = rng.integers(0, 256, size=(12, width), dtype=np.uint8)
+            pool[1] = pool[0]
+            pool[1, -1] ^= 1
+            pool[2] = pool[0]
+            pool[2, 0] ^= 128
+            packed = pool[rng.integers(0, 12, size=300)]
+            first, inverse = measure.distinct_rows(packed)
+            unique, expected = np.unique(packed, axis=0, return_inverse=True)
+            assert len(first) == len(unique)
+            assert len(set(zip(inverse.tolist(), expected.ravel().tolist()))) == len(unique)
+            assert np.array_equal(packed[first][inverse], packed)
+            assert np.array_equal(
+                first, [np.flatnonzero(inverse == g)[0] for g in range(len(first))]
+            )
+
+
 class TestBatchedInfoTable:
     """The batched table equals the per-sensor loop bit for bit."""
 

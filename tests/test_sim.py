@@ -151,6 +151,20 @@ class TestClosedLoop:
         )
         assert results_equal(run_closed_loop(base), run_closed_loop(threaded))
 
+    def test_threaded_sdr_matches_sequential(self):
+        """Five runs split into uneven blocks of drawn schedules: two
+        workers take 2 and 3 runs, three take 1, 2 and 2."""
+        scenario = tiny_tracking_scenario(num=5, horizon=3, seed=2)
+        results = [
+            run_closed_loop(RunConfig(
+                scenario=scenario, algorithm="sdr", runs=5, seed=6, s_count=20,
+                threads=threads,
+            ))
+            for threads in (1, 2, 3)
+        ]
+        assert results_equal(results[0], results[1])
+        assert results_equal(results[0], results[2])
+
     def test_exhaustive_single_run(self):
         scenario = tiny_tracking_scenario()
         config = RunConfig(scenario=scenario, algorithm="exhaustive", runs=1, seed=1)
@@ -195,9 +209,11 @@ class TestNoiseFactor:
         monkeypatch.setattr(cached, "func", lambda noise: computed.append(noise) or compute(noise))
         update = sim.update_gif
 
-        def recording(state, scenario, column, z, step):
-            used.append(scenario.step_noise[step])
-            return update(state, scenario, column, z, step=step)
+        def recording(state, scenario, columns, z, step):
+            # One stacked update per step filters every run: one entry
+            # per run's column.
+            used.extend(scenario.step_noise[step] for _ in columns)
+            return update(state, scenario, columns, z, step=step)
 
         monkeypatch.setattr(sim, "update_gif", recording)
         cholesky = np.linalg.cholesky
