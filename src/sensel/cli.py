@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -196,10 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     for p in (p_sim, p_sweep):
         p.add_argument("--runs", type=_int_at_least(1), default=1)
-        # argparse parses a string default too: a bad SENSEL_THREADS exits 2.
         # One worker by default: on two cores a second one made studies slower.
-        p.add_argument("--threads", type=_int_at_least(1),
-                       default=os.environ.get("SENSEL_THREADS") or "1")
+        p.add_argument("--threads", type=_int_at_least(1), default=1)
     return parser
 
 

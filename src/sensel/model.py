@@ -902,11 +902,10 @@ def _build_generated(
     weights,
     x0,
     p0,
-    sampling_interval: float,
 ) -> Scenario:
     num = positions.shape[0]
     if model == "tracking":
-        system = tracking_system(sampling_interval)
+        system = tracking_system()
         h = position_h()
     elif model == "random_walk":
         system = random_walk_system()
@@ -953,7 +952,6 @@ def gen_grid_scenario(
     weights=None,
     x0=None,
     p0=None,
-    sampling_interval: float = 1.0,
 ) -> Scenario:
     """Sensors on a uniform grid over [0, area]^2; noise sampled per seed.
 
@@ -968,8 +966,7 @@ def gen_grid_scenario(
     ys = np.linspace(0.0, area, gy) if gy > 1 else np.array([area / 2.0])
     positions = np.array([(x, y) for y in ys for x in xs])
     return _build_generated(
-        positions, noise_ranges, seed, model, per_step, energy, weights,
-        x0, p0, sampling_interval,
+        positions, noise_ranges, seed, model, per_step, energy, weights, x0, p0
     )
 
 
@@ -985,7 +982,6 @@ def gen_uniform_scenario(
     weights=None,
     x0=None,
     p0=None,
-    sampling_interval: float = 1.0,
 ) -> Scenario:
     """Sensors placed i.i.d. uniformly over [0, area]^2; seeded."""
     if num_sensors < 1:
@@ -993,8 +989,7 @@ def gen_uniform_scenario(
     rng = philox(int(seed) ^ 0x5E25)  # placement stream distinct from noise stream
     positions = rng.uniform(0.0, float(area), size=(int(num_sensors), 2))
     return _build_generated(
-        positions, noise_ranges, seed, model, per_step, energy, weights,
-        x0, p0, sampling_interval,
+        positions, noise_ranges, seed, model, per_step, energy, weights, x0, p0
     )
 
 

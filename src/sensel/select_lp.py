@@ -34,9 +34,9 @@ selection LPs most entries of that column are zero and most rows are
 skipped.
 
 The tableau is the one full-size array the solver keeps.  Every 200
-pivots, and after phase 1 when it runs, the tableau is rebuilt from the
-basis columns (:func:`_basis_solve`) of an equality form built afresh from
-the rows and dropped again.  Almost every basic column of a selection LP
+pivots, counted across both phases, the tableau is rebuilt from the basis
+columns (:func:`_basis_solve`) of an equality form built afresh from the
+rows and dropped again.  Almost every basic column of a selection LP
 is a unit slack column, so the rebuild solves only the few other basic
 columns densely and back-substitutes the rest.
 """
@@ -390,12 +390,14 @@ def _simplex_max(c, a, sense, rhs, upper):
     Dense two-phase tableau simplex with variable bounds, started from the
     greedy point and crash basis of :func:`_crash_start`, whose array is
     the tableau: no other full-size array is kept.  Phase 1 runs only when
-    some artificial starts above zero.  In phase 2 the artificials are
-    fixed at zero and never enter; one still basic (every one, when phase 1
-    did not run) leaves the basis on the first pivot through its row.
-    Entering and leaving choices follow Bland's rule, so the method
-    terminates even on degenerate instances.  Returns (x, objective,
-    iterations).
+    some artificial starts above zero.  One rule holds in both phases: an
+    artificial column never enters, and a basic artificial leaves only by
+    a ratio-test pivot through its row.  Phase 2 fixes the artificials
+    still basic at zero, so the first pivot through such a row retires its
+    artificial; one in a redundant row stays basic to the end (Chvátal
+    1983; Maros 2003).  Entering and leaving choices follow Bland's rule,
+    so the method terminates even on degenerate instances.  Returns (x,
+    objective, iterations).
     """
     c = np.asarray(c, dtype=float)
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -403,12 +405,6 @@ def _simplex_max(c, a, sense, rhs, upper):
     rhs = np.asarray(rhs, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n_struct = c.shape[0]
-    m = a.shape[0]
-    if m == 0:
-        x = np.where(c > 0, upper, 0.0)
-        if not np.all(np.isfinite(x)):
-            raise SenselError("LP is unbounded")
-        return x, float(c @ x), 0
 
     # Every starting basic column is a unit column, so the equality form is
     # the starting tableau as it stands.
@@ -422,6 +418,7 @@ def _simplex_max(c, a, sense, rhs, upper):
     at_upper = np.zeros(ntot, dtype=bool)
     at_upper[:n_struct] = lifted
     iterations = 0
+    pivots = 0
 
     def nonbasic_values():
         vals = np.where(at_upper, np.where(np.isfinite(ub), ub, 0.0), 0.0)
@@ -439,10 +436,9 @@ def _simplex_max(c, a, sense, rhs, upper):
         xb = _basis_solve(b_cols, rhs - full @ nonbasic_values())
         tableau = _basis_solve(b_cols, full)
 
-    def run_phase(cost, enter):
-        """Optimize ``cost`` over the columns below ``enter``."""
-        nonlocal iterations, tableau, xb
-        since_refactor = 0
+    def run_phase(cost):
+        """Optimize ``cost`` over the columns below ``art_start``."""
+        nonlocal iterations, pivots, xb
         stalled = 0
         bland_mode = False
         reduced = cost - cost[basis] @ tableau
@@ -452,7 +448,7 @@ def _simplex_max(c, a, sense, rhs, upper):
             eligible = ~in_basis & (
                 (~at_upper & (reduced < -_TOL)) | (at_upper & (reduced > _TOL))
             )
-            idx = np.flatnonzero(eligible[:enter])
+            idx = np.flatnonzero(eligible[:art_start])
             if idx.size == 0:
                 return
             # Dantzig pricing normally; Bland's smallest-index rule takes
@@ -511,40 +507,22 @@ def _simplex_max(c, a, sense, rhs, upper):
             # pivot element is safely away from zero.
             _pivot(tableau, best_row, j)
             reduced -= reduced[j] * tableau[best_row]
-            since_refactor += 1
-            if since_refactor >= 200:
+            pivots += 1
+            if pivots % 200 == 0:
                 refactorize()
                 reduced = cost - cost[basis] @ tableau
-                since_refactor = 0
 
     if xb[art_rows].any():  # phase 1 drives the artificials to zero
         cost1 = np.zeros(ntot)
         cost1[art_start:] = 1.0
-        run_phase(cost1, ntot)
+        run_phase(cost1)
         if xb[basis >= art_start].sum() > _FEAS_TOL * (1.0 + float(np.abs(rhs).max())):
             raise Infeasible("constraint rows admit no feasible point")
-
-        # Pivot leftover artificials out of the basis where the row has
-        # support on real columns.  A row with none is redundant: its
-        # artificial stays basic at zero, and no pivot goes through it.
-        for i in np.flatnonzero(basis >= art_start).tolist():
-            support = np.flatnonzero(np.abs(tableau[i, :art_start]) > 1e-7)
-            if support.size == 0:
-                continue
-            j = int(support[0])
-            in_basis[basis[i]] = False
-            basis[i] = j
-            in_basis[j] = True
-            xb[i] = ub[j] if at_upper[j] else 0.0
-            at_upper[j] = False
-            _pivot(tableau, i, j)
-        # Clean any residue the basis surgery left behind.
-        refactorize()
 
     ub[art_start:] = 0.0
     cost2 = np.zeros(ntot)
     cost2[:n_struct] = -c  # phase 2 minimizes the negated objective
-    run_phase(cost2, art_start)
+    run_phase(cost2)
 
     values = nonbasic_values()
     values[basis] = xb

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ScenarioError
 from .filter import FilterState, predict, update_gif
-from .measure import objective_f3
+from .measure import OBJECTIVES, objective_f3
 from .model import Scenario, apply_jammer, philox
 from .plan import ALGORITHMS, Plan, prepare
 
@@ -51,6 +51,10 @@ class RunConfig:
             raise ScenarioError("need at least one randomization sample")
         if self.seed < 0:
             raise ScenarioError("the seed must be >= 0")
+        if self.threads < 1:
+            raise ScenarioError("need at least one worker")
+        if self.objective not in OBJECTIVES:
+            raise ScenarioError(f"objective must be one of {OBJECTIVES}")
 
 
 @dataclass(frozen=True)

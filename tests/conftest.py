@@ -503,13 +503,16 @@ def loop_build_bqp(scenario) -> list[np.ndarray]:
 # changed since.  The start puts columns at their upper bounds greedily,
 # computed here by its own per-column loop.  The slack of every row whose
 # slack column is +e_p starts basic, and only the other rows get an
-# artificial.  When every artificial starts at zero, phase 1, the drive-out
-# and the refactorization after them are skipped, and phase 2 keeps the
-# artificials basic with upper bound 0.  The tableau is rebuilt through the
-# solver's own ``_basis_solve``, which has its own test against
-# ``np.linalg.solve``: on rows that are not totally unimodular the two
-# round differently in the last ulp, and this oracle checks the ratio test
-# and the elimination, not the refactorization.
+# artificial.  Phase 1 runs only when some artificial starts above zero.
+# In both phases an artificial column never enters, and a basic one leaves
+# only by a ratio-test pivot through its row: phase 2 fixes the artificials
+# at zero, so the first pivot through such a row retires its artificial,
+# and one in a redundant row stays basic.  The tableau is rebuilt every 200
+# pivots, counted across both phases, through the solver's own
+# ``_basis_solve``, which has its own test against ``np.linalg.solve``: on
+# rows that are not totally unimodular the two round differently in the
+# last ulp, and this oracle checks the ratio test and the elimination, not
+# the refactorization.
 def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     """Maximize c'x subject to a x (rel) rhs and 0 <= x <= upper.
 
@@ -522,11 +525,6 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     rhs = np.asarray(rhs, dtype=float).copy()
     n_struct = c.shape[0]
     m = a.shape[0]
-    if m == 0:
-        x = np.where(c > 0, np.asarray(upper, dtype=float), 0.0)
-        if not np.all(np.isfinite(x)):
-            raise SenselError("LP is unbounded")
-        return x, float(c @ x), 0
 
     # Greedy start: by decreasing positive cost (ties to the lower index),
     # put each column with a finite bound at that bound unless a "<=" or "="
@@ -610,6 +608,7 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
     at_upper[:n_struct] = lifted
     xb = residual
     iterations = 0
+    pivots = 0
 
     def nonbasic_values():
         vals = np.where(at_upper, np.where(np.isfinite(ub), ub, 0.0), 0.0)
@@ -622,9 +621,8 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
         tableau = _basis_solve(b_cols, full)
         xb = _basis_solve(b_cols, rhs - full @ nonbasic_values())
 
-    def run_phase(cost, banned_from: int | None):
-        nonlocal iterations, tableau, xb
-        since_refactor = 0
+    def run_phase(cost):
+        nonlocal iterations, pivots, tableau, xb
         stalled = 0
         bland_mode = False
         reduced = cost - cost[basis] @ tableau
@@ -634,8 +632,7 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
             eligible = ~in_basis & (
                 (~at_upper & (reduced < -_TOL)) | (at_upper & (reduced > _TOL))
             )
-            if banned_from is not None:
-                eligible[banned_from:] = False
+            eligible[art_start:] = False
             idx = np.flatnonzero(eligible)
             if idx.size == 0:
                 return
@@ -695,59 +692,23 @@ def loop_simplex_max(c, a, rels, rhs, upper, max_iter: int = 200_000):
             others[best_row] = 0.0
             tableau -= np.outer(others, tableau[best_row])
             reduced -= reduced[j] * tableau[best_row]
-            since_refactor += 1
-            if since_refactor >= 200:
+            pivots += 1
+            if pivots % 200 == 0:
                 refactorize()
                 reduced = cost - cost[basis] @ tableau
-                since_refactor = 0
 
     # Phase 1 runs only when some artificial starts above zero; when none
     # does, the start is feasible as it stands.
     if any(xb[i] > 0 for i in range(m) if basis[i] >= art_start):
-        run_phase(cost1, banned_from=None)
+        run_phase(cost1)
         art_total = sum(xb[i] for i in range(m) if basis[i] >= art_start)
         if art_total > _FEAS_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0))):
             raise Infeasible("constraint rows admit no feasible point")
 
-        # Remove leftover artificials from the basis: pivot them out where the
-        # row has support on real columns, drop the row where it does not
-        # (redundant constraint).
-        drop_rows = []
-        for i in range(m):
-            if basis[i] < art_start:
-                continue
-            support = np.flatnonzero(np.abs(tableau[i, :art_start]) > 1e-7)
-            if support.size == 0:
-                drop_rows.append(i)
-                continue
-            j = int(support[0])
-            leaving = basis[i]
-            in_basis[leaving] = False
-            basis[i] = j
-            in_basis[j] = True
-            entering_value = ub[j] if at_upper[j] else 0.0
-            at_upper[j] = False
-            xb[i] = entering_value
-            piv = tableau[i, j]
-            tableau[i] /= piv
-            others = tableau[:, j].copy()
-            others[i] = 0.0
-            tableau -= np.outer(others, tableau[i])
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            tableau = tableau[keep]
-            xb = xb[keep]
-            full = full[keep]
-            rhs = rhs[keep]
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-        # Clean any residue the basis surgery left behind before optimizing.
-        refactorize()
-
     # From here on every artificial is fixed at zero: a basic one leaves on
-    # the first pivot through its row, and none enters.
+    # the first pivot through its row.
     ub[art_start:] = 0.0
-    run_phase(cost2, banned_from=art_start)
+    run_phase(cost2)
 
     values = nonbasic_values()
     for i, var in enumerate(basis):

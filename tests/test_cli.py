@@ -153,6 +153,11 @@ class TestSelect:
         code = main(["select", str(path), "--algo", "exhaustive"])
         assert code == 2
 
+    def test_sdp_not_converged_maps_to_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(select_sdr, "_MAX_ITER", 1)
+        assert main(["select", "example4", "--algo", "sdr"]) == 3
+        assert "SDP solver stopped after 1 iterations" in capsys.readouterr().err
+
     def test_topk_on_correlated_maps_to_exit_2(self, correlated_scenario_path):
         code = main(["select", str(correlated_scenario_path), "--algo", "topk"])
         assert code == 2
@@ -423,47 +428,12 @@ class TestScenarioOnlyCalls:
 
 
 class TestThreadsDefault:
-    def test_one_worker_without_env_var(self, monkeypatch):
-        from sensel.cli import build_parser
-
-        monkeypatch.delenv("SENSEL_THREADS", raising=False)
+    def test_one_worker_without_env_var(self):
         for command in ("simulate", "sweep"):
             argv = [command, "x.json", "--algo", "topk"]
             if command == "sweep":
                 argv += ["--param", "s_count", "--values", "5"]
             assert build_parser().parse_args(argv).threads == 1
-
-    def test_env_var_fallback(self, monkeypatch):
-        from sensel.cli import build_parser
-
-        monkeypatch.setenv("SENSEL_THREADS", "3")
-        args = build_parser().parse_args(
-            ["simulate", "x.json", "--algo", "topk"]
-        )
-        assert args.threads == 3
-
-    def test_flag_overrides_env(self, monkeypatch):
-        from sensel.cli import build_parser
-
-        monkeypatch.setenv("SENSEL_THREADS", "3")
-        args = build_parser().parse_args(
-            ["simulate", "x.json", "--algo", "topk", "--threads", "2"]
-        )
-        assert args.threads == 2
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_malformed_env_is_a_usage_error(self, monkeypatch, capsys, value):
-        from sensel.cli import build_parser
-
-        monkeypatch.setenv("SENSEL_THREADS", value)
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["simulate", "x.json", "--algo", "topk"])
-        assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
-        args = build_parser().parse_args(
-            ["simulate", "x.json", "--algo", "topk", "--threads", "2"]
-        )
-        assert args.threads == 2
 
 
 class TestSimulate:
@@ -550,15 +520,23 @@ class TestSweep:
         assert code == 1
         assert "randomization sample" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("param", ["m_per_step", "s_count"])
-    def test_fractional_count_is_scenario_error(self, param, small_scenario_path, capsys):
+    @pytest.mark.parametrize("param, values, message", [
+        pytest.param("m_per_step", "1,2.5", "whole numbers", id="m_per_step"),
+        pytest.param("s_count", "1,2.5", "whole numbers", id="s_count"),
+        pytest.param("s_count", "1,x", "cannot parse sweep values", id="unparsable"),
+    ])
+    def test_fractional_count_is_scenario_error(
+        self, param, values, message, small_scenario_path, capsys
+    ):
+        """A count that is not whole, or a value that is not a number, is a
+        scenario error (exit 1)."""
         code = main([
             "sweep", str(small_scenario_path),
-            "--algo", "topk", "--param", param, "--values", "1,2.5",
+            "--algo", "topk", "--param", param, "--values", values,
             "--threads", "1",
         ])
         assert code == 1
-        assert "whole numbers" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_single_value(self, unbudgeted_scenario_path, tmp_path):
         code = main([

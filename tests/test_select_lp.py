@@ -4,6 +4,7 @@ reference solver and Boolean enumeration, greedy rounding, certificates."""
 import itertools
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -515,6 +516,25 @@ def assert_same_as_loop_oracle(c, a, rels, rhs, upper):
     return True
 
 
+@pytest.fixture
+def events(monkeypatch):
+    """Every ``_pivot`` and ``_basis_solve`` call, in order."""
+    log = []
+    pivot, basis_solve = select_lp._pivot, select_lp._basis_solve
+
+    def counting_pivot(tableau, row, col):
+        log.append(("pivot", row))
+        pivot(tableau, row, col)
+
+    def counting_solve(b_cols, cols):
+        log.append(("solve", None))
+        return basis_solve(b_cols, cols)
+
+    monkeypatch.setattr(select_lp, "_pivot", counting_pivot)
+    monkeypatch.setattr(select_lp, "_basis_solve", counting_solve)
+    return log
+
+
 class TestSimplexAgainstLoopOracle:
     """The vectorized ratio test and row-restricted elimination follow the
     per-row loop solver pivot for pivot (see ``conftest.loop_simplex_max``)."""
@@ -527,9 +547,9 @@ class TestSimplexAgainstLoopOracle:
 
     def test_budgets_and_redundant_rows(self, rng):
         """Redundant rows on a start that leaves count rows short: phase 1
-        runs and leaves artificials basic at zero, so the drive-out pivots
-        run, and so do the oracle's row drop and the solver's artificials
-        that stay basic in their redundant rows."""
+        runs and leaves artificials basic at zero, which phase 2 retires by
+        ratio-test pivots through their rows, except in the redundant rows,
+        where they stay basic to the end."""
         for _ in range(12):
             horizon = int(rng.integers(2, 5))
             per_step = int(rng.integers(3, 6))
@@ -561,6 +581,23 @@ class TestSimplexAgainstLoopOracle:
             c = rng.integers(1, 3, size=n).astype(float)
             upper = 1.0 + rng.choice([0.0, 6e-10, 1.4e-9], size=n)
             assert_same_as_loop_oracle(c, a, rels, rhs, upper)
+
+    def test_rebuilds_every_200_pivots_across_both_phases(self, rng, events):
+        """A dense 100 x 300 equality program with unit upper bounds runs
+        phase 1 and then phase 2, about 800 pivots in all.  The tableau is
+        rebuilt once per 200 pivots counted across the two phases (two
+        ``_basis_solve`` calls each); the point is the oracle's bit for bit
+        and HiGHS' optimum."""
+        m, n = 100, 300
+        a = rng.normal(size=(m, n))
+        rhs = a @ rng.uniform(0.0, 1.0, n)
+        program = (rng.normal(size=n), a, ["="] * m, rhs, np.ones(n))
+        assert assert_same_as_loop_oracle(*program)
+        kinds = [kind for kind, _ in events]
+        pivots = kinds.count("pivot")
+        assert pivots > 600
+        assert kinds.count("solve") == 2 * (pivots // 200)
+        assert assert_same_as_highs(*program)
 
 
 class TestGreedyStart:
@@ -652,24 +689,38 @@ class TestBasisSolve:
                 assert_matches_dense_solve(b, rng.normal(size=m))
 
     def test_count_budget_bases_bit_for_bit(self, rng, monkeypatch):
-        """Every basis the simplex refactorizes on an example3-shaped program
-        (count and budget rows, an incidence matrix) gives exactly the
-        dense solve's tableau and basic values.  The programs start short
-        (see ``short_start_program``), so phase 1 runs and the tableau is
-        rebuilt after it."""
-        calls = []
-        original = select_lp._basis_solve
+        """Every basis the simplex pivots to on an example3-shaped program
+        (count and budget rows, an incidence matrix), through phase 1 and
+        phase 2, gives exactly the dense solve's tableau and basic values.
+        The programs start short (see ``short_start_program``), so phase 1
+        runs; the bases are taken from the crash start's basis array, which
+        the solver updates in place before each ``_pivot``."""
+        starts, bases = [], []
+        crash_start, pivot = select_lp._crash_start, select_lp._pivot
 
-        def checked(b_cols, cols):
-            out = original(b_cols, cols)
-            calls.append(np.array_equal(out, np.linalg.solve(b_cols, cols)))
+        def recording_start(*args):
+            out = crash_start(*args)
+            starts.append((out[0].copy(), out[1], out[3]))
             return out
 
-        monkeypatch.setattr(select_lp, "_basis_solve", checked)
+        def recording_pivot(tableau, row, col):
+            bases.append(starts[-1][2].copy())
+            pivot(tableau, row, col)
+
+        monkeypatch.setattr(select_lp, "_crash_start", recording_start)
+        monkeypatch.setattr(select_lp, "_pivot", recording_pivot)
         for num, per_step in ((60, 10), (30, 4)):
             c, a, rels, rhs, upper = short_start_program(rng, num, 5, per_step)
+            starts.clear()
+            bases.clear()
             _simplex_max(c, a, senses(rels), rhs, upper)
-        assert len(calls) >= 4 and all(calls)
+            full, sign, _ = starts[0]
+            assert len(bases) >= 10
+            for basis in bases:
+                b_cols = full[:, basis]
+                for cols in (full, sign * rhs):
+                    expected = np.linalg.solve(b_cols, cols)
+                    assert np.array_equal(select_lp._basis_solve(b_cols, cols), expected)
 
 
 def short_start_program(rng, num, horizon, per_step, missing=0, extra=()):
@@ -712,18 +763,18 @@ class TestPivotCount:
         monkeypatch.setattr(select_lp, "_pivot", counting)
         return calls
 
-    def test_phase_pivots_plus_drive_out(self, pivots):
+    def test_phase_one_leaves_a_zero_artificial_basic(self, pivots):
         # x1 + x2 = 1, x1 - x2 = 1 without upper bounds (so no bound flip
         # counts as an iteration): phase 1 pivots x1 in on the first row,
-        # which leaves the second row's artificial basic at zero with
-        # support on x2; the drive-out pivots x2 in there.
+        # which leaves the second row's artificial basic at zero.  No pivot
+        # drives it out: phase 2 finds x1 optimal, and it stays basic.
         x, _, iterations = _simplex_max(
             [1.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], senses(["=", "="]), [1.0, 1.0],
             [np.inf, np.inf],
         )
         assert x.tolist() == [1.0, 0.0]
         assert iterations == 1
-        assert pivots == [(0, 0), (1, 1)]
+        assert pivots == [(0, 0)]
 
     def test_one_pivot_per_basis_change_of_the_oracle(self, rng, pivots, monkeypatch):
         num, horizon = 20, 4
@@ -731,7 +782,7 @@ class TestPivotCount:
         first_step = (np.repeat([1.0, 0.0], [num, num * (horizon - 1)]), ">=", 3)
         program = selection_program(rng, num, horizon, 3, 2, extra=[total, first_step])
         # The oracle eliminates with one np.outer per basis change, in
-        # phase 1, phase 2 and the drive-out alike.
+        # phase 1 and phase 2 alike.
         outer_calls = []
         outer = np.outer
 
@@ -833,39 +884,28 @@ def lp_plan_instance(seed, k):
 class TestFeasibleStart:
     """When every artificial of the crash start is at zero, phase 1 does not
     run and the artificials stay basic, fixed at zero; otherwise phase 1
-    runs as before."""
-
-    @pytest.fixture
-    def events(self, monkeypatch):
-        """Every ``_pivot`` and ``_basis_solve`` call, in order."""
-        log = []
-        pivot, basis_solve = select_lp._pivot, select_lp._basis_solve
-
-        def counting_pivot(tableau, row, col):
-            log.append(("pivot", row))
-            pivot(tableau, row, col)
-
-        def counting_solve(b_cols, cols):
-            log.append(("solve", None))
-            return basis_solve(b_cols, cols)
-
-        monkeypatch.setattr(select_lp, "_pivot", counting_pivot)
-        monkeypatch.setattr(select_lp, "_basis_solve", counting_solve)
-        return log
+    runs first.  In both phases no artificial enters."""
 
     @pytest.mark.parametrize(
-        "instance", ["example3"] + [(seed, k) for seed in (1, 1302) for k in range(3)]
+        "instance",
+        ["example3"]
+        + [(seed, k) for seed in (1, 1302) for k in range(3)]
+        + ["example1", "example2"]
+        + [f"ignore-dep-example{i}" for i in range(4, 8)],
     )
     def test_selection_lps_skip_phase_one(self, instance, events):
-        """On example3 and the ``lp_plan`` inputs the greedy start fills
-        every count row, so every artificial starts at zero.  A phase 1
-        would end in a refactorization, and fewer than 200 pivots trigger
-        none, so no ``_basis_solve`` call means that no phase-1 pivot ran:
-        every pivot is a phase-2 pivot."""
-        if instance == "example3":
-            scenario = model.load_scenario(EXAMPLE3)
-        else:
+        """On the ``lp`` programs of example1-3, the ``ignore-dep`` programs
+        of example4-7 (the noise without its cross-sensor blocks) and the
+        ``lp_plan`` inputs, the greedy start fills every count row, so every
+        artificial starts at zero and phase 1 does not run.  Fewer than 200
+        pivots rebuild nothing, so every event is a phase-2 pivot."""
+        if isinstance(instance, tuple):
             scenario = lp_plan_instance(*instance)
+        else:
+            name = instance.removeprefix("ignore-dep-")
+            scenario = model.load_scenario(EXAMPLE3.with_name(f"{name}.json"))
+            if name != instance:
+                scenario = replace(scenario, noise=scenario.noise.diagonal_only)
         problem = build_lp(scenario)
         rows = problem.rows
         _, _, start, basis, art_start, _ = _crash_start(
@@ -918,16 +958,17 @@ class TestFeasibleStart:
             assert assert_same_as_highs(*program, trial=0)
 
     def test_short_start_runs_phase_one(self, rng, events):
-        """A start that leaves a count row short runs phase 1 (pivots before
-        the refactorization that ends it) and then phase 2, as the loop
-        oracle does; with one one-step sensor fewer the rows admit no point
-        and phase 1 ends in ``Infeasible``."""
+        """A start that leaves a count row short runs phase 1 and then
+        phase 2, as the loop oracle does, and fewer than 200 pivots rebuild
+        nothing: every event is a pivot, and no ``_basis_solve`` follows the
+        phase-1 pivots.  With one one-step sensor fewer the rows admit no
+        point and phase 1 ends in ``Infeasible``."""
         for num, per_step in ((60, 10), (30, 4)):
             program = short_start_program(rng, num, 5, per_step)
             events.clear()
             assert assert_same_as_loop_oracle(*program)
-            first_solve = events.index(("solve", None))
-            assert first_solve > 0 and all(kind == "pivot" for kind, _ in events[:first_solve])
+            assert 0 < len(events) < 200
+            assert all(kind == "pivot" for kind, _ in events)
             assert assert_same_as_highs(*program, trial=0)
 
             c, a, rels, rhs, upper = short_start_program(rng, num, 5, per_step, missing=1)

@@ -398,8 +398,16 @@ class TestSweep:
         assert len(results) == 1
 
     def test_negative_seed_rejected(self):
+        """A negative seed, a worker count below 1 and an unknown objective
+        are refused when the config is built, before any planning."""
+        scenario = tiny_tracking_scenario()
         with pytest.raises(ScenarioError, match="seed"):
-            RunConfig(scenario=tiny_tracking_scenario(), algorithm="topk", seed=-1)
+            RunConfig(scenario=scenario, algorithm="topk", seed=-1)
+        for threads in (0, -1):
+            with pytest.raises(ScenarioError, match="worker"):
+                RunConfig(scenario=scenario, algorithm="topk", threads=threads)
+        with pytest.raises(ScenarioError, match="objective"):
+            RunConfig(scenario=scenario, algorithm="sdr", objective="f4")
 
     def test_unknown_parameter(self):
         scenario = tiny_tracking_scenario()
