@@ -29,8 +29,10 @@ def info_table(scenario: Scenario) -> np.ndarray:
     ranks each step's sensors by it; the LP route weights it by the step
     weights to get its objective.
 
-    Each step takes one :func:`filter.row_gains` per measurement
-    dimension, on each sensor's own rows, and one stacked trace.
+    Each distinct step model (``scenario.step_models``) takes one
+    :func:`filter.row_gains` per measurement dimension, on each sensor's
+    own rows, and one stacked trace; a step that repeats a model copies
+    its column.
     No block is checked here: a noise model is checked when it is made,
     and every one a step uses (all but the static part of a distance
     model) is positive definite, and so is each of its diagonal blocks.
@@ -40,7 +42,10 @@ def info_table(scenario: Scenario) -> np.ndarray:
     groups = [(d, np.flatnonzero(dims == d)) for d in np.unique(dims)]
     table = np.zeros((len(sensors), scenario.horizon))
     offsets = scenario.noise.offsets
-    for n in range(scenario.horizon):
+    for n, first in enumerate(scenario.step_models):
+        if first != n:
+            table[:, n] = table[:, first]
+            continue
         for d, idx in groups:
             rows = offsets[idx][:, None] + np.arange(d)
             gains = row_gains(scenario, rows, n)

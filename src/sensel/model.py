@@ -480,43 +480,128 @@ class NoiseModel:
 class ConstraintRows:
     """The linear system A gamma (sense) b over the step-major gamma vector.
 
-    ``a`` is the (p, N*L) coefficient matrix, ``b`` the (p,) right side and
-    ``sense`` each row's slack sign: +1 for a' gamma <= b, 0 for an
-    equality and -1 for a' gamma >= b.  Arrays are read-only: one given as a
-    read-only float array that owns its data is held as it is, since nothing
-    can change it, and any other is copied.
-    Equality and hashing go by identity, so a ``ConstraintSet`` holding
-    rows is hashable.
+    Split into ``horizon`` step blocks of num sensors, gamma has n =
+    horizon * num entries.  The first ``horizon`` rows are count rows, row
+    t one on step t's block; with ``budgets``, num budget rows follow, row
+    i one on sensor i of every block.  Those are held as that structure,
+    never as a matrix.  The rest are the (p_dense, n) matrix ``dense``: a
+    scenario's extra rows, or every row when ``horizon`` is 0.  ``b`` is
+    the (p,) right side and ``sense`` each row's slack sign: +1 for a'
+    gamma <= b, 0 for an equality and -1 for a' gamma >= b.  The solvers
+    read the structure (:meth:`lhs`, :meth:`nonzeros`, :meth:`fill`); only
+    :attr:`a` assembles the (p, n) matrix.
+
+    Arrays are read-only: one given as a read-only float array that owns
+    its data is held as it is, since nothing can change it, and any other
+    is copied.  Equality and hashing go by identity, so a ``ConstraintSet``
+    holding rows is hashable.
     """
 
-    a: np.ndarray
+    dense: np.ndarray
     sense: np.ndarray
     b: np.ndarray
+    horizon: int = 0
+    budgets: bool = False
 
     def __post_init__(self):
-        for name in ("a", "sense", "b"):
+        for name in ("dense", "sense", "b"):
             value = getattr(self, name)
             if not (
                 isinstance(value, np.ndarray) and value.dtype == float
                 and value.flags.owndata and not value.flags.writeable
             ):
                 object.__setattr__(self, name, _frozen(value))
-        a, sense, b = self.a, self.sense, self.b
-        if a.ndim != 2 or sense.shape != (a.shape[0],) or b.shape != (a.shape[0],):
+        dense, sense, b = self.dense, self.sense, self.b
+        if dense.ndim != 2:
+            raise ScenarioError(f"constraint rows need a (p, n) matrix, got shape {dense.shape}")
+        horizon, n = self.horizon, dense.shape[1]
+        if horizon < 0 or (horizon and n % horizon) or (self.budgets and not horizon):
             raise ScenarioError(
-                f"constraint rows need a (p, n) matrix and two (p,) vectors, got "
-                f"{a.shape}, {sense.shape} and {b.shape}"
+                f"count and budget rows need the {n} columns in {horizon} equal step blocks"
             )
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        count = horizon + (n // horizon if self.budgets else 0) + dense.shape[0]
+        if sense.shape != (count,) or b.shape != (count,):
+            raise ScenarioError(
+                f"constraint rows need one sense and one right side for each of "
+                f"{count} rows, got shapes {sense.shape} and {b.shape}"
+            )
+        if not (np.all(np.isfinite(dense)) and np.all(np.isfinite(b))):
             raise ScenarioError("constraint rows contain non-finite entries")
         if not np.all(np.isin(sense, (-1.0, 0.0, 1.0))):
             raise ScenarioError("constraint sense must be -1, 0 or 1")
 
     def __len__(self) -> int:
-        return self.a.shape[0]
+        return self.b.shape[0]
+
+    @property
+    def _structured(self) -> int:
+        """How many rows come before ``dense``."""
+        return len(self) - self.dense.shape[0]
+
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        """The (p, n) coefficient matrix, read-only, assembled on first read
+        (:meth:`fill`); rows held wholly dense return ``dense`` itself."""
+        if not self._structured:
+            return self.dense
+        a = np.zeros((len(self), self.dense.shape[1]))
+        self.fill(a)
+        a.setflags(write=False)
+        return a
+
+    def fill(self, out: np.ndarray) -> None:
+        """Write the coefficients into ``out``, a zeroed (p, n) array or
+        view: a 1 at each count and budget row's columns, then the rows of
+        ``dense``."""
+        horizon, top = self.horizon, self._structured
+        if horizon:
+            cols = np.arange(self.dense.shape[1])
+            num = cols.size // horizon
+            out[cols // num, cols] = 1.0
+            if self.budgets:
+                out[horizon + cols % num, cols] = 1.0
+        out[top:] = self.dense
+
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every nonzero coefficient as (row, column, value) arrays: the
+        count rows' by column, then the budget rows' by column, then those
+        of ``dense`` in row-major order.  A stable sort by column keeps each
+        column's rows ascending."""
+        n = self.dense.shape[1]
+        at, cols = np.divmod(np.flatnonzero(self.dense), n)
+        parts = [(self._structured + at, cols, self.dense[at, cols])]
+        if self.horizon:
+            every, num, ones = np.arange(n), n // self.horizon, np.ones(n)
+            counts = [(every // num, every, ones)]
+            if self.budgets:
+                counts.append((self.horizon + every % num, every, ones))
+            parts = counts + parts
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    def lhs(self, x) -> np.ndarray:
+        """Left sides A x of ``x``'s rows, for x of shape (..., n): each count
+        row sums its step's block and each budget row its sensor over the
+        steps, then one product with ``dense``.  The rows run along the
+        last axis."""
+        x = np.asarray(x, dtype=float)
+        parts = []
+        if self.horizon:
+            steps = x.reshape(x.shape[:-1] + (self.horizon, -1))
+            parts.append(steps.sum(axis=-1))
+            if self.budgets:
+                parts.append(steps.sum(axis=-2))
+        parts.append(x @ self.dense.T)
+        return np.concatenate(parts, axis=-1)
+
+    def row_sums(self) -> np.ndarray:
+        """Each row's sum of coefficients: num for a count row, ``horizon``
+        for a budget row, each row of ``dense`` summed along it."""
+        sums = self.lhs(np.ones(self.dense.shape[1]))
+        sums[self._structured :] = self.dense.sum(axis=1)
+        return sums
 
     def meets(self, lhs, tol: float = 1e-9) -> np.ndarray:
-        """Whether left sides ``a gamma`` meet their rows, elementwise; the
+        """Whether left sides ``A gamma`` meet their rows, elementwise; the
         rows run along the last axis of ``lhs``."""
         return np.where(
             self.sense > 0,
@@ -558,36 +643,40 @@ class ConstraintSet:
     def horizon(self) -> int:
         return len(self.per_step)
 
-    @functools.lru_cache(maxsize=8)
+    def fits(self, num_sensors: int) -> bool:
+        """Whether the budgets and the extra rows are sized for
+        ``num_sensors`` sensors over the horizon; counts alone fit any."""
+        energy, extra = self.energy, self.extra
+        return (energy is None or len(energy) == num_sensors) and (
+            extra is None or extra.dense.shape[1] == num_sensors * self.horizon
+        )
+
     def rows(self, num_sensors: int) -> ConstraintRows:
         """Every row over the step-major selection vector: one count
         equality per step, one budget inequality per sensor when budgets
-        are present, then the extra rows.  Built once per (constraint set,
-        sensor count) and shared, read-only, by every caller.  The matrix is
-        filled in one preallocated array, which the rows hold uncopied: its
-        peak memory is its size."""
+        are present, then the extra rows.  The count and budget rows are
+        held as structure and the extra rows' matrix is shared, so building
+        the rows allocates no (p, N*L) matrix; raises ScenarioError when the
+        set does not fit ``num_sensors`` (:meth:`fits`)."""
         horizon, extra = self.horizon, self.extra
-        budgets = 0 if self.energy is None else num_sensors
-        count = horizon + budgets + (0 if extra is None else len(extra))
-        a = np.zeros((count, horizon * num_sensors))
-        # Count row n is 1 on step n's block; budget row i is 1 on sensor i
-        # of every step's block.
-        steps = np.arange(horizon)
-        a[:horizon].reshape(horizon, horizon, num_sensors)[steps, steps] = 1.0
+        if not self.fits(num_sensors):
+            raise ScenarioError(
+                f"the budgets or extra rows do not fit {num_sensors} sensors "
+                f"over {horizon} steps"
+            )
         sense = [np.zeros(horizon)]
         b = [self.per_step]
         if self.energy is not None:
-            sensors = np.arange(num_sensors)
-            budget_rows = a[horizon : horizon + budgets].reshape(budgets, horizon, num_sensors)
-            budget_rows[sensors, :, sensors] = 1.0
             sense.append(np.ones(num_sensors))
             b.append(self.energy)
         if extra is not None:
-            a[horizon + budgets :] = extra.a
             sense.append(extra.sense)
             b.append(extra.b)
-        a.setflags(write=False)
-        return ConstraintRows(a, np.concatenate(sense), np.concatenate(b))
+        return ConstraintRows(
+            np.zeros((0, horizon * num_sensors)) if extra is None else extra.dense,
+            np.concatenate(sense), np.concatenate(b),
+            horizon=horizon, budgets=self.energy is not None,
+        )
 
     def validate(self, num_sensors: int) -> None:
         if not self.per_step:
@@ -610,9 +699,9 @@ class ConstraintSet:
                     "total per-step counts exceed the total energy budget"
                 )
         nl = num_sensors * self.horizon
-        if self.extra is not None and self.extra.a.shape[1] != nl:
+        if self.extra is not None and self.extra.dense.shape[1] != nl:
             raise ScenarioError(
-                f"linear constraint rows have length {self.extra.a.shape[1]}, expected {nl}"
+                f"linear constraint rows have length {self.extra.dense.shape[1]}, expected {nl}"
             )
 
 
@@ -653,10 +742,13 @@ class SelectionSchedule:
         return tuple(int(v) for v in self.gamma.T.reshape(-1))
 
     def satisfies(self, constraints: ConstraintSet, tol: float = 1e-9) -> bool:
-        if self.gamma.shape[1] != constraints.horizon:
+        """Whether the schedule meets every row of ``constraints``; False
+        when its shape does not fit them: another horizon, or a sensor count
+        other than the budgets' or the extra rows'."""
+        if self.horizon != constraints.horizon or not constraints.fits(self.num_sensors):
             return False
         rows = constraints.rows(self.num_sensors)
-        return bool(rows.meets(rows.a @ self.gamma_vec(), tol).all())
+        return bool(rows.meets(rows.lhs(self.gamma_vec()), tol).all())
 
 
 @dataclass(frozen=True)
@@ -755,6 +847,19 @@ class Scenario:
 
         predictions = open_loop_predictions(self.system, self.x0, self.horizon)
         return tuple(distance_noise(self, predictions, alpha1))
+
+    @functools.cached_property
+    def step_models(self) -> tuple[int, ...]:
+        """Per step, the first step with the same model: the same
+        ``step_noise`` object and the same ``h_stacks`` array.  Work that
+        depends on the step's model alone is done at the steps where the
+        entry is the step itself and reused at the others: every step
+        shares step 0's model unless H or the noise varies by step."""
+        first: dict[tuple[int, int], int] = {}
+        return tuple(
+            first.setdefault((id(noise), id(h)), n)
+            for n, (noise, h) in enumerate(zip(self.step_noise, self.h_stacks))
+        )
 
 
 def make_scenario(
@@ -1011,7 +1116,7 @@ def _linear_json(rows: ConstraintRows | None) -> list:
     relation = {sense: rel for rel, sense in _SENSE.items()}
     return [
         {"a": [float(v) for v in a], "relation": relation[sense], "b": float(b)}
-        for a, sense, b in zip(rows.a, rows.sense.tolist(), rows.b.tolist())
+        for a, sense, b in zip(rows.dense, rows.sense.tolist(), rows.b.tolist())
     ]
 
 

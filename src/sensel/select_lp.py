@@ -39,6 +39,14 @@ columns (:func:`_basis_solve`) of an equality form built afresh from the
 rows and dropped again.  Almost every basic column of a selection LP
 is a unit slack column, so the rebuild solves only the few other basic
 columns densely and back-substitutes the rest.
+
+The constraint rows are never held as a (p, N*L) matrix.  A
+``ConstraintRows`` keeps the count rows (one per step) and the budget rows
+(one per sensor) as structure and only the extra rows as a dense matrix.
+The crash start reads the column nonzeros from it, the equality form is
+written from it straight into the tableau, and the feasibility checks of
+:func:`solve_lp` and :func:`certify` form A x as per-step and per-sensor
+sums plus one product with the extra rows.
 """
 
 from __future__ import annotations
@@ -128,10 +136,9 @@ def build_lp(scenario: Scenario) -> LpProblem:
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the relaxation to optimality; raises Infeasible when empty."""
     rows = problem.rows
-    upper = np.ones(problem.c.shape[0])
-    x, objective, iterations = _simplex_max(problem.c, rows.a, rows.sense, rows.b, upper)
+    x, objective, iterations = _simplex_max(problem.c, rows, np.ones(problem.c.shape[0]))
     scale = 1.0 + float(np.abs(rows.b).max(initial=0.0))
-    if not rows.meets(rows.a @ x, _FEAS_TOL * scale).all():
+    if not rows.meets(rows.lhs(x), _FEAS_TOL * scale).all():
         raise SenselError("simplex returned an infeasible point")
     return LpSolution(x=x, objective=objective, iterations=iterations)
 
@@ -188,7 +195,7 @@ def round_batch(
             flat_budgets[at] -= 1
     extra = constraints.extra
     if extra is not None:
-        feasible &= extra.meets(gammas.reshape(batch, -1) @ extra.a.T).all(axis=1)
+        feasible &= extra.meets(extra.lhs(gammas.reshape(batch, -1))).all(axis=1)
     return gammas, feasible
 
 
@@ -231,7 +238,7 @@ def round_energy(lp: LpSolution, scenario: Scenario, problem: LpProblem) -> Roun
 def certify(rounded: RoundedSelection, problem: LpProblem) -> Certificate:
     """Feasibility and bound report for a rounded schedule."""
     rows = problem.rows
-    ok = tuple(rows.meets(rows.a @ rounded.schedule.gamma_vec()).tolist())
+    ok = tuple(rows.meets(rows.lhs(rounded.schedule.gamma_vec())).tolist())
     gap = rounded.gap
     denom = max(1.0, abs(rounded.bound))
     return Certificate(
@@ -295,38 +302,40 @@ def _basis_solve(b_cols: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _equality_form(a, sense, sign, art_rows):
-    """The columns [a | slacks | artificials] of a x + sense s = rhs, row p
-    times ``sign[p]``: a slack column sense_p e_p per inequality row, then an
-    artificial column +e_p per row of ``art_rows``, in one preallocated
-    array."""
-    m, n_struct = a.shape
+def _equality_form(rows, sign, art_rows):
+    """The columns [A | slacks | artificials] of A x + sense s = rhs, row p
+    times ``sign[p]``: A written by ``rows.fill``, a slack column
+    sense_p e_p per inequality row, then an artificial column +e_p per row
+    of ``art_rows``, in one zeroed array."""
+    sense = rows.sense
+    m, n_struct = len(rows), rows.dense.shape[1]
     slack_rows = np.flatnonzero(sense != 0)
     art_start = n_struct + slack_rows.size
     ntot = art_start + art_rows.size
-    full = np.empty((m, ntot))
-    full[:, :n_struct] = a
-    full[:, n_struct:] = 0.0
+    full = np.zeros((m, ntot))
+    rows.fill(full[:, :n_struct])
     full[slack_rows, np.arange(n_struct, art_start)] = sense[slack_rows]
     full[sign < 0] *= -1.0
     full[art_rows, np.arange(art_start, ntot)] = 1.0
     return full
 
 
-def _crash_start(c, a, sense, rhs, upper):
-    """Equality form of a x + sense s = rhs, s >= 0, and its starting point.
+def _crash_start(c, rows, upper):
+    """Equality form of A x + sense s = rhs, s >= 0, and its starting point,
+    for the ``ConstraintRows`` ``rows``.
 
     The start puts columns at their upper bounds greedily (a crash, after
     Bixby 1992).  Walking the structural columns from the largest positive
     cost down (ties in index order), skipping infinite upper bounds, a
     column goes to its bound when that keeps every ``<=`` and ``=`` row it
     raises at or below its rhs and every ``>=`` row it lowers at or above
-    its rhs.  The column nonzeros come from one ``np.flatnonzero`` call on
-    a boolean mask (several times faster than ``np.nonzero`` on the 2-D
-    float matrix), and the walk is a scalar loop over them.
+    its rhs.  The column nonzeros come from ``rows.nonzeros()``, read from
+    the count and budget structure and the dense rows' nonzeros, and the
+    walk is a scalar loop over them: each column's count row, then its
+    budget row, then its dense rows in ascending order.
 
     Each inequality row (sense +1 or -1) gets a slack column sense_p e_p.
-    Rows are then negated where the residual rhs - a x0 is negative, and
+    Rows are then negated where the residual rhs - A x0 is negative, and
     sense -1 rows where it is zero, so that every slack that can take its
     row's residual has column +e_p.  That slack is the row's starting basic
     variable; only the remaining rows get an artificial column +e_p.  A
@@ -335,26 +344,26 @@ def _crash_start(c, a, sense, rhs, upper):
     x = 0 would.
 
     Returns (full, sign, start, basis, art_start, lifted): the columns
-    [a | slacks | artificials] of :func:`_equality_form`, each row's sign
+    [A | slacks | artificials] of :func:`_equality_form`, each row's sign
     (-1 where it was negated), the basic values (the normalized residual),
     the basic column of each row, the index of the first artificial
     column, and the mask of the structural columns at their upper bound.
     """
-    m, n_struct = a.shape
+    sense, rhs = rows.sense, rows.b
+    m, n_struct = len(rows), c.shape[0]
     order = np.argsort(-c, kind="stable")
     order = order[(c[order] > 0) & np.isfinite(upper[order])].tolist()
     # The nonzeros grouped by column in walk order; the stable sort keeps
     # each column's rows ascending.
-    rows, cols = np.divmod(np.flatnonzero(a != 0), n_struct)
+    at, cols, values = rows.nonzeros()
     rank = np.full(n_struct, len(order))
     rank[order] = np.arange(len(order))
     by_rank = np.argsort(rank[cols], kind="stable")
-    rows, cols = rows[by_rank], cols[by_rank]
+    at, cols, values = at[by_rank], cols[by_rank], values[by_rank]
     ends = np.searchsorted(rank[cols], np.arange(1, len(order) + 1)).tolist()
-    values = a[rows, cols]
     # +1 where the entry must keep its row's residual >= 0, -1 where <= 0.
-    limits = np.where(sense[rows] < 0, -1.0 * (values < 0), 1.0 * (values > 0)).tolist()
-    rows, values = rows.tolist(), values.tolist()
+    limits = np.where(sense[at] < 0, -1.0 * (values < 0), 1.0 * (values > 0)).tolist()
+    at, values = at.tolist(), values.tolist()
     residual = rhs.tolist()
     bounds = upper.tolist()
     lifted = np.zeros(n_struct, dtype=bool)
@@ -362,11 +371,11 @@ def _crash_start(c, a, sense, rhs, upper):
     for j, end in zip(order, ends):
         bound = bounds[j]
         for k in range(start, end):
-            if limits[k] * (residual[rows[k]] - bound * values[k]) < 0.0:
+            if limits[k] * (residual[at[k]] - bound * values[k]) < 0.0:
                 break
         else:
             for k in range(start, end):
-                residual[rows[k]] -= bound * values[k]
+                residual[at[k]] -= bound * values[k]
             lifted[j] = True
         start = end
 
@@ -375,7 +384,7 @@ def _crash_start(c, a, sense, rhs, upper):
     crashed = np.where(sense > 0, residual >= 0, (sense < 0) & (residual <= 0))
     slack_rows = np.flatnonzero(sense != 0)
     art_rows = np.flatnonzero(~crashed)
-    full = _equality_form(a, sense, sign, art_rows)
+    full = _equality_form(rows, sign, art_rows)
     art_start = n_struct + slack_rows.size
     basis = np.empty(m, dtype=int)
     basis[slack_rows] = np.arange(n_struct, art_start)
@@ -383,9 +392,10 @@ def _crash_start(c, a, sense, rhs, upper):
     return full, sign, np.abs(residual), basis, art_start, lifted
 
 
-def _simplex_max(c, a, sense, rhs, upper):
-    """Maximize c'x subject to a x (sense) rhs and 0 <= x <= upper, where
-    sense +1, 0 and -1 ask for a row at most, equal to or at least its rhs.
+def _simplex_max(c, rows, upper):
+    """Maximize c'x subject to the ``ConstraintRows`` ``rows``, A x (sense)
+    rhs, and 0 <= x <= upper, where sense +1, 0 and -1 ask for a row at
+    most, equal to or at least its rhs.
 
     Dense two-phase tableau simplex with variable bounds, started from the
     greedy point and crash basis of :func:`_crash_start`, whose array is
@@ -400,16 +410,13 @@ def _simplex_max(c, a, sense, rhs, upper):
     objective, iterations).
     """
     c = np.asarray(c, dtype=float)
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    sense = np.asarray(sense, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n_struct = c.shape[0]
 
     # Every starting basic column is a unit column, so the equality form is
     # the starting tableau as it stands.
-    tableau, sign, xb, basis, art_start, lifted = _crash_start(c, a, sense, rhs, upper)
-    rhs = sign * rhs
+    tableau, sign, xb, basis, art_start, lifted = _crash_start(c, rows, upper)
+    rhs = sign * rows.b
     art_rows = np.flatnonzero(basis >= art_start)
     ntot = tableau.shape[1]
     ub = np.concatenate([upper, np.full(ntot - n_struct, np.inf)])
@@ -426,12 +433,12 @@ def _simplex_max(c, a, sense, rhs, upper):
         return vals
 
     def refactorize():
-        # The equality form is rebuilt from ``a`` for the basis solve and
-        # dropped with it, so between refactorizations the tableau is the
-        # only full-size array.
+        # The equality form is rebuilt from the rows for the basis solve
+        # and dropped with it, so between refactorizations the tableau is
+        # the only full-size array.
         nonlocal tableau, xb
         tableau = None
-        full = _equality_form(a, sense, sign, art_rows)
+        full = _equality_form(rows, sign, art_rows)
         b_cols = full[:, basis]
         xb = _basis_solve(b_cols, rhs - full @ nonbasic_values())
         tableau = _basis_solve(b_cols, full)

@@ -151,13 +151,19 @@ def build_bqp(scenario: Scenario) -> BqpProblem:
     step's information proxy, so minimizing the weighted sum maximizes
     information.  Each step is one product:
     the block sums of T ∘ (H H') over the sensors' rows, with H the step's
-    ``scenario.h_stacks`` entry.
+    ``scenario.h_stacks`` entry, taken once per distinct step model
+    (``scenario.step_models``); a step that repeats a model shares its
+    block.
     """
     blocks = []
-    for noise, h in zip(scenario.step_noise, scenario.h_stacks):
-        starts = noise.offsets[:-1]
-        row_sums = np.add.reduceat(noise.r_inv * (h @ h.T), starts, axis=0)
-        blocks.append(-linalg.symmetrize(np.add.reduceat(row_sums, starts, axis=1)))
+    for n, first in enumerate(scenario.step_models):
+        if first == n:
+            noise, h = scenario.step_noise[n], scenario.h_stacks[n]
+            starts = noise.offsets[:-1]
+            row_sums = np.add.reduceat(noise.r_inv * (h @ h.T), starts, axis=0)
+            blocks.append(-linalg.symmetrize(np.add.reduceat(row_sums, starts, axis=1)))
+        else:
+            blocks.append(blocks[first])
     return BqpProblem(
         b_blocks=tuple(blocks),
         weights=np.asarray(scenario.weights, dtype=float),
@@ -192,7 +198,7 @@ def build_sdp(bqp: BqpProblem) -> SdpProblem:
     sense = rows.sense.copy()
     if cons.energy is not None and sum(cons.per_step) == sum(cons.energy):
         sense[horizon : horizon + num] = 0.0
-    rows = ConstraintRows(rows.a, sense, 4.0 * rows.b - rows.a.sum(axis=1))
+    rows = replace(rows, sense=sense, b=4.0 * rows.b - rows.row_sums())
     return SdpProblem(c_blocks=c_blocks, rows=rows, ones_quad=float(border.sum()))
 
 
@@ -206,8 +212,10 @@ def solve_sdp(problem: SdpProblem) -> SdpSolution:
     unit-diagonal rows are added internally."""
     horizon, k, _ = problem.c_blocks.shape
     rows = problem.rows
+    a = np.zeros((len(rows), horizon * (k - 1)))
+    rows.fill(a)
     a_hat = np.zeros((len(rows), horizon, k))
-    a_hat[:, :, :-1] = rows.a.reshape(len(rows), horizon, k - 1)
+    a_hat[:, :, :-1] = a.reshape(len(rows), horizon, k - 1)
     sense = np.concatenate([rows.sense, np.zeros(horizon * k)])
     rhs = np.concatenate([rows.b, np.ones(horizon * k)])
     return _sdp_ipm(problem.c_blocks, a_hat, sense, rhs)

@@ -109,7 +109,7 @@ def exhaustive_opt(scenario: Scenario, objective: str = "f1") -> tuple[Selection
         vectors = np.concatenate(
             [column[pick] for column, pick in zip(columns, picks)], axis=1
         )
-        keep = np.flatnonzero(rows.meets(vectors @ rows.a.T).all(axis=1))
+        keep = np.flatnonzero(rows.meets(rows.lhs(vectors)).all(axis=1))
         if keep.size == 0:
             continue
         picks = [pick[keep] for pick in picks]

@@ -87,6 +87,23 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def matrix_reads(monkeypatch):
+    """Every assembly of a constraint matrix from count or budget structure
+    (a first read of ``ConstraintRows.a``), as the row count of each."""
+    log = []
+    cached = vars(model.ConstraintRows)["a"]
+    assemble = cached.func
+
+    def counting(rows):
+        if len(rows) > rows.dense.shape[0]:
+            log.append(len(rows))
+        return assemble(rows)
+
+    monkeypatch.setattr(cached, "func", counting)
+    return log
+
+
 def loop_round_by_scores(scores, constraints, weights) -> np.ndarray:
     """Reference greedy rounding: the per-candidate Python loop that the
     batched rounder replaced.  Checks counts and budgets only; returns the

@@ -211,6 +211,39 @@ class TestBatchedInfoTable:
         assert not np.array_equal(table[:, 0], table[:, 1])
 
 
+    @pytest.mark.parametrize(
+        "name, models", [("example3", [0] * 5), ("example5", [0] * 5), ("example6", [0, 1, 2, 3, 4])]
+    )
+    def test_each_step_model_is_computed_once(self, name, models, monkeypatch):
+        """A step that repeats an earlier step's noise model and H stack
+        copies that step's column: example3 and example5 hold one model
+        over their five steps and take one ``row_gains`` call, while
+        example6's distance term gives each step its own.  The table is the
+        per-sensor loop's bit for bit."""
+        scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        assert list(scenario.step_models) == models
+        steps = []
+        row_gains = measure.row_gains
+        monkeypatch.setattr(
+            measure, "row_gains", lambda sc, rows, n: steps.append(n) or row_gains(sc, rows, n)
+        )
+        table = measure.info_table(scenario)
+        assert steps == sorted(set(models))
+        assert np.array_equal(table, loop_info_table(scenario))
+
+    def test_per_step_h_is_a_model_of_its_own(self, rng):
+        """H that varies by step makes each step a model of its own, under
+        one noise model."""
+        scenario = rand_scenario(rng, num_sensors=3, horizon=3, meas_dims=[1, 2, 1])
+        sensors = model.SensorModel.build_all(
+            [rng.normal(size=(3, sensor.meas_dim, 2)) for sensor in scenario.sensors],
+            [sensor.position for sensor in scenario.sensors],
+        )
+        scenario = replace(scenario, sensors=sensors)
+        assert scenario.step_noise[0] is scenario.step_noise[2]
+        assert scenario.step_models == (0, 1, 2)
+
+
 def _enumerate_schedules(scenario):
     per_step = scenario.constraints.per_step
     num = scenario.num_sensors

@@ -456,7 +456,7 @@ class TestConstraintRows:
         parts[field] = np.array(parts[field], dtype=float)
         parts[field].flat[0] = value
         with pytest.raises(ScenarioError, match="non-finite"):
-            model.ConstraintRows(**parts)
+            model.ConstraintRows(parts["a"], parts["sense"], parts["b"])
 
     def test_bad_sense_and_shapes_rejected(self):
         with pytest.raises(ScenarioError, match="sense"):
@@ -509,19 +509,61 @@ class TestConstraintSetRows:
 
     def test_lp_family_rows_peak_at_their_size(self, tmp_path):
         """The benchmark's LP family (400 sensors, 5 steps, budgets): the
-        rows equal the stacked blocks, and building them, past the cache,
-        allocates little beyond the 405 x 2,000 matrix they hold."""
+        rows equal the stacked blocks; building them allocates under 1% of
+        the 405 x 2,000 matrix, and assembling it little beyond its size."""
         constraints = model.load_scenario(lp_family_path(tmp_path)).constraints
-        build = model.ConstraintSet.rows.__wrapped__
         tracemalloc.start()
         try:
-            rows = build(constraints, 400)
+            rows = constraints.rows(400)
+            _, built = tracemalloc.get_traced_memory()
+            a = rows.a
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rows.a.shape == (405, 2000)
-        assert np.array_equal(rows.a, stacked_rows(constraints, 400))
-        assert peak <= 1.15 * rows.a.nbytes
+        assert a.shape == (405, 2000)
+        assert np.array_equal(a, stacked_rows(constraints, 400))
+        assert built <= 0.01 * a.nbytes
+        assert peak <= 1.15 * a.nbytes
+
+    @pytest.mark.parametrize("energy", [None, 2])
+    def test_structure_reads_equal_the_matrix(self, rng, energy):
+        """Count and budget rows mixed with extra rows of every sense: the
+        left sides ``lhs`` forms from the structure equal the matrix's
+        product bit for bit, for one 0/1 vector, a batch of them and
+        fractional vectors; so do the row sums, and the nonzeros are the
+        matrix's, each column's rows ascending after a stable sort by
+        column.  The coefficients are integers and the fractions lie on a
+        1/64 grid, so every partial sum is exact and any summation order
+        gives the same bits; for arbitrary reals the orders may differ in
+        the last place, which the rows' tolerance absorbs."""
+        for _ in range(30):
+            num, horizon = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            n = num * horizon
+            extra = [
+                (rng.integers(-3, 4, size=n).astype(float), str(rel), float(rng.integers(-2, 5)))
+                for rel in rng.choice(["<=", "=", ">="], size=int(rng.integers(0, 4)))
+            ]
+            constraints = model.ConstraintSet.build(
+                rng.integers(1, num + 1, size=horizon),
+                energy=None if energy is None else [energy] * num, extra=extra,
+            )
+            rows = constraints.rows(num)
+            a = stacked_rows(constraints, num)
+            batch = (rng.random((6, n)) < 0.5).astype(np.int8)
+            fractions = rng.integers(0, 65, size=(4, n)) / 64.0
+            for x in (*batch.astype(float), *fractions):
+                assert rows.lhs(x).tobytes() == (a @ x).tobytes()
+            for xs in (batch, fractions):
+                assert rows.lhs(xs).tobytes() == (xs @ a.T).tobytes()
+            assert rows.row_sums().tobytes() == a.sum(axis=1).tobytes()
+            at, cols, values = rows.nonzeros()
+            by_column = np.argsort(cols, kind="stable")
+            expected = np.divmod(np.flatnonzero(a.T), a.shape[0])[::-1]
+            assert np.array_equal(at[by_column], expected[0])
+            assert np.array_equal(cols[by_column], expected[1])
+            assert np.array_equal(values[by_column], a[expected])
+            reals = rng.uniform(size=(3, n))
+            np.testing.assert_allclose(rows.lhs(reals), reals @ a.T, rtol=1e-13, atol=1e-13)
 
     def test_read_only_float_arrays_are_held_uncopied(self):
         a = np.eye(2)
@@ -542,25 +584,45 @@ class TestSchedule:
         wrong_count = model.SelectionSchedule.build([[1, 1], [1, 1], [0, 0]])
         assert not wrong_count.satisfies(cons)
 
-    def test_repeated_satisfies_builds_the_rows_once(self, monkeypatch):
-        """``satisfies`` reads the constraint rows built once per (set,
-        sensor count); repeated checks build no ``ConstraintRows``."""
+    def test_repeated_satisfies_assembles_no_matrix(self, matrix_reads):
+        """``satisfies`` reads the count and budget rows as structure:
+        repeated checks never assemble the constraint matrix, which reading
+        ``ConstraintRows.a`` does."""
         cons = model.ConstraintSet.build(
             [1, 2], energy=[1, 1, 1], extra=[([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], "<=", 1.0)]
         )
-        built = []
-        check = model.ConstraintRows.__post_init__
-
-        def counting(self):
-            built.append(1)
-            check(self)
-
-        monkeypatch.setattr(model.ConstraintRows, "__post_init__", counting)
         good = model.SelectionSchedule.build([[1, 0], [0, 1], [0, 1]])
         bad = model.SelectionSchedule.build([[1, 1], [0, 1], [0, 0]])
         for _ in range(20):
             assert good.satisfies(cons) and not bad.satisfies(cons)
-        assert len(built) == 1
+        assert matrix_reads == []
+        assert cons.rows(3).a.shape == (6, 6) and len(matrix_reads) == 1
+
+    def test_extra_rows_for_another_sensor_count(self):
+        """Extra rows sized for three sensors: a two-sensor schedule does
+        not satisfy them, and the set builds no rows for two sensors."""
+        cons = model.ConstraintSet.build([1, 1], extra=[([1.0] * 6, "<=", 2.0)])
+        assert model.SelectionSchedule.build([[1, 0], [0, 1], [0, 0]]).satisfies(cons)
+        assert not model.SelectionSchedule.build([[1, 0], [0, 1]]).satisfies(cons)
+        with pytest.raises(ScenarioError, match="do not fit 2 sensors"):
+            cons.rows(2)
+
+    def test_budgets_for_another_sensor_count(self):
+        cons = model.ConstraintSet.build([1, 1], energy=[1, 1, 1])
+        assert model.SelectionSchedule.build([[1, 0], [0, 1], [0, 0]]).satisfies(cons)
+        assert not model.SelectionSchedule.build([[1, 0], [0, 1]]).satisfies(cons)
+        assert not model.SelectionSchedule.build([[1, 0], [0, 1], [0, 0], [0, 0]]).satisfies(cons)
+        with pytest.raises(ScenarioError, match="do not fit 2 sensors"):
+            cons.rows(2)
+
+    def test_counts_alone_fit_any_sensor_count(self):
+        """A set of counts alone names no sensor count, so every schedule
+        over its horizon is judged by its counts."""
+        cons = model.ConstraintSet.build([1, 1])
+        assert model.SelectionSchedule.build([[1, 0], [0, 1]]).satisfies(cons)
+        assert model.SelectionSchedule.build([[1, 0], [0, 1], [0, 0]]).satisfies(cons)
+        assert not model.SelectionSchedule.build([[1, 0], [1, 1], [0, 0]]).satisfies(cons)
+        assert not model.SelectionSchedule.build([[1, 0, 0], [0, 1, 1]]).satisfies(cons)
 
     def test_gamma_vec_is_step_major(self):
         schedule = model.SelectionSchedule.build([[1, 0], [0, 1]])

@@ -15,6 +15,7 @@ from sensel.errors import Infeasible, NotSeparableNoise, RoundingInfeasible, Sen
 from sensel.select_lp import (
     LpSolution,
     _crash_start,
+    _equality_form,
     _simplex_max,
     build_lp,
     certify,
@@ -419,7 +420,7 @@ def assert_same_as_highs(c, a, rels, rhs, upper, trial=None):
         method="highs",
     )
     try:
-        _, objective, _ = _simplex_max(c, a, senses(rels), rhs, upper)
+        _, objective, _ = simplex(c, a, rels, rhs, upper)
         solved = True
     except Infeasible:
         solved = False
@@ -471,16 +472,26 @@ class TestSimplexAgainstReference:
         assert 10 < solved < 40
 
 
-def selection_program(rng, num, horizon, per_step, budget, extra=()):
+def selection_rows(rng, num, horizon, per_step, budget, extra=()):
     """The LP of a budgeted selection problem (count rows, budget rows,
-    then ``extra``) with positive objective weights, as arrays."""
+    then ``extra``) with positive objective weights, as (c, rows, upper)
+    with the count and budget rows held as structure."""
     constraints = model.ConstraintSet.build(
         [per_step] * horizon, energy=[budget] * num, extra=list(extra)
     )
     rows = constraints.rows(num)
     c = rng.integers(1, 4, size=num * horizon) * rng.choice([1.0, 0.25], size=num * horizon)
-    rels = [RELATION[sense] for sense in rows.sense]
-    return c, rows.a, rels, rows.b, np.ones(num * horizon)
+    return c, rows, np.ones(num * horizon)
+
+
+def as_arrays(c, rows, upper):
+    """A (c, rows, upper) program as (c, a, rels, rhs, upper) arrays."""
+    return c, rows.a, [RELATION[sense] for sense in rows.sense], rows.b, upper
+
+
+def selection_program(rng, num, horizon, per_step, budget, extra=()):
+    """:func:`selection_rows` as arrays."""
+    return as_arrays(*selection_rows(rng, num, horizon, per_step, budget, extra))
 
 
 def degenerate_programs(rng, count=120):
@@ -500,6 +511,12 @@ def degenerate_programs(rng, count=120):
         yield c, a, rels, rhs, upper
 
 
+def simplex(c, a, rels, rhs, upper):
+    """``_simplex_max`` on rows held wholly dense: the (p, n) matrix ``a``
+    under the relations ``rels``."""
+    return _simplex_max(c, model.ConstraintRows(a, senses(rels), rhs), upper)
+
+
 def assert_same_as_loop_oracle(c, a, rels, rhs, upper):
     """The solver returns the oracle's x, objective and iteration count bit
     for bit, or raises the same error; returns whether a point came back."""
@@ -507,9 +524,9 @@ def assert_same_as_loop_oracle(c, a, rels, rhs, upper):
         expected = loop_simplex_max(c, a, rels, rhs, upper)
     except SenselError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            _simplex_max(c, a, senses(rels), rhs, upper)
+            simplex(c, a, rels, rhs, upper)
         return False
-    x, objective, iterations = _simplex_max(c, a, senses(rels), rhs, upper)
+    x, objective, iterations = simplex(c, a, rels, rhs, upper)
     assert np.array_equal(x, expected[0])
     assert objective == expected[1]
     assert iterations == expected[2]
@@ -611,7 +628,7 @@ class TestGreedyStart:
         for c, a, rels, rhs, upper in degenerate_programs(rng):
             sense = senses(rels)
             full, sign, start, basis, art_start, lifted = _crash_start(
-                c, a, sense, rhs, upper
+                c, model.ConstraintRows(a, sense, rhs), upper
             )
             start_rhs = sign * rhs
             x0 = np.where(lifted, upper, 0.0)
@@ -639,7 +656,7 @@ class TestGreedyStart:
         a = np.array([[1.0, 1.0, 1.0, 0.0], [-1.0, 0.0, 1.0, 0.0]])
         c = np.array([2.0, 2.0, 3.0, 0.0])
         full, sign, start, basis, art_start, lifted = _crash_start(
-            c, a, senses(["<=", ">="]), np.array([2.0, 0.5]), np.ones(4)
+            c, model.ConstraintRows(a, senses(["<=", ">="]), [2.0, 0.5]), np.ones(4)
         )
         assert lifted.tolist() == [False, True, True, False]
         assert start.tolist() == [0.0, 0.5] and sign.tolist() == [1.0, -1.0]
@@ -713,7 +730,7 @@ class TestBasisSolve:
             c, a, rels, rhs, upper = short_start_program(rng, num, 5, per_step)
             starts.clear()
             bases.clear()
-            _simplex_max(c, a, senses(rels), rhs, upper)
+            simplex(c, a, rels, rhs, upper)
             full, sign, _ = starts[0]
             assert len(bases) >= 10
             for basis in bases:
@@ -724,9 +741,15 @@ class TestBasisSolve:
 
 
 def short_start_program(rng, num, horizon, per_step, missing=0, extra=()):
+    """:func:`short_start_rows` as arrays."""
+    return as_arrays(*short_start_rows(rng, num, horizon, per_step, missing, extra))
+
+
+def short_start_rows(rng, num, horizon, per_step, missing=0, extra=()):
     """A feasible count-and-budget program whose greedy start leaves a count
-    row short, so an artificial starts above zero.  ``d`` sensors may serve
-    every step and ``horizon * (per_step - d)`` sensors one step each, which
+    row short, so an artificial starts above zero, as (c, rows, upper).
+    ``d`` sensors may serve every step and ``horizon * (per_step - d)``
+    sensors one step each, which
     the optimum needs to the last unit; the one-step sensors' step-0
     columns cost the most, so the greedy spends ``per_step`` of them on step
     0, and later steps run at least ``d`` sensors short.  With ``missing``
@@ -742,9 +765,9 @@ def short_start_program(rng, num, horizon, per_step, missing=0, extra=()):
     c[0, d : d + single] += 1.0
     c = c.reshape(-1)
     upper = np.ones(num * horizon)
-    _, _, start, basis, art_start, _ = _crash_start(c, rows.a, rows.sense, rows.b, upper)
+    _, _, start, basis, art_start, _ = _crash_start(c, rows, upper)
     assert start[basis >= art_start].sum() >= d > 0
-    return c, rows.a, [RELATION[sense] for sense in rows.sense], rows.b, upper
+    return c, rows, upper
 
 
 class TestPivotCount:
@@ -768,9 +791,8 @@ class TestPivotCount:
         # counts as an iteration): phase 1 pivots x1 in on the first row,
         # which leaves the second row's artificial basic at zero.  No pivot
         # drives it out: phase 2 finds x1 optimal, and it stays basic.
-        x, _, iterations = _simplex_max(
-            [1.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], senses(["=", "="]), [1.0, 1.0],
-            [np.inf, np.inf],
+        x, _, iterations = simplex(
+            [1.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], ["=", "="], [1.0, 1.0], [np.inf, np.inf]
         )
         assert x.tolist() == [1.0, 0.0]
         assert iterations == 1
@@ -794,7 +816,7 @@ class TestPivotCount:
         _, _, oracle_iterations = loop_simplex_max(*program)
         monkeypatch.setattr(np, "outer", outer)
         c, a, rels, rhs, upper = program
-        _, _, iterations = _simplex_max(c, a, senses(rels), rhs, upper)
+        _, _, iterations = simplex(c, a, rels, rhs, upper)
         assert iterations == oracle_iterations
         assert len(outer_calls) > iterations // 2
         assert len(pivots) == len(outer_calls)
@@ -813,14 +835,15 @@ class TestPivotCount:
         rels = ["<="] * num + [">=", ">="]
         rhs = np.array([2.0] * num + [-1.0, 0.0])
         full, sign, start, basis, art_start, lifted = _crash_start(
-            -np.ones(num * horizon), a, senses(rels), rhs, np.ones(num * horizon)
+            -np.ones(num * horizon), model.ConstraintRows(a, senses(rels), rhs),
+            np.ones(num * horizon),
         )
         assert full.shape == (num + 2, art_start)
         assert basis.tolist() == list(range(num * horizon, art_start))
         assert (sign * rhs).tolist() == [2.0] * num + [1.0, 0.0]
         assert start.tolist() == (sign * rhs).tolist() and not lifted.any()
-        x, objective, iterations = _simplex_max(
-            -np.ones(num * horizon), a, senses(rels), rhs, np.ones(num * horizon)
+        x, objective, iterations = simplex(
+            -np.ones(num * horizon), a, rels, rhs, np.ones(num * horizon)
         )
         assert x.tolist() == [0.0] * (num * horizon) and objective == 0.0
         assert iterations == 0 and pivots == []
@@ -844,9 +867,7 @@ class TestExample3Lp:
         problem, solution = example3_lp
         rows = problem.rows
         upper = np.ones(problem.c.shape[0])
-        full, _, start, _, art_start, lifted = _crash_start(
-            problem.c, rows.a, rows.sense, rows.b, upper
-        )
+        full, _, start, _, art_start, lifted = _crash_start(problem.c, rows, upper)
         assert full.shape[1] - art_start == problem.horizon
         assert np.array_equal(rows.a[: problem.horizon] @ lifted, rows.b[: problem.horizon])
         assert np.all(start[: problem.horizon] == 0.0)
@@ -909,7 +930,7 @@ class TestFeasibleStart:
         problem = build_lp(scenario)
         rows = problem.rows
         _, _, start, basis, art_start, _ = _crash_start(
-            problem.c, rows.a, rows.sense, rows.b, np.ones(problem.c.shape[0])
+            problem.c, rows, np.ones(problem.c.shape[0])
         )
         assert np.count_nonzero(basis >= art_start) == problem.horizon
         assert np.all(start[basis >= art_start] == 0.0)
@@ -944,10 +965,12 @@ class TestFeasibleStart:
             copy = (np.repeat([1.0, 0.0], [num, num * (horizon - 1)]), "=", per_step)
             program = selection_program(rng, num, horizon, per_step, 2, extra=[copy])
             c, a, rels, rhs, upper = program
-            _, _, start, basis, art_start, _ = _crash_start(c, a, senses(rels), rhs, upper)
+            _, _, start, basis, art_start, _ = _crash_start(
+                c, model.ConstraintRows(a, senses(rels), rhs), upper
+            )
             assert basis[-1] >= art_start and np.all(start[basis >= art_start] == 0.0)
             events.clear()
-            x, _, _ = _simplex_max(c, a, senses(rels), rhs, upper)
+            x, _, _ = simplex(c, a, rels, rhs, upper)
             pivot_rows = {row for kind, row in events if kind == "pivot"}
             assert not {0, len(rels) - 1} <= pivot_rows
             assert ("solve", None) not in events
@@ -973,8 +996,97 @@ class TestFeasibleStart:
 
             c, a, rels, rhs, upper = short_start_program(rng, num, 5, per_step, missing=1)
             with pytest.raises(Infeasible, match="admit no feasible point"):
-                _simplex_max(c, a, senses(rels), rhs, upper)
+                simplex(c, a, rels, rhs, upper)
             assert not assert_same_as_loop_oracle(c, a, rels, rhs, upper)
+
+
+def same_bits(got, expected) -> bool:
+    got, expected = np.asarray(got), np.asarray(expected)
+    return (
+        got.dtype == expected.dtype and got.shape == expected.shape
+        and got.tobytes() == expected.tobytes()
+    )
+
+
+def structured_programs(rng):
+    """The ``lp`` programs of example1-3, then random selection programs of
+    the loop-oracle tests: example3-shaped, with signed extra rows, with a
+    total and a first-step row, and short starts that run phase 1 with and
+    without such rows.  Each as (c, rows, upper), the count and budget rows
+    held as structure."""
+    for name in ("example1", "example2", "example3"):
+        problem = build_lp(model.load_scenario(EXAMPLE3.with_name(f"{name}.json")))
+        yield problem.c, problem.rows, np.ones(problem.c.shape[0])
+    for _ in range(4):
+        c, rows, upper = selection_rows(rng, 60, 5, 10, 2)
+        yield rng.uniform(0.1, 1.0, size=c.shape), rows, upper
+        num, horizon = int(rng.integers(4, 12)), int(rng.integers(2, 5))
+        signed = [
+            (rng.integers(-2, 3, size=num * horizon).astype(float), rel,
+             float(rng.integers(-3, 4)))
+            for rel in ("<=", ">=")
+        ]
+        yield selection_rows(rng, num, horizon, 1, 2, extra=signed)
+        num, horizon = 20, 4
+        total = (np.ones(num * horizon), "=", 3 * horizon)
+        first_step = (np.repeat([1.0, 0.0], [num, num * (horizon - 1)]), ">=", 3)
+        yield selection_rows(rng, num, horizon, 3, 2, extra=[total, first_step])
+        yield short_start_rows(rng, 30, 5, 4)
+        num = 3 + 5 * 6 + 2
+        total = (np.ones(num * 5), "=", 9 * 5)
+        yield short_start_rows(rng, num, 5, 9, extra=[total])
+
+
+class TestStructuredRows:
+    """The simplex reads the count and budget rows as structure; what it
+    builds from them is what the same rows held as a dense matrix give."""
+
+    def test_crash_start_and_tableau_equal_the_dense_ones(self, rng):
+        """The crash start (its tableau, signs, basic values, basis and
+        lifted columns), the equality form a refactorization rebuilds and
+        the solve itself are bit for bit those of the dense rows."""
+        for c, rows, upper in structured_programs(rng):
+            dense = model.ConstraintRows(rows.a, rows.sense, rows.b)
+            start = _crash_start(c, rows, upper)
+            for got, expected in zip(start, _crash_start(c, dense, upper), strict=True):
+                assert same_bits(got, expected)
+            _, sign, _, basis, art_start, _ = start
+            art_rows = np.flatnonzero(basis >= art_start)
+            assert same_bits(
+                _equality_form(rows, sign, art_rows), _equality_form(dense, sign, art_rows)
+            )
+            x, objective, iterations = _simplex_max(c, rows, upper)
+            expected = _simplex_max(c, dense, upper)
+            assert same_bits(x, expected[0])
+            assert (objective, iterations) == expected[1:]
+
+    @pytest.mark.parametrize("instance", ["example3", (1, 0), (1302, 1)])
+    def test_lp_plan_assembles_no_matrix(self, instance, matrix_reads):
+        """``build_lp``, ``solve_lp``, ``round_energy`` and ``certify`` on
+        example3 and ``lp_plan`` inputs never assemble the constraint
+        matrix; the count and budget rows stay structure."""
+        if isinstance(instance, tuple):
+            scenario = lp_plan_instance(*instance)
+        else:
+            scenario = model.load_scenario(EXAMPLE3)
+        problem = build_lp(scenario)
+        solution = solve_lp(problem)
+        report = certify(round_energy(solution, scenario, problem), problem)
+        assert report.feasible and len(report.constraint_ok) == len(problem.rows) == 405
+        assert matrix_reads == [] and "a" not in vars(problem.rows)
+        assert problem.rows.a.shape == (405, 2000) and matrix_reads == [405]
+
+    def test_exhaustive_assembles_no_matrix(self, rng, matrix_reads):
+        """``exhaustive_opt`` filters its leaves through the structure, on
+        example2 (counts and budgets) and on it with an extra row, which
+        the test helper places through the matrix."""
+        scenario = model.load_scenario(EXAMPLE3.with_name("example2.json"))
+        cases = (scenario, with_random_extra_row(rng, scenario))
+        matrix_reads.clear()
+        for case in cases:
+            schedule, _ = exhaustive_opt(case, "f3")
+            assert schedule.satisfies(case.constraints)
+        assert matrix_reads == []
 
 
 class TestZeroGapWithoutExtraRows:

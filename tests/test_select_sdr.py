@@ -145,6 +145,15 @@ class TestBuildBqp:
                 np.testing.assert_allclose(block, expected, rtol=1e-12, atol=0.0)
                 assert np.array_equal(block, block.T)
 
+    @pytest.mark.parametrize("name", ["example5", "example7"])
+    def test_each_step_model_is_built_once(self, name):
+        """example5's five steps share one model, and so one block object;
+        example7's distance term gives each step a block of its own."""
+        scenario = model.load_scenario(f"src/sensel/scenarios/{name}.json")
+        blocks = build_bqp(scenario).b_blocks
+        shared = [block is blocks[0] for block in blocks]
+        assert shared == [True] * 5 if name == "example5" else [True] + [False] * 4
+
     def test_inverts_each_noise_model_once(self, monkeypatch):
         """example3 repeats one static noise model over its five steps;
         its 800 x 800 joint covariance is inverted once."""

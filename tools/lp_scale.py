@@ -9,9 +9,11 @@ It is planned as ``sensel select --algo lp`` plans it: ``build_lp``,
 line goes to stdout: the planning's seconds (not building the network),
 the simplex's pivots, the process's peak RSS and the sha256 of the 0/1
 schedule, which compares two versions' plans bit for bit.  The exit code is
-1 when the certified schedule breaks a constraint row, or when planning
-assembled the dense 4,000 x 4,000 noise matrix, which the LP route never
-reads: its noise is checked and read through the sensors' own blocks.
+1 when the certified schedule breaks a constraint row, when planning
+assembled the dense 4,000 x 4,000 noise matrix, or when it assembled the
+dense 2,005 x 10,000 constraint matrix.  The LP route reads neither: its
+noise is checked and read through the sensors' own blocks, and its count
+and budget rows as structure (``ConstraintRows``).
 
     PYTHONPATH=src python tools/lp_scale.py
 """
@@ -44,6 +46,7 @@ def main() -> int:
     report = certify(rounded, problem)
     seconds = time.perf_counter() - started
     dense = any("r_full" in vars(noise) for noise in (scenario.noise, *scenario.step_noise))
+    matrix = "a" in vars(problem.rows)
     gamma = np.ascontiguousarray(rounded.schedule.gamma, dtype=np.int8)
     record = {
         "sensors": SENSORS,
@@ -60,6 +63,9 @@ def main() -> int:
         return 1
     if dense:
         print("planning assembled the dense noise matrix", file=sys.stderr)
+        return 1
+    if matrix:
+        print("planning assembled the dense constraint matrix", file=sys.stderr)
         return 1
     return 0
 
